@@ -8,9 +8,14 @@ import (
 	"repro"
 )
 
-// TestCheckAll drives the public batch API over the embedded case studies
-// and checks the aggregate counts match the paper's matrix.
+// TestCheckAll drives Session.CheckAll over the embedded case studies and
+// checks the aggregate counts match the paper's matrix.
 func TestCheckAll(t *testing.T) {
+	s, err := repro.NewSession(repro.WithWorkers(4), repro.WithNIBudget(2, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	var jobs []repro.BatchJob
 	for _, p := range repro.CaseStudies() {
 		jobs = append(jobs,
@@ -18,7 +23,7 @@ func TestCheckAll(t *testing.T) {
 			repro.BatchJob{Name: p.FileName(repro.Fixed), Source: p.Source(repro.Fixed), Lat: p.Lattice()},
 		)
 	}
-	sum, err := repro.CheckAll(context.Background(), jobs, repro.BatchOptions{Workers: 4})
+	sum, err := s.CheckAll(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,14 +38,23 @@ func TestCheckAll(t *testing.T) {
 	}
 }
 
-// TestDiffFuzzPublicAPI runs a small campaign through the repro facade.
+// TestDiffFuzzPublicAPI runs a small one-shot campaign through
+// Session.DiffFuzz.
 func TestDiffFuzzPublicAPI(t *testing.T) {
-	rep, err := repro.DiffFuzz(context.Background(), repro.FuzzConfig{N: 50, Seed: 3, NITrials: 4})
+	s, err := repro.NewSession(repro.WithSeed(3), repro.WithNIBudget(4, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rep, err := s.DiffFuzz(context.Background(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.OK() {
 		t.Fatalf("defects found:\n%s", repro.FormatFuzzReport(rep))
+	}
+	if rep.Analyzed != 50 {
+		t.Errorf("analyzed %d programs, want 50", rep.Analyzed)
 	}
 }
 

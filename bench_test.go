@@ -19,6 +19,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/lattice"
 	"repro/internal/ni"
+	"repro/internal/pipeline"
 	"repro/internal/progs"
 )
 
@@ -219,9 +220,9 @@ func BenchmarkPipeline(b *testing.B) {
 	run := func(b *testing.B, workers int) {
 		b.ReportMetric(float64(len(jobs)), "programs/batch")
 		for i := 0; i < b.N; i++ {
-			sum, err := repro.CheckAll(context.Background(), jobs, repro.BatchOptions{
+			sum, err := pipeline.Run(context.Background(), jobs, pipeline.Options{
 				Workers: workers,
-				NI:      repro.NIAccepted,
+				NI:      pipeline.NIAccepted,
 				NISeed:  1,
 			})
 			if err != nil {
@@ -241,10 +242,13 @@ func BenchmarkPipeline(b *testing.B) {
 // BenchmarkDiffFuzz measures the differential fuzzing harness end to end
 // (generation + all stages + NI on every base-accepted program).
 func BenchmarkDiffFuzz(b *testing.B) {
+	s, err := repro.NewSession(repro.WithSeed(1), repro.WithNIBudget(4, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
 	for i := 0; i < b.N; i++ {
-		rep, err := repro.DiffFuzz(context.Background(), repro.FuzzConfig{
-			N: 100, Seed: 1, NITrials: 4,
-		})
+		rep, err := s.DiffFuzz(context.Background(), 100)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,4 +1,5 @@
-// Tests for the public streaming-campaign and minimization API.
+// Tests for the public streaming-campaign and minimization API, driven
+// through the Session.
 package repro_test
 
 import (
@@ -11,47 +12,48 @@ import (
 	"repro/internal/gen"
 )
 
+// campaignSession opens a session over dir with the small generator the
+// public-API tests share, plus any extra options.
+func campaignSession(t *testing.T, dir string, seed int64, opts ...repro.SessionOption) *repro.Session {
+	t.Helper()
+	s, err := repro.NewSession(append([]repro.SessionOption{
+		repro.WithCorpus(dir),
+		repro.WithGenConfig(gen.Config{MaxDepth: 2, MaxStmts: 3, NumFields: 2, WithActions: true}),
+		repro.WithSeed(seed),
+	}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 // TestCampaignPublicAPI runs a small persistent campaign through the
-// facade and resumes it, exercising the whole public surface at once.
+// Session, replays the corpus it left, and continues with mutation over
+// it, exercising the whole public campaign surface at once.
 func TestCampaignPublicAPI(t *testing.T) {
 	dir := t.TempDir()
-	cfg := repro.CampaignConfig{
-		N:         50,
-		Seed:      21,
-		Gen:       gen.Config{MaxDepth: 2, MaxStmts: 3, NumFields: 2, WithActions: true},
-		NITrials:  2,
-		CorpusDir: dir,
-		Minimize:  true,
-	}
-	rep, err := repro.Campaign(context.Background(), cfg)
+	s := campaignSession(t, dir, 21, repro.WithNIBudget(2, 0), repro.WithMinimize())
+	rep, err := s.Campaign(context.Background(), 50)
 	if err != nil {
 		t.Fatalf("Campaign: %v", err)
 	}
 	if !rep.OK() {
 		t.Fatalf("campaign found defects:\n%s", repro.FormatCampaignReport(rep))
 	}
-	if rep.Analyzed != 50 || rep.NextIndex != 50 {
-		t.Errorf("analyzed %d programs, cursor %d; want 50, 50", rep.Analyzed, rep.NextIndex)
+	if rep.Analyzed != 50 || rep.Window.Lo != 0 || rep.Window.Hi != 50 {
+		t.Errorf("analyzed %d programs over %+v; want 50 over [0, 50)", rep.Analyzed, rep.Window)
 	}
 	out := repro.FormatCampaignReport(rep)
-	for _, want := range []string{"fuzz campaign", "verdict", "findings:", "PASS"} {
+	for _, want := range []string{"fuzz campaign: indices [0, 50)", "verdict", "findings:", "PASS"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
 
-	cfg.Resume = true
-	rep2, err := repro.Campaign(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("resumed Campaign: %v", err)
-	}
-	if rep2.FirstIndex != 50 {
-		t.Errorf("resume started at %d, want 50", rep2.FirstIndex)
-	}
-
-	// The corpus the two runs left behind replays clean through the facade,
-	// and a mutation-enabled continuation draws on it as a seed pool.
-	rr, err := repro.Replay(context.Background(), repro.ReplayConfig{CorpusDir: dir})
+	// The corpus the run left behind replays clean, and a mutation-enabled
+	// session over it draws on it as a seed pool.
+	rr, err := s.Replay(context.Background())
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -61,9 +63,8 @@ func TestCampaignPublicAPI(t *testing.T) {
 	if !strings.Contains(repro.FormatReplayReport(rr), "PASS") {
 		t.Error("clean replay report does not say PASS")
 	}
-	cfg.Resume = false
-	cfg.Mutate = true
-	rep3, err := repro.Campaign(context.Background(), cfg)
+	mut := campaignSession(t, dir, 21, repro.WithNIBudget(2, 0), repro.WithMinimize(), repro.WithMutation(0))
+	rep3, err := mut.Campaign(context.Background(), 50)
 	if err != nil {
 		t.Fatalf("mutation Campaign: %v", err)
 	}
@@ -72,18 +73,14 @@ func TestCampaignPublicAPI(t *testing.T) {
 	}
 }
 
-// TestTriageAndRetirePublicAPI drives the triage facade over a freshly
-// persisted corpus, then retires an injected "fixed" finding through it.
+// TestTriageAndRetirePublicAPI drives triage over a freshly persisted
+// corpus, then retires an injected "fixed" finding, all through the
+// Session.
 func TestTriageAndRetirePublicAPI(t *testing.T) {
 	dir := t.TempDir()
-	rep, err := repro.Campaign(context.Background(), repro.CampaignConfig{
-		N:        60,
-		Seed:     42,
-		Gen:      gen.Config{MaxDepth: 2, MaxStmts: 3, NumFields: 2, WithActions: true},
-		NITrials: 2, NITrialsMax: 8,
-		CorpusDir: dir,
-		Minimize:  true,
-	})
+	promote := t.TempDir()
+	s := campaignSession(t, dir, 42, repro.WithNIBudget(2, 8), repro.WithMinimize())
+	rep, err := s.Campaign(context.Background(), 60)
 	if err != nil {
 		t.Fatalf("Campaign: %v", err)
 	}
@@ -91,7 +88,7 @@ func TestTriageAndRetirePublicAPI(t *testing.T) {
 		t.Fatal("campaign persisted nothing to triage")
 	}
 
-	trep, err := repro.Triage(repro.TriageConfig{CorpusDir: dir})
+	trep, err := s.Triage()
 	if err != nil {
 		t.Fatalf("Triage: %v", err)
 	}
@@ -109,7 +106,7 @@ func TestTriageAndRetirePublicAPI(t *testing.T) {
 		t.Errorf("MarshalTriageReport: %v", err)
 	}
 
-	// Fingerprints from the facade match the clusters' notion of shape.
+	// Fingerprints from the public API match the clusters' notion of shape.
 	prog, err := repro.Parse("x.p4", trep.Clusters[0].Exemplar)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +115,8 @@ func TestTriageAndRetirePublicAPI(t *testing.T) {
 		t.Errorf("FingerprintProgram = %s, cluster says %s", fp, trep.Clusters[0].Fingerprint)
 	}
 
-	// "Fix" one finding and retire it through the facade.
+	// "Fix" one finding on disk and retire it from a fresh session: s's
+	// corpus handle still caches the source its campaign persisted.
 	victim := rep.Findings[0]
 	fixed := `header data_t { <bit<8>, low> f; }
 struct headers { data_t d; }
@@ -129,8 +127,8 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 	if err := os.WriteFile(victim.Path, []byte(fixed), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	promote := t.TempDir()
-	rrep, err := repro.Retire(context.Background(), repro.RetireConfig{CorpusDir: dir, PromoteDir: promote})
+	retirer := campaignSession(t, dir, 42, repro.WithPromoteDir(promote))
+	rrep, err := retirer.Retire(context.Background())
 	if err != nil {
 		t.Fatalf("Retire: %v", err)
 	}
@@ -140,7 +138,8 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 	if !strings.Contains(repro.FormatRetireReport(rrep), "RETIRED") {
 		t.Error("retire report missing RETIRED entry")
 	}
-	if rr, err := repro.Replay(context.Background(), repro.ReplayConfig{CorpusDir: promote}); err != nil || !rr.OK() {
+	retired := campaignSession(t, promote, 42)
+	if rr, err := retired.Replay(context.Background()); err != nil || !rr.OK() {
 		t.Errorf("retired corpus does not replay clean: %v", err)
 	}
 }
@@ -167,26 +166,60 @@ func TestMutatePublicAPI(t *testing.T) {
 	}
 }
 
-// TestCheckStreamPublicAPI streams a couple of jobs through the facade.
+// TestCheckStreamPublicAPI streams the case studies through
+// Session.CheckStream: every job comes back, with one job-done event per
+// result inside op-start/op-end framing.
 func TestCheckStreamPublicAPI(t *testing.T) {
-	jobs := make(chan repro.BatchJob, 2)
-	for i, p := range repro.CaseStudies()[:2] {
-		jobs <- repro.BatchJob{Name: p.FileName(repro.Fixed), Source: p.Source(repro.Fixed), Lat: p.Lattice(), Seq: int64(i)}
+	s, err := repro.NewSession(repro.WithWorkers(2), repro.WithNIBudget(2, 4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	close(jobs)
+	ch := s.Events()
+	collected := make(chan []repro.Event, 1)
+	go func() {
+		var evs []repro.Event
+		for ev := range ch {
+			evs = append(evs, ev)
+		}
+		collected <- evs
+	}()
+	cases := repro.CaseStudies()
+	jobs := make(chan repro.BatchJob)
+	go func() {
+		defer close(jobs)
+		for i, p := range cases {
+			jobs <- repro.BatchJob{Name: p.FileName(repro.Fixed), Source: p.Source(repro.Fixed), Lat: p.Lattice(), Seq: int64(i)}
+		}
+	}()
 	got := 0
-	for r := range repro.CheckStream(context.Background(), jobs, repro.BatchOptions{Workers: 2}) {
+	for r := range s.CheckStream(context.Background(), jobs) {
 		got++
 		if !r.ParseOK() {
 			t.Errorf("%s failed to parse: %v", r.Job.Name, r.ParseErr)
 		}
+		if !r.IFCOK() {
+			t.Errorf("%s: the fixed variant is IFC-rejected", r.Job.Name)
+		}
 	}
-	if got != 2 {
-		t.Errorf("streamed %d results, want 2", got)
+	s.Close()
+	evs := <-collected
+	if got != len(cases) {
+		t.Errorf("streamed %d results, want %d", got, len(cases))
+	}
+	counts := map[repro.EventKind]int{}
+	for _, ev := range evs {
+		counts[ev.Kind]++
+		if ev.Op != "check-stream" {
+			t.Errorf("event op %q, want check-stream", ev.Op)
+		}
+	}
+	if counts[repro.EventJobDone] != len(cases) || counts[repro.EventOpStart] != 1 || counts[repro.EventOpEnd] != 1 {
+		t.Errorf("event counts %v, want %d job-done inside one op-start/op-end", counts, len(cases))
 	}
 }
 
-// TestMinimizeProgramPublicAPI shrinks a padded leak down to its core.
+// TestMinimizeProgramPublicAPI shrinks a padded leak down to its core
+// through Session.Minimize.
 func TestMinimizeProgramPublicAPI(t *testing.T) {
 	src := `header data_t {
     <bit<8>, low> lo;
@@ -214,9 +247,14 @@ control Leak(inout headers hdr, inout standard_metadata_t standard_metadata) {
 		}
 		return repro.CheckBase(prog).OK && !repro.Check(prog, repro.TwoPoint()).OK
 	}
-	min, err := repro.MinimizeProgram("leak.p4", src, rejected)
+	s, err := repro.NewSession()
 	if err != nil {
-		t.Fatalf("MinimizeProgram: %v", err)
+		t.Fatal(err)
+	}
+	defer s.Close()
+	min, err := s.Minimize("leak.p4", src, rejected)
+	if err != nil {
+		t.Fatalf("Minimize: %v", err)
 	}
 	if len(min) >= len(src) {
 		t.Errorf("no reduction: %d bytes from %d", len(min), len(src))

@@ -7,8 +7,8 @@
 //	p4fuzz run    [-n 1000] [-seed 1] [-trials N] [-trials-max N]
 //	              [-workers 0] [-depth 3] [-stmts 5] [-fields 3]
 //	              [-timeout 0] [-lattice SPEC] [-corpus-dir DIR]
-//	              [-minimize] [-shard i/n] [-resume] [-mutate] [-triage]
-//	              [-events] [-events-json]
+//	              [-ni-oracle NAME] [-exhaust-budget N] [-exhaust-probes N]
+//	              [-minimize] [-mutate] [-triage] [-events] [-events-json]
 //	p4fuzz replay [-trials 4] [-trials-max 32] [-events] [-events-json]
 //	              [DIR]
 //	p4fuzz triage [-json] [-novelty N] [-o FILE] [-events] [-events-json]
@@ -19,21 +19,19 @@
 //	              DIR
 //	p4fuzz index  [-o FILE] [DIR]
 //
-// The pre-subcommand flag spellings (p4fuzz -corpus-dir ... -mutate,
-// p4fuzz -replay DIR, p4fuzz -retire DIR, p4fuzz -triage) keep working
-// unchanged and produce byte-identical reports — both forms run the same
-// Session underneath.
+// A missing or unknown subcommand prints this usage and exits 2.
 //
 // # run
 //
 // With none of the campaign flags, run is the one-shot harness: the whole
 // corpus is generated up front, checked, and forgotten. Any of
-// -corpus-dir, -minimize, -shard, -resume, or -mutate switches to the
-// streaming campaign engine, which generates jobs lazily, deduplicates and
-// persists interesting programs (with verdict metadata) under -corpus-dir,
-// minimizes findings with -minimize, splits the campaign across processes
-// with -shard i/n (0-based; shard corpus dirs merge by file copy), and
-// continues from the persisted per-shard cursor with -resume.
+// -corpus-dir, -minimize, -mutate, or -triage switches to the streaming
+// campaign engine, which covers the global indices [0, n): it generates
+// jobs lazily, deduplicates and persists interesting programs (with
+// verdict metadata) under -corpus-dir, and minimizes findings with
+// -minimize. To continue a search across runs, or to split one across
+// processes, run it as a fleet with cmd/p4fuzzd: the fleet's frontier
+// records where the last run stopped.
 //
 // -lattice selects the campaign lattice in either mode: two-point
 // (default), diamond, chain:N, nparty:N, powerset:N, or product:a,b
@@ -120,35 +118,39 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro"
 	"repro/internal/gen"
 )
 
+const usage = `usage: p4fuzz <subcommand> [flags]
+
+subcommands:
+  run      differential fuzzing: one-shot, or a campaign with -corpus-dir
+  replay   re-check a corpus against the current checker stack
+  triage   cluster a corpus by verdict class, cited rule, and AST shape
+  retire   promote findings the current stack no longer reproduces
+  compact  re-minimize a corpus and fold equal findings together
+  index    rebuild a corpus index and print its statistics
+
+Run 'p4fuzz <subcommand> -h' for the subcommand's flags.
+`
+
 func main() {
-	args := os.Args[1:]
-	if len(args) > 0 {
-		switch args[0] {
-		case "run":
-			os.Exit(runMain(args[1:]))
-		case "replay":
-			os.Exit(replayMain(args[1:]))
-		case "triage":
-			os.Exit(triageMain(args[1:]))
-		case "retire":
-			os.Exit(retireMain(args[1:]))
-		case "compact":
-			os.Exit(compactMain(args[1:]))
-		case "index":
-			os.Exit(indexMain(args[1:]))
-		}
+	subcommands := map[string]func([]string) int{
+		"run":     runMain,
+		"replay":  replayMain,
+		"triage":  triageMain,
+		"retire":  retireMain,
+		"compact": compactMain,
+		"index":   indexMain,
 	}
-	// Legacy flag form: p4fuzz -corpus-dir ... / -replay DIR / -retire DIR.
-	// Same parser, same Session, byte-identical reports.
-	os.Exit(runMain(args))
+	if len(os.Args) < 2 || subcommands[os.Args[1]] == nil {
+		fmt.Fprint(os.Stderr, usage)
+		os.Exit(2)
+	}
+	os.Exit(subcommands[os.Args[1]](os.Args[2:]))
 }
 
 // eventMode is how a subcommand streams its session's events: not at
@@ -249,17 +251,10 @@ func runMain(args []string) int {
 	latSpec := fs.String("lattice", "", "campaign lattice: two-point (default), diamond, chain:N, nparty:N, powerset:N, or product:a,b")
 	corpusDir := fs.String("corpus-dir", "", "persistent corpus directory (enables the campaign engine)")
 	minimize := fs.Bool("minimize", false, "shrink findings to minimal reproducers before persisting")
-	shard := fs.String("shard", "", "shard assignment i/n (0-based), e.g. 0/4")
-	resume := fs.Bool("resume", false, "continue from the corpus's per-shard cursor")
 	mutateSeeds := fs.Bool("mutate", false, "mutate persisted corpus findings for half the jobs (coverage-guided loop)")
 	triageAfter := fs.Bool("triage", false, "print the corpus's triage cluster summary after the campaign (requires -corpus-dir)")
 	liveEvents := fs.Bool("events", false, "stream structured progress events to stderr while running")
 	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line (the report moves to stderr)")
-	// Legacy mode spellings, kept so pre-subcommand invocations work
-	// unchanged; the subcommands are the documented surface.
-	replayDir := fs.String("replay", "", "legacy spelling of the replay subcommand: corpus dir to replay")
-	retireDir := fs.String("retire", "", "legacy spelling of the retire subcommand: corpus dir to retire drifted findings from")
-	promoteDir := fs.String("promote-dir", "", "retired-corpus directory for -retire (default <corpus>/../retired-corpus)")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "p4fuzz: unexpected arguments %v\n", fs.Args())
@@ -274,12 +269,6 @@ func runMain(args []string) int {
 	}
 
 	mode := pickEventMode(*liveEvents, *jsonEvents)
-	if *retireDir != "" {
-		return retire(ctx, *retireDir, *promoteDir, *trials, *trialsMax, mode)
-	}
-	if *replayDir != "" {
-		return replay(ctx, *replayDir, *trials, *trialsMax, mode)
-	}
 
 	gcfg := gen.Config{
 		MaxDepth:    *depth,
@@ -293,7 +282,7 @@ func runMain(args []string) int {
 		return 2
 	}
 
-	campaignMode := *corpusDir != "" || *minimize || *shard != "" || *resume || *mutateSeeds || *triageAfter
+	campaignMode := *corpusDir != "" || *minimize || *mutateSeeds || *triageAfter
 	if *triageAfter && *corpusDir == "" {
 		fmt.Fprintln(os.Stderr, "p4fuzz: -triage needs -corpus-dir (triage reads the persisted corpus)")
 		return 2
@@ -335,21 +324,6 @@ func runMain(args []string) int {
 		return 0
 	}
 
-	shardIdx, numShards := 0, 1
-	if *shard != "" {
-		// Strict parse: Sscanf would accept trailing garbage ("0/2x") and
-		// silently fuzz the wrong partition.
-		i, n, ok := strings.Cut(*shard, "/")
-		var err1, err2 error
-		if ok {
-			shardIdx, err1 = strconv.Atoi(i)
-			numShards, err2 = strconv.Atoi(n)
-		}
-		if !ok || err1 != nil || err2 != nil {
-			fmt.Fprintf(os.Stderr, "p4fuzz: -shard wants i/n (e.g. 0/4), got %q\n", *shard)
-			return 2
-		}
-	}
 	opts := []repro.SessionOption{
 		repro.WithSeed(*seed),
 		repro.WithGenConfig(gcfg),
@@ -357,7 +331,6 @@ func runMain(args []string) int {
 		repro.WithNIOracle(*niOracle),
 		repro.WithExhaustBudget(*exhaustBudget, *exhaustProbes),
 		repro.WithWorkers(*workers),
-		repro.WithShard(shardIdx, numShards),
 		repro.WithCorpus(*corpusDir),
 		repro.WithLog(os.Stderr),
 	}
@@ -366,9 +339,6 @@ func runMain(args []string) int {
 	}
 	if *minimize {
 		opts = append(opts, repro.WithMinimize())
-	}
-	if *resume {
-		opts = append(opts, repro.WithResume())
 	}
 	s, err := repro.NewSession(opts...)
 	if err != nil {
@@ -419,13 +389,10 @@ func replayMain(args []string) int {
 	if !ok {
 		return 2
 	}
-	return replay(context.Background(), dir, *trials, *trialsMax, pickEventMode(*liveEvents, *jsonEvents))
-}
-
-func replay(ctx context.Context, dir string, trials, trialsMax int, mode eventMode) int {
+	mode := pickEventMode(*liveEvents, *jsonEvents)
 	s, err := repro.NewSession(
 		repro.WithCorpus(dir),
-		repro.WithNIBudget(trials, trialsMax),
+		repro.WithNIBudget(*trials, *trialsMax),
 		repro.WithLog(os.Stderr),
 	)
 	if err != nil {
@@ -433,7 +400,7 @@ func replay(ctx context.Context, dir string, trials, trialsMax int, mode eventMo
 		return 2
 	}
 	stop := watchEvents(s, mode)
-	rep, err := s.Replay(ctx)
+	rep, err := s.Replay(context.Background())
 	stop()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "p4fuzz: replay: %v\n", err)
@@ -465,14 +432,11 @@ func retireMain(args []string) int {
 		fmt.Fprintln(os.Stderr, "p4fuzz: retire needs an explicit corpus directory (it removes drifted findings)")
 		return 2
 	}
-	return retire(context.Background(), dir, *promoteDir, *trials, *trialsMax, pickEventMode(*liveEvents, *jsonEvents))
-}
-
-func retire(ctx context.Context, dir, promoteDir string, trials, trialsMax int, mode eventMode) int {
+	mode := pickEventMode(*liveEvents, *jsonEvents)
 	s, err := repro.NewSession(
 		repro.WithCorpus(dir),
-		repro.WithPromoteDir(promoteDir),
-		repro.WithNIBudget(trials, trialsMax),
+		repro.WithPromoteDir(*promoteDir),
+		repro.WithNIBudget(*trials, *trialsMax),
 		repro.WithLog(os.Stderr),
 	)
 	if err != nil {
@@ -480,7 +444,7 @@ func retire(ctx context.Context, dir, promoteDir string, trials, trialsMax int, 
 		return 2
 	}
 	stop := watchEvents(s, mode)
-	rep, err := s.Retire(ctx)
+	rep, err := s.Retire(context.Background())
 	stop()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "p4fuzz: retire: %v\n", err)

@@ -1,5 +1,5 @@
-// Package campaign is the streaming, shardable differential-fuzz campaign
-// engine: the long-running, resumable form of internal/difftest.
+// Package campaign is the streaming differential-fuzz campaign engine:
+// the long-running, corpus-persisting form of internal/difftest.
 //
 // Where difftest.Run materializes its whole corpus, classifies it, and
 // forgets everything at exit, a campaign
@@ -14,13 +14,11 @@
 //     persisting, so corpus entries are the smallest programs that still
 //     reproduce their verdict class — and families of equivalent findings
 //     collapse onto one entry;
-//   - partitions the campaign index space by seed (shard i of n analyzes
-//     global indices ≡ i mod n), so independent processes split a campaign
-//     deterministically: the shard union equals the unsharded job set and
-//     the shards' corpus dirs merge by file copy;
-//   - records a per-shard resume cursor, so a later run with Resume set
-//     continues the search where the previous run stopped instead of
-//     re-covering the same seeds;
+//   - covers exactly one window [Lo, Hi) of global campaign indices, each
+//     index generating its program from Seed+index, so runs over disjoint
+//     windows partition a campaign deterministically: the union of the
+//     windows equals one run over their span. internal/fleet leases
+//     windows to workers and tracks the search frontier across runs;
 //   - spends its NI-trial budget adaptively (pipeline.Options.NITrialsMax):
 //     few trials on IFC-accepted programs, escalating on rejected ones
 //     where an interference witness would settle rejected-clean vs
@@ -65,6 +63,9 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/shrink"
 )
+
+// Class names a corpus finding class; it prefixes corpus filenames.
+type Class = corpus.Class
 
 // Corpus classes: difftest's interesting verdicts plus the campaign's own
 // parser-disagreement check.
@@ -136,29 +137,21 @@ func classOf(v difftest.Verdict) (Class, bool) {
 	return "", false
 }
 
-// Window is an explicit global-index window [Lo, Hi) — the unit of work a
-// fleet coordinator leases to a worker. Where Shard/NumShards partition by
-// residue and the resume cursor decides where a run starts, a window is
-// told exactly what to cover and covers it at stride 1.
+// Window is a global-index window [Lo, Hi): the indices one campaign run
+// covers, at stride 1. A fleet coordinator leases windows to workers; a
+// Session campaign of n programs is the window [0, n).
 type Window struct {
 	Lo, Hi int64
 }
 
 // Config configures a campaign run.
 type Config struct {
-	// N is the number of global campaign indices this run covers; a shard
-	// analyzes its ≈ N/NumShards share of them. The run covers indices
-	// [first, first+N), where first is 0 or the resume cursor.
-	N int
-	// Window, when non-nil, makes the run cover exactly the global indices
-	// [Lo, Hi) at stride 1 — the fleet's lease execution mode. Mutually
-	// exclusive with N, Resume, and Shard/NumShards: the window already is
-	// one worker's slice, and coverage is tracked by the coordinator's
-	// done markers, so the run neither reads nor writes the shard cursor.
-	Window *Window
+	// Window is the global-index window the run covers. Required and
+	// non-empty.
+	Window Window
 	// Seed is the campaign seed: global index i generates its program
 	// from Seed+i and seeds its NI experiment with Seed+i, independent of
-	// sharding and worker interleaving.
+	// the window boundaries and worker interleaving.
 	Seed int64
 	// Gen configures the program generator (zero = gen.DefaultConfig).
 	Gen gen.Config
@@ -181,16 +174,12 @@ type Config struct {
 	// (0 = defaults: exhaust.DefaultBudget runs, derived probes).
 	ExhaustBudget uint64
 	ExhaustProbes int
-	// Shard and NumShards select this process's slice of the campaign:
-	// global indices ≡ Shard (mod NumShards). NumShards <= 1 means
-	// unsharded; Shard must then be 0.
-	Shard, NumShards int
 	// Mutate enables corpus-seeded mutation: a MutateFrac share of the
 	// campaign's jobs are AST-level mutants of persisted findings (drawn
 	// from the seed pool weighted by verdict class and recency) instead of
 	// fresh gen.Random output. Scheduling is deterministic per global
-	// index given the pool, so sharded runs stay partition-exact when the
-	// shards share a corpus snapshot. With an empty corpus the campaign
+	// index given the pool, so window runs stay partition-exact when they
+	// share a corpus snapshot. With an empty corpus the campaign
 	// simply generates everything fresh.
 	Mutate bool
 	// MutateFrac is the fraction of jobs mutated from seeds when Mutate is
@@ -202,12 +191,9 @@ type Config struct {
 	// Corpus is an already-open handle over CorpusDir; when set, the run
 	// reads and writes through it (sharing its caches and dedup map)
 	// instead of opening the directory again. Session threads one handle
-	// through every operation this way. CorpusDir must still be set — the
-	// shard cursor and novelty files live relative to it.
+	// through every operation this way. CorpusDir defaults to the handle's
+	// directory; the novelty file lives relative to it.
 	Corpus *corpus.Corpus
-	// Resume continues from the shard's corpus cursor instead of index 0;
-	// it requires CorpusDir (a configuration error otherwise).
-	Resume bool
 	// Minimize shrinks each finding to the smallest program reproducing
 	// its class before dedup and persistence.
 	Minimize bool
@@ -215,8 +201,11 @@ type Config struct {
 	// before minimization and dedup, so it bounds both corpus growth and
 	// the per-run shrinking bill even once the corpus is saturated and
 	// most findings dedup to known entries (default 25; negative =
-	// unlimited). Skipped findings are counted, not silently dropped;
-	// later runs cover fresh indices, so capped classes drain over time.
+	// unlimited). A full class keeps its MaxPerClass lowest global
+	// indices, so which findings a run processes does not depend on the
+	// order its workers finish jobs in. Skipped findings are counted, not
+	// silently dropped; later windows cover fresh indices, so capped
+	// classes drain over time.
 	MaxPerClass int
 	// Log receives one line per persisted finding (nil = discard).
 	Log io.Writer
@@ -277,17 +266,14 @@ type Report struct {
 	ParserDisagreements int
 	// RulesCited counts, per typing rule, how many rejections cited it.
 	RulesCited map[string]int
-	// Analyzed is the number of programs this shard analyzed.
+	// Analyzed is the number of programs this run analyzed.
 	Analyzed int
-	// FirstIndex and NextIndex delimit the run's global index window;
-	// NextIndex is what a Resume run would start from.
-	FirstIndex, NextIndex int64
-	// Shard and NumShards echo the sharding (0 of 1 when unsharded).
-	Shard, NumShards int
+	// Window echoes the run's global-index window.
+	Window Window
 	// New, Dup, Known, and Capped partition the findings encountered:
 	// newly persisted/collected; duplicates of one found earlier in this
-	// run; already present in the corpus from an earlier run or another
-	// shard; skipped by the per-class cap.
+	// run; already present in the corpus from an earlier run; skipped by
+	// the per-class cap.
 	NewFindings, DupFindings, KnownFindings, CappedFindings int
 	// Minimized counts findings the shrinker strictly reduced;
 	// BytesSaved totals the reduction.
@@ -300,18 +286,17 @@ type Report struct {
 	SeedPoolSize int
 	// TrialsRun totals NI trials; the adaptive budget shows up here.
 	TrialsRun int64
-	// Elapsed and Workers describe the run; Seed, N, and Gen echo config.
+	// Elapsed and Workers describe the run; Seed and Gen echo config.
 	Elapsed time.Duration
 	Workers int
 	Seed    int64
-	N       int
 	Gen     gen.Config
-	// Aborted reports mid-run cancellation (the resume cursor does not
-	// advance; re-running re-covers the window and dedup absorbs repeats).
+	// Aborted reports mid-run cancellation (re-running the window
+	// re-covers it and dedup absorbs repeats).
 	Aborted bool
 	// CorpusDir echoes the corpus location ("" = none).
 	CorpusDir string
-	// Findings holds the new findings of this run, in discovery order.
+	// Findings holds the new findings of this run, in global-index order.
 	Findings []Finding
 }
 
@@ -328,27 +313,30 @@ func (r *Report) OK() bool {
 
 // engine carries one run's wiring.
 type engine struct {
-	ctx        context.Context
-	cfg        Config
-	gcfg       gen.Config
-	lat        lattice.Lattice
-	trials     int
-	max        int
-	perClass   int
-	corp       *corpus.Corpus
-	pool       *seedPool
-	seen       map[string]bool
-	classCount map[Class]int
-	log        io.Writer
-	sink       events.Sink
-	// shardJobs is how many indices this shard covers; tickEvery spaces
-	// the progress-tick events (deterministic in the job count).
-	shardJobs int
+	ctx      context.Context
+	cfg      Config
+	gcfg     gen.Config
+	lat      lattice.Lattice
+	trials   int
+	max      int
+	perClass int
+	corp     *corpus.Corpus
+	pool     *seedPool
+	seen     map[string]bool
+	log      io.Writer
+	sink     events.Sink
+	// jobs is how many indices the window covers; tickEvery spaces the
+	// progress-tick events (deterministic in the job count).
+	jobs      int
 	tickEvery int
 	rep       *Report
-	pending   []pendingFinding
+	// pending holds, per class, the findings collected for the post-stream
+	// finalize phase — at most perClass of them, the class's lowest global
+	// indices; npending counts them across classes.
+	pending  map[Class][]pendingFinding
+	npending int
 	// novelty accumulates this run's per-parent-seed productivity deltas
-	// (mutants analyzed, new keys persisted), merged into the shard's
+	// (mutants analyzed, new keys persisted), merged into the corpus
 	// novelty file at the end of the run. credited marks job indices
 	// whose parent already received a NewKeys credit: one mutant job can
 	// surface two findings (a verdict class and a parser disagreement),
@@ -398,58 +386,35 @@ type pendingFinding struct {
 	rule    string // typing rule cited by the IFC rejection, if any
 }
 
-// Run executes one campaign run (one shard's worth of one index window).
-// The returned error is a configuration, corpus-I/O, or context failure;
-// oracle disagreements are reported in the Report, not as errors.
+// Run executes one campaign run over cfg.Window. The returned error is a
+// configuration, corpus-I/O, or context failure; oracle disagreements are
+// reported in the Report, not as errors.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	if cfg.Window != nil {
-		w := *cfg.Window
-		if w.Lo < 0 || w.Hi <= w.Lo {
-			return nil, fmt.Errorf("campaign: window [%d, %d) is empty or inverted", w.Lo, w.Hi)
-		}
-		if cfg.N != 0 {
-			return nil, fmt.Errorf("campaign: Window and N are mutually exclusive — the window defines the job count")
-		}
-		if cfg.Resume {
-			return nil, fmt.Errorf("campaign: Window and Resume are mutually exclusive — lease coverage is the coordinator's, not the shard cursor's")
-		}
-		if cfg.NumShards > 1 || cfg.Shard != 0 {
-			return nil, fmt.Errorf("campaign: Window and Shard are mutually exclusive — a window already is one worker's slice")
-		}
-		cfg.N = int(w.Hi - w.Lo)
-	} else if cfg.N <= 0 {
-		return nil, fmt.Errorf("campaign: N must be positive, got %d", cfg.N)
-	}
-	numShards := cfg.NumShards
-	if numShards <= 0 {
-		numShards = 1
-	}
-	if cfg.Shard < 0 || cfg.Shard >= numShards {
-		return nil, fmt.Errorf("campaign: shard %d out of range for %d shards", cfg.Shard, numShards)
+	win := cfg.Window
+	if win.Lo < 0 || win.Hi <= win.Lo {
+		return nil, fmt.Errorf("campaign: window [%d, %d) is empty or inverted", win.Lo, win.Hi)
 	}
 	if cfg.Corpus != nil && cfg.CorpusDir == "" {
-		cfg.CorpusDir = cfg.Corpus.Dir() // state and novelty files live beside findings/
-	}
-	if cfg.Resume && cfg.CorpusDir == "" {
-		return nil, fmt.Errorf("campaign: Resume requires CorpusDir — without a corpus there is no cursor, and every run would silently re-cover [0, N)")
+		cfg.CorpusDir = cfg.Corpus.Dir() // the novelty file lives beside findings/
 	}
 	if cfg.MutateFrac < 0 || cfg.MutateFrac > 1 {
 		return nil, fmt.Errorf("campaign: MutateFrac %v out of [0, 1] (0 = the default 0.5)", cfg.MutateFrac)
 	}
 	e := &engine{
-		ctx:        ctx,
-		cfg:        cfg,
-		gcfg:       cfg.Gen,
-		trials:     cfg.NITrials,
-		max:        cfg.NITrialsMax,
-		perClass:   cfg.MaxPerClass,
-		seen:       map[string]bool{},
-		classCount: map[Class]int{},
-		log:        cfg.Log,
-		sink:       cfg.Events,
-		prov:       map[int64]provenance{},
-		novelty:    map[string]NoveltyStat{},
-		credited:   map[int64]bool{},
+		ctx:      ctx,
+		cfg:      cfg,
+		gcfg:     cfg.Gen,
+		trials:   cfg.NITrials,
+		max:      cfg.NITrialsMax,
+		perClass: cfg.MaxPerClass,
+		seen:     map[string]bool{},
+		log:      cfg.Log,
+		sink:     cfg.Events,
+		jobs:     int(win.Hi - win.Lo),
+		pending:  map[Class][]pendingFinding{},
+		prov:     map[int64]provenance{},
+		novelty:  map[string]NoveltyStat{},
+		credited: map[int64]bool{},
 	}
 	if e.gcfg == (gen.Config{}) {
 		e.gcfg = gen.DefaultConfig()
@@ -506,60 +471,21 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("campaign: seed pool: %w", err)
 		}
 	}
-	var first int64
-	var prior shardState
-	if cfg.Window != nil {
-		first = cfg.Window.Lo
-	} else if e.corp != nil {
-		if prior, err = loadState(cfg.CorpusDir, cfg.Shard, numShards, cfg.Events); err != nil {
-			return nil, err
-		}
-		if cfg.Resume && prior.NextIndex > 0 {
-			if prior.Seed != cfg.Seed {
-				return nil, fmt.Errorf("campaign: resume cursor was recorded for seed %d, not %d", prior.Seed, cfg.Seed)
-			}
-			if prior.Gen != e.gcfg {
-				return nil, fmt.Errorf("campaign: resume cursor was recorded for a different generator config")
-			}
-			// The mutation schedule changes what each index means just like
-			// Seed and Gen do; cursors from before these fields existed have
-			// nil here and resume freely (the legacy escape hatch).
-			if prior.Mutate != nil && *prior.Mutate != cfg.Mutate {
-				return nil, fmt.Errorf("campaign: resume cursor was recorded with mutation %s", onOff(*prior.Mutate))
-			}
-			if prior.MutateFrac != nil && *prior.MutateFrac != effectiveMutateFrac(cfg.Mutate, cfg.MutateFrac) {
-				return nil, fmt.Errorf("campaign: resume cursor was recorded for mutate-frac %g, not %g",
-					*prior.MutateFrac, effectiveMutateFrac(cfg.Mutate, cfg.MutateFrac))
-			}
-			first = prior.NextIndex
-		}
-	}
-	end := first + int64(cfg.N)
-
 	e.rep = &Report{
 		RulesCited: map[string]int{},
-		FirstIndex: first,
-		NextIndex:  first, // advances on completion
-		Shard:      cfg.Shard,
-		NumShards:  numShards,
+		Window:     win,
 		Workers:    workers,
 		Seed:       cfg.Seed,
-		N:          cfg.N,
 		Gen:        e.gcfg,
 		CorpusDir:  cfg.CorpusDir,
 	}
 	if e.pool != nil {
 		e.rep.SeedPoolSize = e.pool.size()
 	}
-	for idx := first; idx < end; idx++ {
-		if idx%int64(numShards) == int64(cfg.Shard) {
-			e.shardJobs++
-		}
-	}
-	// Progress ticks land every ~5% of the shard's jobs (at least every
+	// Progress ticks land every ~5% of the window's jobs (at least every
 	// job on tiny runs), so a listener renders a steady bar without the
 	// engine emitting one tick per program on top of the job-done events.
-	e.tickEvery = e.shardJobs / 20
+	e.tickEvery = e.jobs / 20
 	if e.tickEvery < 1 {
 		e.tickEvery = 1
 	}
@@ -572,10 +498,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	jobs := make(chan pipeline.Job)
 	go func() {
 		defer close(jobs)
-		for idx := first; idx < end; idx++ {
-			if idx%int64(numShards) != int64(cfg.Shard) {
-				continue
-			}
+		for idx := win.Lo; idx < win.Hi; idx++ {
 			job := pipeline.Job{
 				Name:   fmt.Sprintf("fuzz-%d.p4", idx),
 				Source: e.jobSource(idx),
@@ -608,14 +531,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// Minimization is skipped on abort — cancellation must not sit in a
 	// delta-debug loop — but collected findings are still persisted so an
 	// interrupted run loses nothing.
-	for _, p := range e.pending {
+	for _, p := range e.pendingByIndex() {
 		e.finalize(p, cfg.Minimize && !aborted)
 	}
 	if e.corp != nil {
 		// Novelty deltas persist even on abort, like the findings above: an
 		// interrupted run's mutant outcomes are real coverage evidence. A
 		// save failure costs feedback quality, not findings — log and go on.
-		if err := saveNoveltyDeltas(cfg.CorpusDir, e.novelty, cfg.Shard, numShards); err != nil {
+		if err := saveNoveltyDeltas(cfg.CorpusDir, e.novelty); err != nil {
 			fmt.Fprintf(e.log, "campaign: %v (novelty feedback lost for this run)\n", err)
 		}
 		// Likewise the corpus index: a failed save costs the next Open a
@@ -635,30 +558,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		e.rep.Aborted = true
 		return e.rep, ctx.Err()
 	}
-	e.rep.NextIndex = end
-	if e.corp != nil && cfg.Window == nil {
-		// Never regress the cursor: a short non-Resume run over an old
-		// window (say, reproducing a finding) must not rewind the search
-		// frontier a long campaign has built up.
-		if prior.NextIndex > end {
-			e.rep.NextIndex = prior.NextIndex
-		} else {
-			mut := cfg.Mutate
-			frac := effectiveMutateFrac(cfg.Mutate, cfg.MutateFrac)
-			st := shardState{
-				Seed:       cfg.Seed,
-				NextIndex:  end,
-				Gen:        e.gcfg,
-				Mutate:     &mut,
-				MutateFrac: &frac,
-				Runs:       prior.Runs + 1,
-				UpdatedAt:  time.Now(),
-			}
-			if err := saveState(cfg.CorpusDir, st, cfg.Shard, numShards); err != nil {
-				return e.rep, err
-			}
-		}
-	}
 	return e.rep, nil
 }
 
@@ -667,13 +566,16 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 // says so, a fresh gen.Random program otherwise. Everything — the
 // mutate-or-generate coin, the seed draw, the mutation operators, and the
 // fallback generation — runs off rand.NewSource(Seed+idx), so the mapping
-// from index to program depends only on (Seed, Gen, pool): shards agree
-// on it whenever they share a corpus snapshot, and a failed mutation
-// falls back to generation deterministically.
+// from index to program depends only on (Seed, Gen, pool): window runs
+// agree on it whenever they share a corpus snapshot, and a failed
+// mutation falls back to generation deterministically.
 func (e *engine) jobSource(idx int64) string {
 	rng := rand.New(rand.NewSource(e.cfg.Seed + idx))
 	if e.cfg.Mutate && e.pool != nil && e.pool.size() > 0 {
-		frac := effectiveMutateFrac(e.cfg.Mutate, e.cfg.MutateFrac)
+		frac := e.cfg.MutateFrac
+		if frac == 0 {
+			frac = 0.5
+		}
 		if rng.Float64() < frac {
 			seed := e.pool.pick(rng)
 			e.mSeedDraws.Inc()
@@ -694,27 +596,6 @@ func (e *engine) jobSource(idx int64) string {
 		}
 	}
 	return gen.Random(rng, e.gcfg)
-}
-
-// effectiveMutateFrac resolves the mutation probability a config actually
-// runs with: 0 when mutation is off, the 0.5 default when on with no
-// explicit fraction. Resume cursors record this resolved value so that an
-// explicit `-mutate-frac 0.5` and the implicit default compare equal.
-func effectiveMutateFrac(mutate bool, frac float64) float64 {
-	if !mutate {
-		return 0
-	}
-	if frac == 0 {
-		return 0.5
-	}
-	return frac
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
 }
 
 // emitMetrics ships one KindMetrics snapshot event; no-op without a
@@ -759,10 +640,10 @@ func (e *engine) consume(r *pipeline.JobResult) {
 		Kind: events.KindJobDone, Op: "campaign",
 		Index: r.Job.Seq, Class: v.String(), Rule: rule,
 	})
-	if e.rep.Analyzed%e.tickEvery == 0 || e.rep.Analyzed == e.shardJobs {
+	if e.rep.Analyzed%e.tickEvery == 0 || e.rep.Analyzed == e.jobs {
 		ev := events.Event{
 			Kind: events.KindProgress, Op: "campaign",
-			Done: e.rep.Analyzed, Total: e.shardJobs,
+			Done: e.rep.Analyzed, Total: e.jobs,
 		}
 		if e.met != nil {
 			// Rates come from the registry's job counter and the live
@@ -771,7 +652,7 @@ func (e *engine) consume(r *pipeline.JobResult) {
 			// findings/sec would read 0 for the whole run).
 			if elapsed := time.Since(e.start).Seconds(); elapsed > 0 {
 				ev.JobsPerSec = float64(e.mJobs.Value()) / elapsed
-				ev.FindingsPerSec = float64(e.rep.NewFindings+len(e.pending)) / elapsed
+				ev.FindingsPerSec = float64(e.rep.NewFindings+e.npending) / elapsed
 			}
 			e.emitMetrics()
 		}
@@ -805,20 +686,11 @@ func (e *engine) consume(r *pipeline.JobResult) {
 // charging the per-class cap up front so both pending memory and the
 // later shrinking bill stay bounded.
 func (e *engine) collect(class Class, v difftest.Verdict, detail, rule string, r *pipeline.JobResult, prov provenance, mutant bool) {
-	if e.perClass > 0 && e.classCount[class] >= e.perClass {
-		e.rep.CappedFindings++
-		return
-	}
-	// The cap meters work, not persistence: dedup runs after (expensive)
-	// minimization, so counting only new findings would let a saturated
-	// corpus — where nearly everything minimizes onto a known entry —
-	// grow the per-run shrinking bill without bound.
-	e.classCount[class]++
 	origin := "gen"
 	if mutant {
 		origin = "mutate"
 	}
-	e.pending = append(e.pending, pendingFinding{
+	p := pendingFinding{
 		class:   class,
 		verdict: v,
 		detail:  detail,
@@ -829,7 +701,49 @@ func (e *engine) collect(class Class, v difftest.Verdict, detail, rule string, r
 		parent:  prov.parentKey,
 		ops:     prov.ops,
 		rule:    rule,
+	}
+	// The cap meters work, not persistence: dedup runs after (expensive)
+	// minimization, so counting only new findings would let a saturated
+	// corpus — where nearly everything minimizes onto a known entry —
+	// grow the per-run shrinking bill without bound.
+	kept := e.pending[class]
+	if e.perClass <= 0 || len(kept) < e.perClass {
+		e.pending[class] = append(kept, p)
+		e.npending++
+		return
+	}
+	// The class is full. It keeps its lowest global indices, whatever
+	// order the workers finished the jobs in: the newcomer replaces the
+	// highest kept index if it is lower, and either way one finding is
+	// charged to the cap.
+	e.rep.CappedFindings++
+	hi := 0
+	for i := range kept {
+		if kept[i].idx > kept[hi].idx {
+			hi = i
+		}
+	}
+	if p.idx < kept[hi].idx {
+		kept[hi] = p
+	}
+}
+
+// pendingByIndex returns the collected findings in global-index order, so
+// dedup, minimization, and Report.Findings are independent of
+// scheduling. One job can yield two findings (a verdict class and a
+// parser disagreement); the class breaks the tie.
+func (e *engine) pendingByIndex() []pendingFinding {
+	all := make([]pendingFinding, 0, e.npending)
+	for _, ps := range e.pending {
+		all = append(all, ps...)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].idx != all[j].idx {
+			return all[i].idx < all[j].idx
+		}
+		return all[i].class < all[j].class
 	})
+	return all
 }
 
 // finalize shrinks, deduplicates, and persists one collected program.
@@ -858,7 +772,7 @@ func (e *engine) finalize(p pendingFinding, minimize bool) {
 			f.Source = res.Source
 		}
 	}
-	f.Key = DedupKey(class, f.Source)
+	f.Key = corpus.DedupKey(class, f.Source)
 	switch {
 	case e.seen[f.Key]:
 		e.rep.DupFindings++
@@ -872,7 +786,7 @@ func (e *engine) finalize(p pendingFinding, minimize bool) {
 	}
 	e.seen[f.Key] = true
 	if e.corp != nil {
-		path, err := e.corp.Put(Meta{
+		path, err := e.corp.Put(corpus.Meta{
 			Class:         class,
 			Rule:          p.rule,
 			Detail:        p.detail,
@@ -888,8 +802,6 @@ func (e *engine) finalize(p pendingFinding, minimize bool) {
 			Origin:        p.origin,
 			ParentKey:     p.parent,
 			MutateOps:     p.ops,
-			Shard:         e.cfg.Shard,
-			NumShards:     e.rep.NumShards,
 			OriginalBytes: f.OriginalBytes,
 			Bytes:         len(f.Source),
 			Minimized:     f.Minimized,
@@ -982,9 +894,8 @@ func roundtripDisagreement(name string, prog *ast.Program) (string, bool) {
 // FormatReport renders the campaign outcome.
 func FormatReport(r *Report) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fuzz campaign: shard %d/%d, indices [%d, %d), seed %d, %d workers, %v\n",
-		r.Shard, r.NumShards, r.FirstIndex, r.FirstIndex+int64(r.N), r.Seed, r.Workers,
-		r.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(&b, "fuzz campaign: indices [%d, %d), seed %d, %d workers, %v\n",
+		r.Window.Lo, r.Window.Hi, r.Seed, r.Workers, r.Elapsed.Round(time.Millisecond))
 	lat := r.Gen.Lattice
 	if lat == "" {
 		lat = "two-point"
@@ -1019,7 +930,7 @@ func FormatReport(r *Report) string {
 	}
 	b.WriteByte('\n')
 	if r.CorpusDir != "" {
-		fmt.Fprintf(&b, "  corpus: %s (next index %d)\n", r.CorpusDir, r.NextIndex)
+		fmt.Fprintf(&b, "  corpus: %s\n", r.CorpusDir)
 	}
 	for _, f := range r.Findings {
 		where := f.Path
@@ -1035,7 +946,7 @@ func FormatReport(r *Report) string {
 	}
 	switch {
 	case r.Aborted:
-		fmt.Fprintf(&b, "ABORTED: campaign incomplete — cursor not advanced; verdicts cover %d programs\n", r.Analyzed)
+		fmt.Fprintf(&b, "ABORTED: campaign incomplete; verdicts cover %d programs\n", r.Analyzed)
 	case r.OK():
 		b.WriteString("PASS: no soundness violations, generator bugs, runtime errors, or parser disagreements\n")
 	default:

@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/corpus"
 	"repro/internal/difftest"
-	"repro/internal/events"
 	"repro/internal/gen"
 	"repro/internal/lattice"
 	"repro/internal/pipeline"
@@ -22,9 +22,9 @@ func smallGen() gen.Config {
 }
 
 // readKeys collects the dedup keys of every finding persisted under dir.
-func readKeys(t *testing.T, dir string) map[string]Meta {
+func readKeys(t *testing.T, dir string) map[string]corpus.Meta {
 	t.Helper()
-	keys := map[string]Meta{}
+	keys := map[string]corpus.Meta{}
 	entries, err := os.ReadDir(filepath.Join(dir, "findings"))
 	if err != nil {
 		t.Fatalf("read corpus: %v", err)
@@ -37,7 +37,7 @@ func readKeys(t *testing.T, dir string) map[string]Meta {
 		if err != nil {
 			t.Fatalf("read %s: %v", e.Name(), err)
 		}
-		var m Meta
+		var m corpus.Meta
 		if err := json.Unmarshal(raw, &m); err != nil {
 			t.Fatalf("decode %s: %v", e.Name(), err)
 		}
@@ -62,12 +62,12 @@ func classifySource(t *testing.T, src string, niSeed int64, trials, max int) dif
 
 // TestCampaignTwoRunDemo is the end-to-end acceptance demo: run 1 persists
 // deduplicated, minimized findings with verdict metadata; a re-run over
-// the same window skips every known finding; a -resume run continues from
-// the cached cursor into fresh indices.
+// the same window skips every known finding; the next window continues
+// into fresh indices over the same corpus.
 func TestCampaignTwoRunDemo(t *testing.T) {
 	dir := t.TempDir()
 	base := Config{
-		N:           60,
+		Window:      Window{Lo: 0, Hi: 60},
 		Seed:        42,
 		Gen:         smallGen(),
 		NITrials:    2,
@@ -88,8 +88,8 @@ func TestCampaignTwoRunDemo(t *testing.T) {
 	if rep1.NewFindings == 0 {
 		t.Fatal("run 1 persisted no findings; the demo needs at least one")
 	}
-	if rep1.NextIndex != 60 || rep1.FirstIndex != 0 {
-		t.Fatalf("run 1 window [%d, %d), want [0, 60)", rep1.FirstIndex, rep1.NextIndex)
+	if rep1.Window != base.Window || rep1.Analyzed != 60 {
+		t.Fatalf("run 1 covered %+v (%d analyzed), want [0, 60)", rep1.Window, rep1.Analyzed)
 	}
 
 	keys := readKeys(t, dir)
@@ -126,8 +126,8 @@ func TestCampaignTwoRunDemo(t *testing.T) {
 		t.Error("no finding was minimized; generated findings should carry dead weight")
 	}
 
-	// Run 2a: the same window again (no resume) — every finding is
-	// already in the corpus, so nothing new lands.
+	// Run 2a: the same window again — every finding is already in the
+	// corpus, so nothing new lands.
 	rep2a, err := Run(context.Background(), base)
 	if err != nil {
 		t.Fatalf("run 2a: %v", err)
@@ -142,84 +142,26 @@ func TestCampaignTwoRunDemo(t *testing.T) {
 		t.Errorf("corpus grew from %d to %d findings on a repeat window", len(keys), got)
 	}
 
-	// Run 2b: resume — continues at the cursor into fresh indices.
-	resume := base
-	resume.Resume = true
-	rep2b, err := Run(context.Background(), resume)
+	// Run 2b: the next window — fresh indices over the same corpus.
+	next := base
+	next.Window = Window{Lo: 60, Hi: 120}
+	rep2b, err := Run(context.Background(), next)
 	if err != nil {
 		t.Fatalf("run 2b: %v", err)
 	}
-	if rep2b.FirstIndex != 60 || rep2b.NextIndex != 120 {
-		t.Fatalf("resume window [%d, %d), want [60, 120)", rep2b.FirstIndex, rep2b.NextIndex)
+	if rep2b.Window != next.Window || rep2b.Analyzed != 60 {
+		t.Fatalf("run 2b covered %+v (%d analyzed), want [60, 120)", rep2b.Window, rep2b.Analyzed)
 	}
-	if rep2b.Analyzed == 0 {
-		t.Error("resume run analyzed nothing")
-	}
-}
-
-// TestCampaignShardUnion: the union of finding keys and verdict counts
-// over shards 0..n-1 must equal the unsharded campaign over the same
-// window — sharding partitions, it does not resample.
-func TestCampaignShardUnion(t *testing.T) {
-	const n, shards = 90, 3
-	mk := func(dir string, shard, numShards int) *Report {
-		rep, err := Run(context.Background(), Config{
-			N:           n,
-			Seed:        7,
-			Gen:         smallGen(),
-			NITrials:    2,
-			NITrialsMax: 4,
-			Workers:     2,
-			Shard:       shard,
-			NumShards:   numShards,
-			CorpusDir:   dir,
-			MaxPerClass: -1,
-		})
-		if err != nil {
-			t.Fatalf("shard %d/%d: %v", shard, numShards, err)
-		}
-		return rep
-	}
-
-	whole := t.TempDir()
-	repWhole := mk(whole, 0, 1)
-
-	var shardAnalyzed int
-	var shardCounts [difftest.NumVerdicts]int
-	union := map[string]bool{}
-	for s := 0; s < shards; s++ {
-		dir := t.TempDir()
-		rep := mk(dir, s, shards)
-		shardAnalyzed += rep.Analyzed
-		for v, c := range rep.Counts {
-			shardCounts[v] += c
-		}
-		for k := range readKeys(t, dir) {
-			union[k] = true
-		}
-	}
-
-	if shardAnalyzed != repWhole.Analyzed || shardAnalyzed != n {
-		t.Errorf("shards analyzed %d programs, unsharded %d, want %d", shardAnalyzed, repWhole.Analyzed, n)
-	}
-	if shardCounts != repWhole.Counts {
-		t.Errorf("shard verdict counts %v != unsharded %v", shardCounts, repWhole.Counts)
-	}
-	wholeKeys := readKeys(t, whole)
-	if len(union) != len(wholeKeys) {
-		t.Errorf("shard corpus union has %d findings, unsharded %d", len(union), len(wholeKeys))
-	}
-	for k := range wholeKeys {
-		if !union[k] {
-			t.Errorf("finding %s missing from the shard union", k)
+	for _, f := range rep2b.Findings {
+		if f.Index < 60 || f.Index >= 120 {
+			t.Errorf("run 2b finding at index %d, outside its window", f.Index)
 		}
 	}
 }
 
-// TestCampaignWindowUnion: covering [0, n) as a set of explicit lease
-// windows finds the same dedup-key set and verdict counts as the
-// unsharded run — the partition-exactness the fleet coordinator builds on
-// — and window runs never touch the shard cursor.
+// TestCampaignWindowUnion: covering [0, n) as a set of smaller windows
+// finds the same dedup-key set and verdict counts as one run over [0, n)
+// — the partition-exactness the fleet coordinator builds on.
 func TestCampaignWindowUnion(t *testing.T) {
 	const n = 90
 	base := Config{
@@ -233,7 +175,7 @@ func TestCampaignWindowUnion(t *testing.T) {
 
 	whole := t.TempDir()
 	wcfg := base
-	wcfg.N = n
+	wcfg.Window = Window{Lo: 0, Hi: n}
 	wcfg.CorpusDir = whole
 	repWhole, err := Run(context.Background(), wcfg)
 	if err != nil {
@@ -246,14 +188,14 @@ func TestCampaignWindowUnion(t *testing.T) {
 	dir := t.TempDir()
 	for _, w := range []Window{{0, 30}, {30, 35}, {35, 90}} {
 		cfg := base
-		cfg.Window = &Window{Lo: w.Lo, Hi: w.Hi}
+		cfg.Window = w
 		cfg.CorpusDir = dir
 		rep, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("window [%d, %d): %v", w.Lo, w.Hi, err)
 		}
-		if rep.FirstIndex != w.Lo || rep.NextIndex != w.Hi {
-			t.Errorf("window [%d, %d) reported [%d, %d)", w.Lo, w.Hi, rep.FirstIndex, rep.NextIndex)
+		if rep.Window != w {
+			t.Errorf("window [%d, %d) reported %+v", w.Lo, w.Hi, rep.Window)
 		}
 		winAnalyzed += rep.Analyzed
 		for v, c := range rep.Counts {
@@ -265,40 +207,31 @@ func TestCampaignWindowUnion(t *testing.T) {
 	}
 
 	if winAnalyzed != repWhole.Analyzed || winAnalyzed != n {
-		t.Errorf("windows analyzed %d programs, unsharded %d, want %d", winAnalyzed, repWhole.Analyzed, n)
+		t.Errorf("windows analyzed %d programs, the whole span %d, want %d", winAnalyzed, repWhole.Analyzed, n)
 	}
 	if winCounts != repWhole.Counts {
-		t.Errorf("window verdict counts %v != unsharded %v", winCounts, repWhole.Counts)
+		t.Errorf("window verdict counts %v != whole-span %v", winCounts, repWhole.Counts)
 	}
 	wholeKeys := readKeys(t, whole)
 	if len(union) != len(wholeKeys) {
-		t.Errorf("window corpus union has %d findings, unsharded %d", len(union), len(wholeKeys))
+		t.Errorf("window corpus union has %d findings, the whole span %d", len(union), len(wholeKeys))
 	}
 	for k := range wholeKeys {
 		if !union[k] {
 			t.Errorf("finding %s missing from the window union", k)
 		}
 	}
-	// Window runs track coverage via the coordinator's done markers, never
-	// the shard cursor.
-	if _, err := os.Stat(statePath(dir, 0, 1)); !os.IsNotExist(err) {
-		t.Errorf("window run wrote a shard cursor (stat err %v)", err)
-	}
 }
 
-// TestCampaignWindowValidation: Window is mutually exclusive with N,
-// Resume, and sharding, and must be non-empty.
+// TestCampaignWindowValidation: the window is required and must be
+// non-empty and non-negative.
 func TestCampaignWindowValidation(t *testing.T) {
 	base := Config{Gen: smallGen(), NITrials: 1}
 	for name, cfg := range map[string]Config{
-		"empty":    {Window: &Window{Lo: 5, Hi: 5}},
-		"inverted": {Window: &Window{Lo: 9, Hi: 3}},
-		"negative": {Window: &Window{Lo: -1, Hi: 3}},
-		"with-n":   {Window: &Window{Lo: 0, Hi: 3}, N: 3},
-		"with-resume": {
-			Window: &Window{Lo: 0, Hi: 3}, Resume: true, CorpusDir: t.TempDir(),
-		},
-		"with-shard": {Window: &Window{Lo: 0, Hi: 3}, Shard: 1, NumShards: 2},
+		"missing":  {},
+		"empty":    {Window: Window{Lo: 5, Hi: 5}},
+		"inverted": {Window: Window{Lo: 9, Hi: 3}},
+		"negative": {Window: Window{Lo: -1, Hi: 3}},
 	} {
 		cfg.Gen = base.Gen
 		cfg.NITrials = base.NITrials
@@ -308,14 +241,14 @@ func TestCampaignWindowValidation(t *testing.T) {
 	}
 }
 
-// TestCampaignCancellation: mid-run cancellation reports Aborted, does not
-// advance the resume cursor, and the next run re-covers the window.
+// TestCampaignCancellation: mid-run cancellation returns the context error
+// and a report marked Aborted that covers only part of the window.
 func TestCampaignCancellation(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	rep, err := Run(ctx, Config{
-		N:         5000,
+		Window:    Window{Lo: 0, Hi: 5000},
 		Seed:      3,
 		Gen:       smallGen(),
 		NITrials:  2,
@@ -324,191 +257,18 @@ func TestCampaignCancellation(t *testing.T) {
 	if err == nil || !rep.Aborted {
 		t.Fatalf("cancelled campaign returned err=%v aborted=%v", err, rep.Aborted)
 	}
-	st, err := loadState(dir, 0, 1, nil)
-	if err != nil {
-		t.Fatal(err)
+	if rep.Analyzed >= 5000 {
+		t.Errorf("aborted run analyzed the whole window (%d programs)", rep.Analyzed)
 	}
-	if st.NextIndex != 0 {
-		t.Errorf("aborted run advanced the cursor to %d", st.NextIndex)
-	}
-}
-
-// TestCampaignCursorNeverRegresses: a short non-Resume run over an old
-// window (e.g. reproducing a finding) must not rewind the shard cursor a
-// longer campaign established.
-func TestCampaignCursorNeverRegresses(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{N: 40, Seed: 5, Gen: smallGen(), NITrials: 1, CorpusDir: dir}
-	if _, err := Run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	short := cfg
-	short.N = 5
-	rep, err := Run(context.Background(), short)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.NextIndex != 40 {
-		t.Errorf("short run reports NextIndex %d, want the preserved 40", rep.NextIndex)
-	}
-	st, err := loadState(dir, 0, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NextIndex != 40 {
-		t.Errorf("cursor regressed to %d, want 40", st.NextIndex)
-	}
-}
-
-// TestCampaignResumeMismatch: a resume cursor recorded for one seed or
-// generator config refuses to resume under another.
-func TestCampaignResumeMismatch(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{N: 4, Seed: 1, Gen: smallGen(), NITrials: 1, CorpusDir: dir}
-	if _, err := Run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	bad := cfg
-	bad.Resume = true
-	bad.Seed = 2
-	if _, err := Run(context.Background(), bad); err == nil {
-		t.Error("resume with a different seed must fail")
-	}
-	bad = cfg
-	bad.Resume = true
-	bad.Gen.MaxStmts++
-	if _, err := Run(context.Background(), bad); err == nil {
-		t.Error("resume with a different generator config must fail")
-	}
-}
-
-// TestCampaignTruncatedCursorRecovery: a cursor file truncated mid-write
-// (the pre-atomic-save failure mode) must not brick the shard — the next
-// run warns and re-covers from index 0 instead of erroring.
-func TestCampaignTruncatedCursorRecovery(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{N: 4, Seed: 1, Gen: smallGen(), NITrials: 1, CorpusDir: dir}
-	if _, err := Run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	// Truncate the cursor the way a killed worker's partial write would.
-	path := statePath(dir, 0, 1)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var warnings []events.Event
-	next := cfg
-	next.Resume = true
-	next.Events = func(e events.Event) {
-		if e.Kind == events.KindWarning {
-			warnings = append(warnings, e)
-		}
-	}
-	rep, err := Run(context.Background(), next)
-	if err != nil {
-		t.Fatalf("truncated cursor bricked the shard: %v", err)
-	}
-	if rep.FirstIndex != 0 {
-		t.Errorf("recovered run started at %d, want 0", rep.FirstIndex)
-	}
-	found := false
-	for _, w := range warnings {
-		if strings.Contains(w.Detail, "corrupt resume cursor") && w.Path == path {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no corrupt-cursor warning emitted; warnings: %+v", warnings)
-	}
-	// The recovered run rewrote the cursor; a plain resume works again.
-	st, err := loadState(dir, 0, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NextIndex != 4 {
-		t.Errorf("rewritten cursor at %d, want 4", st.NextIndex)
-	}
-}
-
-// TestCampaignResumeMutationMismatch: the cursor records the mutation
-// schedule, and a resume under a different one is refused — a different
-// Mutate/MutateFrac silently changes what every index means, exactly like
-// a different seed.
-func TestCampaignResumeMutationMismatch(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{N: 4, Seed: 1, Gen: smallGen(), NITrials: 1, CorpusDir: dir}
-	if _, err := Run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	bad := cfg
-	bad.Resume = true
-	bad.Mutate = true
-	if _, err := Run(context.Background(), bad); err == nil {
-		t.Error("resume with mutation toggled on must fail")
-	}
-
-	mdir := t.TempDir()
-	mcfg := Config{N: 4, Seed: 1, Gen: smallGen(), NITrials: 1, CorpusDir: mdir, Mutate: true}
-	if _, err := Run(context.Background(), mcfg); err != nil {
-		t.Fatal(err)
-	}
-	// The cursor stores the *effective* fraction, so spelling the 0.5
-	// default explicitly still resumes...
-	ok := mcfg
-	ok.Resume = true
-	ok.MutateFrac = 0.5
-	if _, err := Run(context.Background(), ok); err != nil {
-		t.Errorf("resume with the explicit default fraction failed: %v", err)
-	}
-	// ...while an actually different fraction is refused.
-	bad = mcfg
-	bad.Resume = true
-	bad.MutateFrac = 0.25
-	if _, err := Run(context.Background(), bad); err == nil {
-		t.Error("resume with a different mutate-frac must fail")
-	}
-}
-
-// TestCampaignResumeLegacyCursor: cursors written before the mutation
-// fields existed (nil Mutate/MutateFrac) resume under any schedule — the
-// escape hatch that keeps existing .fuzz-corpus caches resumable.
-func TestCampaignResumeLegacyCursor(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{N: 4, Seed: 1, Gen: smallGen(), NITrials: 1, CorpusDir: dir}
-	if _, err := Run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the cursor without the mutation fields, as an old build
-	// would have left it.
-	st, err := loadState(dir, 0, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Mutate = nil
-	st.MutateFrac = nil
-	if err := saveState(dir, st, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	next := cfg
-	next.Resume = true
-	next.Mutate = true
-	rep, err := Run(context.Background(), next)
-	if err != nil {
-		t.Fatalf("legacy cursor refused a resume: %v", err)
-	}
-	if rep.FirstIndex != 4 {
-		t.Errorf("legacy resume started at %d, want 4", rep.FirstIndex)
+	if !strings.Contains(FormatReport(rep), "ABORTED") {
+		t.Errorf("aborted report does not say ABORTED:\n%s", FormatReport(rep))
 	}
 }
 
 // TestCampaignNoCorpusDir: without a corpus dir the campaign still runs,
 // dedups within the run, and keeps findings in memory.
 func TestCampaignNoCorpusDir(t *testing.T) {
-	rep, err := Run(context.Background(), Config{N: 40, Seed: 9, Gen: smallGen(), NITrials: 1})
+	rep, err := Run(context.Background(), Config{Window: Window{Lo: 0, Hi: 40}, Seed: 9, Gen: smallGen(), NITrials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,17 +285,62 @@ func TestCampaignNoCorpusDir(t *testing.T) {
 	}
 }
 
-// TestCampaignShardValidation: out-of-range shards are configuration
-// errors, not silent empty runs.
-func TestCampaignShardValidation(t *testing.T) {
-	for _, tc := range []struct{ shard, num int }{{2, 2}, {-1, 2}, {1, 1}} {
-		if _, err := Run(context.Background(), Config{N: 1, Shard: tc.shard, NumShards: tc.num}); err == nil {
-			t.Errorf("shard %d/%d accepted", tc.shard, tc.num)
+// TestCampaignDeterministicFindings: with two workers finishing jobs in
+// whatever order the scheduler picks and a per-class cap that binds, two
+// runs over the same window process the same findings in the same order —
+// the same Findings key sequence, minimization totals, and corpus files.
+func TestCampaignDeterministicFindings(t *testing.T) {
+	run := func() (*Report, string) {
+		dir := t.TempDir()
+		rep, err := Run(context.Background(), Config{
+			Window:      Window{Lo: 0, Hi: 200},
+			Seed:        17,
+			Gen:         smallGen(),
+			NITrials:    2,
+			NITrialsMax: 64,
+			Workers:     2,
+			CorpusDir:   dir,
+			Minimize:    true,
+			MaxPerClass: 15,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		ents, err := os.ReadDir(filepath.Join(dir, "findings"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return rep, strings.Join(names, ",")
 	}
-	// Resume without a corpus has no cursor to read — a silent restart at
-	// index 0 every run, so it must be refused too.
-	if _, err := Run(context.Background(), Config{N: 1, Resume: true}); err == nil {
-		t.Error("Resume without CorpusDir accepted")
+	keysOf := func(r *Report) string {
+		var keys []string
+		for _, f := range r.Findings {
+			keys = append(keys, f.Key)
+		}
+		return strings.Join(keys, ",")
+	}
+	a, lsA := run()
+	b, lsB := run()
+	if a.CappedFindings == 0 {
+		t.Fatal("the per-class cap never bound; the test premise is broken")
+	}
+	if keysOf(a) != keysOf(b) {
+		t.Errorf("finding key sequences differ:\n%s\n%s", keysOf(a), keysOf(b))
+	}
+	if a.NewFindings != b.NewFindings || a.Minimized != b.Minimized || a.BytesSaved != b.BytesSaved {
+		t.Errorf("new/minimized/saved %d/%d/%d vs %d/%d/%d",
+			a.NewFindings, a.Minimized, a.BytesSaved, b.NewFindings, b.Minimized, b.BytesSaved)
+	}
+	if lsA != lsB {
+		t.Errorf("corpus contents differ:\n%s\n%s", lsA, lsB)
+	}
+	for i := 1; i < len(a.Findings); i++ {
+		if a.Findings[i].Index < a.Findings[i-1].Index {
+			t.Errorf("findings out of index order: %d after %d", a.Findings[i].Index, a.Findings[i-1].Index)
+		}
 	}
 }

@@ -24,7 +24,7 @@ func TestExhaustiveCampaignSplitsAndReplays(t *testing.T) {
 	g := smallGen()
 	g.NumFields = 1
 	rep, err := Run(context.Background(), Config{
-		N:           120,
+		Window:      Window{Lo: 0, Hi: 120},
 		Seed:        42,
 		Gen:         g,
 		NITrials:    2,

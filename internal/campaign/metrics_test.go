@@ -18,7 +18,7 @@ func TestCampaignMetrics(t *testing.T) {
 	var mu sync.Mutex
 	var progress, snaps []events.Event
 	rep, err := Run(context.Background(), Config{
-		N: 60, Seed: 7, Gen: smallGen(), NITrials: 2, Workers: 2,
+		Window: Window{Lo: 0, Hi: 60}, Seed: 7, Gen: smallGen(), NITrials: 2, Workers: 2,
 		CorpusDir: t.TempDir(), MaxPerClass: -1,
 		Metrics: reg,
 		Events: func(e events.Event) {

@@ -121,7 +121,7 @@ func TestSeedPoolFiltersIncompatibleLattices(t *testing.T) {
 func TestMixedLatticeCampaignNoUnknownLabels(t *testing.T) {
 	dir := copyCorpus(t, "../../testdata/regression-corpus")
 	rep, err := Run(context.Background(), Config{
-		N:          60,
+		Window:     Window{Lo: 0, Hi: 60},
 		Seed:       1,
 		Gen:        smallGen(), // empty Lattice = two-point
 		Mutate:     true,

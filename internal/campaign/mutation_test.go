@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/difftest"
 )
 
@@ -26,7 +27,7 @@ func seedCorpus(t *testing.T, dir string, cfg Config) int {
 
 // copyFindings clones src/findings into dst so several corpus dirs share
 // one seed-pool snapshot — the precondition under which mutation-enabled
-// sharding stays partition-exact.
+// windows stay partition-exact.
 func copyFindings(t *testing.T, src, dst string) {
 	t.Helper()
 	if err := os.MkdirAll(filepath.Join(dst, "findings"), 0o755); err != nil {
@@ -48,8 +49,8 @@ func copyFindings(t *testing.T, src, dst string) {
 }
 
 // copyNoveltyState clones src/state's novelty-*.json files into dst so
-// shard dirs share the full scheduling snapshot — findings and novelty
-// records — under which mutation-enabled sharding stays partition-exact.
+// window dirs share the full scheduling snapshot — findings and novelty
+// records — under which mutation-enabled windows stay partition-exact.
 func copyNoveltyState(t *testing.T, src, dst string) {
 	t.Helper()
 	entries, err := os.ReadDir(filepath.Join(src, "state"))
@@ -76,102 +77,107 @@ func copyNoveltyState(t *testing.T, src, dst string) {
 	}
 }
 
-// TestCampaignMutationShardUnion extends the shard-union determinism
-// property to seed scheduling: with every shard holding the same corpus
-// snapshot, the mutate-or-generate coin, the weighted seed draw, and the
-// mutation itself all run off the global index's rng — so the union of
-// mutation-enabled shards still equals the unsharded campaign, verdict
-// counts, mutant counts, findings, and all.
-func TestCampaignMutationShardUnion(t *testing.T) {
-	const n, shards = 90, 3
-	seedDir := t.TempDir()
-	seedCorpus(t, seedDir, Config{
-		N: 80, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
-		CorpusDir: seedDir, Minimize: true,
-	})
-
-	mk := func(dir string, shard, numShards int) *Report {
+// checkMutationWindowUnion runs a mutation-enabled campaign over [0, 90)
+// once and as three windows, every run starting from its own copy of the
+// corpus snapshot at seedDir, and requires the windows' union to equal the
+// whole-span run: analyzed programs, mutant jobs, verdict counts, and
+// finding keys.
+func checkMutationWindowUnion(t *testing.T, seedDir string) {
+	t.Helper()
+	const n = 90
+	mk := func(w Window) (*Report, map[string]corpus.Meta) {
+		dir := t.TempDir()
 		copyFindings(t, seedDir, dir)
+		copyNoveltyState(t, seedDir, dir)
 		rep, err := Run(context.Background(), Config{
-			N:           n,
+			Window:      w,
 			Seed:        7,
 			Gen:         smallGen(),
 			NITrials:    1,
 			NITrialsMax: 4,
 			Workers:     2,
-			Shard:       shard,
-			NumShards:   numShards,
 			Mutate:      true,
 			CorpusDir:   dir,
 			MaxPerClass: -1,
 		})
 		if err != nil {
-			t.Fatalf("shard %d/%d: %v", shard, numShards, err)
+			t.Fatalf("window [%d, %d): %v", w.Lo, w.Hi, err)
 		}
 		if rep.SeedPoolSize == 0 {
-			t.Fatalf("shard %d/%d started with an empty seed pool", shard, numShards)
+			t.Fatalf("window [%d, %d) started with an empty seed pool", w.Lo, w.Hi)
 		}
-		return rep
+		return rep, readKeys(t, dir)
 	}
 
-	whole := t.TempDir()
-	repWhole := mk(whole, 0, 1)
+	repWhole, wholeKeys := mk(Window{Lo: 0, Hi: n})
 	if repWhole.MutantJobs == 0 {
 		t.Fatal("mutation-enabled campaign analyzed no mutants; the schedule is not firing")
 	}
 
-	var shardAnalyzed, shardMutants int
-	var shardCounts [difftest.NumVerdicts]int
+	var winAnalyzed, winMutants int
+	var winCounts [difftest.NumVerdicts]int
 	union := map[string]bool{}
-	for s := 0; s < shards; s++ {
-		dir := t.TempDir()
-		rep := mk(dir, s, shards)
-		shardAnalyzed += rep.Analyzed
-		shardMutants += rep.MutantJobs
+	for _, w := range []Window{{0, 30}, {30, 60}, {60, n}} {
+		rep, keys := mk(w)
+		winAnalyzed += rep.Analyzed
+		winMutants += rep.MutantJobs
 		for v, c := range rep.Counts {
-			shardCounts[v] += c
+			winCounts[v] += c
 		}
-		for k := range readKeys(t, dir) {
+		for k := range keys {
 			union[k] = true
 		}
 	}
 
-	if shardAnalyzed != repWhole.Analyzed || shardAnalyzed != n {
-		t.Errorf("shards analyzed %d programs, unsharded %d, want %d", shardAnalyzed, repWhole.Analyzed, n)
+	if winAnalyzed != repWhole.Analyzed || winAnalyzed != n {
+		t.Errorf("windows analyzed %d programs, the whole span %d, want %d", winAnalyzed, repWhole.Analyzed, n)
 	}
-	if shardMutants != repWhole.MutantJobs {
-		t.Errorf("shards mutated %d jobs, unsharded %d — seed scheduling is not index-deterministic", shardMutants, repWhole.MutantJobs)
+	if winMutants != repWhole.MutantJobs {
+		t.Errorf("windows mutated %d jobs, the whole span %d — seed scheduling is not index-deterministic", winMutants, repWhole.MutantJobs)
 	}
-	if shardCounts != repWhole.Counts {
-		t.Errorf("shard verdict counts %v != unsharded %v", shardCounts, repWhole.Counts)
+	if winCounts != repWhole.Counts {
+		t.Errorf("window verdict counts %v != whole-span %v", winCounts, repWhole.Counts)
 	}
-	wholeKeys := readKeys(t, whole)
 	if len(union) != len(wholeKeys) {
-		t.Errorf("shard corpus union has %d findings, unsharded %d", len(union), len(wholeKeys))
+		t.Errorf("window corpus union has %d findings, the whole span %d", len(union), len(wholeKeys))
 	}
 	for k := range wholeKeys {
 		if !union[k] {
-			t.Errorf("finding %s missing from the shard union", k)
+			t.Errorf("finding %s missing from the window union", k)
 		}
 	}
 }
 
-// TestCampaignMutationShardUnionWithNovelty re-proves the shard-union
-// property with novelty feedback in play: the seed corpus now carries
-// real novelty records (from a prior mutation run), the pool weights are
-// therefore class × recency × novelty, and the union of shards must
-// still equal the unsharded campaign exactly — scheduling depends only
-// on the shared (findings, novelty) snapshot, never on which shard asks.
-func TestCampaignMutationShardUnionWithNovelty(t *testing.T) {
-	const n, shards = 90, 3
+// TestCampaignMutationShardUnion extends the window-union determinism
+// property to seed scheduling: with every window run holding the same
+// corpus snapshot, the mutate-or-generate coin, the weighted seed draw,
+// and the mutation itself all run off the global index's rng — so the
+// union of mutation-enabled windows still equals one run over their span,
+// verdict counts, mutant counts, findings, and all.
+func TestCampaignMutationShardUnion(t *testing.T) {
 	seedDir := t.TempDir()
 	seedCorpus(t, seedDir, Config{
-		N: 80, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
+		Window: Window{Lo: 0, Hi: 80}, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
+		CorpusDir: seedDir, Minimize: true,
+	})
+	checkMutationWindowUnion(t, seedDir)
+}
+
+// TestCampaignMutationShardUnionWithNovelty re-proves the window-union
+// property with novelty feedback in play: the seed corpus now carries
+// real novelty records (from a prior mutation run), the pool weights are
+// therefore class × recency × novelty, and the union of windows must
+// still equal the whole-span run exactly — scheduling depends only on the
+// shared (findings, novelty) snapshot, never on which window asks.
+func TestCampaignMutationShardUnionWithNovelty(t *testing.T) {
+	seedDir := t.TempDir()
+	seedCorpus(t, seedDir, Config{
+		Window: Window{Lo: 0, Hi: 80}, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
 		CorpusDir: seedDir, Minimize: true,
 	})
 	// A mutation run over the seeded corpus leaves novelty records behind.
 	prior, err := Run(context.Background(), Config{
-		N: 100, Seed: 23, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
+		Window: Window{Lo: 0, Hi: 100}, Seed: 23, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
 		Mutate: true, CorpusDir: seedDir, MaxPerClass: -1,
 	})
 	if err != nil {
@@ -183,69 +189,7 @@ func TestCampaignMutationShardUnionWithNovelty(t *testing.T) {
 	if stats, err := LoadNovelty(seedDir); err != nil || len(stats) == 0 {
 		t.Fatalf("no novelty records after a mutation run (err=%v)", err)
 	}
-
-	mk := func(dir string, shard, numShards int) *Report {
-		copyFindings(t, seedDir, dir)
-		copyNoveltyState(t, seedDir, dir)
-		rep, err := Run(context.Background(), Config{
-			N:           n,
-			Seed:        7,
-			Gen:         smallGen(),
-			NITrials:    1,
-			NITrialsMax: 4,
-			Workers:     2,
-			Shard:       shard,
-			NumShards:   numShards,
-			Mutate:      true,
-			CorpusDir:   dir,
-			MaxPerClass: -1,
-		})
-		if err != nil {
-			t.Fatalf("shard %d/%d: %v", shard, numShards, err)
-		}
-		return rep
-	}
-
-	whole := t.TempDir()
-	repWhole := mk(whole, 0, 1)
-	if repWhole.MutantJobs == 0 {
-		t.Fatal("mutation-enabled campaign analyzed no mutants")
-	}
-
-	var shardAnalyzed, shardMutants int
-	var shardCounts [difftest.NumVerdicts]int
-	union := map[string]bool{}
-	for s := 0; s < shards; s++ {
-		dir := t.TempDir()
-		rep := mk(dir, s, shards)
-		shardAnalyzed += rep.Analyzed
-		shardMutants += rep.MutantJobs
-		for v, c := range rep.Counts {
-			shardCounts[v] += c
-		}
-		for k := range readKeys(t, dir) {
-			union[k] = true
-		}
-	}
-
-	if shardAnalyzed != repWhole.Analyzed || shardAnalyzed != n {
-		t.Errorf("shards analyzed %d programs, unsharded %d, want %d", shardAnalyzed, repWhole.Analyzed, n)
-	}
-	if shardMutants != repWhole.MutantJobs {
-		t.Errorf("shards mutated %d jobs, unsharded %d — novelty weighting broke index-determinism", shardMutants, repWhole.MutantJobs)
-	}
-	if shardCounts != repWhole.Counts {
-		t.Errorf("shard verdict counts %v != unsharded %v", shardCounts, repWhole.Counts)
-	}
-	wholeKeys := readKeys(t, whole)
-	if len(union) != len(wholeKeys) {
-		t.Errorf("shard corpus union has %d findings, unsharded %d", len(union), len(wholeKeys))
-	}
-	for k := range wholeKeys {
-		if !union[k] {
-			t.Errorf("finding %s missing from the shard union", k)
-		}
-	}
+	checkMutationWindowUnion(t, seedDir)
 }
 
 // TestCampaignChainMutationReachesNewClasses is the acceptance demo: a
@@ -258,14 +202,14 @@ func TestCampaignChainMutationReachesNewClasses(t *testing.T) {
 	dir := t.TempDir()
 	// Seed pool: a plain two-point campaign, as PR-2 nightlies left behind.
 	seedCorpus(t, dir, Config{
-		N: 80, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
+		Window: Window{Lo: 0, Hi: 80}, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
 		CorpusDir: dir, Minimize: true,
 	})
 
 	chainGen := smallGen()
 	chainGen.Lattice = "chain:4"
 	rep, err := Run(context.Background(), Config{
-		N:           200,
+		Window:      Window{Lo: 0, Hi: 200},
 		Seed:        5,
 		Gen:         chainGen,
 		NITrials:    1,
@@ -326,7 +270,7 @@ func TestCampaignChainMutationReachesNewClasses(t *testing.T) {
 func TestCampaignChainNoveltyCoversStaticPriorClasses(t *testing.T) {
 	seedDir := t.TempDir()
 	seedCorpus(t, seedDir, Config{
-		N: 80, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
+		Window: Window{Lo: 0, Hi: 80}, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
 		CorpusDir: seedDir, Minimize: true,
 	})
 	// Generate novelty records with a two-point mutation run, then reset
@@ -335,7 +279,7 @@ func TestCampaignChainNoveltyCoversStaticPriorClasses(t *testing.T) {
 	noveltyDir := t.TempDir()
 	copyFindings(t, seedDir, noveltyDir)
 	if _, err := Run(context.Background(), Config{
-		N: 100, Seed: 23, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
+		Window: Window{Lo: 0, Hi: 100}, Seed: 23, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
 		Mutate: true, CorpusDir: noveltyDir, MaxPerClass: -1,
 	}); err != nil {
 		t.Fatal(err)
@@ -345,7 +289,7 @@ func TestCampaignChainNoveltyCoversStaticPriorClasses(t *testing.T) {
 	chainGen.Lattice = "chain:4"
 	campaignOver := func(dir string) map[Class]bool {
 		rep, err := Run(context.Background(), Config{
-			N:           200,
+			Window:      Window{Lo: 0, Hi: 200},
 			Seed:        5,
 			Gen:         chainGen,
 			NITrials:    1,

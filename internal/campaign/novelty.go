@@ -7,16 +7,16 @@
 // seeds whose neighborhoods are mined out and toward seeds that keep
 // producing programs the corpus has never seen.
 //
-// Persistence mirrors the resume cursors: each shard writes its own
+// Each run merges its deltas into
 //
-//	<dir>/state/novelty-<i>-of-<n>.json
+//	<dir>/state/novelty-0-of-1.json
 //
-// and every reader merges all novelty-*.json files additively. That keeps
-// the corpus layout merge-friendly (shard dirs still combine by file
-// copy, no file is written by two shards) and keeps scheduling
-// deterministic: shards that share a corpus snapshot — findings and
-// novelty files alike — compute identical pool weights and therefore
-// identical per-index seed draws.
+// and every reader merges all novelty-*.json files additively. The file
+// name dates from static sharding, whose shard i of n wrote
+// novelty-<i>-of-<n>.json; corpora that still carry such files keep
+// loading. Scheduling stays deterministic: runs that share a corpus
+// snapshot — findings and novelty files alike — compute identical pool
+// weights and therefore identical per-index seed draws.
 package campaign
 
 import (
@@ -52,17 +52,12 @@ func (s *NoveltyStat) add(o NoveltyStat) {
 	}
 }
 
-// noveltyFile is the on-disk shape of one shard's novelty records.
+// noveltyFile is the on-disk shape of one novelty file.
 type noveltyFile struct {
 	// Seeds maps a seed's dedup key to its productivity record.
 	Seeds map[string]NoveltyStat `json:"seeds"`
-	// UpdatedAt is when this shard last merged a run's deltas in.
+	// UpdatedAt is when a run last merged its deltas in.
 	UpdatedAt time.Time `json:"updated_at"`
-}
-
-// noveltyPath is one shard's novelty file under dir.
-func noveltyPath(dir string, shard, numShards int) string {
-	return filepath.Join(dir, "state", fmt.Sprintf("novelty-%d-of-%d.json", shard, numShards))
 }
 
 // LoadNovelty merges every state/novelty-*.json under dir into one view.
@@ -109,17 +104,16 @@ func LoadNovelty(dir string) (map[string]NoveltyStat, error) {
 	return out, nil
 }
 
-// saveNoveltyDeltas merges one run's per-seed deltas into the shard's own
-// novelty file under dir. Other shards' files are never written, so shard
-// corpus dirs still merge by file copy.
-func saveNoveltyDeltas(dir string, deltas map[string]NoveltyStat, shard, numShards int) error {
+// saveNoveltyDeltas merges one run's per-seed deltas into the novelty
+// file under dir.
+func saveNoveltyDeltas(dir string, deltas map[string]NoveltyStat) error {
 	if len(deltas) == 0 {
 		return nil
 	}
 	if err := os.MkdirAll(filepath.Join(dir, "state"), 0o755); err != nil {
 		return fmt.Errorf("campaign: save novelty: %w", err)
 	}
-	path := noveltyPath(dir, shard, numShards)
+	path := filepath.Join(dir, "state", "novelty-0-of-1.json")
 	f := noveltyFile{Seeds: map[string]NoveltyStat{}}
 	raw, err := os.ReadFile(path)
 	switch {

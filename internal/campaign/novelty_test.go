@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -21,9 +22,9 @@ func writePoolFinding(t *testing.T, dir string, class Class, src string, foundAt
 	if err := os.MkdirAll(filepath.Join(dir, "findings"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	key := DedupKey(class, src)
+	key := corpus.DedupKey(class, src)
 	stem := fmt.Sprintf("%s-%s", class, key[:12])
-	if err := WriteMeta(filepath.Join(dir, "findings", stem+".json"), Meta{
+	if err := corpus.WriteMeta(filepath.Join(dir, "findings", stem+".json"), corpus.Meta{
 		Class: class, Key: key, FoundAt: foundAt,
 	}); err != nil {
 		t.Fatal(err)
@@ -44,28 +45,44 @@ func poolOf(dir string) (*seedPool, error) {
 	return loadSeedPool(c, nil)
 }
 
-// writeNovelty persists one shard's novelty records directly.
-func writeNovelty(t *testing.T, dir string, shard, numShards int, seeds map[string]NoveltyStat) {
+// writeNovelty persists one novelty file directly, under name.
+func writeNovelty(t *testing.T, dir, name string, seeds map[string]NoveltyStat) {
 	t.Helper()
 	if err := os.MkdirAll(filepath.Join(dir, "state"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := saveNoveltyDeltas(dir, seeds, shard, numShards); err != nil {
+	raw, err := json.Marshal(noveltyFile{Seeds: seeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "state", name), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestNoveltyMergeAcrossShardFiles: readers sum every state/novelty-*.json,
-// so shard corpus dirs still merge by file copy.
+// so the per-shard files of corpora written under static sharding keep
+// counting, and saving merges a run's deltas into the current file
+// additively.
 func TestNoveltyMergeAcrossShardFiles(t *testing.T) {
 	dir := t.TempDir()
-	writeNovelty(t, dir, 0, 2, map[string]NoveltyStat{"k1": {Mutants: 3, NewKeys: 1}})
-	writeNovelty(t, dir, 1, 2, map[string]NoveltyStat{
+	writeNovelty(t, dir, "novelty-0-of-2.json", map[string]NoveltyStat{"k1": {Mutants: 3}})
+	writeNovelty(t, dir, "novelty-1-of-2.json", map[string]NoveltyStat{
 		"k1": {Mutants: 2, NewKeys: 2},
 		"k2": {Mutants: 5},
 	})
-	// Re-saving into the same shard file merges additively, not clobbers.
-	writeNovelty(t, dir, 0, 2, map[string]NoveltyStat{"k1": {Mutants: 1}})
+	for _, deltas := range []map[string]NoveltyStat{
+		{"k1": {NewKeys: 1}},
+		// A second save into the same file merges, not clobbers.
+		{"k1": {Mutants: 1}},
+	} {
+		if err := saveNoveltyDeltas(dir, deltas); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "state", "novelty-0-of-1.json")); err != nil {
+		t.Fatalf("saved deltas not in novelty-0-of-1.json: %v", err)
+	}
 
 	got, err := LoadNovelty(dir)
 	if err != nil {
@@ -100,8 +117,8 @@ func TestNoveltyLoadRejectsCorrupt(t *testing.T) {
 // TestSeedPoolStaticPriorWithoutNovelty: with no novelty records every
 // seed gets the same neutral boost, so the sampling distribution reduces
 // exactly to the historical class × recency prior — pre-novelty corpora
-// schedule as they always did, which is also what keeps PR 3's
-// shard-union and chain-reach tests meaningful for the new pool.
+// schedule as they always did, which is also what keeps the window-union
+// and chain-reach tests meaningful for the new pool.
 func TestSeedPoolStaticPriorWithoutNovelty(t *testing.T) {
 	dir := t.TempDir()
 	base := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -136,7 +153,7 @@ func TestSeedPoolNoveltyDistribution(t *testing.T) {
 	// boost ratio asserted below.
 	prodKey := writePoolFinding(t, dir, ClassRejectedClean, "src-productive", base)
 	barrenKey := writePoolFinding(t, dir, ClassRejectedClean, "src-barren", base)
-	writeNovelty(t, dir, 0, 1, map[string]NoveltyStat{
+	writeNovelty(t, dir, "novelty-0-of-1.json", map[string]NoveltyStat{
 		prodKey:   {Mutants: 10, NewKeys: 8},
 		barrenKey: {Mutants: 10, NewKeys: 0},
 	})
@@ -173,17 +190,17 @@ func TestSeedPoolNoveltyDistribution(t *testing.T) {
 	}
 }
 
-// TestCampaignRecordsNovelty: a mutation-enabled run writes its shard's
+// TestCampaignRecordsNovelty: a mutation-enabled run writes the corpus
 // novelty file, charging analyzed mutants to their parents and crediting
 // parents whose mutants persisted as new keys.
 func TestCampaignRecordsNovelty(t *testing.T) {
 	dir := t.TempDir()
 	seedCorpus(t, dir, Config{
-		N: 80, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
+		Window: Window{Lo: 0, Hi: 80}, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
 		CorpusDir: dir, Minimize: true,
 	})
 	rep, err := Run(context.Background(), Config{
-		N: 120, Seed: 7, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
+		Window: Window{Lo: 0, Hi: 120}, Seed: 7, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
 		Mutate: true, CorpusDir: dir, MaxPerClass: -1,
 	})
 	if err != nil {
@@ -230,7 +247,7 @@ func TestCampaignRecordsNovelty(t *testing.T) {
 func TestCampaignMetaRecordsRule(t *testing.T) {
 	dir := t.TempDir()
 	rep, err := Run(context.Background(), Config{
-		N: 80, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
+		Window: Window{Lo: 0, Hi: 80}, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
 		CorpusDir: dir,
 	})
 	if err != nil {
@@ -290,7 +307,7 @@ func TestSeedPoolClusterSaturationDistribution(t *testing.T) {
 	minedKey := writePoolFinding(t, dir, ClassRejectedClean, progShape1, base.Add(3*time.Hour))    // rank 0
 	twinKey := writePoolFinding(t, dir, ClassRejectedClean, progShape1Twin, base.Add(2*time.Hour)) // rank 1, unexplored
 	freshKey := writePoolFinding(t, dir, ClassRejectedClean, progShape2, base.Add(1*time.Hour))    // rank 2, unexplored
-	writeNovelty(t, dir, 0, 1, map[string]NoveltyStat{minedKey: {Mutants: 30, NewKeys: 0}})
+	writeNovelty(t, dir, "novelty-0-of-1.json", map[string]NoveltyStat{minedKey: {Mutants: 30, NewKeys: 0}})
 
 	pool, err := poolOf(dir)
 	if err != nil {
@@ -344,7 +361,7 @@ func TestSeedPoolClusterLiftsProductiveShapes(t *testing.T) {
 	prodKey := writePoolFinding(t, dir, ClassRejectedClean, progShape1, base.Add(3*time.Hour))
 	twinKey := writePoolFinding(t, dir, ClassRejectedClean, progShape1Twin, base.Add(2*time.Hour))
 	writePoolFinding(t, dir, ClassRejectedClean, progShape2, base.Add(1*time.Hour))
-	writeNovelty(t, dir, 0, 1, map[string]NoveltyStat{prodKey: {Mutants: 10, NewKeys: 10}})
+	writeNovelty(t, dir, "novelty-0-of-1.json", map[string]NoveltyStat{prodKey: {Mutants: 10, NewKeys: 10}})
 
 	pool, err := poolOf(dir)
 	if err != nil {

@@ -157,7 +157,7 @@ func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
 // replayOne re-classifies one finding. The returned string is the corpus
 // class the current stack assigns, or a description when the result has
 // no corpus class ("sound", "rejected-witnessed", "roundtrip-clean", ...).
-func replayOne(ctx context.Context, m Meta, src string, trials, max int) (string, string, error) {
+func replayOne(ctx context.Context, m corpus.Meta, src string, trials, max int) (string, string, error) {
 	// A persisted program the frontend no longer parses drifts to
 	// "unparseable" uniformly, whatever its recorded class. Verdict
 	// classes used to skip this check and fall into the pipeline, where

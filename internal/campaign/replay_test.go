@@ -28,7 +28,7 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 func TestReplayReproducesAndFlagsDrift(t *testing.T) {
 	dir := t.TempDir()
 	rep, err := Run(context.Background(), Config{
-		N:           80,
+		Window:      Window{Lo: 0, Hi: 80},
 		Seed:        42,
 		Gen:         smallGen(),
 		NITrials:    2,

@@ -26,9 +26,9 @@
 // derived from the same records and is neutral without them).
 //
 // Seeds are drawn per campaign index from the index's own rng, so
-// scheduling is deterministic given (seed, pool): the shard-union
-// property survives mutation as long as shards share a corpus snapshot —
-// findings and novelty files alike.
+// scheduling is deterministic given (seed, pool): the window-union
+// property survives mutation as long as the windows share a corpus
+// snapshot — findings and novelty files alike.
 package campaign
 
 import (

@@ -8,7 +8,7 @@
 //	<dir>/findings/<class>-<key12>.p4    the (possibly minimized) program
 //	<dir>/findings/<class>-<key12>.json  verdict metadata (Meta below)
 //	<dir>/findings/index.json            the corpus index (this package's)
-//	<dir>/state/...                      per-shard cursors and novelty files
+//	<dir>/state/novelty-*.json           mutation-seed novelty records
 //
 // Open is metadata-only: it loads the findings index — rebuilding it
 // transparently from a directory rescan when it is absent, stale, or
@@ -23,7 +23,7 @@
 //
 // The layout is merge-friendly by construction: finding filenames derive
 // from a hash of (class, source), so copying the findings/ directories of
-// two shards into one corpus deduplicates identical findings by collision
+// two corpora into one deduplicates identical findings by collision
 // and never clobbers distinct ones. A stale index copied along rides the
 // staleness check and is rebuilt on the next Open.
 package corpus
@@ -116,7 +116,9 @@ type Meta struct {
 	// applied, in order, for triage.
 	ParentKey string `json:"parent_key,omitempty"`
 	MutateOps string `json:"mutate_ops,omitempty"`
-	// Shard/NumShards record which shard found it (0/1 when unsharded).
+	// Shard/NumShards record which shard of a statically sharded campaign
+	// found it. Campaigns no longer shard, so Put writes 0 of 1; the
+	// fields stay for the on-disk format.
 	Shard     int `json:"shard"`
 	NumShards int `json:"num_shards"`
 	// OriginalBytes and Bytes are the program size before and after
@@ -173,7 +175,7 @@ func ruleShaped(r string) bool {
 
 // DedupKey is the corpus identity of a finding: programs with the same
 // class and (post-minimization) source are the same finding, regardless of
-// which seed, shard, or run produced them. Minimization canonicalizes
+// which seed, window, or run produced them. Minimization canonicalizes
 // aggressively, so minimizing campaigns collapse families of equivalent
 // findings onto one corpus entry.
 func DedupKey(class Class, source string) string {
@@ -724,6 +726,9 @@ func (c *Corpus) Put(m Meta, source string) (string, error) {
 		// chars), but Put is public surface now and must not panic on a
 		// hand-built Meta.
 		return "", fmt.Errorf("corpus: Put needs a class and a dedup key of >= 12 chars (use DedupKey), got class %q, key %q", m.Class, m.Key)
+	}
+	if m.NumShards == 0 {
+		m.NumShards = 1
 	}
 	findings := filepath.Join(c.dir, "findings")
 	if err := os.MkdirAll(findings, 0o755); err != nil {

@@ -50,8 +50,8 @@ const (
 	KindProgress
 	// KindWarning is a recoverable anomaly the operation worked around —
 	// e.g. a corrupt corpus index that was rebuilt from a directory rescan,
-	// a corrupt resume cursor recovered as a zero cursor, or events dropped
-	// by a slow listener (Done carries the drop count). Detail says what
+	// a corrupt fleet frontier recovered as index 0, or events dropped by a
+	// slow listener (Done carries the drop count). Detail says what
 	// happened, Path where.
 	KindWarning
 	// KindOpStart and KindOpEnd frame every Session operation's stream: a

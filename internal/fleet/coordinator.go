@@ -92,8 +92,8 @@ type Report struct {
 	// WindowsByWorker attributes completed windows to worker ids.
 	WindowsByWorker map[string]int
 	Elapsed         time.Duration
-	// Errors lists merge anomalies: marker keys whose finding never
-	// became readable in the worker's staging corpus.
+	// Errors lists merge anomalies: marker keys whose finding was still
+	// missing from the worker's staging corpus when the run ended.
 	Errors []string
 }
 
@@ -157,6 +157,16 @@ func RunCoordinator(ctx context.Context, cfg Config) (*Report, error) {
 		states[w] = &windowState{}
 	}
 	mergedKeys := map[string]bool{}
+	// misses maps a marker key not (yet) found in its worker's staging
+	// corpus to its error line. A miss can be transient, so only the misses
+	// still unresolved when the run ends become Report.Errors.
+	misses := map[string]string{}
+	defer func() {
+		for _, msg := range misses {
+			rep.Errors = append(rep.Errors, msg)
+		}
+		sort.Strings(rep.Errors)
+	}()
 	start := time.Now()
 
 	// Pre-register the fleet series so a scrape taken the instant the
@@ -172,7 +182,7 @@ func RunCoordinator(ctx context.Context, cfg Config) (*Report, error) {
 
 	for {
 		lastScan.SetInt(time.Now().Unix())
-		scanDone(ctx, cfg, main, windows, states, mergedKeys, rep)
+		scanDone(ctx, cfg, main, windows, states, mergedKeys, misses, rep)
 		if err := reclaimExpired(cfg, man, rep); err != nil {
 			return rep, err
 		}
@@ -211,14 +221,13 @@ func RunCoordinator(ctx context.Context, cfg Config) (*Report, error) {
 		os.Remove(leasePath(cfg.CorpusDir, w.Lo, w.Hi))
 	}
 	rep.Elapsed = time.Since(start)
-	sort.Strings(rep.Errors)
 	return rep, nil
 }
 
 // openManifest adopts an open fleet run or starts a fresh one at the
 // frontier. Adopting validates the campaign identity: merging windows
 // generated under a different seed or generator would poison the corpus
-// the same way a mismatched resume would.
+// with findings from a different campaign.
 func openManifest(cfg Config, gcfg gen.Config) (*Manifest, error) {
 	man, err := readManifest(cfg.CorpusDir)
 	if err == nil {
@@ -277,11 +286,13 @@ func openManifest(cfg Config, gcfg gen.Config) (*Manifest, error) {
 // whose staging entry is unreadable this tick (a fresh Open raced a
 // non-atomic corpus write, an I/O hiccup) is retried next tick; the
 // window only counts as merged once every key is accounted for.
-func scanDone(ctx context.Context, cfg Config, main *corpus.Corpus, windows []Window, states map[Window]*windowState, mergedKeys map[string]bool, rep *Report) {
-	// One staging handle per worker per tick, opened lazily.
+func scanDone(ctx context.Context, cfg Config, main *corpus.Corpus, windows []Window, states map[Window]*windowState, mergedKeys map[string]bool, misses map[string]string, rep *Report) {
+	// One staging handle per worker per tick, opened lazily and reopened
+	// when a marker names a key the handle lacks: the worker may have
+	// persisted that marker's findings after the handle was opened.
 	staging := map[string]*corpus.Corpus{}
-	openStaging := func(worker string) *corpus.Corpus {
-		if c, ok := staging[worker]; ok {
+	openStaging := func(worker string, reopen bool) *corpus.Corpus {
+		if c, ok := staging[worker]; ok && !reopen {
 			return c
 		}
 		c, err := corpus.Open(StagingDir(cfg.CorpusDir, worker))
@@ -309,11 +320,17 @@ func scanDone(ctx context.Context, cfg Config, main *corpus.Corpus, windows []Wi
 			st.marker = &m
 			rep.WindowsByWorker[m.Worker]++
 		}
-		sc := openStaging(st.marker.Worker)
+		sc := openStaging(st.marker.Worker, false)
 		if sc == nil {
 			continue
 		}
-		if mergeMarker(cfg, main, sc, st.marker, mergedKeys, rep) {
+		merged, missed := mergeMarker(cfg, main, sc, st.marker, mergedKeys, misses, rep)
+		if missed {
+			if sc = openStaging(st.marker.Worker, true); sc != nil {
+				merged, _ = mergeMarker(cfg, main, sc, st.marker, mergedKeys, misses, rep)
+			}
+		}
+		if merged {
 			st.merged = true
 			cfg.Metrics.Counter("fleet_windows_done_total").Inc()
 		}
@@ -321,30 +338,33 @@ func scanDone(ctx context.Context, cfg Config, main *corpus.Corpus, windows []Wi
 }
 
 // mergeMarker copies one done marker's findings into the main corpus,
-// returning whether every key is now accounted for. Only marker-listed
-// keys are merged — never a staging sweep — so the half-minimized strays
-// an aborted window leaves behind stay out of the main corpus.
-func mergeMarker(cfg Config, main, staging *corpus.Corpus, m *DoneMarker, mergedKeys map[string]bool, rep *Report) bool {
+// returning whether every key is now accounted for and whether some key
+// was missing from staging (recorded in misses until it resolves). Only
+// marker-listed keys are merged — never a staging sweep — so the
+// half-minimized strays an aborted window leaves behind stay out of the
+// main corpus.
+func mergeMarker(cfg Config, main, staging *corpus.Corpus, m *DoneMarker, mergedKeys map[string]bool, misses map[string]string, rep *Report) (all, missed bool) {
 	byKey := map[string]*corpus.Entry{}
 	for e, err := range staging.Entries() {
 		if err == nil {
 			byKey[e.Meta.Key] = e
 		}
 	}
-	all := true
+	all = true
 	for _, key := range m.Keys {
 		if mergedKeys[key] {
 			continue
 		}
 		if main.Has(key) {
 			mergedKeys[key] = true
+			delete(misses, key)
 			rep.Known++
 			continue
 		}
 		e, ok := byKey[key]
 		if !ok {
-			all = false
-			rep.Errors = appendOnce(rep.Errors, fmt.Sprintf("window [%d, %d): key %.12s not in %s's staging corpus", m.Lo, m.Hi, key, m.Worker))
+			all, missed = false, true
+			misses[key] = fmt.Sprintf("window [%d, %d): key %.12s not in %s's staging corpus", m.Lo, m.Hi, key, m.Worker)
 			continue
 		}
 		src, err := e.Source()
@@ -358,6 +378,7 @@ func mergeMarker(cfg Config, main, staging *corpus.Corpus, m *DoneMarker, merged
 			continue
 		}
 		mergedKeys[key] = true
+		delete(misses, key)
 		rep.Merged++
 		cfg.Metrics.Counter("fleet_merged_findings_total", "worker", m.Worker).Inc()
 		cfg.Events.Emit(events.Event{
@@ -367,7 +388,7 @@ func mergeMarker(cfg Config, main, staging *corpus.Corpus, m *DoneMarker, merged
 		fmt.Fprintf(cfg.Log, "fleet: merged %s %.12s from %s (window [%d, %d))\n",
 			e.Meta.Class, key, m.Worker, m.Lo, m.Hi)
 	}
-	return all
+	return all, missed
 }
 
 // reclaimExpired harvests leases whose heartbeat went stale: the window
@@ -429,13 +450,4 @@ func reclaimExpired(cfg Config, man *Manifest, rep *Report) error {
 		fmt.Fprintf(cfg.Log, "fleet: reclaimed window [%d, %d) from %s (stale heartbeat)\n", lo, hi, l.Worker)
 	}
 	return nil
-}
-
-func appendOnce(xs []string, s string) []string {
-	for _, x := range xs {
-		if x == s {
-			return xs
-		}
-	}
-	return append(xs, s)
 }

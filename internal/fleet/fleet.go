@@ -1,8 +1,8 @@
-// Package fleet turns the static `-shard i/n` campaign split into a
-// work-leasing fleet: one coordinator owns a span of global campaign
+// Package fleet runs a campaign as a work-leasing fleet of processes: one
+// coordinator owns a span of global campaign
 // indices, carves it into windows, and leases each window [lo, hi) to
 // whichever worker claims it first; workers run the leased window as a
-// stride-1 campaign (campaign.Config.Window) into their own staging
+// campaign run (campaign.Config.Window) into their own staging
 // corpus and mark it done; the coordinator merges each completed window's
 // findings into the main corpus and reclaims the leases of workers whose
 // heartbeats go stale, so a killed worker costs one window's re-run, not
@@ -39,13 +39,14 @@
 //	fleet/frontier.json        the next unexplored global index, advanced
 //	                           when a fleet run completes — how the next
 //	                           fleet run knows where the search frontier
-//	                           is without a per-shard cursor.
+//	                           is, and the only way a search continues
+//	                           across runs.
 //
 // Merging by done-marker key (rather than sweeping staging directories)
-// is what keeps the fleet's corpus equal to an unsharded run's: an
-// aborted window persists its findings un-minimized (cancellation must
-// not sit in a delta-debug loop), so a killed worker's staging holds
-// strays under keys an unsharded run would never produce. Those strays
+// is what keeps the fleet's corpus equal to a single run's over the same
+// span: an aborted window persists its findings un-minimized
+// (cancellation must not sit in a delta-debug loop), so a killed worker's
+// staging holds strays under keys a single run would never produce. Those strays
 // stay in staging; the reclaimed window is re-run by a live worker, whose
 // marker lists the properly minimized keys.
 package fleet
@@ -57,6 +58,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/events"
 	"repro/internal/gen"
 )
@@ -85,9 +87,8 @@ type Manifest struct {
 	ExhaustProbes int    `json:"exhaust_probes,omitempty"`
 	// Mutate, MutateFrac, Minimize, and MaxPerClass mirror the campaign
 	// config fields of the same names. Note that under Mutate, workers
-	// draw seeds from their own staging corpora, so — exactly like the
-	// static sharding it replaces — a mutating fleet is not
-	// partition-exact with an unsharded run.
+	// draw seeds from their own staging corpora, so a mutating fleet is
+	// not partition-exact with a single run over the same span.
 	Mutate      bool    `json:"mutate,omitempty"`
 	MutateFrac  float64 `json:"mutate_frac,omitempty"`
 	Minimize    bool    `json:"minimize,omitempty"`
@@ -169,15 +170,14 @@ func (m *Manifest) windows() []Window {
 	return out
 }
 
-// Window is one lease's index range [Lo, Hi).
-type Window struct {
-	Lo, Hi int64
-}
+// Window is one lease's index range [Lo, Hi): the window the leasing
+// worker's campaign run covers.
+type Window = campaign.Window
 
 // writeJSONAtomic is the protocol's only write primitive: marshal,
 // write to a temp file, rename. Every protocol file either exists whole
-// or not at all — the property the resume-cursor bug this package was
-// hardened against lacked.
+// or not at all, so a worker killed mid-write never leaves a truncated
+// protocol file behind.
 func writeJSONAtomic(path string, v any) error {
 	raw, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -219,9 +219,9 @@ func readManifest(corpusDir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// loadFrontier reads the cross-run cursor; missing is index 0, and — like
-// the campaign's shard cursor — corrupt is index 0 with a warning, never
-// an error: re-covering costs time, dedup absorbs the repeats.
+// loadFrontier reads the cross-run cursor; missing is index 0, and
+// corrupt is index 0 with a warning, never an error: re-covering costs
+// time, dedup absorbs the repeats.
 func loadFrontier(corpusDir string, sink events.Sink) int64 {
 	var f frontier
 	err := readJSON(frontierPath(corpusDir), &f)

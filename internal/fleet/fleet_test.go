@@ -98,7 +98,7 @@ func TestLeaseProtocol(t *testing.T) {
 func TestManifestWindows(t *testing.T) {
 	m := &Manifest{Lo: 10, Hi: 45, Window: 15}
 	got := m.windows()
-	want := []Window{{10, 25}, {25, 40}, {40, 45}}
+	want := []Window{{Lo: 10, Hi: 25}, {Lo: 25, Hi: 40}, {Lo: 40, Hi: 45}}
 	if len(got) != len(want) {
 		t.Fatalf("windows %v, want %v", got, want)
 	}
@@ -112,12 +112,12 @@ func TestManifestWindows(t *testing.T) {
 // TestFleetChurn is the acceptance-criteria lock: 3 workers against one
 // coordinator, one worker killed on its first lease, and the fleet still
 // (a) reclaims and finishes the killed worker's window and (b) ends with
-// the main corpus holding exactly the dedup-key set an unsharded run over
-// the same span finds.
+// the main corpus holding exactly the dedup-key set a single run over the
+// same span finds.
 func TestFleetChurn(t *testing.T) {
 	const n = 90
 	base := campaign.Config{
-		N:           n,
+		Window:      campaign.Window{Lo: 0, Hi: n},
 		Seed:        7,
 		Gen:         smallGen(),
 		NITrials:    2,
@@ -126,7 +126,7 @@ func TestFleetChurn(t *testing.T) {
 		MaxPerClass: -1,
 	}
 
-	// Unsharded baseline.
+	// Single-run baseline.
 	whole := t.TempDir()
 	wcfg := base
 	wcfg.CorpusDir = whole
@@ -242,10 +242,10 @@ func TestFleetChurn(t *testing.T) {
 		t.Errorf("merge errors: %v", rep.Errors)
 	}
 
-	// The merged main corpus equals the unsharded run, key for key.
+	// The merged main corpus equals the single run, key for key.
 	gotKeys := readKeys(t, dir)
 	if len(gotKeys) != len(wantKeys) {
-		t.Errorf("fleet corpus has %d findings, unsharded %d", len(gotKeys), len(wantKeys))
+		t.Errorf("fleet corpus has %d findings, the single run %d", len(gotKeys), len(wantKeys))
 	}
 	for k := range wantKeys {
 		if !gotKeys[k] {
@@ -254,7 +254,7 @@ func TestFleetChurn(t *testing.T) {
 	}
 	for k := range gotKeys {
 		if !wantKeys[k] {
-			t.Errorf("finding %.12s in the fleet corpus but not the unsharded run", k)
+			t.Errorf("finding %.12s in the fleet corpus but not the single run", k)
 		}
 	}
 

@@ -186,7 +186,7 @@ func runWindow(ctx context.Context, corpusDir, staging, id string, man *Manifest
 		}
 	}()
 	crep, err := campaign.Run(ctx, campaign.Config{
-		Window:        &campaign.Window{Lo: w.Lo, Hi: w.Hi},
+		Window:        w,
 		Seed:          man.Seed,
 		Gen:           man.Gen,
 		NITrials:      man.NITrials,

@@ -158,7 +158,7 @@ func (c Config) Validate() error {
 // Random panics on an unresolvable cfg.Lattice; use Config.Validate at
 // configuration boundaries. For the two-point lattice the emitted program
 // is byte-identical to what earlier (pre-Lattice) versions generated from
-// the same rng, so recorded regen seeds and resume cursors stay valid.
+// the same rng, so recorded regen seeds stay valid.
 func Random(rng *rand.Rand, cfg Config) string {
 	cfg = cfg.withDefaults()
 	lat, err := cfg.ResolveLattice()

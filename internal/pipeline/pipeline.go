@@ -97,9 +97,9 @@ type Job struct {
 	// Seq is the job's NI-seed offset: its NI experiment runs with
 	// Options.NISeed + Seq, so results are reproducible regardless of
 	// worker interleaving or arrival order. Run overwrites Seq with the
-	// job's slice index; RunStream callers set it themselves (a sharded
-	// campaign uses the global campaign index, keeping per-program NI
-	// randomness identical whether or not the campaign is sharded).
+	// job's slice index; RunStream callers set it themselves (a campaign
+	// uses the global campaign index, keeping per-program NI randomness
+	// identical however the index space is split into windows).
 	Seq int64
 }
 

@@ -265,7 +265,7 @@ func retireSink(s events.Sink) events.Sink {
 // promote writes one drifted finding into the retired corpus under its
 // new class, preserving provenance. An entry already present (same new
 // key) is left as is — two drifted duplicates collapse.
-func promote(dir string, m campaign.Meta, src string, to campaign.Class, detail string) (string, error) {
+func promote(dir string, m corpus.Meta, src string, to campaign.Class, detail string) (string, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "findings"), 0o755); err != nil {
 		return "", err
 	}
@@ -273,7 +273,7 @@ func promote(dir string, m campaign.Meta, src string, to campaign.Class, detail 
 	m.RetiredAt = time.Now()
 	m.Class = to
 	m.Detail = detail
-	m.Key = campaign.DedupKey(to, src)
+	m.Key = corpus.DedupKey(to, src)
 	stem := fmt.Sprintf("%s-%s", m.Class, m.Key[:12])
 	progPath := filepath.Join(dir, "findings", stem+".p4")
 	metaPath := filepath.Join(dir, "findings", stem+".json")
@@ -287,7 +287,7 @@ func promote(dir string, m campaign.Meta, src string, to campaign.Class, detail 
 	if err := os.WriteFile(progPath, []byte(src), 0o644); err != nil {
 		return "", err
 	}
-	if err := campaign.WriteMeta(metaPath, m); err != nil {
+	if err := corpus.WriteMeta(metaPath, m); err != nil {
 		return "", err
 	}
 	return progPath, nil

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/corpus"
 	"repro/internal/gen"
 	"repro/internal/triage"
 )
@@ -40,7 +41,7 @@ func TestRetirePromotesFixedFindings(t *testing.T) {
 	dir := t.TempDir()
 	promote := filepath.Join(t.TempDir(), "retired")
 	rep, err := campaign.Run(context.Background(), campaign.Config{
-		N:           80,
+		Window:      campaign.Window{Lo: 0, Hi: 80},
 		Seed:        42,
 		Gen:         smallGen(),
 		NITrials:    2,
@@ -169,11 +170,11 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 }
 `
 	twinB := strings.NewReplacer("lo0", "dst0", "hi0", "key0").Replace(twinA)
-	writeFinding(t, dir, campaign.Meta{
+	writeFinding(t, dir, corpus.Meta{
 		Class: campaign.ClassRejectedClean, Rule: "T-Assign", Detail: "a",
 		NITrials: 1, NITrialsMax: 2, NISeed: 5,
 	}, twinA)
-	writeFinding(t, dir, campaign.Meta{
+	writeFinding(t, dir, corpus.Meta{
 		Class: campaign.ClassRejectedClean, Rule: "T-Assign", Detail: "b",
 		NITrials: 1, NITrialsMax: 2, NISeed: 6,
 	}, twinB)
@@ -190,7 +191,7 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stemA := "rejected-clean-" + campaign.DedupKey(campaign.ClassRejectedClean, twinA)[:12]
+	stemA := "rejected-clean-" + corpus.DedupKey(campaign.ClassRejectedClean, twinA)[:12]
 	if err := os.WriteFile(filepath.Join(dir, "findings", stemA+".p4"), []byte(soundSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 func TestRetireLeavesUnparseableAlone(t *testing.T) {
 	dir := t.TempDir()
 	rep, err := campaign.Run(context.Background(), campaign.Config{
-		N:           60,
+		Window:      campaign.Window{Lo: 0, Hi: 60},
 		Seed:        7,
 		Gen:         smallGen(),
 		NITrials:    1,
@@ -298,17 +299,17 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 }
 `
 	other := strings.NewReplacer("lo0", "dst0", "hi0", "key0").Replace(stable)
-	writeFinding(t, dir, campaign.Meta{
+	writeFinding(t, dir, corpus.Meta{
 		Class: campaign.ClassRejectedClean, Rule: "T-Assign", Detail: "a",
 		NITrials: 1, NITrialsMax: 2, NISeed: 5,
 	}, stable)
-	writeFinding(t, dir, campaign.Meta{
+	writeFinding(t, dir, corpus.Meta{
 		Class: campaign.ClassRejectedClean, Rule: "T-Assign", Detail: "b",
 		NITrials: 1, NITrialsMax: 2, NISeed: 6,
 	}, other)
 	// Corrupt one program so replay drifts it to "unparseable".
 	victim := filepath.Join(dir, "findings",
-		"rejected-clean-"+campaign.DedupKey(campaign.ClassRejectedClean, other)[:12]+".p4")
+		"rejected-clean-"+corpus.DedupKey(campaign.ClassRejectedClean, other)[:12]+".p4")
 	if err := os.WriteFile(victim, []byte("garbage {{{"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -11,22 +11,23 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/corpus"
 	"repro/internal/triage"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden cluster table from the current triage output")
 
 // writeFinding drops one synthetic finding pair into dir's corpus.
-func writeFinding(t *testing.T, dir string, m campaign.Meta, src string) {
+func writeFinding(t *testing.T, dir string, m corpus.Meta, src string) {
 	t.Helper()
 	if err := os.MkdirAll(filepath.Join(dir, "findings"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if m.Key == "" {
-		m.Key = campaign.DedupKey(m.Class, src)
+		m.Key = corpus.DedupKey(m.Class, src)
 	}
 	stem := fmt.Sprintf("%s-%s", m.Class, m.Key[:12])
-	if err := campaign.WriteMeta(filepath.Join(dir, "findings", stem+".json"), m); err != nil {
+	if err := corpus.WriteMeta(filepath.Join(dir, "findings", stem+".json"), m); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "findings", stem+".p4"), []byte(src), 0o644); err != nil {
@@ -59,15 +60,15 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 
 	t0 := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
 	t1 := t0.Add(24 * time.Hour)
-	writeFinding(t, dir, campaign.Meta{
+	writeFinding(t, dir, corpus.Meta{
 		Class: campaign.ClassRejectedClean, Rule: "T-Assign", Detail: "a",
 		Origin: "gen", NITrialsMax: 8, FoundAt: t0,
 	}, progA)
-	writeFinding(t, dir, campaign.Meta{
+	writeFinding(t, dir, corpus.Meta{
 		Class: campaign.ClassRejectedClean, Rule: "T-Assign", Detail: "b",
 		Origin: "mutate", ParentKey: "1234", NITrialsMax: 32, FoundAt: t1,
 	}, progB)
-	writeFinding(t, dir, campaign.Meta{
+	writeFinding(t, dir, corpus.Meta{
 		Class: campaign.ClassRejectedClean, Rule: "T-Assign", Detail: "c",
 		Origin: "gen", NITrialsMax: 8, FoundAt: t1,
 	}, progC)
@@ -116,7 +117,7 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
     apply { hdr.d.f = 8w1; }
 }
 `
-	writeFinding(t, dir, campaign.Meta{
+	writeFinding(t, dir, corpus.Meta{
 		Class:  campaign.ClassRejectedClean,
 		Detail: "x.p4:3:1: error: explicit flow: high ⋢ low [T-Assign]",
 	}, src)
@@ -139,8 +140,8 @@ func TestTriageFlagsMalformedCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Orphan metadata: no .p4 next to it.
-	orphan := campaign.Meta{Class: campaign.ClassRejectedClean, Key: strings.Repeat("ab", 32)}
-	if err := campaign.WriteMeta(filepath.Join(findings, "rejected-clean-orphan.json"), orphan); err != nil {
+	orphan := corpus.Meta{Class: campaign.ClassRejectedClean, Key: strings.Repeat("ab", 32)}
+	if err := corpus.WriteMeta(filepath.Join(findings, "rejected-clean-orphan.json"), orphan); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := triage.Triage(triage.Config{CorpusDir: dir})
@@ -156,7 +157,7 @@ func TestTriageFlagsMalformedCorpus(t *testing.T) {
 
 	// Unparseable program.
 	dir2 := t.TempDir()
-	writeFinding(t, dir2, campaign.Meta{Class: campaign.ClassRejectedClean, Detail: "d"}, "not a program {{{")
+	writeFinding(t, dir2, corpus.Meta{Class: campaign.ClassRejectedClean, Detail: "d"}, "not a program {{{")
 	rep2, err := triage.Triage(triage.Config{CorpusDir: dir2})
 	if err != nil {
 		t.Fatal(err)

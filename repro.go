@@ -103,14 +103,9 @@
 //	    fmt.Println(e.Path, e.Rule())
 //	}
 //	fmt.Printf("%+v\n", c.Stats())
-//
-// The pre-Session entry points (Campaign, Replay, Triage, Retire,
-// MinimizeProgram and their config structs) remain as deprecated
-// one-line wrappers with identical behavior.
 package repro
 
 import (
-	"context"
 	"math/rand"
 
 	"repro/internal/ast"
@@ -126,7 +121,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/pipeline"
 	"repro/internal/progs"
-	"repro/internal/shrink"
 	"repro/internal/triage"
 )
 
@@ -247,134 +241,39 @@ func StripAnnotations(src string) string { return progs.StripAnnotations(src) }
 // PrintProgram renders a parsed program back into parseable surface syntax.
 func PrintProgram(prog *Program) string { return ast.Print(prog) }
 
-// BatchJob names one program for batch analysis; BatchOptions configures
-// the worker pool; BatchSummary aggregates the run (see internal/pipeline).
+// BatchJob names one program for Session.CheckAll and Session.CheckStream;
+// BatchResult is one job's outcome and BatchSummary aggregates a batch
+// (see internal/pipeline).
 type (
 	BatchJob     = pipeline.Job
-	BatchOptions = pipeline.Options
 	BatchSummary = pipeline.Summary
 	BatchResult  = pipeline.JobResult
 )
 
-// NI-stage modes for BatchOptions.NI.
-const (
-	NIOff      = pipeline.NIOff
-	NIAccepted = pipeline.NIAccepted
-	NIAll      = pipeline.NIAll
-)
-
-// CheckAll batch-analyzes jobs concurrently with a bounded worker pool,
-// running parse → resolve → baseline-check → IFC-check → (optionally) an
-// NI experiment per job. It returns the partial summary and ctx.Err() if
-// cancelled mid-batch.
-//
-// Deprecated: configure a Session and call Session.CheckAll — same
-// pipeline, same summary, plus the event stream. This wrapper remains so
-// existing callers keep working.
-func CheckAll(ctx context.Context, jobs []BatchJob, opts BatchOptions) (*BatchSummary, error) {
-	return pipeline.Run(ctx, jobs, opts)
-}
-
-// FuzzConfig configures DiffFuzz; FuzzReport is its verdict table (see
-// internal/difftest for the verdict classes).
-type (
-	FuzzConfig = difftest.Config
-	FuzzReport = difftest.Report
-)
-
-// DiffFuzz runs a differential soundness-fuzzing campaign: cfg.N random
-// programs are generated and cross-checked against the IFC checker, the
-// baseline checker, and the NI harness. Report.OK() is false iff the
-// campaign found an implementation defect (a soundness violation, a
-// generator bug, or a runtime error).
-//
-// Deprecated: configure a Session and call Session.DiffFuzz — same
-// harness, same report, plus the event stream. This wrapper remains so
-// existing callers keep working.
-func DiffFuzz(ctx context.Context, cfg FuzzConfig) (*FuzzReport, error) {
-	return difftest.Run(ctx, cfg)
-}
+// FuzzReport is Session.DiffFuzz's verdict table (see internal/difftest
+// for the verdict classes).
+type FuzzReport = difftest.Report
 
 // FormatFuzzReport renders the campaign's verdict table.
 func FormatFuzzReport(r *FuzzReport) string { return difftest.FormatReport(r) }
 
-// CheckStream is the channel-fed variant of CheckAll for corpora too large
-// (or too lazily produced) to materialize: workers pull jobs as they
-// arrive and deliver results on the returned channel in completion order.
-// Each job's NI experiment runs with opts.NISeed + job.Seq, so the
-// producer controls reproducibility by numbering jobs. Cancelling ctx
-// stops the workers without leaking goroutines; producers must select on
-// ctx.Done when sending.
-//
-// Deprecated: configure a Session and call Session.CheckStream — same
-// pipeline, same results, plus the event stream. This wrapper remains so
-// existing callers keep working.
-func CheckStream(ctx context.Context, jobs <-chan BatchJob, opts BatchOptions) <-chan BatchResult {
-	return pipeline.RunStream(ctx, jobs, opts)
-}
-
-// CampaignConfig configures Campaign; CampaignReport is its outcome and
-// CampaignFinding one collected program (see internal/campaign for the
-// corpus layout and class set).
+// CampaignReport is Session.Campaign's outcome and CampaignFinding one
+// collected program (see internal/campaign for the corpus layout and
+// class set).
 type (
-	CampaignConfig  = campaign.Config
 	CampaignReport  = campaign.Report
 	CampaignFinding = campaign.Finding
 )
-
-// Campaign runs a streaming, shardable, resumable differential-fuzz
-// campaign: the long-running form of DiffFuzz. Jobs are generated lazily
-// and streamed through the analysis pipeline; interesting programs
-// (soundness findings, precision findings, parser disagreements) are
-// deduplicated, optionally minimized to the smallest program reproducing
-// their verdict class, and persisted to cfg.CorpusDir with replayable
-// verdict metadata. Shard i of n covers global indices ≡ i (mod n) of the
-// same deterministic job set, so shards split a campaign across processes
-// and their corpus dirs merge by file copy; cfg.Resume continues from the
-// shard's persisted cursor.
-//
-// Deprecated: configure a Session (NewSession, WithCorpus, WithMutation,
-// ...) and call Session.Campaign — same engine, same report, plus the
-// event stream. This wrapper remains so existing callers keep working.
-func Campaign(ctx context.Context, cfg CampaignConfig) (*CampaignReport, error) {
-	return campaign.Run(ctx, cfg)
-}
 
 // FormatCampaignReport renders a campaign report: the verdict table plus
 // corpus, dedup, and minimization statistics.
 func FormatCampaignReport(r *CampaignReport) string { return campaign.FormatReport(r) }
 
-// CompactConfig configures a corpus compaction; CompactReport is its
-// outcome. Prefer Session.Compact — the config form exists for callers
-// threading their own corpus handle.
-type (
-	CompactConfig = campaign.CompactConfig
-	CompactReport = campaign.CompactReport
-)
-
-// Compact re-minimizes every finding in cfg.CorpusDir with the current
-// shrinker and folds newly-equal dedup keys together, promote-first so no
-// finding is lost mid-compaction. Prefer Session.Compact — same pass,
-// same report, plus the event stream.
-func Compact(ctx context.Context, cfg CompactConfig) (*CompactReport, error) {
-	return campaign.Compact(ctx, cfg)
-}
+// CompactReport is Session.Compact's outcome.
+type CompactReport = campaign.CompactReport
 
 // FormatCompactReport renders a compaction's outcome.
 func FormatCompactReport(r *CompactReport) string { return campaign.FormatCompactReport(r) }
-
-// MinimizeProgram delta-debugs src down to a smaller program for which
-// keep still holds, by deleting statements, declarations, fields, table
-// keys, and branches at the AST level. The result always parses, keep
-// holds on it, and it is never larger than src. keep must hold on src
-// itself and is only called on parseable candidates.
-//
-// Deprecated: use Session.Minimize. This wrapper remains so existing
-// callers keep working.
-func MinimizeProgram(file, src string, keep func(src string) bool) (string, error) {
-	res, err := shrink.Minimize(file, src, keep)
-	return res.Source, err
-}
 
 // MutateConfig configures Mutate (see internal/mutate for the operator
 // set: relabel against the campaign lattice, operator swaps, literal
@@ -387,58 +286,37 @@ type MutateConfig = mutate.Config
 // to parse, resolve under the campaign lattice named by cfg.Lattice, pass
 // the baseline checker, and differ from the input's canonical print; IFC
 // acceptance is deliberately not guaranteed. Campaigns use this through
-// CampaignConfig.Mutate — the corpus-as-seed-pool coverage-guided loop —
-// but it is equally a building block for custom search strategies.
+// WithMutation — the corpus-as-seed-pool coverage-guided loop — but it is
+// equally a building block for custom search strategies.
 func Mutate(seed int64, file, src string, cfg MutateConfig) (string, error) {
 	res, err := mutate.Mutate(rand.New(rand.NewSource(seed)), file, src, cfg)
 	return res.Source, err
 }
 
-// ReplayConfig configures Replay; ReplayReport is its outcome, listing
-// any verdict drifts.
-type (
-	ReplayConfig = campaign.ReplayConfig
-	ReplayReport = campaign.ReplayReport
-)
-
-// Replay re-checks every finding persisted under cfg.CorpusDir against
-// the current checker stack: the corpus as a growing regression suite.
-// ReplayReport.OK() is false iff some finding no longer classifies the
-// way its metadata records (or could not be replayed at all) — run it as
-// a pre-merge gate to catch verdict drift before it lands.
-//
-// Deprecated: use Session.Replay — same engine, same report, plus drift
-// events. This wrapper remains so existing callers keep working.
-func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
-	return campaign.Replay(ctx, cfg)
-}
+// ReplayReport is Session.Replay's outcome, listing any verdict drifts.
+// OK() is false iff some finding no longer classifies the way its
+// metadata records (or could not be replayed at all) — run it as a
+// pre-merge gate to catch verdict drift before it lands.
+type ReplayReport = campaign.ReplayReport
 
 // FormatReplayReport renders a replay report: per-class counts plus any
 // drifted findings.
 func FormatReplayReport(r *ReplayReport) string { return campaign.FormatReplayReport(r) }
 
-// TriageConfig configures Triage; TriageReport is its outcome and
-// TriageCluster one (class, rule, shape) group of findings (see
-// internal/triage for the fingerprint and clustering semantics).
+// TriageReport is Session.Triage's outcome and TriageCluster one (class,
+// rule, shape) group of findings. Every finding gets an AST shape
+// fingerprint (a canonical skeleton hash abstracting identifiers and
+// literals but keeping statement structure, label positions, and operator
+// type-classes), findings are clustered by (verdict class, cited typing
+// rule, shape), and the clusters are ranked by size with exemplars,
+// origin mix, discovery-time brackets, and NI budgets (see
+// internal/triage). TriageReport.OK() is false iff some corpus entry is
+// malformed (unreadable pair, non-finding metadata, unparseable program)
+// — run it as a gate to keep corpus metadata trustworthy.
 type (
-	TriageConfig  = triage.Config
 	TriageReport  = triage.Report
 	TriageCluster = triage.Cluster
 )
-
-// Triage turns a corpus into structured analytics: every finding gets an
-// AST shape fingerprint (a canonical skeleton hash abstracting
-// identifiers and literals but keeping statement structure, label
-// positions, and operator type-classes), findings are clustered by
-// (verdict class, cited typing rule, shape), and the clusters are ranked
-// by size with exemplars, origin mix, discovery-time brackets, and NI
-// budgets. TriageReport.OK() is false iff some corpus entry is malformed
-// (unreadable pair, non-finding metadata, unparseable program) — run it
-// as a gate to keep corpus metadata trustworthy.
-//
-// Deprecated: use Session.Triage — same clustering, same report, plus
-// cluster events. This wrapper remains so existing callers keep working.
-func Triage(cfg TriageConfig) (*TriageReport, error) { return triage.Triage(cfg) }
 
 // FormatTriageReport renders the ranked cluster table as text;
 // MarshalTriageReport as indented JSON.
@@ -470,24 +348,10 @@ func UnmarshalTriageReport(raw []byte) (*TriageReport, error) { return triage.Un
 func FormatTriageDiff(d *TriageDiff) string   { return triage.FormatDiff(d) }
 func MarkdownTriageDiff(d *TriageDiff) string { return triage.MarkdownDiff(d) }
 
-// RetireConfig configures Retire; RetireReport is its outcome.
-type (
-	RetireConfig = triage.RetireConfig
-	RetireReport = triage.RetireReport
-)
-
-// Retire is the corpus hygiene pass: it replays cfg.CorpusDir, promotes
-// every finding whose recorded defect the current stack no longer
-// reproduces into a retired corpus (re-recorded under its current
-// classification, so the fix gains a regression guard), and removes it
-// from the live corpus. Entries whose defect still reproduces are kept
-// untouched.
-//
-// Deprecated: use Session.Retire — same pass, same report, plus retired
-// events. This wrapper remains so existing callers keep working.
-func Retire(ctx context.Context, cfg RetireConfig) (*RetireReport, error) {
-	return triage.Retire(ctx, cfg)
-}
+// RetireReport is Session.Retire's outcome: the findings promoted into
+// the retired corpus (re-recorded under their current classification, so
+// each fix gains a regression guard) and removed from the live one.
+type RetireReport = triage.RetireReport
 
 // FormatRetireReport renders a retire pass's outcome.
 func FormatRetireReport(r *RetireReport) string { return triage.FormatRetireReport(r) }

@@ -1,13 +1,8 @@
 // Session: the first-class handle over the campaign stack. One configured
 // object — lattice, corpus, NI budgets, worker count, set once through
 // functional options — whose methods run every corpus-centric operation
-// (Campaign, Replay, Triage, Retire, Minimize) against the same
+// (Campaign, Replay, Triage, Retire, Compact, Minimize) against the same
 // configuration, with a structured event stream for live progress.
-//
-// Before the Session existed each operation took its own XxxConfig struct
-// repeating the same fields; those standalone functions remain as
-// deprecated one-line wrappers (see repro.go), and a Session method with
-// the equivalent options produces byte-identical reports.
 package repro
 
 import (
@@ -129,9 +124,6 @@ type Session struct {
 	mutate      bool
 	mutateFrac  float64
 	minimize    bool
-	shard       int
-	numShards   int
-	resume      bool
 	maxPerClass int
 	maxNovelty  int
 	log         io.Writer
@@ -226,16 +218,6 @@ func WithMutation(frac float64) SessionOption {
 // its class before dedup and persistence.
 func WithMinimize() SessionOption { return func(s *Session) { s.minimize = true } }
 
-// WithShard selects this process's slice of the campaign: global indices
-// ≡ shard (mod numShards).
-func WithShard(shard, numShards int) SessionOption {
-	return func(s *Session) { s.shard, s.numShards = shard, numShards }
-}
-
-// WithResume continues campaigns from the shard's persisted corpus cursor
-// instead of index 0.
-func WithResume() SessionOption { return func(s *Session) { s.resume = true } }
-
 // WithMaxPerClass caps findings processed per class per campaign run
 // (0 = default 25, negative = unlimited).
 func WithMaxPerClass(n int) SessionOption { return func(s *Session) { s.maxPerClass = n } }
@@ -258,10 +240,10 @@ func WithLog(w io.Writer) SessionOption { return func(s *Session) { s.log = w } 
 func WithEventBuffer(n int) SessionOption { return func(s *Session) { s.eventBuf = n } }
 
 // NewSession builds a configured Session. It validates the configuration
-// eagerly — an unresolvable lattice spec or an out-of-range shard fails
+// eagerly — an unresolvable lattice spec or an unknown NI oracle fails
 // here, not minutes into a campaign.
 func NewSession(opts ...SessionOption) (*Session, error) {
-	s := &Session{numShards: 1, eventBuf: 1024, metrics: metrics.NewRegistry()}
+	s := &Session{eventBuf: 1024, metrics: metrics.NewRegistry()}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -277,17 +259,8 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 	if err := s.gcfg.Validate(); err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	if s.numShards <= 0 {
-		s.numShards = 1
-	}
-	if s.shard < 0 || s.shard >= s.numShards {
-		return nil, fmt.Errorf("session: shard %d out of range for %d shards", s.shard, s.numShards)
-	}
 	if s.mutateFrac < 0 || s.mutateFrac > 1 {
 		return nil, fmt.Errorf("session: mutation fraction %v out of [0, 1] (0 = the default 0.5)", s.mutateFrac)
-	}
-	if s.resume && s.corpusDir == "" {
-		return nil, fmt.Errorf("session: WithResume requires WithCorpus — without a corpus there is no cursor")
 	}
 	if !pipeline.ValidOracle(s.niOracle) {
 		return nil, fmt.Errorf("session: unknown NI oracle %q (want %q, %q, or %q)",
@@ -447,8 +420,8 @@ func opOutcome(err error, summary string) string {
 	return summary
 }
 
-// Campaign runs n global campaign indices' worth of streaming
-// differential fuzzing under the session's configuration: lazily
+// Campaign runs streaming differential fuzzing over the global campaign
+// indices [0, n) under the session's configuration: lazily
 // generated (and, with WithMutation, corpus-mutated) programs flow
 // through the analysis pipeline; interesting ones are deduplicated,
 // optionally minimized, and persisted to the session corpus. Job-done,
@@ -463,7 +436,7 @@ func (s *Session) Campaign(ctx context.Context, n int) (*CampaignReport, error) 
 	}
 	finish := s.startOp("campaign")
 	rep, err := campaign.Run(ctx, campaign.Config{
-		N:             n,
+		Window:        campaign.Window{Lo: 0, Hi: int64(n)},
 		Seed:          s.seed,
 		Gen:           s.gcfg,
 		NITrials:      s.trials,
@@ -472,13 +445,10 @@ func (s *Session) Campaign(ctx context.Context, n int) (*CampaignReport, error) 
 		ExhaustBudget: s.exhaustBudget,
 		ExhaustProbes: s.exhaustProbes,
 		Workers:       s.workers,
-		Shard:         s.shard,
-		NumShards:     s.numShards,
 		Mutate:        s.mutate,
 		MutateFrac:    s.mutateFrac,
 		CorpusDir:     s.corpusDir,
 		Corpus:        corp,
-		Resume:        s.resume,
 		Minimize:      s.minimize,
 		MaxPerClass:   s.maxPerClass,
 		Log:           s.log,
@@ -488,49 +458,6 @@ func (s *Session) Campaign(ctx context.Context, n int) (*CampaignReport, error) 
 	summary := ""
 	if rep != nil {
 		summary = fmt.Sprintf("analyzed %d, %d new findings", rep.Analyzed, rep.NewFindings)
-	}
-	finish(opOutcome(err, summary))
-	return rep, err
-}
-
-// CampaignWindow runs the campaign over exactly the global indices
-// [lo, hi) at stride 1 — the fleet's lease execution mode. Sharding and
-// resume configuration are ignored: the window already is one worker's
-// slice, and coverage is the coordinator's to track, so the run neither
-// reads nor writes the shard cursor.
-func (s *Session) CampaignWindow(ctx context.Context, lo, hi int64) (*CampaignReport, error) {
-	var corp *Corpus
-	if s.corpusDir != "" {
-		var err error
-		if corp, err = s.Corpus(); err != nil {
-			return nil, err
-		}
-	}
-	finish := s.startOp("campaign")
-	rep, err := campaign.Run(ctx, campaign.Config{
-		Window:        &campaign.Window{Lo: lo, Hi: hi},
-		Seed:          s.seed,
-		Gen:           s.gcfg,
-		NITrials:      s.trials,
-		NITrialsMax:   s.trialsMax,
-		NIOracle:      s.niOracle,
-		ExhaustBudget: s.exhaustBudget,
-		ExhaustProbes: s.exhaustProbes,
-		Workers:       s.workers,
-		Mutate:        s.mutate,
-		MutateFrac:    s.mutateFrac,
-		CorpusDir:     s.corpusDir,
-		Corpus:        corp,
-		Minimize:      s.minimize,
-		MaxPerClass:   s.maxPerClass,
-		Log:           s.log,
-		Events:        s.sink(),
-		Metrics:       s.metrics,
-	})
-	summary := ""
-	if rep != nil {
-		summary = fmt.Sprintf("window [%d, %d): analyzed %d, %d new findings",
-			lo, hi, rep.Analyzed, rep.NewFindings)
 	}
 	finish(opOutcome(err, summary))
 	return rep, err

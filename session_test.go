@@ -1,6 +1,5 @@
 // Tests for the Session + Corpus public API: configuration validation,
-// equivalence with the deprecated standalone wrappers, and the event
-// stream.
+// the event stream, and the corpus handle.
 package repro_test
 
 import (
@@ -12,7 +11,9 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/difftest"
 	"repro/internal/gen"
+	"repro/internal/pipeline"
 )
 
 func smallSessionGen() repro.GenConfig {
@@ -24,9 +25,8 @@ func smallSessionGen() repro.GenConfig {
 func TestSessionValidation(t *testing.T) {
 	cases := [][]repro.SessionOption{
 		{repro.WithLattice("chain:x")},
-		{repro.WithShard(3, 2)},
-		{repro.WithShard(-1, 4)},
-		{repro.WithResume()}, // no corpus
+		{repro.WithMutation(1.5)},
+		{repro.WithNIOracle("bogus")},
 	}
 	for i, opts := range cases {
 		if _, err := repro.NewSession(opts...); err == nil {
@@ -36,7 +36,6 @@ func TestSessionValidation(t *testing.T) {
 	s, err := repro.NewSession(
 		repro.WithLattice("product:two-point,two-point"),
 		repro.WithCorpus(t.TempDir()),
-		repro.WithResume(),
 	)
 	if err != nil {
 		t.Fatalf("valid session rejected: %v", err)
@@ -88,64 +87,6 @@ func TestSessionLatticeKeepsGenDefaults(t *testing.T) {
 	}
 	if !rep.Gen.WithActions {
 		t.Fatal("WithLattice zeroed WithActions — action coverage silently lost")
-	}
-}
-
-// TestSessionCampaignEquivalentToDeprecatedWrapper: the Session method
-// and the deprecated standalone function run the same engine — identical
-// analysis counts, findings, and corpus contents for identical inputs.
-func TestSessionCampaignEquivalentToDeprecatedWrapper(t *testing.T) {
-	dirOld, dirNew := t.TempDir(), t.TempDir()
-	repOld, err := repro.Campaign(context.Background(), repro.CampaignConfig{
-		N: 60, Seed: 17, Gen: smallSessionGen(), NITrials: 2, CorpusDir: dirOld, Minimize: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := repro.NewSession(
-		repro.WithCorpus(dirNew),
-		repro.WithGenConfig(smallSessionGen()),
-		repro.WithSeed(17),
-		repro.WithNIBudget(2, 0),
-		repro.WithMinimize(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	repNew, err := s.Campaign(context.Background(), 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repOld.Analyzed != repNew.Analyzed || repOld.Counts != repNew.Counts ||
-		repOld.NewFindings != repNew.NewFindings || repOld.TrialsRun != repNew.TrialsRun {
-		t.Fatalf("wrapper and session disagree: %+v vs %+v", repOld, repNew)
-	}
-	keysOf := func(r *repro.CampaignReport) []string {
-		var out []string
-		for _, f := range r.Findings {
-			out = append(out, f.Key)
-		}
-		return out
-	}
-	oldKeys, newKeys := keysOf(repOld), keysOf(repNew)
-	if strings.Join(oldKeys, ",") != strings.Join(newKeys, ",") {
-		t.Fatalf("finding keys differ:\n%v\n%v", oldKeys, newKeys)
-	}
-	// Corpus contents match file for file (paths aside).
-	lsNames := func(dir string) string {
-		ents, err := os.ReadDir(filepath.Join(dir, "findings"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var names []string
-		for _, e := range ents {
-			names = append(names, e.Name())
-		}
-		return strings.Join(names, ",")
-	}
-	if lsNames(dirOld) != lsNames(dirNew) {
-		t.Fatalf("corpus contents differ:\n%s\n%s", lsNames(dirOld), lsNames(dirNew))
 	}
 }
 
@@ -252,9 +193,17 @@ func TestSessionCloseDuringOperation(t *testing.T) {
 // totals.
 func TestSessionReplayDriftEvents(t *testing.T) {
 	dir := t.TempDir()
-	seed, err := repro.Campaign(context.Background(), repro.CampaignConfig{
-		N: 80, Seed: 23, Gen: smallSessionGen(), NITrials: 1, CorpusDir: dir,
-	})
+	seeder, err := repro.NewSession(
+		repro.WithCorpus(dir),
+		repro.WithGenConfig(smallSessionGen()),
+		repro.WithSeed(23),
+		repro.WithNIBudget(1, 0),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := seeder.Campaign(context.Background(), 80)
+	seeder.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,10 +492,10 @@ func TestSessionDropWarning(t *testing.T) {
 	}
 }
 
-// TestSessionCheckMethodsMatchWrappers: Session.CheckAll and
-// Session.DiffFuzz produce the same summaries as the deprecated
-// standalone wrappers, and CheckStream delivers every result with
-// job-done events.
+// TestSessionCheckMethodsMatchWrappers: Session.DiffFuzz and
+// Session.CheckAll are thin wrappers over difftest.Run and pipeline.Run —
+// the same configuration through either gives the same results — and
+// CheckStream delivers every result.
 func TestSessionCheckMethodsMatchWrappers(t *testing.T) {
 	s, err := repro.NewSession(
 		repro.WithGenConfig(smallSessionGen()),
@@ -559,22 +508,22 @@ func TestSessionCheckMethodsMatchWrappers(t *testing.T) {
 	}
 	defer s.Close()
 
-	// DiffFuzz: same verdict counts as the wrapper.
+	// DiffFuzz: same verdict counts as the harness it wraps.
 	sRep, err := s.DiffFuzz(context.Background(), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wRep, err := repro.DiffFuzz(context.Background(), repro.FuzzConfig{
+	dRep, err := difftest.Run(context.Background(), difftest.Config{
 		N: 30, Seed: 11, Gen: smallSessionGen(), NITrials: 2, NITrialsMax: 4, Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sRep.Counts != wRep.Counts {
-		t.Errorf("Session.DiffFuzz counts %v != wrapper %v", sRep.Counts, wRep.Counts)
+	if sRep.Counts != dRep.Counts {
+		t.Errorf("Session.DiffFuzz counts %v != difftest.Run %v", sRep.Counts, dRep.Counts)
 	}
 
-	// CheckAll: same per-job outcomes as the wrapper.
+	// CheckAll: same per-job outcomes as the pipeline it wraps.
 	var jobs []repro.BatchJob
 	for i, cs := range repro.CaseStudies() {
 		jobs = append(jobs, repro.BatchJob{Name: cs.FileName(repro.Buggy), Source: cs.Source(repro.Buggy), Lat: cs.Lattice(), Seq: int64(i)})
@@ -583,27 +532,23 @@ func TestSessionCheckMethodsMatchWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wSum, err := repro.CheckAll(context.Background(), jobs, repro.BatchOptions{
-		Workers: 2, NI: repro.NIAll, NITrials: 2, NITrialsMax: 4, NISeed: 11,
+	pSum, err := pipeline.Run(context.Background(), jobs, pipeline.Options{
+		Workers: 2, NI: pipeline.NIAll, NITrials: 2, NITrialsMax: 4, NISeed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sSum.Results) != len(wSum.Results) {
-		t.Fatalf("Session.CheckAll %d results, wrapper %d", len(sSum.Results), len(wSum.Results))
+	if len(sSum.Results) != len(pSum.Results) {
+		t.Fatalf("Session.CheckAll %d results, pipeline.Run %d", len(sSum.Results), len(pSum.Results))
 	}
 	for i := range sSum.Results {
-		if sSum.Results[i].IFCOK() != wSum.Results[i].IFCOK() {
-			t.Errorf("job %d: session IFC %v, wrapper %v", i, sSum.Results[i].IFCOK(), wSum.Results[i].IFCOK())
+		if sSum.Results[i].IFCOK() != pSum.Results[i].IFCOK() || sSum.Results[i].NITrialsRun != pSum.Results[i].NITrialsRun {
+			t.Errorf("job %d: session IFC %v / %d trials, pipeline %v / %d trials", i,
+				sSum.Results[i].IFCOK(), sSum.Results[i].NITrialsRun, pSum.Results[i].IFCOK(), pSum.Results[i].NITrialsRun)
 		}
 	}
 
-	// CheckStream: all jobs come back, framed with job-done events.
-	ch := s.Events()
-	go func() {
-		for range ch {
-		}
-	}()
+	// CheckStream: all jobs come back.
 	in := make(chan repro.BatchJob)
 	go func() {
 		defer close(in)
