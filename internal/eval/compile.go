@@ -791,7 +791,7 @@ func (c *compiler) compileExpr(e ast.Expr) cExpr {
 	case *ast.IntLit:
 		var v Value
 		if e.HasWidth {
-			v = boxBit(e.Width, e.Val)
+			v = BoxBit(e.Width, e.Val)
 		} else {
 			v = IntVal(int64(e.Val))
 		}
@@ -931,7 +931,7 @@ func (c *compiler) compileUnary(e *ast.Unary) cExpr {
 			case IntVal:
 				return IntVal(-int64(v)), nil
 			case BitVal:
-				return boxBit(v.W, -v.V), nil
+				return BoxBit(v.W, -v.V), nil
 			}
 			return nil, fmt.Errorf("%s- on %s", prefix, xv)
 		}
@@ -945,7 +945,7 @@ func (c *compiler) compileUnary(e *ast.Unary) cExpr {
 			if !ok {
 				return nil, fmt.Errorf("%s~ on %s", prefix, xv)
 			}
-			return boxBit(b.W, ^b.V), nil
+			return BoxBit(b.W, ^b.V), nil
 		}
 	default:
 		opStr := e.Op.String()

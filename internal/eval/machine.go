@@ -150,12 +150,14 @@ func (m *Machine) RunControl(name string, inputs map[string]Value) (map[string]V
 
 // RunIndexed executes control idx with pre-positioned argument values: one
 // per declared parameter, in declaration order. The argument values are
-// installed without copying and the machine takes ownership of their
-// container nodes — it may mutate them in place during the run, so the
-// caller must pass freshly built trees (sharing immutable scalar leaves is
-// fine) and must not reuse them afterwards. The returned slice aliases the
-// control frame — it is valid only until the machine's next run. This is
-// the NI hot path.
+// installed without copying. The machine mutates only the slots of their
+// containers in place (record and header field values, stack elements),
+// never replaces a container's field or element slice, and keeps no
+// container once the run returns. So a caller may reuse an argument tree
+// for the next run once it has restored every slot of every container in
+// it (and header validity); scalar leaves are immutable and may be shared
+// freely. The returned slice aliases the control frame — it is valid only
+// until the machine's next run. This is the NI hot path.
 func (m *Machine) RunIndexed(idx int, args []Value) ([]Value, Signal, error) {
 	c := m.code.controls[idx]
 	if len(args) != len(c.params) {
@@ -496,7 +498,7 @@ func (lv *cLValue) read(m *Machine, idxBase int) (Value, error) {
 // every machine); everything else mutates the slot's tree in place, which
 // is safe because slot trees are private to their slot: every leaf store
 // deep-copies composites (storeValue), every init and copy-in copies, and
-// RunIndexed callers transfer ownership of the argument trees.
+// RunIndexed callers lend the argument trees for the run.
 func (lv *cLValue) write(m *Machine, idxBase int, nv Value) error {
 	if lv.baseErr != "" {
 		return errors.New(lv.baseErr)
@@ -569,10 +571,10 @@ func own(v Value) Value {
 func storeValue(old, nv Value) Value {
 	if bv, ok := old.(BitVal); ok {
 		if iv, ok2 := nv.(IntVal); ok2 {
-			return boxBit(bv.W, uint64(iv))
+			return BoxBit(bv.W, uint64(iv))
 		}
 		if b2, ok2 := nv.(BitVal); ok2 {
-			return boxBit(bv.W, b2.V)
+			return BoxBit(bv.W, b2.V)
 		}
 	}
 	return Copy(nv)
@@ -584,10 +586,10 @@ func (lv *cLValue) update(m *Machine, v Value, pi, k int, nv Value) (Value, erro
 	if pi == len(lv.path) {
 		if bv, ok := v.(BitVal); ok {
 			if iv, ok2 := nv.(IntVal); ok2 {
-				return boxBit(bv.W, uint64(iv)), nil
+				return BoxBit(bv.W, uint64(iv)), nil
 			}
 			if b2, ok2 := nv.(BitVal); ok2 {
-				return boxBit(bv.W, b2.V), nil
+				return BoxBit(bv.W, b2.V), nil
 			}
 		}
 		return Copy(nv), nil
@@ -686,21 +688,21 @@ func bitOp(op token.Kind, prefix, opStr string, a, b BitVal) (Value, error) {
 	w := a.W
 	switch op {
 	case token.PLUS:
-		return boxBit(w, a.V+b.V), nil
+		return BoxBit(w, a.V+b.V), nil
 	case token.MINUS:
-		return boxBit(w, a.V-b.V), nil
+		return BoxBit(w, a.V-b.V), nil
 	case token.STAR:
-		return boxBit(w, a.V*b.V), nil
+		return BoxBit(w, a.V*b.V), nil
 	case token.SLASH:
 		if b.V == 0 {
 			return nil, errors.New(prefix + "division by zero")
 		}
-		return boxBit(w, a.V/b.V), nil
+		return BoxBit(w, a.V/b.V), nil
 	case token.PERCENT:
 		if b.V == 0 {
 			return nil, errors.New(prefix + "modulo by zero")
 		}
-		return boxBit(w, a.V%b.V), nil
+		return BoxBit(w, a.V%b.V), nil
 	case token.LT:
 		return BoolVal(a.V < b.V), nil
 	case token.GT:
@@ -710,21 +712,21 @@ func bitOp(op token.Kind, prefix, opStr string, a, b BitVal) (Value, error) {
 	case token.GEQ:
 		return BoolVal(a.V >= b.V), nil
 	case token.AMP:
-		return boxBit(w, a.V&b.V), nil
+		return BoxBit(w, a.V&b.V), nil
 	case token.PIPE:
-		return boxBit(w, a.V|b.V), nil
+		return BoxBit(w, a.V|b.V), nil
 	case token.CARET:
-		return boxBit(w, a.V^b.V), nil
+		return BoxBit(w, a.V^b.V), nil
 	case token.SHL:
 		if b.V >= uint64(w) {
-			return boxBit(w, 0), nil
+			return BoxBit(w, 0), nil
 		}
-		return boxBit(w, a.V<<b.V), nil
+		return BoxBit(w, a.V<<b.V), nil
 	case token.SHR:
 		if b.V >= uint64(w) {
-			return boxBit(w, 0), nil
+			return BoxBit(w, 0), nil
 		}
-		return boxBit(w, a.V>>b.V), nil
+		return BoxBit(w, a.V>>b.V), nil
 	default:
 		return nil, fmt.Errorf("%soperator %s undefined on bit<%d>", prefix, opStr, w)
 	}

@@ -124,7 +124,7 @@ func RandomFrom(t types.Type, r Rng) Value {
 	case types.Int:
 		return IntVal(r.Int63n(1 << 20))
 	case types.Bit:
-		return NewBit(t.W, r.Uint64())
+		return BoxBit(t.W, r.Uint64())
 	case types.Unit:
 		return UnitVal{}
 	case *types.Record:

@@ -187,9 +187,9 @@ func init() {
 	}
 }
 
-// boxBit is NewBit returning an interface value, served from the
+// BoxBit is NewBit returning an interface value, served from the
 // pre-boxed cache when possible.
-func boxBit(w int, v uint64) Value {
+func BoxBit(w int, v uint64) Value {
 	v = Mask(w, v)
 	if w >= 1 && w <= 16 && v < uint64(len(bitBox[w])) {
 		return bitBox[w][v]

@@ -170,13 +170,11 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 
 	p := &plan{lat: e.Lat, obs: obs}
 	for _, n := range names {
-		st := pts[n]
-		root, reason := p.walk(st)
+		root, reason := p.walk(pts[n])
 		if reason != "" {
 			return inconclusive(reason)
 		}
 		p.params = append(p.params, root)
-		p.ptypes = append(p.ptypes, st)
 	}
 	secretCount, pubCount := uint64(1), uint64(1)
 	for i, lf := range p.leaves {
@@ -197,7 +195,13 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 	}
 
 	m, _ := e.Machines(code)
-	sweep := &sweeper{plan: p, m: m, idx: idx, names: names}
+	sweep := &sweeper{plan: p, m: m, idx: idx, names: names,
+		args:  make([]eval.Value, len(names)),
+		base:  make([]eval.Value, len(names)),
+		diffs: make([]func(a, b eval.Value) (ni.Violation, bool), len(names))}
+	for i, n := range names {
+		sweep.diffs[i] = ni.ObservableDiff(pts[n], obs, e.Lat)
+	}
 
 	if satMul(secretCount, pubCount) <= budget {
 		// Total mode: enumerate the whole public × secret space.
@@ -247,12 +251,16 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 }
 
 // sweeper runs one enumerated assignment at a time and compares outputs
-// against the current public state's baseline.
+// against the current public state's baseline. Everything it touches per
+// assignment — the argument trees, the args slice, the compiled
+// per-parameter diffs, the baseline snapshot — is built once per sweep.
 type sweeper struct {
 	plan  *plan
 	m     *eval.Machine
 	idx   int
 	names []string
+	args  []eval.Value
+	diffs []func(a, b eval.Value) (ni.Violation, bool)
 
 	runs    uint64
 	base    []eval.Value
@@ -267,21 +275,19 @@ func (s *sweeper) secrets(sec *odometer) (*ni.Violation, error) {
 	p := s.plan
 	first := true
 	for {
-		args := make([]eval.Value, len(p.params))
 		for i, root := range p.params {
-			args[i] = p.build(root)
+			s.args[i] = p.build(root)
 		}
 		s.m.Reset()
-		outs, sig, err := s.m.RunIndexed(s.idx, args)
+		outs, sig, err := s.m.RunIndexed(s.idx, s.args)
 		s.runs++
 		if err != nil {
 			return nil, err
 		}
 		if first {
 			first = false
-			s.base = s.base[:0]
-			for _, v := range outs {
-				s.base = append(s.base, eval.Copy(v))
+			for i, v := range outs {
+				s.base[i] = snapshot(s.base[i], v)
 			}
 			s.baseSig = sig
 		} else {
@@ -290,7 +296,9 @@ func (s *sweeper) secrets(sec *odometer) (*ni.Violation, error) {
 					A: s.baseSig.String(), B: sig.String()}, nil
 			}
 			for i, v := range outs {
-				if vio, ok := ni.DiffObservable(s.names[i], s.base[i], v, p.ptypes[i], p.obs, p.lat); !ok {
+				if d, ok := s.diffs[i](s.base[i], v); !ok {
+					vio := d // escapes only here, not on every comparison
+					vio.Where = s.names[i] + vio.Where
 					vio.Trial = int(s.runs)
 					return &vio, nil
 				}
@@ -300,6 +308,45 @@ func (s *sweeper) secrets(sec *odometer) (*ni.Violation, error) {
 			return nil, nil
 		}
 	}
+}
+
+// snapshot deep-copies src like eval.Copy, but into dst's containers
+// wherever their kind and length match src's. The baseline is retaken at
+// every public state — in total mode every |secret| assignments — and
+// this way allocates only where the program changed an output's shape.
+// dst is always a previous snapshot, never aliased by src.
+func snapshot(dst, src eval.Value) eval.Value {
+	switch sv := src.(type) {
+	case *eval.RecordVal:
+		if dv, ok := dst.(*eval.RecordVal); ok && snapshotFields(dv.Fields, sv.Fields) {
+			return dv
+		}
+	case *eval.HeaderVal:
+		if dv, ok := dst.(*eval.HeaderVal); ok && snapshotFields(dv.Fields, sv.Fields) {
+			dv.Valid = sv.Valid
+			return dv
+		}
+	case *eval.StackVal:
+		if dv, ok := dst.(*eval.StackVal); ok && len(dv.Elems) == len(sv.Elems) {
+			for i, e := range sv.Elems {
+				dv.Elems[i] = snapshot(dv.Elems[i], e)
+			}
+			return dv
+		}
+	}
+	return eval.Copy(src)
+}
+
+// snapshotFields snapshots src's fields into dst when both have the same
+// length; false leaves dst untouched.
+func snapshotFields(dst, src []eval.NamedValue) bool {
+	if len(dst) != len(src) {
+		return false
+	}
+	for i := range src {
+		dst[i] = eval.NamedValue{Name: src[i].Name, Val: snapshot(dst[i].Val, src[i].Val)}
+	}
+	return true
 }
 
 // result assembles the uniform ni.Result for a finished,

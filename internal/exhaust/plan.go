@@ -38,13 +38,18 @@ const (
 )
 
 // node mirrors a parameter's type shape: leaves index into plan.leaves,
-// containers rebuild a fresh value tree per run (RunIndexed takes
-// ownership of containers; scalar leaves are immutable and shared).
+// containers own the one value they allocate on first build and restore
+// it in place on every later one (RunIndexed lends containers to the run
+// and mutates only their slots; scalar leaves are immutable and shared).
 type node struct {
 	leaf     int // index into plan.leaves, or -1 for a container
 	kind     int
 	names    []string // field names for record/header
 	children []*node
+
+	rec *eval.RecordVal // the built value, by kind; nil until first build
+	hdr *eval.HeaderVal
+	stk *eval.StackVal
 }
 
 // plan is the flattened enumeration state: one slot per scalar leaf,
@@ -58,7 +63,6 @@ type plan struct {
 	vals   []eval.Value
 
 	params []*node
-	ptypes []types.SecType
 
 	secretIdx []int // enumerable secret leaves
 	publicIdx []int // enumerable public leaves
@@ -117,29 +121,54 @@ func (p *plan) walk(st types.SecType) (*node, string) {
 	}
 }
 
-// build assembles a fresh argument value tree for one run from the
-// current leaf slots.
+// build returns a parameter's argument tree for one run, set from the
+// current leaf slots. Containers are allocated once; every later build
+// restores each of their slots (and header validity) in place, undoing
+// whatever the previous run wrote, so the sweep allocates nothing per
+// assignment.
 func (p *plan) build(n *node) eval.Value {
 	if n.leaf >= 0 {
 		return p.vals[n.leaf]
 	}
 	switch n.kind {
 	case nodeStack:
-		es := make([]eval.Value, len(n.children))
-		for i, c := range n.children {
-			es[i] = p.build(c)
+		if n.stk == nil {
+			n.stk = &eval.StackVal{Elems: make([]eval.Value, len(n.children))}
 		}
-		return &eval.StackVal{Elems: es}
+		for i, c := range n.children {
+			n.stk.Elems[i] = p.build(c)
+		}
+		return n.stk
+	case nodeHeader:
+		if n.hdr == nil {
+			n.hdr = &eval.HeaderVal{Fields: namedFields(n.names)}
+		}
+		n.hdr.Valid = true
+		p.restore(n, n.hdr.Fields)
+		return n.hdr
 	default:
-		fs := make([]eval.NamedValue, len(n.children))
-		for i, c := range n.children {
-			fs[i] = eval.NamedValue{Name: n.names[i], Val: p.build(c)}
+		if n.rec == nil {
+			n.rec = &eval.RecordVal{Fields: namedFields(n.names)}
 		}
-		if n.kind == nodeHeader {
-			return &eval.HeaderVal{Valid: true, Fields: fs}
-		}
-		return &eval.RecordVal{Fields: fs}
+		p.restore(n, n.rec.Fields)
+		return n.rec
 	}
+}
+
+// restore sets every field slot of a record or header node from its
+// children.
+func (p *plan) restore(n *node, fs []eval.NamedValue) {
+	for i, c := range n.children {
+		fs[i].Val = p.build(c)
+	}
+}
+
+func namedFields(names []string) []eval.NamedValue {
+	fs := make([]eval.NamedValue, len(names))
+	for i, name := range names {
+		fs[i].Name = name
+	}
+	return fs
 }
 
 // leafRadix is the size of a scalar type's value domain; 0 means no
@@ -175,7 +204,7 @@ func leafValue(t types.Type, d uint64) eval.Value {
 	case types.Bool:
 		return eval.BoolVal(d == 1)
 	case types.Bit:
-		return eval.NewBit(t.W, d)
+		return eval.BoxBit(t.W, d)
 	case types.Unit:
 		return eval.UnitVal{}
 	case *types.MatchKind:

@@ -517,9 +517,10 @@ func (e *Experiment) paramTypes(ctrl *ast.ControlDecl) (map[string]types.SecType
 // resolved at experiment setup: draw builds a fresh random input (same rng
 // consumption as eval.RandomFrom), vary is randomizeAbove (same draws),
 // and diff is diffObservable with lazily built witness paths. Only the
-// indexed fast path uses samplers — its values are always sampler-built,
-// so positional field access is safe; the map path keeps the generic
-// walks since FixInputs may reshape values arbitrarily.
+// indexed fast path and, through ObservableDiff, the exhaustive oracle use
+// samplers — their inputs are always built from the type itself, so
+// positional field access is safe; the map path keeps the generic walks
+// since FixInputs may reshape values arbitrarily.
 type sampler struct {
 	draw func(rng eval.Rng) eval.Value
 	vary func(v eval.Value, rng eval.Rng) eval.Value

@@ -148,10 +148,14 @@ func (e *Experiment) Machines(code *eval.Compiled) (*eval.Machine, *eval.Machine
 	return e.machines(code)
 }
 
-// DiffObservable compares the observable (χ ⊑ obs) scalar leaves of a
-// and b under t; on a mismatch it returns the witness (Where prefixed
-// with path) and false. Exported for oracles that compare outputs
-// outside the trial loop.
-func DiffObservable(path string, a, b eval.Value, t types.SecType, obs lattice.Label, lat lattice.Lattice) (Violation, bool) {
-	return diffObservable(path, a, b, t, obs, lat)
+// ObservableDiff compiles the observable-output comparison for values of
+// type t at observer obs: the returned func compares the observable
+// (χ ⊑ obs) scalar leaves of two values shaped like t, and on a mismatch
+// returns the witness and false. The witness's Where is the path below
+// the value (".f[2].g", empty at a scalar), for the caller to prefix with
+// the parameter name. The type walk and lattice queries happen here,
+// once, so oracles that compare outputs outside the trial loop pay none
+// of them per comparison.
+func ObservableDiff(t types.SecType, obs lattice.Label, lat lattice.Lattice) func(a, b eval.Value) (Violation, bool) {
+	return compileSampler(t, obs, lat).diff
 }
