@@ -38,23 +38,36 @@ func TestCheckAll(t *testing.T) {
 	}
 }
 
-// TestDiffFuzzPublicAPI runs a small one-shot campaign through
-// Session.DiffFuzz.
-func TestDiffFuzzPublicAPI(t *testing.T) {
+// TestCampaignWithoutCorpus runs a small campaign through Session.Campaign
+// with no WithCorpus: findings stay in memory, and the run still records
+// its telemetry into the session registry.
+func TestCampaignWithoutCorpus(t *testing.T) {
+	const n = 50
 	s, err := repro.NewSession(repro.WithSeed(3), repro.WithNIBudget(4, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	rep, err := s.DiffFuzz(context.Background(), 50)
+	rep, err := s.Campaign(context.Background(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.OK() {
-		t.Fatalf("defects found:\n%s", repro.FormatFuzzReport(rep))
+		t.Fatalf("defects found:\n%s", repro.FormatCampaignReport(rep))
 	}
-	if rep.Analyzed != 50 {
-		t.Errorf("analyzed %d programs, want 50", rep.Analyzed)
+	if rep.Analyzed != n {
+		t.Errorf("analyzed %d programs, want %d", rep.Analyzed, n)
+	}
+	if got := s.Metrics().Counter("campaign_jobs_total"); got != n {
+		t.Errorf("campaign_jobs_total = %v, want %d", got, n)
+	}
+	if len(rep.Findings) == 0 {
+		t.Error("no findings collected; the no-path check below is vacuous")
+	}
+	for _, f := range rep.Findings {
+		if f.Path != "" {
+			t.Errorf("finding %s has path %q without a corpus", f.Key, f.Path)
+		}
 	}
 }
 

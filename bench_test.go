@@ -239,21 +239,22 @@ func BenchmarkPipeline(b *testing.B) {
 	})
 }
 
-// BenchmarkDiffFuzz measures the differential fuzzing harness end to end
-// (generation + all stages + NI on every base-accepted program).
-func BenchmarkDiffFuzz(b *testing.B) {
-	s, err := repro.NewSession(repro.WithSeed(1), repro.WithNIBudget(4, 0))
+// BenchmarkCampaign measures a corpus-less differential fuzzing campaign
+// end to end (generation + all stages + NI on every base-accepted program
+// + the parser roundtrip) at the default adaptive NI budget.
+func BenchmarkCampaign(b *testing.B) {
+	s, err := repro.NewSession(repro.WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
 	for i := 0; i < b.N; i++ {
-		rep, err := s.DiffFuzz(context.Background(), 100)
+		rep, err := s.Campaign(context.Background(), 100)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !rep.OK() {
-			b.Fatalf("fuzzing found defects:\n%s", repro.FormatFuzzReport(rep))
+			b.Fatalf("fuzzing found defects:\n%s", repro.FormatCampaignReport(rep))
 		}
 	}
 }

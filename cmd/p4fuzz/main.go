@@ -23,17 +23,17 @@
 //
 // # run
 //
-// With none of the campaign flags, run is the one-shot harness: the whole
-// corpus is generated up front, checked, and forgotten. Any of
-// -corpus-dir, -minimize, -mutate, or -triage switches to the streaming
-// campaign engine, which covers the global indices [0, n): it generates
-// jobs lazily, deduplicates and persists interesting programs (with
-// verdict metadata) under -corpus-dir, and minimizes findings with
-// -minimize. To continue a search across runs, or to split one across
-// processes, run it as a fleet with cmd/p4fuzzd: the fleet's frontier
-// records where the last run stopped.
+// run is a campaign over the global indices [0, n): it generates jobs
+// lazily, cross-checks each program against the IFC checker, the baseline
+// checker, the NI oracle, and the parse → print → reparse roundtrip, and
+// deduplicates interesting programs. With -corpus-dir it persists them
+// (with verdict metadata) there; without it they are kept in memory and
+// listed in the report. -minimize shrinks findings first. To continue a
+// search across runs, or to split one across processes, run it as a
+// fleet with cmd/p4fuzzd: the fleet's frontier records where the last run
+// stopped.
 //
-// -lattice selects the campaign lattice in either mode: two-point
+// -lattice selects the campaign lattice: two-point
 // (default), diamond, chain:N, nparty:N, powerset:N, or product:a,b
 // (components themselves specs, e.g. product:two-point,diamond).
 // Generated programs are annotated against it and checked under it, so
@@ -54,8 +54,7 @@
 // report is the summary. -events-json emits the same stream as one JSON
 // object per line on stdout (repro.Event marshalled verbatim, the form
 // fleet coordinators and jq pipelines consume); the report then prints
-// to stderr so stdout stays machine-parseable. In one-shot mode the
-// stream is batched at classification time rather than live.
+// to stderr so stdout stays machine-parseable.
 //
 // Every operation also leaves its telemetry behind: progress ticks carry
 // jobs/sec and findings/sec, periodic metrics events ship full registry
@@ -101,15 +100,15 @@
 //
 // -trials is the per-program NI budget; when -trials-max exceeds it, the
 // budget is adaptive — accepted programs get -trials, rejected programs
-// escalate toward -trials-max until a witness appears. The campaign
-// defaults to an adaptive 4/32 split where the one-shot harness keeps the
-// flat 8.
+// escalate toward -trials-max until a witness appears. The default is an
+// adaptive 4/32 split; -trials N alone escalates toward 8N.
 //
 // Exit status 0 if the operation found no defects, 1 on any defect,
 // drift, malformed corpus entry, or aborted run, 2 on usage errors.
 // Every finding is reported with its per-program generation seed, so a
 // failure replays with p4fuzz run -n 1 -seed <that seed> — passing the
-// same -depth/-stmts/-fields flags as the original campaign.
+// same -depth/-stmts/-fields flags as the original campaign, plus
+// -corpus-dir to keep the program's source.
 package main
 
 import (
@@ -127,7 +126,7 @@ import (
 const usage = `usage: p4fuzz <subcommand> [flags]
 
 subcommands:
-  run      differential fuzzing: one-shot, or a campaign with -corpus-dir
+  run      differential fuzzing campaign (persists findings with -corpus-dir)
   replay   re-check a corpus against the current checker stack
   triage   cluster a corpus by verdict class, cited rule, and AST shape
   retire   promote findings the current stack no longer reproduces
@@ -238,8 +237,8 @@ func runMain(args []string) int {
 	fs := flag.NewFlagSet("p4fuzz run", flag.ExitOnError)
 	n := fs.Int("n", 1000, "number of programs to generate and cross-check")
 	seed := fs.Int64("seed", 1, "base generation seed (program i uses seed+i)")
-	trials := fs.Int("trials", 0, "base NI trials per program (0 = 8 one-shot, 4 campaign)")
-	trialsMax := fs.Int("trials-max", 0, "adaptive NI ceiling for rejected programs (0 = campaign default, <0 or <= -trials disables)")
+	trials := fs.Int("trials", 0, "base NI trials per program (0 = 4)")
+	trialsMax := fs.Int("trials-max", 0, "adaptive NI ceiling for rejected programs (0 = 8x -trials, <0 or <= -trials disables)")
 	niOracle := fs.String("ni-oracle", "", "NI backend: adaptive (default), randomized, or exhaustive (proof-grade verdicts within -exhaust-budget)")
 	exhaustBudget := fs.Uint64("exhaust-budget", 0, "exhaustive oracle: assignment ceiling per observer (0 = 2^16)")
 	exhaustProbes := fs.Int("exhaust-probes", 0, "exhaustive oracle: public-input probes when only the secret space fits (0 = derived)")
@@ -249,7 +248,7 @@ func runMain(args []string) int {
 	fields := fs.Int("fields", 3, "low/high header fields in generated programs")
 	timeout := fs.Duration("timeout", 0, "overall campaign timeout (0 = none)")
 	latSpec := fs.String("lattice", "", "campaign lattice: two-point (default), diamond, chain:N, nparty:N, powerset:N, or product:a,b")
-	corpusDir := fs.String("corpus-dir", "", "persistent corpus directory (enables the campaign engine)")
+	corpusDir := fs.String("corpus-dir", "", "persistent corpus directory (\"\" = keep findings in memory)")
 	minimize := fs.Bool("minimize", false, "shrink findings to minimal reproducers before persisting")
 	mutateSeeds := fs.Bool("mutate", false, "mutate persisted corpus findings for half the jobs (coverage-guided loop)")
 	triageAfter := fs.Bool("triage", false, "print the corpus's triage cluster summary after the campaign (requires -corpus-dir)")
@@ -282,46 +281,9 @@ func runMain(args []string) int {
 		return 2
 	}
 
-	campaignMode := *corpusDir != "" || *minimize || *mutateSeeds || *triageAfter
 	if *triageAfter && *corpusDir == "" {
 		fmt.Fprintln(os.Stderr, "p4fuzz: -triage needs -corpus-dir (triage reads the persisted corpus)")
 		return 2
-	}
-	if !campaignMode {
-		// The one-shot harness runs through the same Session as the
-		// campaign engine, so -events/-events-json stream its job-done,
-		// finding, and op-framing events exactly like campaign mode.
-		t := *trials
-		if t == 0 {
-			t = 8
-		}
-		s, err := repro.NewSession(
-			repro.WithSeed(*seed),
-			repro.WithGenConfig(gcfg),
-			repro.WithNIBudget(t, *trialsMax),
-			repro.WithNIOracle(*niOracle),
-			repro.WithExhaustBudget(*exhaustBudget, *exhaustProbes),
-			repro.WithWorkers(*workers),
-		)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "p4fuzz: %v\n", err)
-			return 2
-		}
-		stop := watchEvents(s, mode)
-		rep, err := s.DiffFuzz(ctx, *n)
-		stop()
-		if rep == nil {
-			fmt.Fprintf(os.Stderr, "p4fuzz: %v\n", err)
-			return 2
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "p4fuzz: campaign aborted after %v: %v\n", rep.Elapsed.Round(time.Millisecond), err)
-		}
-		fmt.Fprint(mode.reportWriter(), repro.FormatFuzzReport(rep))
-		if !rep.OK() || err != nil {
-			return 1
-		}
-		return 0
 	}
 
 	opts := []repro.SessionOption{
@@ -345,9 +307,20 @@ func runMain(args []string) int {
 		fmt.Fprintf(os.Stderr, "p4fuzz: %v\n", err)
 		return 2
 	}
+	// The renderer is stopped — drained through op-end — before anything
+	// prints, so the report (and the triage table) always follow the
+	// stream rather than racing it.
 	stop := watchEvents(s, mode)
-	defer stop()
 	rep, err := s.Campaign(ctx, *n)
+	var trep *repro.TriageReport
+	var terr error
+	if rep != nil && *triageAfter {
+		// The summary covers the whole corpus the campaign just grew, so
+		// the nightly log ends with what the findings mean: the ranked
+		// (class, rule, shape) clusters and the seed-novelty standings.
+		trep, terr = s.Triage()
+	}
+	stop()
 	if rep == nil {
 		fmt.Fprintf(os.Stderr, "p4fuzz: %v\n", err)
 		return 2
@@ -358,10 +331,6 @@ func runMain(args []string) int {
 	fmt.Fprint(mode.reportWriter(), repro.FormatCampaignReport(rep))
 	triageClean := true
 	if *triageAfter {
-		// The summary covers the whole corpus the campaign just grew, so
-		// the nightly log ends with what the findings mean: the ranked
-		// (class, rule, shape) clusters and the seed-novelty standings.
-		trep, terr := s.Triage()
 		if terr != nil {
 			fmt.Fprintf(os.Stderr, "p4fuzz: triage: %v\n", terr)
 			return 2

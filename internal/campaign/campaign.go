@@ -1,15 +1,15 @@
-// Package campaign is the streaming differential-fuzz campaign engine:
-// the long-running, corpus-persisting form of internal/difftest.
-//
-// Where difftest.Run materializes its whole corpus, classifies it, and
-// forgets everything at exit, a campaign
+// Package campaign is the differential soundness-fuzzing engine: it
+// generates programs, runs each through internal/pipeline, and classifies
+// the result with difftest.Classify, cross-checking the IFC checker, the
+// baseline checker, and the NI oracle. A campaign
 //
 //   - generates jobs lazily and feeds them through pipeline.RunStream, so
 //     memory is bounded by the worker pool, not the campaign length;
 //   - deduplicates interesting programs (soundness findings, precision
-//     findings, parser roundtrip disagreements) and persists them to an
-//     on-disk corpus with verdict metadata, so findings survive the
-//     process and accumulate across runs;
+//     findings, parser roundtrip disagreements) and, given a corpus
+//     directory, persists them with verdict metadata, so findings survive
+//     the process and accumulate across runs — without one it keeps them
+//     in memory;
 //   - optionally minimizes each finding with internal/shrink before
 //     persisting, so corpus entries are the smallest programs that still
 //     reproduce their verdict class — and families of equivalent findings

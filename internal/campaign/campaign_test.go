@@ -285,12 +285,55 @@ func TestCampaignNoCorpusDir(t *testing.T) {
 	}
 }
 
-// TestCampaignDeterministicFindings: with two workers finishing jobs in
-// whatever order the scheduler picks and a per-class cap that binds, two
-// runs over the same window process the same findings in the same order —
-// the same Findings key sequence, minimization totals, and corpus files.
+// TestCampaignFindsNoDefects is the headline differential test: a
+// campaign over generated programs must find zero soundness violations
+// (no IFC-accepted program interferes), zero generator bugs (every
+// generated program parses and base-checks), zero runtime errors, and
+// zero parser roundtrip disagreements. It runs 1000 programs, 100 under
+// -short, at a flat 8-trial NI budget.
+func TestCampaignFindsNoDefects(t *testing.T) {
+	n := int64(1000)
+	if testing.Short() {
+		n = 100
+	}
+	rep, err := Run(context.Background(), Config{
+		Window:      Window{Lo: 0, Hi: n},
+		Seed:        20260728,
+		NITrials:    8,
+		NITrialsMax: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("campaign found implementation defects:\n%s", FormatReport(rep))
+	}
+	if got := rep.Counts[difftest.SoundnessViolation]; got != 0 {
+		t.Errorf("%d soundness violations — Theorem 4.3 falsified by the implementation", got)
+	}
+	if got := rep.ParserDisagreements; got != 0 {
+		t.Errorf("%d parser roundtrip disagreements", got)
+	}
+	if rep.Counts[difftest.Sound] == 0 {
+		t.Error("no program was IFC-accepted — the generator is not exercising the accept path")
+	}
+	// The NI harness must be demonstrating rejections are real at least
+	// sometimes; an all-clean rejected population would mean the trials
+	// never catch anything.
+	if rep.Counts[difftest.RejectedWitnessed] == 0 {
+		t.Error("no rejected program had interference witnessed — NI trials are toothless")
+	}
+	t.Logf("\n%s", FormatReport(rep))
+}
+
+// TestCampaignDeterministicFindings: a sequential run (one worker) and a
+// concurrent one (eight workers finishing jobs in whatever order the
+// scheduler picks) over the same window, with a per-class cap that binds,
+// reach the same verdict counts and process the same findings in the same
+// order — the same Findings key sequence, minimization totals, and corpus
+// files.
 func TestCampaignDeterministicFindings(t *testing.T) {
-	run := func() (*Report, string) {
+	run := func(workers int) (*Report, string) {
 		dir := t.TempDir()
 		rep, err := Run(context.Background(), Config{
 			Window:      Window{Lo: 0, Hi: 200},
@@ -298,7 +341,7 @@ func TestCampaignDeterministicFindings(t *testing.T) {
 			Gen:         smallGen(),
 			NITrials:    2,
 			NITrialsMax: 64,
-			Workers:     2,
+			Workers:     workers,
 			CorpusDir:   dir,
 			Minimize:    true,
 			MaxPerClass: 15,
@@ -323,10 +366,13 @@ func TestCampaignDeterministicFindings(t *testing.T) {
 		}
 		return strings.Join(keys, ",")
 	}
-	a, lsA := run()
-	b, lsB := run()
+	a, lsA := run(1)
+	b, lsB := run(8)
 	if a.CappedFindings == 0 {
 		t.Fatal("the per-class cap never bound; the test premise is broken")
+	}
+	if a.Counts != b.Counts {
+		t.Errorf("verdict counts depend on worker count: %v vs %v", a.Counts, b.Counts)
 	}
 	if keysOf(a) != keysOf(b) {
 		t.Errorf("finding key sequences differ:\n%s\n%s", keysOf(a), keysOf(b))

@@ -46,27 +46,3 @@ func TestClassify(t *testing.T) {
 		}
 	}
 }
-
-// TestReportCount locks the bounds-checked accessor: in-range verdicts
-// read the counts array, out-of-range ones (older or newer binaries'
-// enum values) read zero instead of panicking.
-func TestReportCount(t *testing.T) {
-	var r Report
-	r.Counts[ProvedImprecise] = 3
-	r.Counts[UnderTested] = 2
-	if got := r.Count(ProvedImprecise); got != 3 {
-		t.Errorf("Count(ProvedImprecise) = %d, want 3", got)
-	}
-	if got := r.Count(UnderTested); got != 2 {
-		t.Errorf("Count(UnderTested) = %d, want 2", got)
-	}
-	if got := r.Count(Verdict(-1)); got != 0 {
-		t.Errorf("Count(-1) = %d, want 0", got)
-	}
-	if got := r.Count(NumVerdicts); got != 0 {
-		t.Errorf("Count(NumVerdicts) = %d, want 0", got)
-	}
-	if got := r.Count(Verdict(1000)); got != 0 {
-		t.Errorf("Count(1000) = %d, want 0", got)
-	}
-}

@@ -1,20 +1,23 @@
-// Package difftest is a differential soundness-fuzzing harness for the
-// P4BID checker. It generates random programs with gen.Random, pushes them
-// through the internal/pipeline batch engine, and cross-checks the three
-// oracles the repo implements:
+// Package difftest defines the verdict classes of differential soundness
+// fuzzing and Classify, which maps one internal/pipeline result to its
+// class. Classify cross-checks the three oracles the repo implements:
 //
 //   - the IFC checker (internal/core) — the paper's contribution;
 //   - the baseline checker (internal/basecheck) — label-insensitive Core P4;
 //   - the NI harness (internal/ni) — empirical non-interference testing.
 //
-// Each generated program lands in exactly one verdict class:
+// The campaign engine (internal/campaign), its corpus replay, and the
+// Session's batch-check events all classify through it, so a verdict
+// means the same thing everywhere.
+//
+// Each analyzed program lands in exactly one verdict class:
 //
 //   - Sound: IFC-accepted and no NI trial found interference. This is the
 //     mass of evidence for Theorem 4.3.
 //   - SoundnessViolation: IFC-accepted but an NI trial produced an
 //     interference witness. Any such program falsifies the implementation
 //     (checker bug, interpreter bug, or harness bug) and is reported with
-//     its source and seed for replay.
+//     its seed for replay.
 //   - RejectedWitnessed: IFC-rejected and the NI harness found a concrete
 //     interference witness — evidence the rejection was a true positive.
 //   - RejectedClean: IFC-rejected, baseline-accepted, and NI-clean over
@@ -37,15 +40,8 @@
 package difftest
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
-	"sort"
-	"strings"
-	"time"
 
-	"repro/internal/events"
-	"repro/internal/gen"
 	"repro/internal/ni"
 	"repro/internal/pipeline"
 )
@@ -80,7 +76,8 @@ const (
 	GeneratorBug
 	RuntimeError
 	SoundnessViolation
-	// NumVerdicts bounds the verdict enum; Report.Counts is indexed by it.
+	// NumVerdicts bounds the verdict enum; verdict tallies are arrays
+	// indexed by it.
 	NumVerdicts
 )
 
@@ -110,178 +107,8 @@ func (v Verdict) String() string {
 	}
 }
 
-// Config configures a fuzzing campaign.
-type Config struct {
-	// N is the number of programs to generate and cross-check.
-	N int
-	// Seed seeds program generation; program i is generated from a
-	// rand.Rand seeded with Seed + i, so any single program can be
-	// regenerated without rerunning the campaign.
-	Seed int64
-	// Gen configures the program generator (zero = gen.DefaultConfig).
-	Gen gen.Config
-	// NITrials is the per-program NI trial budget (default 8).
-	NITrials int
-	// NITrialsMax, when greater than NITrials, enables the pipeline's
-	// adaptive NI budget: accepted programs get NITrials trials, rejected
-	// programs escalate toward NITrialsMax until a witness appears.
-	NITrialsMax int
-	// Workers bounds the pipeline worker pool (<= 0 = GOMAXPROCS).
-	Workers int
-	// Oracle selects the NI backend (see pipeline.Options.Oracle; "" is
-	// the adaptive default). With pipeline.OracleExhaustive the
-	// RejectedClean class splits into ProvedImprecise, SecretExhausted,
-	// and UnderTested.
-	Oracle string
-	// ExhaustBudget and ExhaustProbes configure the exhaustive oracle
-	// (0 = defaults).
-	ExhaustBudget uint64
-	ExhaustProbes int
-	// Events receives the run's structured event stream: one job-done per
-	// classified program (Op "fuzz", Class the verdict), one finding event
-	// per reported finding, and a final progress tick. The batch pipeline
-	// classifies after the run drains, so events arrive in index order at
-	// the end rather than live — Campaign is the streaming form. nil
-	// discards.
-	Events events.Sink
-}
-
-// Finding is one interesting (non-Sound) program, kept with enough context
-// to replay: the generation seed regenerates the source exactly.
-type Finding struct {
-	Index   int
-	Seed    int64
-	Verdict Verdict
-	Source  string
-	// Detail is the witness, rule citations, or error text.
-	Detail string
-}
-
-// Report is the campaign outcome.
-type Report struct {
-	// Counts has one entry per verdict class.
-	Counts [NumVerdicts]int
-	// Findings holds every non-Sound, non-RejectedWitnessed,
-	// non-RejectedClean program (those two classes are expected in bulk;
-	// only their counts are kept) plus every soundness violation.
-	Findings []Finding
-	// RulesCited counts, per typing rule, how many rejections cited it.
-	RulesCited map[string]int
-	// Elapsed and Workers describe the run.
-	Elapsed time.Duration
-	Workers int
-	// Seed, N, and Gen echo the campaign configuration; a finding's
-	// regen seed only reproduces its program under the same Gen config.
-	Seed int64
-	N    int
-	Gen  gen.Config
-	// Analyzed is the number of programs actually analyzed; less than N
-	// only when the campaign was cancelled mid-run.
-	Analyzed int
-	// TrialsRun totals NI trials across programs; under an adaptive
-	// budget it shows where the escalation spent its effort.
-	TrialsRun int64
-	// Aborted reports that the campaign was cancelled before analyzing
-	// all N programs; the counts cover only the analyzed prefix.
-	Aborted bool
-}
-
-// OK reports whether the campaign found no implementation defects: no
-// soundness violations, no generator bugs, no runtime errors.
-func (r *Report) OK() bool {
-	return r.Counts[SoundnessViolation] == 0 &&
-		r.Counts[GeneratorBug] == 0 &&
-		r.Counts[RuntimeError] == 0
-}
-
-// Run executes the campaign. The returned error is only a context or
-// configuration failure; oracle disagreements are reported in the Report,
-// not as errors.
-func Run(ctx context.Context, cfg Config) (*Report, error) {
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("difftest: N must be positive, got %d", cfg.N)
-	}
-	gcfg := cfg.Gen
-	if gcfg == (gen.Config{}) {
-		gcfg = gen.DefaultConfig()
-	}
-	lat, err := gcfg.ResolveLattice()
-	if err != nil {
-		return nil, fmt.Errorf("difftest: %w", err)
-	}
-
-	// Generation is cheap and deterministic per index; do it up front so
-	// the pipeline measures pure analysis throughput.
-	jobs := make([]pipeline.Job, cfg.N)
-	for i := range jobs {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)))
-		jobs[i] = pipeline.Job{
-			Name:   fmt.Sprintf("fuzz-%d.p4", i),
-			Source: gen.Random(rng, gcfg),
-			Lat:    lat,
-		}
-	}
-
-	sum, err := pipeline.Run(ctx, jobs, pipeline.Options{
-		Workers:       cfg.Workers,
-		NI:            pipeline.NIAll,
-		NITrials:      cfg.NITrials,
-		NITrialsMax:   cfg.NITrialsMax,
-		NISeed:        cfg.Seed,
-		Oracle:        cfg.Oracle,
-		ExhaustBudget: cfg.ExhaustBudget,
-		ExhaustProbes: cfg.ExhaustProbes,
-	})
-	rep := &Report{
-		RulesCited: map[string]int{},
-		Elapsed:    sum.Elapsed,
-		Workers:    sum.Workers,
-		Seed:       cfg.Seed,
-		N:          cfg.N,
-		Gen:        gcfg,
-		Analyzed:   len(sum.Results),
-		TrialsRun:  sum.NITrialsRun,
-		Aborted:    err != nil,
-	}
-	for i := range sum.Results {
-		r := &sum.Results[i]
-		v, detail := Classify(r)
-		rep.Counts[v]++
-		cfg.Events.Emit(events.Event{
-			Kind: events.KindJobDone, Op: "fuzz",
-			Index: int64(i), Class: v.String(), Rule: r.CitedRule(),
-		})
-		if r.IFC != nil && !r.IFC.OK {
-			for _, d := range r.IFC.Diags {
-				if d.Rule != "" {
-					rep.RulesCited[d.Rule]++
-				}
-			}
-		}
-		if v == SoundnessViolation || v == GeneratorBug || v == RuntimeError {
-			rep.Findings = append(rep.Findings, Finding{
-				Index:   i,
-				Seed:    cfg.Seed + int64(i),
-				Verdict: v,
-				Source:  r.Job.Source,
-				Detail:  detail,
-			})
-			cfg.Events.Emit(events.Event{
-				Kind: events.KindFinding, Op: "fuzz",
-				Index: int64(i), Class: v.String(), Detail: detail,
-			})
-		}
-	}
-	cfg.Events.Emit(events.Event{
-		Kind: events.KindProgress, Op: "fuzz", Done: rep.Analyzed, Total: cfg.N,
-	})
-	return rep, err
-}
-
 // Classify maps one pipeline result to its verdict class and the detail
-// text (witness, rule citation counts, or error) that goes with it. It is
-// exported for the campaign engine, which classifies streamed results the
-// same way Run classifies batched ones.
+// text (witness, rule citation counts, or error) that goes with it.
 func Classify(r *pipeline.JobResult) (Verdict, string) {
 	switch {
 	case r.ParseErr != nil:
@@ -332,61 +159,4 @@ func Classify(r *pipeline.JobResult) (Verdict, string) {
 		}
 		return RejectedClean, ""
 	}
-}
-
-// Count is the bounds-checked read of Report.Counts: out-of-range
-// verdicts (which String renders as "Verdict(%d)") count zero instead of
-// panicking, so callers indexing by verdicts from newer (or older)
-// binaries stay safe as the enum grows.
-func (r *Report) Count(v Verdict) int {
-	if v < 0 || v >= NumVerdicts {
-		return 0
-	}
-	return r.Counts[v]
-}
-
-// FormatReport renders the verdict table and any findings.
-func FormatReport(r *Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "differential soundness fuzzing: %d programs, seed %d, %d workers, %d NI trials, %v\n",
-		r.N, r.Seed, r.Workers, r.TrialsRun, r.Elapsed.Round(time.Millisecond))
-	lat := r.Gen.Lattice
-	if lat == "" {
-		lat = "two-point"
-	}
-	fmt.Fprintf(&b, "  gen config: depth=%d stmts=%d fields=%d actions=%v lattice=%s (regen seeds assume this config)\n",
-		r.Gen.MaxDepth, r.Gen.MaxStmts, r.Gen.NumFields, r.Gen.WithActions, lat)
-	fmt.Fprintf(&b, "  %-36s %8s\n", "verdict", "count")
-	for v := Verdict(0); v < NumVerdicts; v++ {
-		fmt.Fprintf(&b, "  %-36s %8d\n", v, r.Counts[v])
-	}
-	if len(r.RulesCited) > 0 {
-		b.WriteString("  rules cited on rejections:")
-		for _, rule := range sortedKeys(r.RulesCited) {
-			fmt.Fprintf(&b, " %s×%d", rule, r.RulesCited[rule])
-		}
-		b.WriteByte('\n')
-	}
-	for _, f := range r.Findings {
-		fmt.Fprintf(&b, "\nFINDING #%d (%s, regen seed %d): %s\n%s",
-			f.Index, f.Verdict, f.Seed, f.Detail, f.Source)
-	}
-	switch {
-	case r.Aborted:
-		fmt.Fprintf(&b, "ABORTED: campaign incomplete — verdicts cover only %d/%d programs\n", r.Analyzed, r.N)
-	case r.OK():
-		b.WriteString("PASS: no soundness violations, generator bugs, or runtime errors\n")
-	default:
-		b.WriteString("FAIL: implementation defects found (see findings above)\n")
-	}
-	return b.String()
-}
-
-func sortedKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -144,7 +144,7 @@ func (k *Kind) UnmarshalJSON(raw []byte) error {
 type Event struct {
 	Kind Kind `json:"kind"`
 	// Op names the operation emitting: "campaign", "replay", "triage",
-	// "retire", "compact", "check", "fuzz", "fleet".
+	// "retire", "compact", "check", "check-stream", "fleet".
 	Op string `json:"op,omitempty"`
 	// Time is when the event was emitted.
 	Time time.Time `json:"time"`

@@ -140,7 +140,7 @@ func (c Config) ResolveLattice() (lattice.Lattice, error) {
 
 // Validate rejects configurations Random cannot generate from — today
 // that is exactly an unresolvable Lattice spec. Campaign entry points
-// (difftest.Run, campaign.Run, p4fuzz) call this so a bad -lattice flag is
+// (campaign.Run, p4fuzz) call this so a bad -lattice flag is
 // a usage error, not a panic mid-campaign.
 func (c Config) Validate() error {
 	_, err := c.ResolveLattice()

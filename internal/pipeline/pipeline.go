@@ -8,8 +8,9 @@
 //   - throughput: checking a large corpus (generated sweeps, case-study
 //     matrices, CI gates) as fast as the hardware allows, with bounded
 //     parallelism and per-stage timing so regressions are attributable;
-//   - fuzzing: internal/difftest drives millions of generated programs
-//     through the same stages and cross-checks the oracles' verdicts.
+//   - fuzzing: internal/campaign drives millions of generated programs
+//     through the same stages, and internal/difftest classifies each
+//     result by cross-checking the oracles' verdicts.
 //
 // Jobs are independent, so the pool is a plain fan-out: a channel of job
 // indices feeds N workers, each writing its own slot of the results slice.

@@ -42,8 +42,10 @@
 //	rr, err := s.Replay(ctx)           // corpus as regression suite
 //	tr, err := s.Triage()              // ranked (class, rule, shape) clusters
 //	cr, err := s.Compact(ctx)          // re-minimize, fold equal findings
-//	fr, err := s.DiffFuzz(ctx, 2000)   // one-shot fuzz, no corpus needed
 //	bs, err := s.CheckAll(ctx, jobs)   // batch-analyze caller-supplied jobs
+//
+// Campaign alone also runs without WithCorpus: findings are then kept in
+// memory on the report instead of persisted.
 //
 // # Quick start: selecting the noninterference oracle
 //
@@ -113,7 +115,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/controlplane"
 	"repro/internal/core"
-	"repro/internal/difftest"
 	"repro/internal/eval"
 	"repro/internal/lattice"
 	"repro/internal/mutate"
@@ -249,13 +250,6 @@ type (
 	BatchSummary = pipeline.Summary
 	BatchResult  = pipeline.JobResult
 )
-
-// FuzzReport is Session.DiffFuzz's verdict table (see internal/difftest
-// for the verdict classes).
-type FuzzReport = difftest.Report
-
-// FormatFuzzReport renders the campaign's verdict table.
-func FormatFuzzReport(r *FuzzReport) string { return difftest.FormatReport(r) }
 
 // CampaignReport is Session.Campaign's outcome and CampaignFinding one
 // collected program (see internal/campaign for the corpus layout and

@@ -424,8 +424,10 @@ func opOutcome(err error, summary string) string {
 // indices [0, n) under the session's configuration: lazily
 // generated (and, with WithMutation, corpus-mutated) programs flow
 // through the analysis pipeline; interesting ones are deduplicated,
-// optionally minimized, and persisted to the session corpus. Job-done,
-// finding, and progress events stream to Events while it runs.
+// optionally minimized, and persisted to the session corpus — or, without
+// WithCorpus, kept in memory on the report. Report.OK() is false iff the
+// run found an implementation defect. Job-done, finding, and progress
+// events stream to Events while it runs.
 func (s *Session) Campaign(ctx context.Context, n int) (*CampaignReport, error) {
 	var corp *Corpus
 	if s.corpusDir != "" {
@@ -668,35 +670,6 @@ func (s *Session) CheckStream(ctx context.Context, jobs <-chan BatchJob) <-chan 
 		finish(fmt.Sprintf("streamed %d results", n))
 	}()
 	return out
-}
-
-// DiffFuzz runs a one-shot differential soundness-fuzzing campaign under
-// the session's configuration: n random programs generated and
-// cross-checked against the IFC checker, the baseline checker, and the NI
-// harness. Report.OK() is false iff the campaign found an implementation
-// defect. Job-done and finding events stream to Events (Op "fuzz") —
-// batched at classification time, after the pipeline drains; Campaign is
-// the streaming, corpus-persisting form.
-func (s *Session) DiffFuzz(ctx context.Context, n int) (*FuzzReport, error) {
-	finish := s.startOp("fuzz")
-	rep, err := difftest.Run(ctx, difftest.Config{
-		N:             n,
-		Seed:          s.seed,
-		Gen:           s.gcfg,
-		NITrials:      s.trials,
-		NITrialsMax:   s.trialsMax,
-		Oracle:        s.niOracle,
-		ExhaustBudget: s.exhaustBudget,
-		ExhaustProbes: s.exhaustProbes,
-		Workers:       s.workers,
-		Events:        s.sink(),
-	})
-	summary := ""
-	if rep != nil {
-		summary = fmt.Sprintf("analyzed %d, %d findings", rep.Analyzed, len(rep.Findings))
-	}
-	finish(opOutcome(err, summary))
-	return rep, err
 }
 
 // Minimize delta-debugs src down to a smaller program for which keep

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/pipeline"
 )
@@ -415,9 +414,6 @@ func TestSessionOpFraming(t *testing.T) {
 	if _, err := s.Replay(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.DiffFuzz(context.Background(), 10); err != nil {
-		t.Fatal(err)
-	}
 	s.Close()
 	evs := <-collected
 
@@ -427,7 +423,7 @@ func TestSessionOpFraming(t *testing.T) {
 			frames = append(frames, ev)
 		}
 	}
-	wantOps := []string{"campaign", "campaign", "replay", "replay", "fuzz", "fuzz"}
+	wantOps := []string{"campaign", "campaign", "replay", "replay"}
 	if len(frames) != len(wantOps) {
 		t.Fatalf("got %d framing events, want %d: %+v", len(frames), len(wantOps), frames)
 	}
@@ -492,10 +488,9 @@ func TestSessionDropWarning(t *testing.T) {
 	}
 }
 
-// TestSessionCheckMethodsMatchWrappers: Session.DiffFuzz and
-// Session.CheckAll are thin wrappers over difftest.Run and pipeline.Run —
-// the same configuration through either gives the same results — and
-// CheckStream delivers every result.
+// TestSessionCheckMethodsMatchWrappers: Session.CheckAll is a thin wrapper
+// over pipeline.Run — the same configuration through either gives the same
+// results — and CheckStream delivers every result.
 func TestSessionCheckMethodsMatchWrappers(t *testing.T) {
 	s, err := repro.NewSession(
 		repro.WithGenConfig(smallSessionGen()),
@@ -507,21 +502,6 @@ func TestSessionCheckMethodsMatchWrappers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	// DiffFuzz: same verdict counts as the harness it wraps.
-	sRep, err := s.DiffFuzz(context.Background(), 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dRep, err := difftest.Run(context.Background(), difftest.Config{
-		N: 30, Seed: 11, Gen: smallSessionGen(), NITrials: 2, NITrialsMax: 4, Workers: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sRep.Counts != dRep.Counts {
-		t.Errorf("Session.DiffFuzz counts %v != difftest.Run %v", sRep.Counts, dRep.Counts)
-	}
 
 	// CheckAll: same per-job outcomes as the pipeline it wraps.
 	var jobs []repro.BatchJob
