@@ -13,7 +13,10 @@
 //   - optionally minimizes each finding with internal/shrink before
 //     persisting, so corpus entries are the smallest programs that still
 //     reproduce their verdict class — and families of equivalent findings
-//     collapse onto one entry;
+//     collapse onto one entry; after the stream drains, the run's workers
+//     shrink findings concurrently while the calling goroutine commits
+//     them in global-index order, so the corpus and report do not depend
+//     on the worker count;
 //   - covers exactly one window [Lo, Hi) of global campaign indices, each
 //     index generating its program from Seed+index, so runs over disjoint
 //     windows partition a campaign deterministically: the union of the
@@ -49,6 +52,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ast"
@@ -161,7 +165,8 @@ type Config struct {
 	// NITrialsMax is the adaptive escalation ceiling for IFC-rejected
 	// programs (default 8 × NITrials; set negative to disable adaptation).
 	NITrialsMax int
-	// Workers bounds the pipeline worker pool (<= 0 = GOMAXPROCS).
+	// Workers bounds the pipeline worker pool and, once the stream has
+	// drained, how many findings minimize at once (<= 0 = GOMAXPROCS).
 	Workers int
 	// NIOracle selects the NI backend (see pipeline.Options.Oracle; "" is
 	// the historical adaptive default). "exhaustive" splits the
@@ -216,7 +221,10 @@ type Config struct {
 	// the job that produced them — minimization is deferred so it cannot
 	// park the worker pool). nil discards. Events are emitted
 	// synchronously, so sinks must be fast and non-blocking — the
-	// Session layer's buffered fan-out is the intended consumer.
+	// Session layer's buffered fan-out is the intended consumer. Finding
+	// events, like the rest, come from the goroutine that called Run, in
+	// global-index order, although findings minimize concurrently; sinks
+	// need no locking of their own.
 	Events events.Sink
 	// Metrics, when non-nil, receives the run's telemetry — job, verdict,
 	// finding, dedup, and seed-draw counters, a corpus-size gauge, and
@@ -354,6 +362,9 @@ type engine struct {
 	mDedup     *metrics.Counter
 	mSeedDraws *metrics.Counter
 	mCorpus    *metrics.Gauge
+	// mStream and mFinalize time the run's two phases: the analysis
+	// stream, and everything after it drains (minimize, persist, save).
+	mStream, mFinalize *metrics.Histogram
 
 	// prov records mutant provenance by global index, written by the job
 	// producer and read by the result consumer (concurrent goroutines).
@@ -372,7 +383,8 @@ type provenance struct {
 // Minimization and persistence run after the stream drains: shrinking a
 // finding replays hundreds of candidate programs, and doing that inside
 // the single result consumer would park every pipeline worker on the
-// unbuffered stream channel for the duration.
+// unbuffered stream channel for the duration. Once the stream is done the
+// freed workers shrink pending findings concurrently (see finalize).
 type pendingFinding struct {
 	class   Class
 	verdict difftest.Verdict
@@ -436,6 +448,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	e.mDedup = e.met.Counter("campaign_dedup_hits_total")
 	e.mSeedDraws = e.met.Counter("campaign_seed_pool_draws_total")
 	e.mCorpus = e.met.Gauge("campaign_corpus_size")
+	e.mStream = e.met.Histogram("campaign_phase_seconds", metrics.DurationBuckets, "phase", "stream")
+	e.mFinalize = e.met.Histogram("campaign_phase_seconds", metrics.DurationBuckets, "phase", "finalize")
 	var err error
 	if e.lat, err = e.gcfg.ResolveLattice(); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
@@ -528,12 +542,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		e.consume(&r)
 	}
 	aborted := ctx.Err() != nil
-	// Minimization is skipped on abort — cancellation must not sit in a
-	// delta-debug loop — but collected findings are still persisted so an
-	// interrupted run loses nothing.
-	for _, p := range e.pendingByIndex() {
-		e.finalize(p, cfg.Minimize && !aborted)
-	}
+	streamed := time.Now()
+	e.mStream.ObserveDuration(streamed.Sub(start))
+	// Minimization stops with the context, but collected findings are
+	// still persisted so an interrupted run loses nothing.
+	e.finalize(e.pendingByIndex(), workers)
 	if e.corp != nil {
 		// Novelty deltas persist even on abort, like the findings above: an
 		// interrupted run's mutant outcomes are real coverage evidence. A
@@ -548,7 +561,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 		e.mCorpus.SetInt(int64(e.corp.Len()))
 	}
-	// A final snapshot after the finalize loop, so the run's last
+	e.mFinalize.ObserveDuration(time.Since(streamed))
+	// A final snapshot after the finalize phase, so the run's last
 	// KindMetrics event reflects its findings — the stream's periodic
 	// snapshots predate finalization and cannot.
 	e.emitMetrics()
@@ -746,15 +760,47 @@ func (e *engine) pendingByIndex() []pendingFinding {
 	return all
 }
 
-// finalize shrinks, deduplicates, and persists one collected program.
-func (e *engine) finalize(p pendingFinding, minimize bool) {
-	class, v, idx := p.class, p.verdict, p.idx
+// finalize minimizes the collected findings, taken in index order, on up
+// to workers goroutines, and commits each one from the calling goroutine
+// as soon as it and every finding before it are minimized. Dedup, the
+// corpus, the report, the log and the event stream therefore come out
+// exactly as one goroutine working through ps would leave them, and the
+// first finding commits right after its own shrink. The pool is joined
+// before finalize returns.
+func (e *engine) finalize(ps []pendingFinding, workers int) {
+	minimized := make([]chan Finding, len(ps))
+	for i := range minimized {
+		minimized[i] = make(chan Finding, 1)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(ps)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(ps)); i = next.Add(1) - 1 {
+				minimized[i] <- e.minimize(ps[i])
+			}
+		}()
+	}
+	for i, p := range ps {
+		e.commit(p, <-minimized[i])
+	}
+	wg.Wait()
+}
+
+// minimize builds the finding for one collected program, shrunk when
+// Config.Minimize is set. It reads only the run's fixed configuration, so
+// any number of calls may run at once. Cancellation must not sit in a
+// delta-debug loop: once the context is done no shrink starts and those
+// in flight stop (see keepClass), so the finding keeps the source it has.
+func (e *engine) minimize(p pendingFinding) Finding {
 	f := Finding{
-		Class:         class,
-		Verdict:       v,
-		Index:         idx,
-		GenSeed:       e.cfg.Seed + idx,
-		NISeed:        e.cfg.Seed + idx,
+		Class:         p.class,
+		Verdict:       p.verdict,
+		Index:         p.idx,
+		GenSeed:       e.cfg.Seed + p.idx,
+		NISeed:        e.cfg.Seed + p.idx,
 		Origin:        p.origin,
 		ParentKey:     p.parent,
 		Rule:          p.rule,
@@ -762,15 +808,21 @@ func (e *engine) finalize(p pendingFinding, minimize bool) {
 		Source:        p.source,
 		OriginalBytes: len(p.source),
 	}
-	if minimize {
-		if res, err := shrink.Minimize(p.name, f.Source, e.keepClass(class, v, idx)); err == nil {
-			if len(res.Source) < len(f.Source) {
-				f.Minimized = true
-				e.rep.Minimized++
-				e.rep.BytesSaved += len(f.Source) - len(res.Source)
-			}
+	if e.cfg.Minimize && e.ctx.Err() == nil {
+		if res, err := shrink.Minimize(p.name, f.Source, e.keepClass(p.class, p.verdict, p.idx)); err == nil {
+			f.Minimized = len(res.Source) < len(f.Source)
 			f.Source = res.Source
 		}
+	}
+	return f
+}
+
+// commit deduplicates and persists one minimized finding and reports it.
+func (e *engine) commit(p pendingFinding, f Finding) {
+	class, idx := p.class, p.idx
+	if f.Minimized {
+		e.rep.Minimized++
+		e.rep.BytesSaved += f.OriginalBytes - len(f.Source)
 	}
 	f.Key = corpus.DedupKey(class, f.Source)
 	switch {
@@ -845,10 +897,14 @@ func minimizedTag(f Finding) string {
 }
 
 // keepClass is the shrinker predicate: the candidate must land in the same
-// corpus class as the original finding.
+// corpus class as the original finding. Once the run's context is done it
+// rejects every candidate, so a cancel stops the shrinks in flight.
 func (e *engine) keepClass(class Class, v difftest.Verdict, idx int64) shrink.Keep {
 	if class == ClassParserDisagreement {
 		return func(cand string) bool {
+			if e.ctx.Err() != nil {
+				return false // as pipeline.Run below fails on a done context
+			}
 			prog, err := parser.Parse("cand.p4", cand)
 			if err != nil {
 				return false

@@ -3,14 +3,17 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/difftest"
+	"repro/internal/events"
 	"repro/internal/gen"
 	"repro/internal/lattice"
 	"repro/internal/pipeline"
@@ -327,14 +330,23 @@ func TestCampaignFindsNoDefects(t *testing.T) {
 }
 
 // TestCampaignDeterministicFindings: a sequential run (one worker) and a
-// concurrent one (eight workers finishing jobs in whatever order the
-// scheduler picks) over the same window, with a per-class cap that binds,
-// reach the same verdict counts and process the same findings in the same
-// order — the same Findings key sequence, minimization totals, and corpus
-// files.
+// concurrent one (eight workers finishing jobs, and then minimizing
+// findings, in whatever order the scheduler picks) over the same window,
+// with a per-class cap that binds, reach the same verdict counts and
+// process the same findings in the same order — the same Findings (key,
+// source, minimization, rule, detail), dedup tallies, corpus files, log
+// text, and finding-event sequence.
 func TestCampaignDeterministicFindings(t *testing.T) {
-	run := func(workers int) (*Report, string) {
+	type outcome struct {
+		rep      *Report
+		files    string
+		log      string
+		findings []int64 // KindFinding event indices, in emission order
+	}
+	run := func(workers int) outcome {
 		dir := t.TempDir()
+		var log strings.Builder
+		var o outcome
 		rep, err := Run(context.Background(), Config{
 			Window:      Window{Lo: 0, Hi: 200},
 			Seed:        17,
@@ -345,6 +357,14 @@ func TestCampaignDeterministicFindings(t *testing.T) {
 			CorpusDir:   dir,
 			Minimize:    true,
 			MaxPerClass: 15,
+			Log:         &log,
+			// No lock: events come from the calling goroutine only, which
+			// -race checks.
+			Events: func(ev events.Event) {
+				if ev.Kind == events.KindFinding {
+					o.findings = append(o.findings, ev.Index)
+				}
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -357,7 +377,8 @@ func TestCampaignDeterministicFindings(t *testing.T) {
 		for _, e := range ents {
 			names = append(names, e.Name())
 		}
-		return rep, strings.Join(names, ",")
+		o.rep, o.files, o.log = rep, strings.Join(names, ","), log.String()
+		return o
 	}
 	keysOf := func(r *Report) string {
 		var keys []string
@@ -366,10 +387,13 @@ func TestCampaignDeterministicFindings(t *testing.T) {
 		}
 		return strings.Join(keys, ",")
 	}
-	a, lsA := run(1)
-	b, lsB := run(8)
+	oa, ob := run(1), run(8)
+	a, b := oa.rep, ob.rep
 	if a.CappedFindings == 0 {
 		t.Fatal("the per-class cap never bound; the test premise is broken")
+	}
+	if a.Minimized == 0 {
+		t.Fatal("nothing minimized; the test premise is broken")
 	}
 	if a.Counts != b.Counts {
 		t.Errorf("verdict counts depend on worker count: %v vs %v", a.Counts, b.Counts)
@@ -377,16 +401,105 @@ func TestCampaignDeterministicFindings(t *testing.T) {
 	if keysOf(a) != keysOf(b) {
 		t.Errorf("finding key sequences differ:\n%s\n%s", keysOf(a), keysOf(b))
 	}
-	if a.NewFindings != b.NewFindings || a.Minimized != b.Minimized || a.BytesSaved != b.BytesSaved {
-		t.Errorf("new/minimized/saved %d/%d/%d vs %d/%d/%d",
-			a.NewFindings, a.Minimized, a.BytesSaved, b.NewFindings, b.Minimized, b.BytesSaved)
+	if a.NewFindings != b.NewFindings || a.DupFindings != b.DupFindings || a.KnownFindings != b.KnownFindings ||
+		a.Minimized != b.Minimized || a.BytesSaved != b.BytesSaved {
+		t.Errorf("new/dup/known/minimized/saved %d/%d/%d/%d/%d vs %d/%d/%d/%d/%d",
+			a.NewFindings, a.DupFindings, a.KnownFindings, a.Minimized, a.BytesSaved,
+			b.NewFindings, b.DupFindings, b.KnownFindings, b.Minimized, b.BytesSaved)
 	}
-	if lsA != lsB {
-		t.Errorf("corpus contents differ:\n%s\n%s", lsA, lsB)
+	if len(a.Findings) == len(b.Findings) {
+		for i := range a.Findings {
+			fa, fb := a.Findings[i], b.Findings[i]
+			if fa.Source != fb.Source || fa.Minimized != fb.Minimized || fa.OriginalBytes != fb.OriginalBytes ||
+				fa.Rule != fb.Rule || fa.Detail != fb.Detail {
+				t.Errorf("finding %d (index %d) differs:\n%+v\n%+v", i, fa.Index, fa, fb)
+			}
+		}
+	}
+	if oa.files != ob.files {
+		t.Errorf("corpus contents differ:\n%s\n%s", oa.files, ob.files)
+	}
+	if oa.log != ob.log {
+		t.Errorf("log text differs:\n%s\n%s", oa.log, ob.log)
+	}
+	if fmt.Sprint(oa.findings) != fmt.Sprint(ob.findings) {
+		t.Errorf("finding event sequences differ:\n%v\n%v", oa.findings, ob.findings)
+	}
+	if len(oa.findings) != a.NewFindings {
+		t.Errorf("%d finding events for %d new findings", len(oa.findings), a.NewFindings)
 	}
 	for i := 1; i < len(a.Findings); i++ {
 		if a.Findings[i].Index < a.Findings[i-1].Index {
 			t.Errorf("findings out of index order: %d after %d", a.Findings[i].Index, a.Findings[i-1].Index)
+		}
+	}
+}
+
+// TestCampaignFinalizeCancellation: a cancel that lands while findings are
+// being minimized (here: at the first finding event) stops the shrinks,
+// yet Run still returns with every collected finding committed, and no
+// minimizing goroutine outlives it.
+func TestCampaignFinalizeCancellation(t *testing.T) {
+	cfg := Config{
+		Window:      Window{Lo: 0, Hi: 120},
+		Seed:        17,
+		Gen:         smallGen(),
+		NITrials:    2,
+		NITrialsMax: 64,
+		Workers:     2,
+		Minimize:    true,
+		MaxPerClass: 15,
+	}
+	full, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// After the cancel at most the committed finding and the workers'
+	// in-flight ones can come out minimized.
+	if full.Minimized <= cfg.Workers+1 {
+		t.Fatalf("%d findings minimized; the test needs more than the cancel can leave in flight", full.Minimized)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.Events = func(ev events.Event) {
+		if ev.Kind == events.KindFinding {
+			cancel()
+		}
+	}
+	type result struct {
+		rep *Report
+		err error
+	}
+	ret := make(chan result, 1)
+	go func() {
+		rep, err := Run(ctx, cfg)
+		ret <- result{rep, err}
+	}()
+	var r result
+	select {
+	case r = <-ret:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("Run did not return after a cancel during finalize")
+	}
+	if r.err != nil {
+		t.Fatalf("cancel after the stream drained: %v", r.err)
+	}
+	if r.rep.Analyzed != full.Analyzed {
+		t.Errorf("analyzed %d, uncancelled run %d", r.rep.Analyzed, full.Analyzed)
+	}
+	sum := func(r *Report) int { return r.NewFindings + r.DupFindings + r.KnownFindings }
+	if sum(r.rep) != sum(full) {
+		t.Errorf("new+dup+known = %d, uncancelled run %d: collected findings were lost", sum(r.rep), sum(full))
+	}
+	if r.rep.Minimized >= full.Minimized {
+		t.Errorf("minimized %d after the cancel, uncancelled run %d: shrinking did not stop", r.rep.Minimized, full.Minimized)
+	}
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	for _, frame := range []string{"campaign.(*engine).minimize", "campaign.(*engine).finalize", "repro/internal/shrink."} {
+		if strings.Contains(stacks, frame) {
+			t.Errorf("a goroutine in %s outlived Run:\n%s", frame, stacks)
 		}
 	}
 }

@@ -11,8 +11,9 @@ import (
 
 // TestCampaignMetrics: a campaign with a registry attached (a) counts
 // every analyzed job and every persisted finding, (b) stamps throughput
-// rates onto its progress events, and (c) ships periodic KindMetrics
-// snapshots plus one final snapshot that already reflects the findings.
+// rates onto its progress events, (c) ships periodic KindMetrics
+// snapshots plus one final snapshot that already reflects the findings,
+// and (d) times its stream and finalize phases once each.
 func TestCampaignMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	var mu sync.Mutex
@@ -51,6 +52,24 @@ func TestCampaignMetrics(t *testing.T) {
 	}
 	if int(findings) != rep.NewFindings {
 		t.Errorf("campaign_findings_total sums to %d, report has %d new findings", int(findings), rep.NewFindings)
+	}
+
+	if rep.NewFindings == 0 {
+		t.Fatal("no findings; the finalize phase had nothing to do")
+	}
+	for _, phase := range []string{"stream", "finalize"} {
+		var h *metrics.HistogramSample
+		for i := range snap.Histograms {
+			if hs := &snap.Histograms[i]; hs.Name == "campaign_phase_seconds" && hs.Labels["phase"] == phase {
+				h = hs
+			}
+		}
+		switch {
+		case h == nil:
+			t.Errorf("no campaign_phase_seconds{phase=%q} series", phase)
+		case h.Count != 1 || h.Sum <= 0:
+			t.Errorf("campaign_phase_seconds{phase=%q}: count %d, sum %v; want one positive observation", phase, h.Count, h.Sum)
+		}
 	}
 
 	mu.Lock()

@@ -25,7 +25,8 @@ type WorkerOptions struct {
 	// ("" = host-pid). IDs also name staging corpora, so a restarted
 	// worker reusing its ID reuses its staging dedup state.
 	WorkerID string
-	// Workers bounds the worker's analysis pipeline pool (<= 0 =
+	// Workers bounds the worker's analysis pipeline pool and, after each
+	// window's stream, how many findings minimize at once (<= 0 =
 	// GOMAXPROCS).
 	Workers int
 	// Poll is how long to wait between passes when every remaining window

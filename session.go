@@ -181,7 +181,8 @@ func WithGenConfig(g GenConfig) SessionOption { return func(s *Session) { s.gcfg
 // from seed+i and seeds its NI experiment with seed+i.
 func WithSeed(seed int64) SessionOption { return func(s *Session) { s.seed = seed } }
 
-// WithWorkers bounds the analysis worker pool (<= 0 = GOMAXPROCS).
+// WithWorkers bounds the analysis worker pool and, in a campaign, how many
+// findings minimize at once (<= 0 = GOMAXPROCS).
 func WithWorkers(n int) SessionOption { return func(s *Session) { s.workers = n } }
 
 // WithNIBudget sets the base NI trials per program and the adaptive
