@@ -2,11 +2,13 @@
 //
 // Compile lowers a *ast.Program into pre-bound evaluator closures: every
 // name reference becomes a (region, slot) index into flat value frames,
-// every statement and expression becomes a Go closure over those slots, and
-// every error message is precomputed at compile time. Running a trial on the
-// resulting Machine costs input-state setup plus closure invocation — no AST
-// walking, no map-based environment or store lookups, and no per-node
-// allocation beyond the values the program itself constructs.
+// every field access whose base has a statically known record or header
+// type becomes a field position, every statement and expression becomes a
+// Go closure over those slots, and every error message is precomputed at
+// compile time. Running a trial on the resulting Machine costs input-state
+// setup plus closure invocation — no AST walking, no map-based environment
+// or store lookups, no field-name scans, and no per-node allocation beyond
+// the values the program itself constructs.
 //
 // The compiled form is observationally identical to the tree-walking
 // interpreter in interp.go: same outputs, same signals, and byte-identical
@@ -14,6 +16,16 @@
 // those strings, so equivalence is load-bearing, not cosmetic). Programs the
 // compiler cannot handle make Compile return an error and callers fall back
 // to the interpreter.
+//
+// Field positions rest on one invariant: every record and header value in
+// a slot of declared type T has T's fields in T's order. Every value
+// builder (Zero, RandomFrom, the exhaustive and NI samplers) follows type
+// order, and the base checker's record and header type equality is
+// order-sensitive, so assignments and calls in a base-checked program keep
+// the invariant. Map inputs from outside the program are checked on entry
+// (RunControl); RunIndexed states it as a precondition. An access whose
+// base type is unknown (a call result, say) or whose position falls outside
+// the value's fields scans by name, exactly as the interpreter does.
 //
 // A Compiled program is immutable and safe for concurrent use; each Machine
 // is single-threaded state (frames, fuel, scratch stacks) built on top of
@@ -118,9 +130,13 @@ type cArg struct {
 }
 
 // cAccessor is one step of an l-value path: a field projection or an index
-// expression (evaluated at l-value-evaluation time, as in Appendix F).
+// expression (evaluated at l-value-evaluation time, as in Appendix F). A
+// field projection carries the field's position in its base's static type,
+// or -1 when the compiler does not know that type; the name is kept for
+// the by-name fallback and for error messages.
 type cAccessor struct {
 	field  string
+	pos    int    // field position in the base's static type, -1 if unknown
 	idx    cExpr  // nil for field accessors
 	idxPos string // index node position prefix ("file:l:c: ")
 }
@@ -166,20 +182,27 @@ type compiler struct {
 // cscope is the compile-time scope chain mirroring Env.
 type cscope struct {
 	parent *cscope
-	names  map[string]varRef
+	names  map[string]binding
 }
 
-func (s *cscope) child() *cscope { return &cscope{parent: s, names: map[string]varRef{}} }
+// binding is a name's slot plus its declared type (nil for builtins, match
+// kinds, closures and tables, whose fields are never projected).
+type binding struct {
+	ref varRef
+	t   types.Type
+}
 
-func (s *cscope) bind(name string, r varRef) { s.names[name] = r }
+func (s *cscope) child() *cscope { return &cscope{parent: s, names: map[string]binding{}} }
 
-func (s *cscope) lookup(name string) (varRef, bool) {
+func (s *cscope) bind(name string, r varRef, t types.Type) { s.names[name] = binding{r, t} }
+
+func (s *cscope) lookup(name string) (binding, bool) {
 	for sc := s; sc != nil; sc = sc.parent {
-		if r, ok := sc.names[name]; ok {
-			return r, true
+		if b, ok := sc.names[name]; ok {
+			return b, true
 		}
 	}
-	return varRef{}, false
+	return binding{}, false
 }
 
 func (c *compiler) fail(err error) {
@@ -214,17 +237,17 @@ func Compile(prog *ast.Program) (*Compiled, error) {
 	// Globals: builtins, match kinds, then top-level vars in declaration
 	// order, exactly as New binds them. Inits are evaluated on a bootstrap
 	// machine; store writes during evaluation land in the template.
-	gsc := &cscope{names: map[string]varRef{}}
+	gsc := &cscope{names: map[string]binding{}}
 	var globals []Value
-	bindGlobal := func(name string, v Value) {
-		gsc.bind(name, varRef{rGlobal, len(globals)})
+	bindGlobal := func(name string, v Value, t types.Type) {
+		gsc.bind(name, varRef{rGlobal, len(globals)}, t)
 		globals = append(globals, v)
 	}
 	for _, name := range []string{"mark_to_drop", "NoAction"} {
-		bindGlobal(name, BuiltinVal(name))
+		bindGlobal(name, BuiltinVal(name), nil)
 	}
 	for _, m := range c.res.MatchKinds {
-		bindGlobal(m, MatchKindVal(m))
+		bindGlobal(m, MatchKindVal(m), nil)
 	}
 	boot := &Machine{fuel: DefaultFuel}
 	for _, d := range prog.Decls {
@@ -253,7 +276,7 @@ func Compile(prog *ast.Program) (*Compiled, error) {
 		} else {
 			v = Zero(st.T)
 		}
-		bindGlobal(vd.Name, v)
+		bindGlobal(vd.Name, v, st.T)
 	}
 	out.globals = globals
 
@@ -318,7 +341,7 @@ func (c *compiler) compileControl(ctrl *ast.ControlDecl, gsc *cscope) (*cControl
 		if !c.check() {
 			return nil, c.err
 		}
-		sc.bind(p.Name, varRef{rCtrl, size})
+		sc.bind(p.Name, varRef{rCtrl, size}, st.T)
 		cc.params = append(cc.params, cParam{name: p.Name, st: st, zero: Zero(st.T)})
 		size++
 	}
@@ -331,7 +354,7 @@ func (c *compiler) compileControl(ctrl *ast.ControlDecl, gsc *cscope) (*cControl
 				if !c.check() {
 					return nil, c.err
 				}
-				sc.bind(d.Name, varRef{rReg, len(c.regZero)})
+				sc.bind(d.Name, varRef{rReg, len(c.regZero)}, st.T)
 				c.regZero = append(c.regZero, Zero(st.T))
 				continue
 			}
@@ -364,7 +387,7 @@ func (c *compiler) compileControl(ctrl *ast.ControlDecl, gsc *cscope) (*cControl
 					return nil
 				})
 			}
-			sc.bind(d.Name, varRef{rCtrl, slot})
+			sc.bind(d.Name, varRef{rCtrl, slot}, st.T)
 		case *ast.FuncDecl:
 			fn := c.funcType(d)
 			if !c.check() {
@@ -381,7 +404,7 @@ func (c *compiler) compileControl(ctrl *ast.ControlDecl, gsc *cscope) (*cControl
 				m.ctrl[slot] = clos
 				return nil
 			})
-			sc.bind(d.Name, varRef{rCtrl, slot})
+			sc.bind(d.Name, varRef{rCtrl, slot}, nil)
 			body := d.Body
 			deferred = append(deferred, func() error { return c.compileFuncBody(clos, body, sc) })
 		case *ast.TableDecl:
@@ -392,7 +415,7 @@ func (c *compiler) compileControl(ctrl *ast.ControlDecl, gsc *cscope) (*cControl
 				m.ctrl[slot] = tv
 				return nil
 			})
-			sc.bind(d.Name, varRef{rCtrl, slot})
+			sc.bind(d.Name, varRef{rCtrl, slot}, nil)
 			decl := d
 			deferred = append(deferred, func() error { return c.compileTable(tv, decl, sc) })
 		default:
@@ -444,7 +467,7 @@ func (c *compiler) compileFuncBody(clos *cClos, body *ast.BlockStmt, ctrlScope *
 	sc := ctrlScope.child()
 	size := 0
 	for _, p := range clos.fn.Params {
-		sc.bind(p.Name, varRef{rLocal, size})
+		sc.bind(p.Name, varRef{rLocal, size}, p.Type.T)
 		size++
 	}
 	c.sc = sc
@@ -464,8 +487,8 @@ func (c *compiler) compileTable(tv *cTable, d *ast.TableDecl, ctrlScope *cscope)
 	}
 	mk := func(ref *ast.ActionRef) cActRef {
 		ar := cActRef{name: ref.Name}
-		if r, ok := ctrlScope.lookup(ref.Name); ok {
-			ar.ref, ar.resolved = r, true
+		if b, ok := ctrlScope.lookup(ref.Name); ok {
+			ar.ref, ar.resolved = b.ref, true
 		}
 		for _, a := range ref.Args {
 			ar.args = append(ar.args, c.compileArg(a))
@@ -516,7 +539,7 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 		}
 
 	case *ast.AssignStmt:
-		lv, lvErr := c.compileLValue(s.LHS)
+		lv, _, lvErr := c.compileLValue(s.LHS)
 		rhs := c.compileExpr(s.RHS)
 		if lv == nil {
 			return func(m *Machine) (Signal, error) {
@@ -699,7 +722,7 @@ func (c *compiler) compileDeclStmt(s *ast.DeclStmt, fuel string) cStmt {
 	ref := varRef{c.frameRegion, slot}
 	// Bind after compiling the init so the init sees the outer binding, as
 	// the interpreter's evaluate-then-bind order does.
-	c.sc.bind(d.Name, ref)
+	c.sc.bind(d.Name, ref, st.T)
 	t := st.T
 	if init != nil {
 		return func(m *Machine) (Signal, error) {
@@ -729,45 +752,69 @@ func (c *compiler) compileDeclStmt(s *ast.DeclStmt, fuel string) cStmt {
 // ---------------------------------------------------------------------------
 // L-values
 
-// compileLValue returns the compiled l-value, or nil plus the interpreter's
-// "is not an l-value" message when the expression lacks l-value shape. An
-// out-of-scope base still compiles (the interpreter reports it only at
-// read/write time, after index evaluation).
-func (c *compiler) compileLValue(e ast.Expr) (*cLValue, string) {
+// compileLValue returns the compiled l-value and its static type (nil when
+// unknown), or nil plus the interpreter's "is not an l-value" message when
+// the expression lacks l-value shape. An out-of-scope base still compiles
+// (the interpreter reports it only at read/write time, after index
+// evaluation).
+func (c *compiler) compileLValue(e ast.Expr) (*cLValue, types.Type, string) {
 	switch e := e.(type) {
 	case *ast.Ident:
 		lv := &cLValue{pos: e.P.String() + ": "}
-		if ref, ok := c.sc.lookup(e.Name); ok {
-			lv.ref = ref
+		b, ok := c.sc.lookup(e.Name)
+		if ok {
+			lv.ref = b.ref
 		} else {
 			lv.baseErr = e.P.String() + ": undeclared variable " + strconv.Quote(e.Name)
 		}
-		return lv, ""
+		return lv, b.t, ""
 	case *ast.Member:
-		lv, msg := c.compileLValue(e.X)
+		lv, t, msg := c.compileLValue(e.X)
 		if lv == nil {
-			return nil, msg
+			return nil, nil, msg
 		}
-		lv.path = append(lv.path, cAccessor{field: e.Field})
-		return lv, ""
+		pos, ft := fieldPos(t, e.Field)
+		lv.path = append(lv.path, cAccessor{field: e.Field, pos: pos})
+		return lv, ft, ""
 	case *ast.Index:
-		lv, msg := c.compileLValue(e.X)
+		lv, t, msg := c.compileLValue(e.X)
 		if lv == nil {
-			return nil, msg
+			return nil, nil, msg
 		}
 		idx := c.compileExpr(e.I)
 		lv.path = append(lv.path, cAccessor{idx: idx, idxPos: e.P.String() + ": "})
-		return lv, ""
+		return lv, elemType(t), ""
 	default:
-		return nil, fmt.Sprintf("%s: %s is not an l-value", e.Pos(), e)
+		return nil, nil, fmt.Sprintf("%s: %s is not an l-value", e.Pos(), e)
 	}
+}
+
+// fieldPos resolves a projection of field from a base of static type t
+// (nil when unknown): the field's position and static type when t is a
+// record or header type that has the field, else -1 and nil.
+func fieldPos(t types.Type, field string) (int, types.Type) {
+	for i, f := range types.Fields(t) {
+		if f.Name == field {
+			return i, f.Type.T
+		}
+	}
+	return -1, nil
+}
+
+// elemType is the element type of a stack of static type t, nil when t is
+// unknown or not a stack.
+func elemType(t types.Type) types.Type {
+	if st, ok := t.(*types.Stack); ok {
+		return st.Elem.T
+	}
+	return nil
 }
 
 // compileArg lowers one call argument: the expression always, plus the
 // l-value plan when the argument has that shape.
 func (c *compiler) compileArg(e ast.Expr) *cArg {
 	a := &cArg{expr: c.compileExpr(e)}
-	a.lv, a.lvErr = c.compileLValue(e)
+	a.lv, _, a.lvErr = c.compileLValue(e)
 	return a
 }
 
@@ -797,22 +844,9 @@ func (c *compiler) compileExpr(e ast.Expr) cExpr {
 		}
 		return func(*Machine) (Value, error) { return v, nil }
 
-	case *ast.Ident:
-		if ref, ok := c.sc.lookup(e.Name); ok {
-			slot := ref.slot
-			switch ref.region {
-			case rGlobal:
-				return func(m *Machine) (Value, error) { return m.globals[slot], nil }
-			case rCtrl:
-				return func(m *Machine) (Value, error) { return m.ctrl[slot], nil }
-			case rLocal:
-				return func(m *Machine) (Value, error) { return m.cur[slot], nil }
-			default:
-				return func(m *Machine) (Value, error) { return m.regs[slot], nil }
-			}
-		}
-		msg := e.P.String() + ": undeclared variable " + strconv.Quote(e.Name)
-		return func(*Machine) (Value, error) { return nil, errors.New(msg) }
+	case *ast.Ident, *ast.Member, *ast.Index:
+		x, _ := c.compileAccess(e)
+		return x
 
 	case *ast.Unary:
 		return c.compileUnary(e)
@@ -839,46 +873,6 @@ func (c *compiler) compileExpr(e ast.Expr) cExpr {
 			return &RecordVal{fs}, nil
 		}
 
-	case *ast.Member:
-		x := c.compileExpr(e.X)
-		field := e.Field
-		prefix := e.P.String() + ": "
-		return func(m *Machine) (Value, error) {
-			xv, err := x(m)
-			if err != nil {
-				return nil, err
-			}
-			v, err := project(xv, accessor{field: field})
-			if err != nil {
-				return nil, errors.New(prefix + err.Error())
-			}
-			return v, nil
-		}
-
-	case *ast.Index:
-		x := c.compileExpr(e.X)
-		ix := c.compileExpr(e.I)
-		prefix := e.P.String() + ": "
-		return func(m *Machine) (Value, error) {
-			xv, err := x(m)
-			if err != nil {
-				return nil, err
-			}
-			iv, err := ix(m)
-			if err != nil {
-				return nil, err
-			}
-			idx, err := toIndex(iv)
-			if err != nil {
-				return nil, errors.New(prefix + err.Error())
-			}
-			v, err := project(xv, accessor{index: idx})
-			if err != nil {
-				return nil, errors.New(prefix + err.Error())
-			}
-			return v, nil
-		}
-
 	case *ast.Call:
 		fun := c.compileExpr(e.Fun)
 		args := c.compileArgs(e.Args)
@@ -902,6 +896,77 @@ func (c *compiler) compileExpr(e ast.Expr) cExpr {
 	default:
 		msg := e.Pos().String() + ": unsupported expression"
 		return func(*Machine) (Value, error) { return nil, errors.New(msg) }
+	}
+}
+
+// compileAccess lowers a name, field or index expression and also returns
+// its static type (nil when unknown), so a field projection on top of it
+// compiles to a position. Any other expression compiles through
+// compileExpr, with no type.
+func (c *compiler) compileAccess(e ast.Expr) (cExpr, types.Type) {
+	switch e := e.(type) {
+	case *ast.Ident:
+		b, ok := c.sc.lookup(e.Name)
+		if !ok {
+			msg := e.P.String() + ": undeclared variable " + strconv.Quote(e.Name)
+			return func(*Machine) (Value, error) { return nil, errors.New(msg) }, nil
+		}
+		slot := b.ref.slot
+		var x cExpr
+		switch b.ref.region {
+		case rGlobal:
+			x = func(m *Machine) (Value, error) { return m.globals[slot], nil }
+		case rCtrl:
+			x = func(m *Machine) (Value, error) { return m.ctrl[slot], nil }
+		case rLocal:
+			x = func(m *Machine) (Value, error) { return m.cur[slot], nil }
+		default:
+			x = func(m *Machine) (Value, error) { return m.regs[slot], nil }
+		}
+		return x, b.t
+
+	case *ast.Member:
+		x, xt := c.compileAccess(e.X)
+		field := e.Field
+		pos, t := fieldPos(xt, field)
+		prefix := e.P.String() + ": "
+		return func(m *Machine) (Value, error) {
+			xv, err := x(m)
+			if err != nil {
+				return nil, err
+			}
+			if f := fieldAt(fieldsOf(xv), pos, field); f != nil {
+				return f.Val, nil
+			}
+			return nil, errors.New(prefix + noField(xv, field))
+		}, t
+
+	case *ast.Index:
+		x, xt := c.compileAccess(e.X)
+		ix := c.compileExpr(e.I)
+		prefix := e.P.String() + ": "
+		return func(m *Machine) (Value, error) {
+			xv, err := x(m)
+			if err != nil {
+				return nil, err
+			}
+			iv, err := ix(m)
+			if err != nil {
+				return nil, err
+			}
+			idx, err := toIndex(iv)
+			if err != nil {
+				return nil, errors.New(prefix + err.Error())
+			}
+			v, err := project(xv, accessor{index: idx})
+			if err != nil {
+				return nil, errors.New(prefix + err.Error())
+			}
+			return v, nil
+		}, elemType(xt)
+
+	default:
+		return c.compileExpr(e), nil
 	}
 }
 

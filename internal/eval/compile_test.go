@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -229,4 +230,207 @@ func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestCompiledMatchesInterpFieldPositions pins compiled field positions
+// against the interpreter's lookup by name, case by case: every field
+// access whose base type is known reads and writes by position, the rest
+// scan by name, and both must give byte-identical outputs and errors.
+func TestCompiledMatchesInterpFieldPositions(t *testing.T) {
+	cases := []struct {
+		name    string
+		src     string
+		wantErr string // substring of the error both engines must report
+	}{
+		{
+			name: "nested-non-first-fields",
+			src: `
+header inner_t { <bit<8>, low> p; <bit<8>, low> q; <bit<8>, low> r; }
+struct mid_t { inner_t a; inner_t b; }
+struct headers { mid_t m; <bit<8>, low> z; }
+control C(inout headers hdr) {
+    apply {
+        hdr.m.b.r = hdr.m.b.q + hdr.m.a.r;
+        hdr.m.a.q = hdr.m.b.p;
+        hdr.z = hdr.m.b.r + hdr.m.a.q;
+    }
+}`,
+		},
+		{
+			name: "header-stack-indexed-then-projected",
+			src: `
+header pair_t { <bit<8>, low> a; <bit<8>, low> b; }
+struct headers { pair_t ps[3]; <bit<2>, low> i; <bit<8>, low> z; }
+control C(inout headers hdr) {
+    apply {
+        hdr.ps[1].b = hdr.ps[2].a + hdr.ps[0].b;
+        hdr.ps[hdr.i].a = hdr.ps[1].b;
+        hdr.z = hdr.ps[hdr.i].b + hdr.ps[2].b;
+    }
+}`,
+		},
+		{
+			name: "whole-struct-assignment",
+			src: `
+struct pair_t { <bit<8>, low> a; <bit<8>, low> b; }
+struct meta_t { pair_t p; pair_t q; <bit<8>, low> z; }
+control C(inout meta_t m) {
+    apply {
+        m.q = m.p;
+        m.q.a = m.q.b + 8w1;
+        pair_t t = m.q;
+        t.b = t.a;
+        m.p = t;
+        m.z = m.p.b + m.q.b;
+    }
+}`,
+		},
+		{
+			name: "struct-out-inout-params",
+			src: `
+struct fwd_t { <bit<8>, low> x; <bit<8>, low> y; }
+struct rev_t { <bit<8>, low> y; <bit<8>, low> x; }
+struct meta_t { fwd_t f; rev_t r; }
+control C(inout meta_t m) {
+    action swap(inout fwd_t p, out rev_t q) {
+        q.x = p.y;
+        q.y = p.x + 8w1;
+        p.y = q.y;
+    }
+    apply {
+        swap(m.f, m.r);
+        swap(m.f, m.r);
+    }
+}`,
+		},
+		{
+			name: "local-shadows-param-with-other-type",
+			src: `
+struct fwd_t { <bit<8>, low> x; <bit<8>, low> y; }
+struct rev_t { <bit<8>, low> y; <bit<8>, low> x; }
+control C(inout fwd_t m, inout fwd_t o) {
+    function <bit<8>, low> get(in rev_t m) {
+        return m.x + m.y;
+    }
+    apply {
+        o.y = m.y;
+        {
+            rev_t m = {y = o.x, x = 8w7};
+            o.x = m.x;
+            o.y = o.y + m.y;
+            m.x = get(m);
+            o.x = o.x + m.x;
+        }
+        o.x = o.x + m.x;
+    }
+}`,
+		},
+		{
+			name: "member-of-call-result",
+			src: `
+struct pair_t { <bit<8>, low> a; <bit<8>, low> b; }
+control C(inout pair_t m) {
+    function pair_t mk(in <bit<8>, low> v) {
+        return {a = v, b = v + 8w1};
+    }
+    apply {
+        m.a = mk(m.b).b;
+        m.b = mk(m.a).a + mk(8w3).b;
+    }
+}`,
+		},
+		{
+			name: "missing-field-read",
+			src: `
+struct pair_t { <bit<8>, low> a; <bit<8>, low> b; }
+control C(inout pair_t m) {
+    apply {
+        m.a = m.b;
+        m.b = m.c;
+    }
+}`,
+			wantErr: `has no field "c"`,
+		},
+		{
+			name: "missing-field-write",
+			src: `
+header h_t { <bit<8>, low> a; <bit<8>, low> b; }
+struct headers { h_t h; }
+control C(inout headers hdr) {
+    apply {
+        hdr.h.b = hdr.h.a;
+        hdr.h.c = 8w1;
+    }
+}`,
+			wantErr: `has no field "c"`,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			prog, err := parser.Parse(c.name+".p4", c.src)
+			if err != nil {
+				t.Fatalf("parse: %v", err)
+			}
+			code, err := eval.Compile(prog)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			if err := diffProgram(prog, code, 8, 2, 0xF1E1D); err != nil {
+				t.Fatal(err)
+			}
+			in, err := eval.New(prog, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = in.RunControl("", nil)
+			if got := errString(err); c.wantErr == "" && err != nil || !strings.Contains(got, c.wantErr) {
+				t.Fatalf("interpreter error %q, want %q", got, c.wantErr)
+			}
+		})
+	}
+}
+
+// TestRunControlRejectsReorderedInput: compiled field accesses index by
+// position, so an input record or header whose fields are out of declared
+// order must be refused on entry, naming the parameter, instead of being
+// read at the wrong field.
+func TestRunControlRejectsReorderedInput(t *testing.T) {
+	prog, err := parser.Parse("reorder.p4", `
+header h_t { <bit<8>, low> a; <bit<8>, low> b; }
+struct headers { h_t h; <bit<8>, low> z; }
+control C(inout headers hdr, inout <bit<8>, low> n) {
+    apply {
+        hdr.z = hdr.h.b;
+        n = hdr.h.a;
+    }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := eval.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := eval.NewMachine(code, nil)
+	hdr := func(first, second string) eval.Value {
+		return &eval.RecordVal{Fields: []eval.NamedValue{
+			{Name: "h", Val: &eval.HeaderVal{Valid: true, Fields: []eval.NamedValue{
+				{Name: first, Val: eval.NewBit(8, 1)},
+				{Name: second, Val: eval.NewBit(8, 2)},
+			}}},
+			{Name: "z", Val: eval.NewBit(8, 0)},
+		}}
+	}
+	out, _, err := m.RunControl("", map[string]eval.Value{"hdr": hdr("a", "b")})
+	if err != nil {
+		t.Fatalf("declared order: %v", err)
+	}
+	if got := out["n"]; !eval.ValueEqual(got, eval.NewBit(8, 1)) {
+		t.Errorf("n = %s, want 8w1", got)
+	}
+	_, _, err = m.RunControl("", map[string]eval.Value{"hdr": hdr("b", "a")})
+	want := `eval: input hdr.h: field 0 is "b", declared "a"`
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("reordered input: error %v, want prefix %q", err, want)
+	}
 }

@@ -122,7 +122,10 @@ func (m *Machine) set(r varRef, v Value) {
 
 // RunControl executes the named control block ("" = the first control),
 // mirroring Interp.RunControl: missing inputs get zero values, outputs are
-// deep copies of the final parameter values.
+// deep copies of the final parameter values. Inputs come from outside the
+// compiled program, so every record and header in them is checked against
+// its parameter's declared field order first; a reordered input is an
+// error naming the parameter, never a read of the wrong field.
 func (m *Machine) RunControl(name string, inputs map[string]Value) (map[string]Value, Signal, error) {
 	idx := m.code.ControlIndex(name)
 	if idx < 0 {
@@ -132,6 +135,9 @@ func (m *Machine) RunControl(name string, inputs map[string]Value) (map[string]V
 	frame := m.controlFrame(c)
 	for i, p := range c.params {
 		if given, ok := inputs[p.name]; ok {
+			if msg := FieldOrderMismatch(given, p.st.T); msg != "" {
+				return nil, Signal{}, fmt.Errorf("eval: input %s%s; record and header inputs must keep their declared field order", p.name, msg)
+			}
 			frame[i] = Copy(given)
 		} else {
 			frame[i] = Zero(p.st.T)
@@ -156,8 +162,13 @@ func (m *Machine) RunControl(name string, inputs map[string]Value) (map[string]V
 // container once the run returns. So a caller may reuse an argument tree
 // for the next run once it has restored every slot of every container in
 // it (and header validity); scalar leaves are immutable and may be shared
-// freely. The returned slice aliases the control frame — it is valid only
-// until the machine's next run. This is the NI hot path.
+// freely. Every record and header in the arguments must have exactly its
+// declared fields in declared order (FieldOrderMismatch is ""), as values
+// built from the type — Zero, RandomFrom, the NI and exhaustive samplers —
+// do: compiled field accesses index by position, and unlike RunControl
+// this path does not check. The returned slice aliases the control frame
+// — it is valid only until the machine's next run. This is the NI hot
+// path.
 func (m *Machine) RunIndexed(idx int, args []Value) ([]Value, Signal, error) {
 	c := m.code.controls[idx]
 	if len(args) != len(c.params) {
@@ -479,18 +490,50 @@ func (lv *cLValue) read(m *Machine, idxBase int) (Value, error) {
 	k := idxBase
 	for i := range lv.path {
 		acc := &lv.path[i]
-		var err error
 		if acc.idx == nil {
-			v, err = project(v, accessor{field: acc.field})
-		} else {
-			v, err = project(v, accessor{index: m.idxs[k]})
-			k++
+			f := fieldAt(fieldsOf(v), acc.pos, acc.field)
+			if f == nil {
+				return nil, errors.New(lv.pos + noField(v, acc.field))
+			}
+			v = f.Val
+			continue
 		}
+		var err error
+		v, err = project(v, accessor{index: m.idxs[k]})
+		k++
 		if err != nil {
 			return nil, errors.New(lv.pos + err.Error())
 		}
 	}
 	return Copy(v), nil
+}
+
+// fieldsOf returns the field slots of a record or header value, nil for
+// any other value.
+func fieldsOf(v Value) []NamedValue {
+	switch v := v.(type) {
+	case *RecordVal:
+		return v.Fields
+	case *HeaderVal:
+		return v.Fields
+	}
+	return nil
+}
+
+// fieldAt returns the slot of the named field in fs: the one at its
+// compiled position when that is known (≥ 0) and in range, otherwise the
+// first by name, as the interpreter finds it. nil means fs has no such
+// field.
+func fieldAt(fs []NamedValue, pos int, name string) *NamedValue {
+	if pos >= 0 && pos < len(fs) {
+		return &fs[pos]
+	}
+	return fieldSlot(fs, name)
+}
+
+// noField is project's missing-field message.
+func noField(v Value, field string) string {
+	return fmt.Sprintf("value %s has no field %q", v, field)
 }
 
 // write mirrors writeLValue's observable behavior. Globals update
@@ -518,15 +561,9 @@ func (lv *cLValue) write(m *Machine, idxBase int, nv Value) error {
 		acc := &lv.path[pi]
 		last := pi == len(lv.path)-1
 		if acc.idx == nil {
-			var slot *NamedValue
-			switch vv := v.(type) {
-			case *RecordVal:
-				slot = fieldSlot(vv.Fields, acc.field)
-			case *HeaderVal:
-				slot = fieldSlot(vv.Fields, acc.field)
-			}
+			slot := fieldAt(fieldsOf(v), acc.pos, acc.field)
 			if slot == nil {
-				return errors.New(lv.pos + fmt.Sprintf("value %s has no field %q", v, acc.field))
+				return errors.New(lv.pos + noField(v, acc.field))
 			}
 			if last {
 				slot.Val = storeValue(slot.Val, nv)
@@ -600,9 +637,9 @@ func (lv *cLValue) update(m *Machine, v Value, pi, k int, nv Value) (Value, erro
 		case *RecordVal:
 			fs := make([]NamedValue, len(v.Fields))
 			copy(fs, v.Fields)
-			slot := fieldSlot(fs, acc.field)
+			slot := fieldAt(fs, acc.pos, acc.field)
 			if slot == nil {
-				return nil, fmt.Errorf("value %s has no field %q", v, acc.field)
+				return nil, errors.New(noField(v, acc.field))
 			}
 			inner, err := lv.update(m, slot.Val, pi+1, k, nv)
 			if err != nil {
@@ -613,9 +650,9 @@ func (lv *cLValue) update(m *Machine, v Value, pi, k int, nv Value) (Value, erro
 		case *HeaderVal:
 			fs := make([]NamedValue, len(v.Fields))
 			copy(fs, v.Fields)
-			slot := fieldSlot(fs, acc.field)
+			slot := fieldAt(fs, acc.pos, acc.field)
 			if slot == nil {
-				return nil, fmt.Errorf("value %s has no field %q", v, acc.field)
+				return nil, errors.New(noField(v, acc.field))
 			}
 			inner, err := lv.update(m, slot.Val, pi+1, k, nv)
 			if err != nil {
@@ -624,7 +661,7 @@ func (lv *cLValue) update(m *Machine, v Value, pi, k int, nv Value) (Value, erro
 			slot.Val = inner
 			return &HeaderVal{v.Valid, fs}, nil
 		default:
-			return nil, fmt.Errorf("value %s has no field %q", v, acc.field)
+			return nil, errors.New(noField(v, acc.field))
 		}
 	}
 	st, ok := v.(*StackVal)

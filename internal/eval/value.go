@@ -207,6 +207,51 @@ func fieldSlot(fs []NamedValue, name string) *NamedValue {
 	return nil
 }
 
+// FieldOrderMismatch walks v along its declared type t and describes the
+// first record or header whose field names are not exactly t's, in t's
+// order — `.eth: field 0 is "src", declared "dst"`, say. "" means every
+// compiled field position reads the field it names, which is what the
+// compiled machine relies on. Values at a type without fields, and
+// values of another kind than t, are not mismatches: positional access
+// never applies to them.
+func FieldOrderMismatch(v Value, t types.Type) string {
+	if st, ok := t.(*types.Stack); ok {
+		if sv, ok := v.(*StackVal); ok {
+			for i, e := range sv.Elems {
+				if msg := FieldOrderMismatch(e, st.Elem.T); msg != "" {
+					return fmt.Sprintf("[%d]%s", i, msg)
+				}
+			}
+		}
+		return ""
+	}
+	decl := types.Fields(t)
+	if len(decl) == 0 {
+		return ""
+	}
+	var fs []NamedValue
+	switch v := v.(type) {
+	case *RecordVal:
+		fs = v.Fields
+	case *HeaderVal:
+		fs = v.Fields
+	default:
+		return ""
+	}
+	if len(fs) != len(decl) {
+		return fmt.Sprintf(": %d fields, declared %d", len(fs), len(decl))
+	}
+	for i, f := range fs {
+		if f.Name != decl[i].Name {
+			return fmt.Sprintf(": field %d is %q, declared %q", i, f.Name, decl[i].Name)
+		}
+		if msg := FieldOrderMismatch(f.Val, decl[i].Type.T); msg != "" {
+			return "." + f.Name + msg
+		}
+	}
+	return ""
+}
+
 // Copy returns a deep copy of v; closures and tables are shared (they are
 // immutable, per the semantics' closure-preservation lemmas).
 func Copy(v Value) Value {

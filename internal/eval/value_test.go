@@ -123,6 +123,9 @@ func checkShape(t *testing.T, v Value, typ types.Type) {
 			t.Fatalf("value of %s is %v", typ, v)
 		}
 		for i, f := range typ.Fields {
+			if r.Fields[i].Name != f.Name {
+				t.Errorf("field %d name %s, want %s", i, r.Fields[i].Name, f.Name)
+			}
 			checkShape(t, r.Fields[i].Val, f.Type.T)
 		}
 	case *types.Stack:
@@ -132,6 +135,38 @@ func checkShape(t *testing.T, v Value, typ types.Type) {
 		}
 		for _, e := range s.Elems {
 			checkShape(t, e, typ.Elem.T)
+		}
+	}
+}
+
+func TestFieldOrderMismatch(t *testing.T) {
+	lo := low(t)
+	bit8 := types.SecType{T: types.Bit{W: 8}, L: lo}
+	hdr := &types.Header{Fields: []types.Field{{Name: "a", Type: bit8}, {Name: "b", Type: bit8}}}
+	typ := &types.Record{Fields: []types.Field{
+		{Name: "hs", Type: types.SecType{T: &types.Stack{Elem: types.SecType{T: hdr}, Size: 2}}},
+		{Name: "z", Type: bit8},
+	}}
+	mk := func(elem1 []NamedValue) Value {
+		ok := []NamedValue{{"a", NewBit(8, 0)}, {"b", NewBit(8, 0)}}
+		return &RecordVal{[]NamedValue{
+			{"hs", &StackVal{[]Value{&HeaderVal{true, ok}, &HeaderVal{true, elem1}}}},
+			{"z", NewBit(8, 0)},
+		}}
+	}
+	cases := []struct {
+		v    Value
+		want string
+	}{
+		{Zero(typ), ""},
+		{mk([]NamedValue{{"b", NewBit(8, 0)}, {"a", NewBit(8, 0)}}), `.hs[1]: field 0 is "b", declared "a"`},
+		{mk([]NamedValue{{"a", NewBit(8, 0)}}), `.hs[1]: 1 fields, declared 2`},
+		{&RecordVal{[]NamedValue{{"z", NewBit(8, 0)}, {"hs", Zero(typ.Fields[0].Type.T)}}}, `: field 0 is "z", declared "hs"`},
+		{NewBit(8, 0), ""}, // another kind: positions never apply
+	}
+	for _, c := range cases {
+		if got := FieldOrderMismatch(c.v, typ); got != c.want {
+			t.Errorf("FieldOrderMismatch(%s) = %q, want %q", c.v, got, c.want)
 		}
 	}
 }

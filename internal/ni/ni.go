@@ -49,7 +49,11 @@ type Experiment struct {
 	// trial's first run before the second run's inputs are derived — e.g.
 	// to steer execution into the interesting branch of a case study
 	// (observable fields stay equal across the two runs; unobservable
-	// fields are still freshly randomized for the second run).
+	// fields are still freshly randomized for the second run). It may
+	// replace leaf values and edit containers in place, but every record
+	// and header must keep exactly its declared fields in declared order:
+	// the compiled engine reads fields by position and refuses a
+	// reordered input with an error naming the parameter.
 	FixInputs func(map[string]eval.Value)
 	// Packets is the number of packets per trial (default 1). With
 	// Packets > 1 each run pushes the whole sequence through ONE
@@ -518,9 +522,12 @@ func (e *Experiment) paramTypes(ctrl *ast.ControlDecl) (map[string]types.SecType
 // consumption as eval.RandomFrom), vary is randomizeAbove (same draws),
 // and diff is diffObservable with lazily built witness paths. Only the
 // indexed fast path and, through ObservableDiff, the exhaustive oracle use
-// samplers — their inputs are always built from the type itself, so
-// positional field access is safe; the map path keeps the generic walks
-// since FixInputs may reshape values arbitrarily.
+// samplers — their inputs are always built from the type itself, in the
+// type's field order, which is also what the compiled machine's
+// positional field accesses require. The map path keeps the generic
+// walks: FixInputs may edit the values it is handed (but not reorder
+// their fields; Machine.RunControl checks), and the walks tolerate
+// whatever kinds it leaves.
 type sampler struct {
 	draw func(rng eval.Rng) eval.Value
 	vary func(v eval.Value, rng eval.Rng) eval.Value

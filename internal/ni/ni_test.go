@@ -1,6 +1,7 @@
 package ni_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/controlplane"
@@ -326,5 +327,66 @@ func TestObservableOutputsMatchDocs(t *testing.T) {
 	}
 	if got := getField(out["hdr"], "nc", "reply"); !eval.ValueEqual(got, eval.NewBit(8, 0)) {
 		t.Errorf("reply = %s, want 0 for head role", got)
+	}
+}
+
+// TestFixInputsFieldOrder: FixInputs may edit the drawn inputs in place,
+// as the isolation and stateful case studies do, and those edits still
+// run on the compiled engine; an edit that reorders a header's fields is
+// refused with an error naming the parameter, because compiled field
+// accesses read by position.
+func TestFixInputsFieldOrder(t *testing.T) {
+	lattice, _ := progs.ByName("Lattice")
+	lat := lattice.Lattice()
+	obsB, _ := lat.Lookup("B")
+	stateful, _ := progs.ByName("Stateful")
+	isolation := func(in map[string]eval.Value) { // examples/isolation
+		for _, f := range in["hdr"].(*eval.RecordVal).Fields {
+			if f.Name == "telem" {
+				f.Val.(*eval.HeaderVal).Fields[0].Val = eval.NewBit(32, 21)
+			}
+		}
+	}
+	cases := []struct {
+		name string
+		e    *ni.Experiment
+	}{
+		{"isolation", &ni.Experiment{
+			Prog: parser.MustParse("lattice.p4", lattice.Source(progs.Buggy)), Lat: lat,
+			Control: "Alice_Ingress", Observer: obsB, CP: caseStudyCP(t, "Lattice"), FixInputs: isolation,
+		}},
+		{"stateful", &ni.Experiment{
+			Prog: parser.MustParse("stateful.p4", stateful.Source(progs.Buggy)), Lat: stateful.Lattice(), Packets: 4,
+			FixInputs: func(in map[string]eval.Value) { // examples/stateful
+				setField(in["hdr"], []string{"pkt", "secret_id"}, eval.NewBit(8, 5))
+				setField(in["hdr"], []string{"pkt", "public_id"}, eval.NewBit(8, 5))
+			},
+		}},
+	}
+	for _, c := range cases {
+		if c.e.Engine() == nil {
+			t.Fatalf("%s: program did not compile", c.name)
+		}
+		vs, err := c.e.Run(60, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(vs) == 0 {
+			t.Errorf("%s: buggy program gave no witness", c.name)
+		}
+	}
+
+	reorder := cases[0].e
+	reorder.FixInputs = func(in map[string]eval.Value) {
+		isolation(in)
+		for _, f := range in["hdr"].(*eval.RecordVal).Fields {
+			if h, ok := f.Val.(*eval.HeaderVal); ok && len(h.Fields) > 1 {
+				h.Fields[0], h.Fields[1] = h.Fields[1], h.Fields[0]
+			}
+		}
+	}
+	_, err := reorder.Run(1, 2)
+	if err == nil || !strings.Contains(err.Error(), "eval: input hdr.") || !strings.Contains(err.Error(), "declared") {
+		t.Fatalf("reordering FixInputs: error %v, want one naming input hdr", err)
 	}
 }

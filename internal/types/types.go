@@ -182,21 +182,24 @@ func (f *Func) String() string {
 // Field returns the field with the given name of a record or header type,
 // or false if t has no such field.
 func FieldOf(t Type, name string) (Field, bool) {
-	var fs []Field
-	switch t := t.(type) {
-	case *Record:
-		fs = t.Fields
-	case *Header:
-		fs = t.Fields
-	default:
-		return Field{}, false
-	}
-	for _, f := range fs {
+	for _, f := range Fields(t) {
 		if f.Name == name {
 			return f, true
 		}
 	}
 	return Field{}, false
+}
+
+// Fields returns the fields of a record or header type, in declaration
+// order, and nil for any other type.
+func Fields(t Type) []Field {
+	switch t := t.(type) {
+	case *Record:
+		return t.Fields
+	case *Header:
+		return t.Fields
+	}
+	return nil
 }
 
 // Equal reports structural equality of types, including security labels of
