@@ -3,9 +3,10 @@
 // Compile lowers a *ast.Program into pre-bound evaluator closures: every
 // name reference becomes a (region, slot) index into flat value frames,
 // every field access whose base has a statically known record or header
-// type becomes a field position, every statement and expression becomes a
-// Go closure over those slots, and every error message is precomputed at
-// compile time. Running a trial on the resulting Machine costs input-state
+// type becomes a field position, and every statement and expression
+// becomes a Go closure over those slots. Error messages keep the source
+// position captured at compile time and are formatted only when the error
+// happens. Running a trial on the resulting Machine costs input-state
 // setup plus closure invocation — no AST walking, no map-based environment
 // or store lookups, no field-name scans, and no per-node allocation beyond
 // the values the program itself constructs.
@@ -121,12 +122,13 @@ func (v *cTable) String() string { return "table(" + v.name + ")" }
 
 // cArg is a compiled call argument: the expression (for in-parameters) and,
 // when the expression has l-value shape, the compiled l-value (for out and
-// inout parameters). lvErr carries the interpreter's "is not an l-value"
-// message for arguments that need one but lack the shape.
+// inout parameters). notLV is the subexpression that lacks l-value shape
+// when the argument has none, for the interpreter's "is not an l-value"
+// error should a parameter need one.
 type cArg struct {
 	expr  cExpr
 	lv    *cLValue
-	lvErr string
+	notLV ast.Expr
 }
 
 // cAccessor is one step of an l-value path: a field projection or an index
@@ -136,9 +138,9 @@ type cArg struct {
 // the by-name fallback and for error messages.
 type cAccessor struct {
 	field  string
-	pos    int    // field position in the base's static type, -1 if unknown
-	idx    cExpr  // nil for field accessors
-	idxPos string // index node position prefix ("file:l:c: ")
+	pos    int       // field position in the base's static type, -1 if unknown
+	idx    cExpr     // nil for field accessors
+	idxPos token.Pos // index node position, for error messages
 }
 
 // cLValue is a compiled l-value: resolved base plus accessor path. baseErr
@@ -148,7 +150,7 @@ type cAccessor struct {
 type cLValue struct {
 	baseErr string
 	ref     varRef
-	pos     string // base identifier position prefix ("file:l:c: ")
+	pos     token.Pos // base identifier position, for error messages
 	path    []cAccessor
 }
 
@@ -521,39 +523,44 @@ func (c *compiler) compileBlock(b *ast.BlockStmt) []cStmt {
 	return out
 }
 
-// fuelOrErr is the statement preamble every compiled statement starts with,
-// mirroring evalStmt's per-statement fuel decrement.
-func fuelMsg(s ast.Stmt) string { return s.Pos().String() + ": evaluation fuel exhausted" }
+// at formats a source position as an error-message prefix ("file:l:c: ").
+// Compiled code captures positions and formats them only when an error
+// actually happens.
+func at(p token.Pos) string { return p.String() + ": " }
+
+// outOfFuel is the error every compiled statement's preamble returns when
+// the per-statement fuel decrement, mirroring evalStmt's, runs out.
+func outOfFuel(p token.Pos) error { return errors.New(at(p) + "evaluation fuel exhausted") }
 
 func (c *compiler) compileStmt(s ast.Stmt) cStmt {
-	fuel := fuelMsg(s)
+	fuel := s.Pos()
 	switch s := s.(type) {
 	case *ast.BlockStmt:
 		body := c.compileBlock(s)
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(fuel)
 			}
 			return runBody(m, body)
 		}
 
 	case *ast.AssignStmt:
-		lv, _, lvErr := c.compileLValue(s.LHS)
+		lv, _, notLV := c.compileLValue(s.LHS)
 		rhs := c.compileExpr(s.RHS)
 		if lv == nil {
 			return func(m *Machine) (Signal, error) {
 				m.fuel--
 				if m.fuel <= 0 {
-					return Signal{}, errors.New(fuel)
+					return Signal{}, outOfFuel(fuel)
 				}
-				return Signal{}, errors.New(lvErr)
+				return Signal{}, notLValue(notLV)
 			}
 		}
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(fuel)
 			}
 			ib, err := lv.evalIdx(m)
 			if err != nil {
@@ -580,11 +587,11 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 			els = c.compileStmt(s.Else)
 			c.sc = saved
 		}
-		prefix := s.P.String() + ": "
+		pos := s.P
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(fuel)
 			}
 			cv, err := cond(m)
 			if err != nil {
@@ -592,7 +599,7 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 			}
 			b, ok := cv.(BoolVal)
 			if !ok {
-				return Signal{}, fmt.Errorf("%sif condition evaluated to %s, not bool", prefix, cv)
+				return Signal{}, fmt.Errorf("%sif condition evaluated to %s, not bool", at(pos), cv)
 			}
 			if bool(b) {
 				return runBody(m, then)
@@ -607,7 +614,7 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(fuel)
 			}
 			return Signal{Kind: SigExit}, nil
 		}
@@ -617,7 +624,7 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 			return func(m *Machine) (Signal, error) {
 				m.fuel--
 				if m.fuel <= 0 {
-					return Signal{}, errors.New(fuel)
+					return Signal{}, outOfFuel(fuel)
 				}
 				return Signal{Kind: SigReturn, Val: UnitVal{}}, nil
 			}
@@ -626,7 +633,7 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(fuel)
 			}
 			v, err := x(m)
 			if err != nil {
@@ -642,24 +649,24 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 			return func(m *Machine) (Signal, error) {
 				m.fuel--
 				if m.fuel <= 0 {
-					return Signal{}, errors.New(fuel)
+					return Signal{}, outOfFuel(fuel)
 				}
 				return Signal{}, errors.New(msg)
 			}
 		}
 		fun := c.compileExpr(call.Fun)
 		args := c.compileArgs(call.Args)
-		posStr := call.P.String()
+		pos := call.P
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(fuel)
 			}
 			fv, err := fun(m)
 			if err != nil {
 				return Signal{}, err
 			}
-			_, sig, err := m.invoke(posStr, fv, args, nil)
+			_, sig, err := m.invoke(pos, fv, args, nil)
 			if err != nil {
 				return Signal{}, err
 			}
@@ -671,11 +678,11 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 
 	case *ast.ApplyStmt:
 		tbl := c.compileExpr(s.Table)
-		posStr := s.P.String()
+		pos := s.P
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(fuel)
 			}
 			tv0, err := tbl(m)
 			if err != nil {
@@ -683,9 +690,9 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 			}
 			tv, ok := tv0.(*cTable)
 			if !ok {
-				return Signal{}, fmt.Errorf("%s: %s is not a table", posStr, tv0)
+				return Signal{}, fmt.Errorf("%s: %s is not a table", pos, tv0)
 			}
-			return m.applyTable(posStr, tv)
+			return m.applyTable(pos, tv)
 		}
 
 	case *ast.DeclStmt:
@@ -696,7 +703,7 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(fuel)
 			}
 			return Signal{}, errors.New(msg)
 		}
@@ -707,7 +714,7 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 // the progressive scope, then bind a fresh slot in the enclosing frame. The
 // Register and Const flags are ignored in statement position, exactly as
 // evalVarDecl ignores them.
-func (c *compiler) compileDeclStmt(s *ast.DeclStmt, fuel string) cStmt {
+func (c *compiler) compileDeclStmt(s *ast.DeclStmt, fuel token.Pos) cStmt {
 	d := s.Decl
 	st := c.res.SecType(d.Type)
 	if !c.check() {
@@ -728,7 +735,7 @@ func (c *compiler) compileDeclStmt(s *ast.DeclStmt, fuel string) cStmt {
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(fuel)
 			}
 			iv, err := init(m)
 			if err != nil {
@@ -742,7 +749,7 @@ func (c *compiler) compileDeclStmt(s *ast.DeclStmt, fuel string) cStmt {
 	return func(m *Machine) (Signal, error) {
 		m.fuel--
 		if m.fuel <= 0 {
-			return Signal{}, errors.New(fuel)
+			return Signal{}, outOfFuel(fuel)
 		}
 		m.set(ref, Copy(zero))
 		return Signal{Kind: SigCont}, nil
@@ -753,41 +760,45 @@ func (c *compiler) compileDeclStmt(s *ast.DeclStmt, fuel string) cStmt {
 // L-values
 
 // compileLValue returns the compiled l-value and its static type (nil when
-// unknown), or nil plus the interpreter's "is not an l-value" message when
-// the expression lacks l-value shape. An out-of-scope base still compiles
-// (the interpreter reports it only at read/write time, after index
+// unknown), or nil plus the subexpression that lacks l-value shape, which
+// notLValue turns into the interpreter's error. An out-of-scope base still
+// compiles (the interpreter reports it only at read/write time, after index
 // evaluation).
-func (c *compiler) compileLValue(e ast.Expr) (*cLValue, types.Type, string) {
+func (c *compiler) compileLValue(e ast.Expr) (*cLValue, types.Type, ast.Expr) {
 	switch e := e.(type) {
 	case *ast.Ident:
-		lv := &cLValue{pos: e.P.String() + ": "}
+		lv := &cLValue{pos: e.P}
 		b, ok := c.sc.lookup(e.Name)
 		if ok {
 			lv.ref = b.ref
 		} else {
 			lv.baseErr = e.P.String() + ": undeclared variable " + strconv.Quote(e.Name)
 		}
-		return lv, b.t, ""
+		return lv, b.t, nil
 	case *ast.Member:
-		lv, t, msg := c.compileLValue(e.X)
+		lv, t, bad := c.compileLValue(e.X)
 		if lv == nil {
-			return nil, nil, msg
+			return nil, nil, bad
 		}
 		pos, ft := fieldPos(t, e.Field)
 		lv.path = append(lv.path, cAccessor{field: e.Field, pos: pos})
-		return lv, ft, ""
+		return lv, ft, nil
 	case *ast.Index:
-		lv, t, msg := c.compileLValue(e.X)
+		lv, t, bad := c.compileLValue(e.X)
 		if lv == nil {
-			return nil, nil, msg
+			return nil, nil, bad
 		}
 		idx := c.compileExpr(e.I)
-		lv.path = append(lv.path, cAccessor{idx: idx, idxPos: e.P.String() + ": "})
-		return lv, elemType(t), ""
+		lv.path = append(lv.path, cAccessor{idx: idx, idxPos: e.P})
+		return lv, elemType(t), nil
 	default:
-		return nil, nil, fmt.Sprintf("%s: %s is not an l-value", e.Pos(), e)
+		return nil, nil, e
 	}
 }
+
+// notLValue is the interpreter's error for an expression without l-value
+// shape where one is needed.
+func notLValue(e ast.Expr) error { return fmt.Errorf("%s: %s is not an l-value", e.Pos(), e) }
 
 // fieldPos resolves a projection of field from a base of static type t
 // (nil when unknown): the field's position and static type when t is a
@@ -814,7 +825,7 @@ func elemType(t types.Type) types.Type {
 // l-value plan when the argument has that shape.
 func (c *compiler) compileArg(e ast.Expr) *cArg {
 	a := &cArg{expr: c.compileExpr(e)}
-	a.lv, _, a.lvErr = c.compileLValue(e)
+	a.lv, _, a.notLV = c.compileLValue(e)
 	return a
 }
 
@@ -876,19 +887,18 @@ func (c *compiler) compileExpr(e ast.Expr) cExpr {
 	case *ast.Call:
 		fun := c.compileExpr(e.Fun)
 		args := c.compileArgs(e.Args)
-		posStr := e.P.String()
-		exitMsg := posStr + ": exit inside an expression call"
+		pos := e.P
 		return func(m *Machine) (Value, error) {
 			fv, err := fun(m)
 			if err != nil {
 				return nil, err
 			}
-			v, sig, err := m.invoke(posStr, fv, args, nil)
+			v, sig, err := m.invoke(pos, fv, args, nil)
 			if err != nil {
 				return nil, err
 			}
 			if sig.Kind == SigExit {
-				return nil, errors.New(exitMsg)
+				return nil, errors.New(at(pos) + "exit inside an expression call")
 			}
 			return v, nil
 		}
@@ -929,7 +939,7 @@ func (c *compiler) compileAccess(e ast.Expr) (cExpr, types.Type) {
 		x, xt := c.compileAccess(e.X)
 		field := e.Field
 		pos, t := fieldPos(xt, field)
-		prefix := e.P.String() + ": "
+		src := e.P
 		return func(m *Machine) (Value, error) {
 			xv, err := x(m)
 			if err != nil {
@@ -938,13 +948,13 @@ func (c *compiler) compileAccess(e ast.Expr) (cExpr, types.Type) {
 			if f := fieldAt(fieldsOf(xv), pos, field); f != nil {
 				return f.Val, nil
 			}
-			return nil, errors.New(prefix + noField(xv, field))
+			return nil, errors.New(at(src) + noField(xv, field))
 		}, t
 
 	case *ast.Index:
 		x, xt := c.compileAccess(e.X)
 		ix := c.compileExpr(e.I)
-		prefix := e.P.String() + ": "
+		pos := e.P
 		return func(m *Machine) (Value, error) {
 			xv, err := x(m)
 			if err != nil {
@@ -956,11 +966,11 @@ func (c *compiler) compileAccess(e ast.Expr) (cExpr, types.Type) {
 			}
 			idx, err := toIndex(iv)
 			if err != nil {
-				return nil, errors.New(prefix + err.Error())
+				return nil, errors.New(at(pos) + err.Error())
 			}
 			v, err := project(xv, accessor{index: idx})
 			if err != nil {
-				return nil, errors.New(prefix + err.Error())
+				return nil, errors.New(at(pos) + err.Error())
 			}
 			return v, nil
 		}, elemType(xt)
@@ -972,7 +982,7 @@ func (c *compiler) compileAccess(e ast.Expr) (cExpr, types.Type) {
 
 func (c *compiler) compileUnary(e *ast.Unary) cExpr {
 	x := c.compileExpr(e.X)
-	prefix := e.P.String() + ": "
+	pos := e.P
 	switch e.Op {
 	case token.NOT:
 		return func(m *Machine) (Value, error) {
@@ -982,7 +992,7 @@ func (c *compiler) compileUnary(e *ast.Unary) cExpr {
 			}
 			b, ok := xv.(BoolVal)
 			if !ok {
-				return nil, fmt.Errorf("%s! on %s", prefix, xv)
+				return nil, fmt.Errorf("%s! on %s", at(pos), xv)
 			}
 			return BoolVal(!bool(b)), nil
 		}
@@ -998,7 +1008,7 @@ func (c *compiler) compileUnary(e *ast.Unary) cExpr {
 			case BitVal:
 				return BoxBit(v.W, -v.V), nil
 			}
-			return nil, fmt.Errorf("%s- on %s", prefix, xv)
+			return nil, fmt.Errorf("%s- on %s", at(pos), xv)
 		}
 	case token.BITNOT:
 		return func(m *Machine) (Value, error) {
@@ -1008,17 +1018,17 @@ func (c *compiler) compileUnary(e *ast.Unary) cExpr {
 			}
 			b, ok := xv.(BitVal)
 			if !ok {
-				return nil, fmt.Errorf("%s~ on %s", prefix, xv)
+				return nil, fmt.Errorf("%s~ on %s", at(pos), xv)
 			}
 			return BoxBit(b.W, ^b.V), nil
 		}
 	default:
-		opStr := e.Op.String()
+		op := e.Op
 		return func(m *Machine) (Value, error) {
 			if _, err := x(m); err != nil {
 				return nil, err
 			}
-			return nil, fmt.Errorf("%sunsupported unary operator %s", prefix, opStr)
+			return nil, fmt.Errorf("%sunsupported unary operator %s", at(pos), op)
 		}
 	}
 }
@@ -1026,11 +1036,10 @@ func (c *compiler) compileUnary(e *ast.Unary) cExpr {
 func (c *compiler) compileBinary(e *ast.Binary) cExpr {
 	x := c.compileExpr(e.X)
 	y := c.compileExpr(e.Y)
-	prefix := e.P.String() + ": "
-	opStr := e.Op.String()
-	switch e.Op {
+	pos, op := e.P, e.Op
+	switch op {
 	case token.AND, token.OR:
-		isAnd := e.Op == token.AND
+		isAnd := op == token.AND
 		return func(m *Machine) (Value, error) {
 			xv, err := x(m)
 			if err != nil {
@@ -1038,7 +1047,7 @@ func (c *compiler) compileBinary(e *ast.Binary) cExpr {
 			}
 			xb, ok := xv.(BoolVal)
 			if !ok {
-				return nil, fmt.Errorf("%s%s on %s", prefix, opStr, xv)
+				return nil, fmt.Errorf("%s%s on %s", at(pos), op, xv)
 			}
 			if isAnd && !bool(xb) {
 				return BoolVal(false), nil
@@ -1052,12 +1061,12 @@ func (c *compiler) compileBinary(e *ast.Binary) cExpr {
 			}
 			yb, ok := yv.(BoolVal)
 			if !ok {
-				return nil, fmt.Errorf("%s%s on %s", prefix, opStr, yv)
+				return nil, fmt.Errorf("%s%s on %s", at(pos), op, yv)
 			}
 			return yb, nil
 		}
 	case token.EQ, token.NEQ:
-		neq := e.Op == token.NEQ
+		neq := op == token.NEQ
 		return func(m *Machine) (Value, error) {
 			xv, err := x(m)
 			if err != nil {
@@ -1098,7 +1107,6 @@ func (c *compiler) compileBinary(e *ast.Binary) cExpr {
 			return BoolVal(eq), nil
 		}
 	default:
-		op := e.Op
 		return func(m *Machine) (Value, error) {
 			xv, err := x(m)
 			if err != nil {
@@ -1113,21 +1121,21 @@ func (c *compiler) compileBinary(e *ast.Binary) cExpr {
 			case IntVal:
 				switch bv := yv.(type) {
 				case IntVal:
-					return intOp(op, prefix, opStr, int64(av), int64(bv))
+					return intOp(op, pos, int64(av), int64(bv))
 				case BitVal:
-					return bitOp(op, prefix, opStr, NewBit(bv.W, uint64(av)), bv)
+					return bitOp(op, pos, NewBit(bv.W, uint64(av)), bv)
 				}
 			case BitVal:
 				switch bv := yv.(type) {
 				case IntVal:
-					return bitOp(op, prefix, opStr, av, NewBit(av.W, uint64(bv)))
+					return bitOp(op, pos, av, NewBit(av.W, uint64(bv)))
 				case BitVal:
 					if av.W == bv.W {
-						return bitOp(op, prefix, opStr, av, bv)
+						return bitOp(op, pos, av, bv)
 					}
 				}
 			}
-			return nil, fmt.Errorf("%soperator %s on %s and %s", prefix, opStr, xv, yv)
+			return nil, fmt.Errorf("%soperator %s on %s and %s", at(pos), op, xv, yv)
 		}
 	}
 }

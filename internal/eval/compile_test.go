@@ -340,6 +340,22 @@ control C(inout pair_t m) {
 }`,
 		},
 		{
+			name: "mark-to-drop",
+			src: `
+struct meta_t { <bit<8>, low> z; standard_metadata_t sm; }
+control C(inout meta_t m, inout standard_metadata_t standard_metadata) {
+    apply {
+        mark_to_drop(standard_metadata);
+        mark_to_drop(m.sm);
+        standard_metadata_t t = m.sm;
+        t.priority = t.priority + 3w1;
+        mark_to_drop(t);
+        m.sm = t;
+        m.z = 8w1;
+    }
+}`,
+		},
+		{
 			name: "missing-field-read",
 			src: `
 struct pair_t { <bit<8>, low> a; <bit<8>, low> b; }

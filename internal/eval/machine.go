@@ -243,7 +243,7 @@ func (m *Machine) putFrame(f []Value) { m.framePool = append(m.framePool, f) }
 // (evaluated in the caller's frame context); extra are pre-evaluated
 // control-plane values appended after them, each bound as-is (the
 // interpreter's argSpec.val path).
-func (m *Machine) invoke(pos string, fv Value, args []*cArg, extra []Value) (Value, Signal, error) {
+func (m *Machine) invoke(pos token.Pos, fv Value, args []*cArg, extra []Value) (Value, Signal, error) {
 	clos, ok := fv.(*cClos)
 	if !ok {
 		if b, ok := fv.(BuiltinVal); ok {
@@ -285,7 +285,7 @@ func (m *Machine) invoke(pos string, fv Value, args []*cArg, extra []Value) (Val
 			frame[i] = Copy(coerceValue(v, p.Type.T))
 		case types.Out:
 			if a.lv == nil {
-				return fail(errors.New(a.lvErr))
+				return fail(notLValue(a.notLV))
 			}
 			ib, err := a.lv.evalIdx(m)
 			if err != nil {
@@ -295,7 +295,7 @@ func (m *Machine) invoke(pos string, fv Value, args []*cArg, extra []Value) (Val
 			m.wbs = append(m.wbs, mwb{lv: a.lv, idxBase: ib, frame: frame, slot: i})
 		default: // inout
 			if a.lv == nil {
-				return fail(errors.New(a.lvErr))
+				return fail(notLValue(a.notLV))
 			}
 			ib, err := a.lv.evalIdx(m)
 			if err != nil {
@@ -335,7 +335,7 @@ func (m *Machine) invoke(pos string, fv Value, args []*cArg, extra []Value) (Val
 	}
 }
 
-func (m *Machine) invokeBuiltin(pos string, b BuiltinVal, args []*cArg, extra []Value) (Value, Signal, error) {
+func (m *Machine) invokeBuiltin(pos token.Pos, b BuiltinVal, args []*cArg, extra []Value) (Value, Signal, error) {
 	switch string(b) {
 	case "NoAction":
 		return UnitVal{}, Signal{Kind: SigCont}, nil
@@ -345,7 +345,7 @@ func (m *Machine) invokeBuiltin(pos string, b BuiltinVal, args []*cArg, extra []
 		}
 		a := args[0]
 		if a.lv == nil {
-			return nil, Signal{}, errors.New(a.lvErr)
+			return nil, Signal{}, notLValue(a.notLV)
 		}
 		ib, err := a.lv.evalIdx(m)
 		if err != nil {
@@ -388,7 +388,7 @@ func (m *Machine) invokeBuiltin(pos string, b BuiltinVal, args []*cArg, extra []
 // Table application
 
 // applyTable mirrors Interp.applyTable over a compiled table.
-func (m *Machine) applyTable(pos string, tv *cTable) (Signal, error) {
+func (m *Machine) applyTable(pos token.Pos, tv *cTable) (Signal, error) {
 	var kbuf [8]uint64
 	keys := kbuf[:0]
 	for i, k := range tv.keys {
@@ -474,7 +474,7 @@ func (lv *cLValue) evalIdx(m *Machine) (int, error) {
 		n, err := toIndex(iv)
 		if err != nil {
 			m.idxs = m.idxs[:base]
-			return base, errors.New(acc.idxPos + err.Error())
+			return base, errors.New(at(acc.idxPos) + err.Error())
 		}
 		m.idxs = append(m.idxs, n)
 	}
@@ -493,7 +493,7 @@ func (lv *cLValue) read(m *Machine, idxBase int) (Value, error) {
 		if acc.idx == nil {
 			f := fieldAt(fieldsOf(v), acc.pos, acc.field)
 			if f == nil {
-				return nil, errors.New(lv.pos + noField(v, acc.field))
+				return nil, errors.New(at(lv.pos) + noField(v, acc.field))
 			}
 			v = f.Val
 			continue
@@ -502,7 +502,7 @@ func (lv *cLValue) read(m *Machine, idxBase int) (Value, error) {
 		v, err = project(v, accessor{index: m.idxs[k]})
 		k++
 		if err != nil {
-			return nil, errors.New(lv.pos + err.Error())
+			return nil, errors.New(at(lv.pos) + err.Error())
 		}
 	}
 	return Copy(v), nil
@@ -550,7 +550,7 @@ func (lv *cLValue) write(m *Machine, idxBase int, nv Value) error {
 		old := m.get(lv.ref)
 		updated, err := lv.update(m, old, 0, idxBase, nv)
 		if err != nil {
-			return errors.New(lv.pos + err.Error())
+			return errors.New(at(lv.pos) + err.Error())
 		}
 		m.set(lv.ref, updated)
 		return nil
@@ -563,7 +563,7 @@ func (lv *cLValue) write(m *Machine, idxBase int, nv Value) error {
 		if acc.idx == nil {
 			slot := fieldAt(fieldsOf(v), acc.pos, acc.field)
 			if slot == nil {
-				return errors.New(lv.pos + noField(v, acc.field))
+				return errors.New(at(lv.pos) + noField(v, acc.field))
 			}
 			if last {
 				slot.Val = storeValue(slot.Val, nv)
@@ -574,7 +574,7 @@ func (lv *cLValue) write(m *Machine, idxBase int, nv Value) error {
 		}
 		st, ok := v.(*StackVal)
 		if !ok {
-			return errors.New(lv.pos + fmt.Sprintf("value %s is not indexable", v))
+			return errors.New(at(lv.pos) + fmt.Sprintf("value %s is not indexable", v))
 		}
 		idx := m.idxs[k]
 		k++
@@ -683,10 +683,11 @@ func (lv *cLValue) update(m *Machine, v Value, pi, k int, nv Value) (Value, erro
 }
 
 // ---------------------------------------------------------------------------
-// Arithmetic, mirroring evalIntOp/evalBitOp with precomputed position
-// prefixes (errors are cold; results are boxed through the BitVal cache).
+// Arithmetic, mirroring evalIntOp/evalBitOp; the position and operator
+// are formatted only on the (cold) error paths, and results are boxed
+// through the BitVal cache.
 
-func intOp(op token.Kind, prefix, opStr string, a, b int64) (Value, error) {
+func intOp(op token.Kind, pos token.Pos, a, b int64) (Value, error) {
 	switch op {
 	case token.PLUS:
 		return IntVal(a + b), nil
@@ -696,12 +697,12 @@ func intOp(op token.Kind, prefix, opStr string, a, b int64) (Value, error) {
 		return IntVal(a * b), nil
 	case token.SLASH:
 		if b == 0 {
-			return nil, errors.New(prefix + "division by zero")
+			return nil, errors.New(at(pos) + "division by zero")
 		}
 		return IntVal(a / b), nil
 	case token.PERCENT:
 		if b == 0 {
-			return nil, errors.New(prefix + "modulo by zero")
+			return nil, errors.New(at(pos) + "modulo by zero")
 		}
 		return IntVal(a % b), nil
 	case token.LT:
@@ -717,11 +718,11 @@ func intOp(op token.Kind, prefix, opStr string, a, b int64) (Value, error) {
 	case token.SHR:
 		return IntVal(a >> uint(b&63)), nil
 	default:
-		return nil, errors.New(prefix + "operator " + opStr + " undefined on int")
+		return nil, errors.New(at(pos) + "operator " + op.String() + " undefined on int")
 	}
 }
 
-func bitOp(op token.Kind, prefix, opStr string, a, b BitVal) (Value, error) {
+func bitOp(op token.Kind, pos token.Pos, a, b BitVal) (Value, error) {
 	w := a.W
 	switch op {
 	case token.PLUS:
@@ -732,12 +733,12 @@ func bitOp(op token.Kind, prefix, opStr string, a, b BitVal) (Value, error) {
 		return BoxBit(w, a.V*b.V), nil
 	case token.SLASH:
 		if b.V == 0 {
-			return nil, errors.New(prefix + "division by zero")
+			return nil, errors.New(at(pos) + "division by zero")
 		}
 		return BoxBit(w, a.V/b.V), nil
 	case token.PERCENT:
 		if b.V == 0 {
-			return nil, errors.New(prefix + "modulo by zero")
+			return nil, errors.New(at(pos) + "modulo by zero")
 		}
 		return BoxBit(w, a.V%b.V), nil
 	case token.LT:
@@ -765,6 +766,6 @@ func bitOp(op token.Kind, prefix, opStr string, a, b BitVal) (Value, error) {
 		}
 		return BoxBit(w, a.V>>b.V), nil
 	default:
-		return nil, fmt.Errorf("%soperator %s undefined on bit<%d>", prefix, opStr, w)
+		return nil, fmt.Errorf("%soperator %s undefined on bit<%d>", at(pos), op, w)
 	}
 }

@@ -168,13 +168,11 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 		obs = e.Lat.Bottom()
 	}
 
-	p := &plan{lat: e.Lat, obs: obs}
-	for _, n := range names {
-		root, reason := p.walk(pts[n])
-		if reason != "" {
+	p := &plan{lat: e.Lat, obs: obs, args: make([]eval.Value, len(names))}
+	for i, n := range names {
+		if reason := p.walk(pts[n], &p.args[i]); reason != "" {
 			return inconclusive(reason)
 		}
-		p.params = append(p.params, root)
 	}
 	secretCount, pubCount := uint64(1), uint64(1)
 	for i, lf := range p.leaves {
@@ -196,9 +194,8 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 
 	m, _ := e.Machines(code)
 	sweep := &sweeper{plan: p, m: m, idx: idx, names: names,
-		args:  make([]eval.Value, len(names)),
 		base:  make([]eval.Value, len(names)),
-		diffs: make([]func(a, b eval.Value) (ni.Violation, bool), len(names))}
+		diffs: make([]ni.Comparator, len(names))}
 	for i, n := range names {
 		sweep.diffs[i] = ni.ObservableDiff(pts[n], obs, e.Lat)
 	}
@@ -252,15 +249,15 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 
 // sweeper runs one enumerated assignment at a time and compares outputs
 // against the current public state's baseline. Everything it touches per
-// assignment — the argument trees, the args slice, the compiled
-// per-parameter diffs, the baseline snapshot — is built once per sweep.
+// assignment — the argument trees and their slot list, the compiled
+// per-parameter comparators, the baseline snapshot — is built once per
+// sweep.
 type sweeper struct {
 	plan  *plan
 	m     *eval.Machine
 	idx   int
 	names []string
-	args  []eval.Value
-	diffs []func(a, b eval.Value) (ni.Violation, bool)
+	diffs []ni.Comparator
 
 	runs    uint64
 	base    []eval.Value
@@ -275,11 +272,9 @@ func (s *sweeper) secrets(sec *odometer) (*ni.Violation, error) {
 	p := s.plan
 	first := true
 	for {
-		for i, root := range p.params {
-			s.args[i] = p.build(root)
-		}
+		p.restore()
 		s.m.Reset()
-		outs, sig, err := s.m.RunIndexed(s.idx, s.args)
+		outs, sig, err := s.m.RunIndexed(s.idx, p.args)
 		s.runs++
 		if err != nil {
 			return nil, err
@@ -296,7 +291,7 @@ func (s *sweeper) secrets(sec *odometer) (*ni.Violation, error) {
 					A: s.baseSig.String(), B: sig.String()}, nil
 			}
 			for i, v := range outs {
-				if d, ok := s.diffs[i](s.base[i], v); !ok {
+				if d, ok := s.diffs[i].Diff(s.base[i], v); !ok {
 					vio := d // escapes only here, not on every comparison
 					vio.Where = s.names[i] + vio.Where
 					vio.Trial = int(s.runs)

@@ -30,31 +30,19 @@ type leafInfo struct {
 	secret bool
 }
 
-// Container node kinds.
-const (
-	nodeRecord = iota
-	nodeHeader
-	nodeStack
-)
-
-// node mirrors a parameter's type shape: leaves index into plan.leaves,
-// containers own the one value they allocate on first build and restore
-// it in place on every later one (RunIndexed lends containers to the run
-// and mutates only their slots; scalar leaves are immutable and shared).
-type node struct {
-	leaf     int // index into plan.leaves, or -1 for a container
-	kind     int
-	names    []string // field names for record/header
-	children []*node
-
-	rec *eval.RecordVal // the built value, by kind; nil until first build
-	hdr *eval.HeaderVal
-	stk *eval.StackVal
+// slot is one place in the argument trees that the sweep restores before
+// every run: a parameter's argument or a container's field or element
+// slot. It gets the current value of leaf when leaf ≥ 0, else val, the
+// container the plan built for that position.
+type slot struct {
+	dst  *eval.Value
+	leaf int
+	val  eval.Value
 }
 
-// plan is the flattened enumeration state: one slot per scalar leaf,
-// odometers spinning the secret (and, in total mode, public) slots, and
-// per-param shape trees rebuilding argument values from the slots.
+// plan is the flattened enumeration state: one value per scalar leaf,
+// odometers spinning the secret (and, in total mode, public) leaves, and
+// the argument trees, built once, with a flat list of every slot in them.
 type plan struct {
 	lat lattice.Lattice
 	obs lattice.Label
@@ -62,113 +50,91 @@ type plan struct {
 	leaves []leafInfo
 	vals   []eval.Value
 
-	params []*node
+	args    []eval.Value      // one argument per parameter, the roots of the trees
+	slots   []slot            // every slot of the trees, args included
+	headers []*eval.HeaderVal // every header in the trees
 
 	secretIdx []int // enumerable secret leaves
 	publicIdx []int // enumerable public leaves
 	intLeaves []int // int-typed public leaves: drawn randomly per probe
 }
 
-// walk flattens one parameter's security type into leaves, classifying
-// each scalar leaf secret iff its label does not flow to the observer.
-// A non-empty reason marks the whole experiment enumeration-ineligible.
-func (p *plan) walk(st types.SecType) (*node, string) {
+// walk builds the argument tree for one parameter's security type into
+// *dst, classifying each scalar leaf secret iff its label does not flow
+// to the observer, and records every slot it creates. Containers are
+// allocated here, once per sweep, with their declared fields in declared
+// order. A non-empty reason marks the whole experiment
+// enumeration-ineligible.
+func (p *plan) walk(st types.SecType, dst *eval.Value) string {
 	if types.IsScalar(st.T) {
 		radix, ok := leafRadix(st.T)
 		if !ok {
-			return nil, ReasonOpaque
+			return ReasonOpaque
 		}
 		secret := !p.lat.Leq(st.L, p.obs)
 		if radix == 0 && secret {
-			return nil, ReasonIntTyped
+			return ReasonIntTyped
 		}
 		idx := len(p.leaves)
 		p.leaves = append(p.leaves, leafInfo{t: st.T, radix: radix, secret: secret})
 		p.vals = append(p.vals, zeroValue(st.T))
-		return &node{leaf: idx}, ""
+		p.slots = append(p.slots, slot{dst: dst, leaf: idx})
+		return ""
 	}
 	switch tt := st.T.(type) {
-	case *types.Record, *types.Header:
-		var fields []types.Field
-		kind := nodeRecord
-		if h, ok := tt.(*types.Header); ok {
-			fields, kind = h.Fields, nodeHeader
-		} else {
-			fields = tt.(*types.Record).Fields
-		}
-		n := &node{leaf: -1, kind: kind}
-		for _, f := range fields {
-			c, reason := p.walk(f.Type)
-			if reason != "" {
-				return nil, reason
-			}
-			n.names = append(n.names, f.Name)
-			n.children = append(n.children, c)
-		}
-		return n, ""
+	case *types.Record:
+		rec := &eval.RecordVal{Fields: make([]eval.NamedValue, len(tt.Fields))}
+		p.slots = append(p.slots, slot{dst: dst, leaf: -1, val: rec})
+		return p.walkFields(tt.Fields, rec.Fields)
+	case *types.Header:
+		hdr := &eval.HeaderVal{Valid: true, Fields: make([]eval.NamedValue, len(tt.Fields))}
+		p.slots = append(p.slots, slot{dst: dst, leaf: -1, val: hdr})
+		p.headers = append(p.headers, hdr)
+		return p.walkFields(tt.Fields, hdr.Fields)
 	case *types.Stack:
-		n := &node{leaf: -1, kind: nodeStack}
-		for i := 0; i < tt.Size; i++ {
-			c, reason := p.walk(tt.Elem)
-			if reason != "" {
-				return nil, reason
+		stk := &eval.StackVal{Elems: make([]eval.Value, tt.Size)}
+		p.slots = append(p.slots, slot{dst: dst, leaf: -1, val: stk})
+		for i := range stk.Elems {
+			if reason := p.walk(tt.Elem, &stk.Elems[i]); reason != "" {
+				return reason
 			}
-			n.children = append(n.children, c)
 		}
-		return n, ""
+		return ""
 	default:
-		return nil, ReasonOpaque
+		return ReasonOpaque
 	}
 }
 
-// build returns a parameter's argument tree for one run, set from the
-// current leaf slots. Containers are allocated once; every later build
-// restores each of their slots (and header validity) in place, undoing
-// whatever the previous run wrote, so the sweep allocates nothing per
-// assignment.
-func (p *plan) build(n *node) eval.Value {
-	if n.leaf >= 0 {
-		return p.vals[n.leaf]
+// walkFields names a record's or header's field slots and walks each.
+func (p *plan) walkFields(fields []types.Field, fs []eval.NamedValue) string {
+	for i, f := range fields {
+		fs[i].Name = f.Name
+		if reason := p.walk(f.Type, &fs[i].Val); reason != "" {
+			return reason
+		}
 	}
-	switch n.kind {
-	case nodeStack:
-		if n.stk == nil {
-			n.stk = &eval.StackVal{Elems: make([]eval.Value, len(n.children))}
-		}
-		for i, c := range n.children {
-			n.stk.Elems[i] = p.build(c)
-		}
-		return n.stk
-	case nodeHeader:
-		if n.hdr == nil {
-			n.hdr = &eval.HeaderVal{Fields: namedFields(n.names)}
-		}
-		n.hdr.Valid = true
-		p.restore(n, n.hdr.Fields)
-		return n.hdr
-	default:
-		if n.rec == nil {
-			n.rec = &eval.RecordVal{Fields: namedFields(n.names)}
-		}
-		p.restore(n, n.rec.Fields)
-		return n.rec
-	}
+	return ""
 }
 
-// restore sets every field slot of a record or header node from its
-// children.
-func (p *plan) restore(n *node, fs []eval.NamedValue) {
-	for i, c := range n.children {
-		fs[i].Val = p.build(c)
+// restore sets every slot of the argument trees from the current leaf
+// values and every header valid, undoing whatever the previous run wrote:
+// RunIndexed lends the trees to the run, which may replace any leaf, any
+// nested container (a whole-struct assignment stores a copy into the
+// parent's slot) and any stack element, and clear header validity; it
+// never reshapes a container the plan built. Scalar leaves are immutable
+// and shared, so the sweep allocates nothing per assignment.
+func (p *plan) restore() {
+	for i := range p.slots {
+		s := &p.slots[i]
+		if s.leaf >= 0 {
+			*s.dst = p.vals[s.leaf]
+		} else {
+			*s.dst = s.val
+		}
 	}
-}
-
-func namedFields(names []string) []eval.NamedValue {
-	fs := make([]eval.NamedValue, len(names))
-	for i, name := range names {
-		fs[i].Name = name
+	for _, h := range p.headers {
+		h.Valid = true
 	}
-	return fs
 }
 
 // leafRadix is the size of a scalar type's value domain; 0 means no

@@ -134,6 +134,36 @@ control C(inout headers hdr) {
 		outcome: ni.ProvedSecure, asg: 256, total: true,
 	},
 	{
+		name: "whole-nested-struct",
+		src: `
+struct inner_t { <bit<2>, low> a; <bit<1>, high> s; }
+struct mid_t { inner_t i; <bit<2>, low> b; }
+struct meta_t { mid_t x; mid_t y; }
+control C(inout meta_t m) {
+    apply {
+        m.x.i.a = m.x.i.a + m.y.i.a + m.y.b;
+        m.y = m.x;
+        m.y.i.s = m.y.i.s + 1w1;
+        m.x.i = m.y.i;
+    }
+}`,
+		outcome: ni.ProvedSecure, asg: 1024, total: true,
+	},
+	{
+		name: "whole-stack-element",
+		src: `
+header pair_t { <bit<2>, low> a; <bit<1>, high> s; }
+struct headers { pair_t ps[2]; }
+control C(inout headers hdr) {
+    apply {
+        hdr.ps[0].a = hdr.ps[0].a + hdr.ps[1].a;
+        hdr.ps[1] = hdr.ps[0];
+        hdr.ps[1].s = hdr.ps[1].s + 1w1;
+    }
+}`,
+		outcome: ni.ProvedSecure, asg: 64, total: true,
+	},
+	{
 		name: "mark-to-drop",
 		src: `
 header h_t { <bit<2>, low> lo; <bit<2>, high> hi; }

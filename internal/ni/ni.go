@@ -331,9 +331,11 @@ func (e *Experiment) runCompiledFast(code *eval.Compiled, ctrl *ast.ControlDecl,
 	n := len(ctrl.Params)
 	pts := make([]types.SecType, n)
 	samplers := make([]sampler, n)
+	diffs := make([]Comparator, n)
 	for i, p := range ctrl.Params {
 		pts[i] = paramTypes[p.Name]
 		samplers[i] = compileSampler(pts[i], obs, e.Lat)
+		diffs[i] = ObservableDiff(pts[i], obs, e.Lat)
 	}
 	// Trial input sequences, reused across trials (values are overwritten
 	// wholesale each trial).
@@ -374,7 +376,7 @@ func (e *Experiment) runCompiledFast(code *eval.Compiled, ctrl *ast.ControlDecl,
 				break
 			}
 			for i, p := range ctrl.Params {
-				if v, ok := samplers[i].diff(outsA[k][i], outsB[k][i]); !ok {
+				if v, ok := diffs[i].Diff(outsA[k][i], outsB[k][i]); !ok {
 					if packets > 1 {
 						v.Where = fmt.Sprintf("packet %d: %s%s", k, p.Name, v.Where)
 					} else {
@@ -517,21 +519,19 @@ func (e *Experiment) paramTypes(ctrl *ast.ControlDecl) (map[string]types.SecType
 }
 
 // sampler is a per-parameter trial plan with the type walk, field lookups,
-// and lattice queries of RandomFrom / randomizeAbove / diffObservable
-// resolved at experiment setup: draw builds a fresh random input (same rng
-// consumption as eval.RandomFrom), vary is randomizeAbove (same draws),
-// and diff is diffObservable with lazily built witness paths. Only the
-// indexed fast path and, through ObservableDiff, the exhaustive oracle use
-// samplers — their inputs are always built from the type itself, in the
-// type's field order, which is also what the compiled machine's
-// positional field accesses require. The map path keeps the generic
-// walks: FixInputs may edit the values it is handed (but not reorder
-// their fields; Machine.RunControl checks), and the walks tolerate
+// and lattice queries of RandomFrom / randomizeAbove resolved at
+// experiment setup: draw builds a fresh random input (same rng consumption
+// as eval.RandomFrom) and vary is randomizeAbove (same draws). Outputs are
+// compared by a Comparator, which the exhaustive oracle shares. Only the
+// indexed fast path uses samplers — its inputs are always built from the
+// type itself, in the type's field order, which is also what the compiled
+// machine's positional field accesses require. The map path keeps the
+// generic walks: FixInputs may edit the values it is handed (but not
+// reorder their fields; Machine.RunControl checks), and the walks tolerate
 // whatever kinds it leaves.
 type sampler struct {
 	draw func(rng eval.Rng) eval.Value
 	vary func(v eval.Value, rng eval.Rng) eval.Value
-	diff func(a, b eval.Value) (Violation, bool)
 }
 
 func compileSampler(t types.SecType, obs lattice.Label, lat lattice.Lattice) sampler {
@@ -540,15 +540,8 @@ func compileSampler(t types.SecType, obs lattice.Label, lat lattice.Lattice) sam
 		s := sampler{draw: func(rng eval.Rng) eval.Value { return eval.RandomFrom(tt, rng) }}
 		if lat.Leq(t.L, obs) {
 			s.vary = func(v eval.Value, _ eval.Rng) eval.Value { return v }
-			s.diff = func(a, b eval.Value) (Violation, bool) {
-				if !eval.ValueEqual(a, b) {
-					return Violation{A: a.String(), B: b.String()}, false
-				}
-				return Violation{}, true
-			}
 		} else {
 			s.vary = func(_ eval.Value, rng eval.Rng) eval.Value { return eval.RandomFrom(tt, rng) }
-			s.diff = func(a, b eval.Value) (Violation, bool) { return Violation{}, true }
 		}
 		return s
 	}
@@ -574,20 +567,6 @@ func compileSampler(t types.SecType, obs lattice.Label, lat lattice.Lattice) sam
 				}
 				return &eval.RecordVal{Fields: fs}
 			},
-			diff: func(a, b eval.Value) (Violation, bool) {
-				ra, ok1 := a.(*eval.RecordVal)
-				rb, ok2 := b.(*eval.RecordVal)
-				if !ok1 || !ok2 || len(ra.Fields) != len(subs) || len(rb.Fields) != len(subs) {
-					return diffObs(a, b, t, obs, lat)
-				}
-				for i := range subs {
-					if v, ok := subs[i].diff(ra.Fields[i].Val, rb.Fields[i].Val); !ok {
-						v.Where = "." + names[i] + v.Where
-						return v, false
-					}
-				}
-				return Violation{}, true
-			},
 		}
 	case *types.Header:
 		names, subs := fieldSamplers(tt.Fields, obs, lat)
@@ -609,20 +588,6 @@ func compileSampler(t types.SecType, obs lattice.Label, lat lattice.Lattice) sam
 					fs[i] = eval.NamedValue{Name: names[i], Val: subs[i].vary(hv.Fields[i].Val, rng)}
 				}
 				return &eval.HeaderVal{Valid: hv.Valid, Fields: fs}
-			},
-			diff: func(a, b eval.Value) (Violation, bool) {
-				ha, ok1 := a.(*eval.HeaderVal)
-				hb, ok2 := b.(*eval.HeaderVal)
-				if !ok1 || !ok2 || len(ha.Fields) != len(subs) || len(hb.Fields) != len(subs) {
-					return diffObs(a, b, t, obs, lat)
-				}
-				for i := range subs {
-					if v, ok := subs[i].diff(ha.Fields[i].Val, hb.Fields[i].Val); !ok {
-						v.Where = "." + names[i] + v.Where
-						return v, false
-					}
-				}
-				return Violation{}, true
 			},
 		}
 	case *types.Stack:
@@ -647,26 +612,11 @@ func compileSampler(t types.SecType, obs lattice.Label, lat lattice.Lattice) sam
 				}
 				return &eval.StackVal{Elems: es}
 			},
-			diff: func(a, b eval.Value) (Violation, bool) {
-				sa, ok1 := a.(*eval.StackVal)
-				sb, ok2 := b.(*eval.StackVal)
-				if !ok1 || !ok2 || len(sa.Elems) != len(sb.Elems) {
-					return Violation{}, true
-				}
-				for i := range sa.Elems {
-					if v, ok := el.diff(sa.Elems[i], sb.Elems[i]); !ok {
-						v.Where = fmt.Sprintf("[%d]%s", i, v.Where)
-						return v, false
-					}
-				}
-				return Violation{}, true
-			},
 		}
 	default:
 		return sampler{
 			draw: func(rng eval.Rng) eval.Value { return eval.RandomFrom(t.T, rng) },
 			vary: func(v eval.Value, _ eval.Rng) eval.Value { return v },
-			diff: func(a, b eval.Value) (Violation, bool) { return Violation{}, true },
 		}
 	}
 }
@@ -735,6 +685,141 @@ func randomizeAbove(v eval.Value, t types.SecType, obs lattice.Label, lat lattic
 	default:
 		return v
 	}
+}
+
+// Comparator is the observable-output comparison for values of one
+// parameter type at one observer; ObservableDiff builds it.
+type Comparator struct {
+	root       obsNode
+	observable bool // whether any leaf of the type is observable
+	t          types.SecType
+	obs        lattice.Label
+	lat        lattice.Lattice
+}
+
+// obsNode is one node of a type's observable tree: the type pruned to the
+// paths that reach an observable (χ ⊑ obs) scalar leaf. A record or header
+// node's kids are its fields that contain one, each carrying its position
+// in pos; a stack node's only kid is its element's node; a leaf has no
+// kids.
+type obsNode struct {
+	kind   obsKind
+	pos    int // position among the parent record's or header's fields
+	nfield int // record/header: the declared field count
+	kids   []obsNode
+}
+
+type obsKind uint8
+
+const (
+	obsLeaf obsKind = iota
+	obsRecord
+	obsHeader
+	obsStack
+)
+
+// ObservableDiff compiles the observable-output comparison for values of
+// type t at observer obs. The type walk and lattice queries happen here,
+// once, so oracles that compare outputs per trial or per assignment pay
+// none of them per comparison.
+func ObservableDiff(t types.SecType, obs lattice.Label, lat lattice.Lattice) Comparator {
+	root, observable := compileObs(t, obs, lat)
+	return Comparator{root: root, observable: observable, t: t, obs: obs, lat: lat}
+}
+
+// compileObs builds t's observable tree; false means t has no observable
+// leaf, so diffObs accepts any two values of it.
+func compileObs(t types.SecType, obs lattice.Label, lat lattice.Lattice) (obsNode, bool) {
+	if types.IsScalar(t.T) {
+		return obsNode{kind: obsLeaf}, lat.Leq(t.L, obs)
+	}
+	if st, ok := t.T.(*types.Stack); ok {
+		el, ok := compileObs(st.Elem, obs, lat)
+		return obsNode{kind: obsStack, kids: []obsNode{el}}, ok
+	}
+	fields := types.Fields(t.T)
+	n := obsNode{kind: obsRecord, nfield: len(fields)}
+	if _, ok := t.T.(*types.Header); ok {
+		n.kind = obsHeader
+	}
+	for i, f := range fields {
+		if k, ok := compileObs(f.Type, obs, lat); ok {
+			if n.kids == nil {
+				n.kids = make([]obsNode, 0, len(fields)-i)
+			}
+			k.pos = i
+			n.kids = append(n.kids, k)
+		}
+	}
+	return n, n.kids != nil
+}
+
+// Diff compares the observable leaves of two values shaped like the
+// comparator's type; on a mismatch it returns the witness and false. The
+// witness's Where is the path below the value (".f[2].g", empty at a
+// scalar), for the caller to prefix with the parameter name. The match
+// path walks the observable tree positionally and allocates nothing; a
+// mismatch, or a shape that walk cannot read, goes to diffObs, which
+// builds the witness.
+func (c *Comparator) Diff(a, b eval.Value) (Violation, bool) {
+	if !c.observable || c.root.equal(a, b) {
+		return Violation{}, true
+	}
+	return diffObs(a, b, c.t, c.obs, c.lat)
+}
+
+// equal reports whether a and b agree on every leaf under n. It returns
+// false for a record or header with other than its declared field count,
+// which only diffObs's by-name walk reads; every other shape diffObs
+// accepts unread (a value of the wrong kind, stacks of unequal length),
+// equal accepts too.
+func (n *obsNode) equal(a, b eval.Value) bool {
+	var fa, fb []eval.NamedValue
+	switch n.kind {
+	case obsLeaf:
+		if x, ok := a.(eval.BitVal); ok {
+			if y, ok := b.(eval.BitVal); ok {
+				return x == y
+			}
+		}
+		return eval.ValueEqual(a, b)
+	case obsStack:
+		sa, ok1 := a.(*eval.StackVal)
+		sb, ok2 := b.(*eval.StackVal)
+		if !ok1 || !ok2 || len(sa.Elems) != len(sb.Elems) {
+			return true
+		}
+		for i := range sa.Elems {
+			if !n.kids[0].equal(sa.Elems[i], sb.Elems[i]) {
+				return false
+			}
+		}
+		return true
+	case obsHeader:
+		ha, ok1 := a.(*eval.HeaderVal)
+		hb, ok2 := b.(*eval.HeaderVal)
+		if !ok1 || !ok2 {
+			return true
+		}
+		fa, fb = ha.Fields, hb.Fields
+	default:
+		ra, ok1 := a.(*eval.RecordVal)
+		rb, ok2 := b.(*eval.RecordVal)
+		if !ok1 || !ok2 {
+			return true
+		}
+		fa, fb = ra.Fields, rb.Fields
+	}
+	if len(fa) != n.nfield || len(fb) != n.nfield {
+		return false
+	}
+	for i := range n.kids {
+		k := &n.kids[i]
+		if !k.equal(fa[k.pos].Val, fb[k.pos].Val) {
+			return false
+		}
+	}
+	return true
 }
 
 // diffObservable compares the observable (χ ⊑ obs) scalar leaves of a and

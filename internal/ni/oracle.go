@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
-	"repro/internal/lattice"
 	"repro/internal/types"
 )
 
@@ -146,16 +145,4 @@ func (e *Experiment) Engine() *eval.Compiled { return e.engine() }
 // randomized trials already allocated.
 func (e *Experiment) Machines(code *eval.Compiled) (*eval.Machine, *eval.Machine) {
 	return e.machines(code)
-}
-
-// ObservableDiff compiles the observable-output comparison for values of
-// type t at observer obs: the returned func compares the observable
-// (χ ⊑ obs) scalar leaves of two values shaped like t, and on a mismatch
-// returns the witness and false. The witness's Where is the path below
-// the value (".f[2].g", empty at a scalar), for the caller to prefix with
-// the parameter name. The type walk and lattice queries happen here,
-// once, so oracles that compare outputs outside the trial loop pay none
-// of them per comparison.
-func ObservableDiff(t types.SecType, obs lattice.Label, lat lattice.Lattice) func(a, b eval.Value) (Violation, bool) {
-	return compileSampler(t, obs, lat).diff
 }
