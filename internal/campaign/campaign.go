@@ -58,6 +58,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/corpus"
 	"repro/internal/difftest"
+	"repro/internal/eval"
 	"repro/internal/events"
 	"repro/internal/gen"
 	"repro/internal/lattice"
@@ -509,13 +510,18 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		e.mCorpus.SetInt(int64(e.corp.Len()))
 	}
 
-	jobs := make(chan pipeline.Job)
+	// One queued job per worker: a worker that finishes takes its next
+	// job from the buffer instead of waiting out the producer's
+	// generation or mutation of it.
+	jobs := make(chan pipeline.Job, workers)
 	go func() {
 		defer close(jobs)
+		var src eval.Source
+		rng := rand.New(&src)
 		for idx := win.Lo; idx < win.Hi; idx++ {
 			job := pipeline.Job{
 				Name:   fmt.Sprintf("fuzz-%d.p4", idx),
-				Source: e.jobSource(idx),
+				Source: e.jobSource(rng, idx),
 				Lat:    e.lat,
 				Seq:    idx,
 			}
@@ -579,12 +585,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 // of a weighted corpus seed when mutation is on and the index's own rng
 // says so, a fresh gen.Random program otherwise. Everything — the
 // mutate-or-generate coin, the seed draw, the mutation operators, and the
-// fallback generation — runs off rand.NewSource(Seed+idx), so the mapping
+// fallback generation — runs off rng reseeded to Seed+idx, so the mapping
 // from index to program depends only on (Seed, Gen, pool): window runs
 // agree on it whenever they share a corpus snapshot, and a failed
-// mutation falls back to generation deterministically.
-func (e *engine) jobSource(idx int64) string {
-	rng := rand.New(rand.NewSource(e.cfg.Seed + idx))
+// mutation falls back to generation deterministically. rng is the
+// producer's own rand.Rand over an eval.Source, which draws exactly what
+// rand.NewSource(Seed+idx) would without allocating a source per job.
+func (e *engine) jobSource(rng *rand.Rand, idx int64) string {
+	rng.Seed(e.cfg.Seed + idx)
 	if e.cfg.Mutate && e.pool != nil && e.pool.size() > 0 {
 		frac := e.cfg.MutateFrac
 		if frac == 0 {

@@ -229,7 +229,7 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 	if probes < 1 {
 		probes = 1
 	}
-	rng := eval.NewBatchRand(seed)
+	rng := e.Rand(seed)
 	sec := newOdometer(p, p.secretIdx)
 	for pr := 0; pr < probes; pr++ {
 		for _, li := range p.publicIdx {

@@ -71,7 +71,8 @@ func diffParams(t *testing.T) []diffParam {
 // observable, at any depth; and the value and each copy of it with one
 // record or header cut short, a shape only the reference reads.
 func TestObservableDiffMatchesReference(t *testing.T) {
-	draws := eval.NewBatchRand(37)
+	draws := new(eval.BatchRand)
+	draws.Seed(37)
 	compared, mismatched := 0, 0
 	for _, p := range diffParams(t) {
 		for _, obs := range p.lat.Elements() {
@@ -186,7 +187,8 @@ func truncate(v eval.Value) (eval.Value, bool) {
 // observable leaf — every trial of a clean campaign and every assignment
 // of a clean sweep — allocates nothing.
 func TestObservableDiffAllocs(t *testing.T) {
-	draws := eval.NewBatchRand(41)
+	draws := new(eval.BatchRand)
+	draws.Seed(41)
 	checked := 0
 	for _, p := range diffParams(t) {
 		for _, obs := range p.lat.Elements() {

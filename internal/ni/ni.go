@@ -82,6 +82,7 @@ type Experiment struct {
 	triedCompile bool
 	machA, machB *eval.Machine
 	machCode     *eval.Compiled
+	rng          *eval.BatchRand
 }
 
 // engine returns the compiled program to run trials on, compiling lazily
@@ -155,10 +156,11 @@ func (e *Experiment) RunN(trials int, seed int64) ([]Violation, int, error) {
 }
 
 func (e *Experiment) runN(trials int, seed int64) ([]Violation, int, error) {
-	// BatchRand produces the bit-identical stream to
-	// rand.New(rand.NewSource(seed)), so the three engine paths below (and
-	// any recorded corpus seed) draw exactly the same trials.
-	rng := eval.NewBatchRand(seed)
+	// The experiment's BatchRand, reseeded for this round, produces the
+	// bit-identical stream to rand.New(rand.NewSource(seed)), so the three
+	// engine paths below (and any recorded corpus seed) draw exactly the
+	// same trials, and the round allocates no generator.
+	rng := e.Rand(seed)
 	obs := e.Observer
 	if obs.IsZero() {
 		obs = e.Lat.Bottom()

@@ -146,3 +146,14 @@ func (e *Experiment) Engine() *eval.Compiled { return e.engine() }
 func (e *Experiment) Machines(code *eval.Compiled) (*eval.Machine, *eval.Machine) {
 	return e.machines(code)
 }
+
+// Rand returns the experiment's one generator reseeded to seed, drawing
+// exactly what rand.New(rand.NewSource(seed)) draws, so no round or probe
+// sweep allocates a generator.
+func (e *Experiment) Rand(seed int64) *eval.BatchRand {
+	if e.rng == nil {
+		e.rng = new(eval.BatchRand)
+	}
+	e.rng.Seed(seed)
+	return e.rng
+}

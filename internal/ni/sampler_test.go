@@ -18,7 +18,8 @@ import (
 // parameter types on three lattices, observing at bottom and top.
 func TestSamplersKeepFieldOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	draws := eval.NewBatchRand(29)
+	draws := new(eval.BatchRand)
+	draws.Seed(29)
 	for _, spec := range []string{"two-point", "chain:4", "nparty:3"} {
 		cfg := gen.DefaultConfig()
 		cfg.Lattice = spec

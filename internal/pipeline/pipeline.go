@@ -406,9 +406,11 @@ feed:
 // RunStream is the channel-fed variant of Run for corpora too large (or
 // too lazily produced) to materialize: workers pull jobs from the jobs
 // channel as they arrive and deliver results on the returned channel in
-// completion order. The result channel is unbuffered and closes once all
-// workers have drained — after the jobs channel closes or ctx is done,
-// whichever comes first.
+// completion order. The result channel buffers one result per worker —
+// the number of concurrent senders — so a worker that finishes while the
+// consumer is busy parks its result and takes its next job instead of
+// waiting for the consumer. It closes once all workers have drained —
+// after the jobs channel closes or ctx is done, whichever comes first.
 //
 // Cancellation leaks nothing: on ctx.Done every worker stops pulling jobs
 // and stops offering results, so a producer that also selects on ctx.Done
@@ -426,7 +428,7 @@ func RunStream(ctx context.Context, jobs <-chan Job, opts Options) <-chan JobRes
 		trials = 8
 	}
 	ins := newInstruments(opts)
-	out := make(chan JobResult)
+	out := make(chan JobResult, workers) // one parked result per worker (see the doc)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

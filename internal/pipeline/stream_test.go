@@ -75,34 +75,76 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunStreamCancellationLeaksNoGoroutines: cancelling mid-stream must
-// terminate the producer, every worker, and the closer goroutine.
+// TestRunStreamCancellationLeaksNoGoroutines: cancelling the stream must
+// terminate the producer, every worker, and the closer goroutine, both
+// mid-flight with the consumer still reading and with the consumer gone
+// while every slot of the result buffer holds a parked result.
 func TestRunStreamCancellationLeaksNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	const workers = 4
+	opts := Options{Workers: workers, NI: NIAll, NITrials: 2, NISeed: 1}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	out := RunStream(ctx, feedJobs(ctx, 100000, 1), Options{Workers: 4, NI: NIAll, NITrials: 2, NISeed: 1})
-
-	// Consume a few results, then cancel with the stream mid-flight.
-	for i := 0; i < 5; i++ {
-		if _, ok := <-out; !ok {
-			t.Fatal("stream closed before cancellation")
+	// settled waits for the goroutine count to fall back to before; the
+	// producer observes ctx.Done on its next send, so the runtime may
+	// need a beat to unwind.
+	settled := func(t *testing.T, before int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("goroutines leaked: %d before stream, %d after cancellation", before, runtime.NumGoroutine())
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	cancel()
-	for range out { // drain until the workers close the channel
-	}
 
-	// The producer observes ctx.Done on its next send; give the runtime a
-	// beat to unwind before counting.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
+	t.Run("mid-stream", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		out := RunStream(ctx, feedJobs(ctx, 100000, 1), opts)
+
+		// Consume a few results, then cancel with the stream mid-flight.
+		for i := 0; i < 5; i++ {
+			if _, ok := <-out; !ok {
+				t.Fatal("stream closed before cancellation")
+			}
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("goroutines leaked: %d before stream, %d after cancellation", before, runtime.NumGoroutine())
+		cancel()
+		for range out { // drain until the workers close the channel
+		}
+		settled(t, before)
+	})
+
+	t.Run("parked-results", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		out := RunStream(ctx, feedJobs(ctx, 100000, 1), opts)
+		if cap(out) != workers {
+			t.Fatalf("result buffer holds %d, want one per worker (%d)", cap(out), workers)
+		}
+
+		// Read nothing until every buffer slot is full, so each worker
+		// that finishes another job is blocked sending it; then cancel.
+		deadline := time.Now().Add(10 * time.Second)
+		for len(out) < workers {
+			if time.Now().After(deadline) {
+				t.Fatalf("result buffer never filled: %d of %d", len(out), workers)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+
+		// Every worker, the producer and the closer must exit with the
+		// parked results still unread.
+		settled(t, before)
+		parked := 0
+		for range out {
+			parked++
+		}
+		if parked != workers {
+			t.Errorf("read %d parked results after cancellation, want %d", parked, workers)
+		}
+	})
 }
 
 // TestRunStreamShardUnion: partitioning the index space by idx mod n and

@@ -283,7 +283,7 @@ type MutateConfig = mutate.Config
 // WithMutation — the corpus-as-seed-pool coverage-guided loop — but it is
 // equally a building block for custom search strategies.
 func Mutate(seed int64, file, src string, cfg MutateConfig) (string, error) {
-	res, err := mutate.Mutate(rand.New(rand.NewSource(seed)), file, src, cfg)
+	res, err := mutate.Mutate(rand.New(eval.NewSource(seed)), file, src, cfg)
 	return res.Source, err
 }
 
