@@ -84,41 +84,18 @@ func (t *NamedType) Pos() token.Pos { return t.P }
 func (t *StackType) Pos() token.Pos { return t.P }
 func (t *SecType) Pos() token.Pos   { return t.P }
 
-func (t *BoolType) String() string  { return "bool" }
-func (t *IntType) String() string   { return "int" }
-func (t *BitType) String() string   { return "bit<" + itoa(t.Width) + ">" }
-func (t *VoidType) String() string  { return "void" }
-func (t *NamedType) String() string { return t.Name }
-func (t *StackType) String() string { return t.Elem.String() + "[" + itoa(t.Size) + "]" }
+func (t *BoolType) String() string  { return typeString(t) }
+func (t *IntType) String() string   { return typeString(t) }
+func (t *BitType) String() string   { return typeString(t) }
+func (t *VoidType) String() string  { return typeString(t) }
+func (t *NamedType) String() string { return typeString(t) }
+func (t *StackType) String() string { return typeString(t) }
 
 // String renders a SecType; unannotated types render as their base.
 func (t *SecType) String() string {
-	if t.Label == "" {
-		return t.Base.String()
-	}
-	return "<" + t.Base.String() + ", " + t.Label + ">"
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var b [24]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
+	var b strings.Builder
+	writeSec(&b, t)
+	return b.String()
 }
 
 // ---------------------------------------------------------------------------
@@ -218,74 +195,15 @@ func (e *RecordLit) Pos() token.Pos { return e.P }
 func (e *Member) Pos() token.Pos    { return e.P }
 func (e *Call) Pos() token.Pos      { return e.P }
 
-func (e *BoolLit) String() string {
-	if e.Val {
-		return "true"
-	}
-	return "false"
-}
-
-func (e *IntLit) String() string {
-	if e.HasWidth {
-		return itoa(e.Width) + "w" + utoa(e.Val)
-	}
-	return utoa(e.Val)
-}
-
-func utoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [24]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
-}
-
-func (e *Ident) String() string { return e.Name }
-
-func (e *Unary) String() string { return e.Op.String() + e.X.String() }
-
-func (e *Binary) String() string {
-	return "(" + e.X.String() + " " + e.Op.String() + " " + e.Y.String() + ")"
-}
-
-func (e *Index) String() string { return e.X.String() + "[" + e.I.String() + "]" }
-
-func (e *RecordLit) String() string {
-	var b strings.Builder
-	b.WriteString("{")
-	for i, f := range e.Fields {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(f.Name)
-		b.WriteString(" = ")
-		b.WriteString(f.Value.String())
-	}
-	b.WriteString("}")
-	return b.String()
-}
-
-func (e *Member) String() string { return e.X.String() + "." + e.Field }
-
-func (e *Call) String() string {
-	var b strings.Builder
-	b.WriteString(e.Fun.String())
-	b.WriteString("(")
-	for i, a := range e.Args {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(a.String())
-	}
-	b.WriteString(")")
-	return b.String()
-}
+func (e *BoolLit) String() string   { return exprString(e) }
+func (e *IntLit) String() string    { return exprString(e) }
+func (e *Ident) String() string     { return exprString(e) }
+func (e *Unary) String() string     { return exprString(e) }
+func (e *Binary) String() string    { return exprString(e) }
+func (e *Index) String() string     { return exprString(e) }
+func (e *RecordLit) String() string { return exprString(e) }
+func (e *Member) String() string    { return exprString(e) }
+func (e *Call) String() string      { return exprString(e) }
 
 // ---------------------------------------------------------------------------
 // Statements

@@ -4,10 +4,14 @@
 // same text. The parser fuzz targets use this for the parse→print→reparse
 // roundtrip property, and the pipeline uses it to persist generated
 // counterexamples.
+//
+// Everything is appended straight into one strings.Builder: writeExpr,
+// writeType and writeSec are the only renderings of expressions and types,
+// shared by Print and every String method.
 package ast
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -26,29 +30,55 @@ func Print(prog *Program) string {
 	return p.b.String()
 }
 
+// printer writes one line as start (the indentation), the line's pieces,
+// then end (its closing text and the newline).
 type printer struct {
 	b      strings.Builder
 	indent int
 }
 
-func (p *printer) linef(format string, args ...any) {
+func (p *printer) start() {
 	for i := 0; i < p.indent; i++ {
 		p.b.WriteString("    ")
 	}
-	fmt.Fprintf(&p.b, format, args...)
+}
+
+func (p *printer) end(s string) {
+	p.b.WriteString(s)
 	p.b.WriteByte('\n')
 }
+
+// line writes one whole line of fixed text.
+func (p *printer) line(s string) {
+	p.start()
+	p.end(s)
+}
+
+func (p *printer) str(s string) { p.b.WriteString(s) }
 
 func (p *printer) decl(d Decl) {
 	switch d := d.(type) {
 	case *TypedefDecl:
-		p.linef("typedef %s %s;", d.Type, d.Name)
+		p.start()
+		p.str("typedef ")
+		writeSec(&p.b, d.Type)
+		p.str(" ")
+		p.str(d.Name)
+		p.end(";")
 	case *MatchKindDecl:
-		p.linef("match_kind { %s }", strings.Join(d.Members, ", "))
+		p.start()
+		p.str("match_kind { ")
+		for i, m := range d.Members {
+			if i > 0 {
+				p.str(", ")
+			}
+			p.str(m)
+		}
+		p.end(" }")
 	case *HeaderDecl:
-		p.fields("header", d.Name, d.Fields)
+		p.fields("header ", d.Name, d.Fields)
 	case *StructDecl:
-		p.fields("struct", d.Name, d.Fields)
+		p.fields("struct ", d.Name, d.Fields)
 	case *VarDecl:
 		p.varDecl(d)
 	case *FuncDecl:
@@ -61,109 +91,155 @@ func (p *printer) decl(d Decl) {
 }
 
 func (p *printer) fields(kw, name string, fs []FieldDecl) {
-	p.linef("%s %s {", kw, name)
+	p.start()
+	p.str(kw)
+	p.str(name)
+	p.end(" {")
 	p.indent++
 	for _, f := range fs {
-		p.linef("%s %s;", f.Type, f.Name)
+		p.start()
+		writeSec(&p.b, f.Type)
+		p.str(" ")
+		p.str(f.Name)
+		p.end(";")
 	}
 	p.indent--
-	p.linef("}")
+	p.line("}")
 }
 
 func (p *printer) varDecl(d *VarDecl) {
+	p.start()
 	switch {
 	case d.Register:
-		p.linef("register %s %s;", d.Type, d.Name)
+		p.str("register ")
 	case d.Const:
-		p.linef("const %s %s = %s;", d.Type, d.Name, d.Init)
-	case d.Init != nil:
-		p.linef("%s %s = %s;", d.Type, d.Name, d.Init)
-	default:
-		p.linef("%s %s;", d.Type, d.Name)
+		p.str("const ")
 	}
+	writeSec(&p.b, d.Type)
+	p.str(" ")
+	p.str(d.Name)
+	if !d.Register && (d.Const || d.Init != nil) {
+		p.str(" = ")
+		writeExpr(&p.b, d.Init)
+	}
+	p.end(";")
 }
 
-func (p *printer) params(ps []Param) string {
-	parts := make([]string, len(ps))
+func (p *printer) params(ps []Param) {
 	for i, pr := range ps {
-		if dir := pr.Dir.String(); dir != "" {
-			parts[i] = dir + " " + pr.Type.String() + " " + pr.Name
-		} else {
-			parts[i] = pr.Type.String() + " " + pr.Name
+		if i > 0 {
+			p.str(", ")
 		}
+		if dir := pr.Dir.String(); dir != "" {
+			p.str(dir)
+			p.str(" ")
+		}
+		writeSec(&p.b, pr.Type)
+		p.str(" ")
+		p.str(pr.Name)
 	}
-	return strings.Join(parts, ", ")
 }
 
 func (p *printer) funcDecl(d *FuncDecl) {
+	p.start()
 	if d.IsAction {
-		p.linef("action %s(%s) {", d.Name, p.params(d.Params))
+		p.str("action ")
 	} else {
-		ret := "void"
+		p.str("function ")
 		if d.Ret != nil {
-			ret = d.Ret.String()
+			writeSec(&p.b, d.Ret)
+		} else {
+			p.str("void")
 		}
-		p.linef("function %s %s(%s) {", ret, d.Name, p.params(d.Params))
+		p.str(" ")
 	}
+	p.str(d.Name)
+	p.str("(")
+	p.params(d.Params)
+	p.end(") {")
 	p.indent++
 	p.stmts(d.Body)
 	p.indent--
-	p.linef("}")
+	p.line("}")
 }
 
-func (p *printer) actionRef(r ActionRef) string {
+func (p *printer) actionRef(r ActionRef) {
+	p.str(r.Name)
 	if len(r.Args) == 0 {
-		return r.Name
+		return
 	}
-	args := make([]string, len(r.Args))
+	p.str("(")
 	for i, a := range r.Args {
-		args[i] = a.String()
+		if i > 0 {
+			p.str(", ")
+		}
+		writeExpr(&p.b, a)
 	}
-	return r.Name + "(" + strings.Join(args, ", ") + ")"
+	p.str(")")
 }
 
 func (p *printer) table(d *TableDecl) {
-	p.linef("table %s {", d.Name)
+	p.start()
+	p.str("table ")
+	p.str(d.Name)
+	p.end(" {")
 	p.indent++
 	if len(d.Keys) > 0 {
-		p.linef("key = {")
+		p.line("key = {")
 		p.indent++
 		for _, k := range d.Keys {
-			p.linef("%s : %s;", k.Expr, k.MatchKind)
+			p.start()
+			writeExpr(&p.b, k.Expr)
+			p.str(" : ")
+			p.str(k.MatchKind)
+			p.end(";")
 		}
 		p.indent--
-		p.linef("}")
+		p.line("}")
 	}
-	p.linef("actions = {")
+	p.line("actions = {")
 	p.indent++
 	for _, a := range d.Actions {
-		p.linef("%s;", p.actionRef(a))
+		p.start()
+		p.actionRef(a)
+		p.end(";")
 	}
 	p.indent--
-	p.linef("}")
+	p.line("}")
 	if d.Default != nil {
-		p.linef("default_action = %s;", p.actionRef(*d.Default))
+		p.start()
+		p.str("default_action = ")
+		p.actionRef(*d.Default)
+		p.end(";")
 	}
 	p.indent--
-	p.linef("}")
+	p.line("}")
 }
 
 func (p *printer) control(c *ControlDecl) {
 	if c.PCLabel != "" {
-		p.linef("@pc(%s)", c.PCLabel)
+		p.start()
+		p.str("@pc(")
+		p.str(c.PCLabel)
+		p.end(")")
 	}
-	p.linef("control %s(%s) {", c.Name, p.params(c.Params))
+	p.start()
+	p.str("control ")
+	p.str(c.Name)
+	p.str("(")
+	p.params(c.Params)
+	p.end(") {")
 	p.indent++
 	for _, d := range c.Locals {
 		p.decl(d)
 	}
-	p.linef("apply {")
+	p.line("apply {")
 	p.indent++
 	p.stmts(c.Apply)
 	p.indent--
-	p.linef("}")
+	p.line("}")
 	p.indent--
-	p.linef("}")
+	p.line("}")
 }
 
 func (p *printer) stmts(b *BlockStmt) {
@@ -178,27 +254,38 @@ func (p *printer) stmts(b *BlockStmt) {
 func (p *printer) stmt(s Stmt) {
 	switch s := s.(type) {
 	case *AssignStmt:
-		p.linef("%s = %s;", s.LHS, s.RHS)
+		p.start()
+		writeExpr(&p.b, s.LHS)
+		p.str(" = ")
+		writeExpr(&p.b, s.RHS)
+		p.end(";")
 	case *IfStmt:
 		p.ifStmt(s)
 	case *BlockStmt:
-		p.linef("{")
+		p.line("{")
 		p.indent++
 		p.stmts(s)
 		p.indent--
-		p.linef("}")
+		p.line("}")
 	case *ExitStmt:
-		p.linef("exit;")
+		p.line("exit;")
 	case *ReturnStmt:
-		if s.X != nil {
-			p.linef("return %s;", s.X)
-		} else {
-			p.linef("return;")
+		if s.X == nil {
+			p.line("return;")
+			return
 		}
+		p.start()
+		p.str("return ")
+		writeExpr(&p.b, s.X)
+		p.end(";")
 	case *ExprStmt:
-		p.linef("%s;", s.X)
+		p.start()
+		writeExpr(&p.b, s.X)
+		p.end(";")
 	case *ApplyStmt:
-		p.linef("%s.apply();", s.Table)
+		p.start()
+		writeExpr(&p.b, s.Table)
+		p.end(".apply();")
 	case *DeclStmt:
 		p.varDecl(s.Decl)
 	}
@@ -208,25 +295,152 @@ func (p *printer) stmt(s Stmt) {
 // braces (`} else if (...) {`), so nesting does not indent; the parser
 // rebuilds the identical IfStmt spine.
 func (p *printer) ifStmt(s *IfStmt) {
-	p.linef("if (%s) {", s.Cond)
+	p.start()
+	p.str("if (")
+	writeExpr(&p.b, s.Cond)
+	p.end(") {")
 	for {
 		p.indent++
 		p.stmts(s.Then)
 		p.indent--
 		switch e := s.Else.(type) {
 		case nil:
-			p.linef("}")
+			p.line("}")
 			return
 		case *IfStmt:
-			p.linef("} else if (%s) {", e.Cond)
+			p.start()
+			p.str("} else if (")
+			writeExpr(&p.b, e.Cond)
+			p.end(") {")
 			s = e
 		case *BlockStmt:
-			p.linef("} else {")
+			p.line("} else {")
 			p.indent++
 			p.stmts(e)
 			p.indent--
-			p.linef("}")
+			p.line("}")
 			return
 		}
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Expressions and types
+
+func writeInt(b *strings.Builder, n int64) {
+	var buf [20]byte
+	b.Write(strconv.AppendInt(buf[:0], n, 10))
+}
+
+// writeExpr appends e's source form. Binary operations are always
+// parenthesized, so the printed text reparses to the same tree whatever
+// the operator precedences.
+func writeExpr(b *strings.Builder, e Expr) {
+	switch e := e.(type) {
+	case *BoolLit:
+		if e.Val {
+			b.WriteString("true")
+		} else {
+			b.WriteString("false")
+		}
+	case *IntLit:
+		if e.HasWidth {
+			writeInt(b, int64(e.Width))
+			b.WriteByte('w')
+		}
+		var buf [20]byte
+		b.Write(strconv.AppendUint(buf[:0], e.Val, 10))
+	case *Ident:
+		b.WriteString(e.Name)
+	case *Unary:
+		b.WriteString(e.Op.String())
+		writeExpr(b, e.X)
+	case *Binary:
+		b.WriteByte('(')
+		writeExpr(b, e.X)
+		b.WriteByte(' ')
+		b.WriteString(e.Op.String())
+		b.WriteByte(' ')
+		writeExpr(b, e.Y)
+		b.WriteByte(')')
+	case *Index:
+		writeExpr(b, e.X)
+		b.WriteByte('[')
+		writeExpr(b, e.I)
+		b.WriteByte(']')
+	case *RecordLit:
+		b.WriteByte('{')
+		for i, f := range e.Fields {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(f.Name)
+			b.WriteString(" = ")
+			writeExpr(b, f.Value)
+		}
+		b.WriteByte('}')
+	case *Member:
+		writeExpr(b, e.X)
+		b.WriteByte('.')
+		b.WriteString(e.Field)
+	case *Call:
+		writeExpr(b, e.Fun)
+		b.WriteByte('(')
+		for i, a := range e.Args {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			writeExpr(b, a)
+		}
+		b.WriteByte(')')
+	}
+}
+
+// writeType appends t's source form.
+func writeType(b *strings.Builder, t Type) {
+	switch t := t.(type) {
+	case *BoolType:
+		b.WriteString("bool")
+	case *IntType:
+		b.WriteString("int")
+	case *BitType:
+		b.WriteString("bit<")
+		writeInt(b, int64(t.Width))
+		b.WriteByte('>')
+	case *VoidType:
+		b.WriteString("void")
+	case *NamedType:
+		b.WriteString(t.Name)
+	case *StackType:
+		writeSec(b, t.Elem)
+		b.WriteByte('[')
+		writeInt(b, int64(t.Size))
+		b.WriteByte(']')
+	}
+}
+
+// writeSec appends a security-annotated type; an unannotated type renders
+// as its base.
+func writeSec(b *strings.Builder, t *SecType) {
+	if t.Label == "" {
+		writeType(b, t.Base)
+		return
+	}
+	b.WriteByte('<')
+	writeType(b, t.Base)
+	b.WriteString(", ")
+	b.WriteString(t.Label)
+	b.WriteByte('>')
+}
+
+func exprString(e Expr) string {
+	var b strings.Builder
+	writeExpr(&b, e)
+	return b.String()
+}
+
+func typeString(t Type) string {
+	var b strings.Builder
+	writeType(&b, t)
+	return b.String()
 }

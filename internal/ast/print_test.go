@@ -70,10 +70,8 @@ func TestPrintPreservesVerdict(t *testing.T) {
 	}
 }
 
-// TestPrintSyntaxDetails locks in surface details the parser is picky
-// about: @pc annotations, register arrays, default actions, else-if.
-func TestPrintSyntaxDetails(t *testing.T) {
-	src := `
+// syntaxDetails spells the surface details the parser is picky about.
+const syntaxDetails = `
 typedef <bit<8>, high> secret_t;
 match_kind { exact, lpm }
 header h_t {
@@ -98,7 +96,11 @@ control C(inout headers hdr, in bit<8> x) {
     }
 }
 `
-	printed := roundtrip(t, "details.p4", src)
+
+// TestPrintSyntaxDetails locks in surface details the parser is picky
+// about: @pc annotations, register arrays, default actions, else-if.
+func TestPrintSyntaxDetails(t *testing.T) {
+	printed := roundtrip(t, "details.p4", syntaxDetails)
 	for _, want := range []string{
 		"@pc(high)", "register bit<8>[4] r;", "default_action = NoAction;",
 		"} else if ", "<bit<8>, high>", "function bit<8> id(in bit<8> y)",

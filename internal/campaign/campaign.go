@@ -601,20 +601,22 @@ func (e *engine) jobSource(rng *rand.Rand, idx int64) string {
 		if rng.Float64() < frac {
 			seed := e.pool.pick(rng)
 			e.mSeedDraws.Inc()
-			mcfg := mutate.Config{Lattice: e.gcfg.Lattice}
+			var donor *mutate.Seed
 			if e.pool.size() > 1 && rng.Intn(4) == 0 {
-				mcfg.Donor = e.pool.pick(rng).source
+				donor = e.pool.pick(rng).mutationSeed()
 				e.mSeedDraws.Inc()
 			}
-			res, err := mutate.Mutate(rng, fmt.Sprintf("mut-%d.p4", idx), seed.source, mcfg)
-			if err == nil {
-				e.provMu.Lock()
-				e.prov[idx] = provenance{parentKey: seed.key, ops: strings.Join(res.Ops, ",")}
-				e.provMu.Unlock()
-				return res.Source
+			// An unparseable seed (e.g. a generator-bug entry) or one with
+			// no valid mutant costs one index of mutation, not the
+			// campaign: fall through to generation.
+			if ms := seed.mutationSeed(); ms != nil {
+				if res, err := ms.Mutate(rng, e.lat, donor); err == nil {
+					e.provMu.Lock()
+					e.prov[idx] = provenance{parentKey: seed.key, ops: strings.Join(res.Ops, ",")}
+					e.provMu.Unlock()
+					return res.Source
+				}
 			}
-			// Fall through: an unmutable seed (e.g. a generator-bug entry)
-			// costs one index of mutation, not the campaign.
 		}
 	}
 	return gen.Random(rng, e.gcfg)
@@ -695,7 +697,7 @@ func (e *engine) consume(r *pipeline.JobResult) {
 		e.collect(class, v, detail, rule, r, prov, mutant)
 	}
 	if r.Prog != nil {
-		if detail, bad := roundtripDisagreement(r.Job.Name, r.Prog); bad {
+		if detail, bad := roundtripDisagreement(r.Job.Name, r.Job.Source, r.Prog); bad {
 			e.rep.ParserDisagreements++
 			// The roundtrip defect is a frontend matter; the IFC rule (if
 			// any) belongs to the verdict finding, not this one.
@@ -917,7 +919,7 @@ func (e *engine) keepClass(class Class, v difftest.Verdict, idx int64) shrink.Ke
 			if err != nil {
 				return false
 			}
-			_, bad := roundtripDisagreement("cand.p4", prog)
+			_, bad := roundtripDisagreement("cand.p4", cand, prog)
 			return bad
 		}
 	}
@@ -942,9 +944,15 @@ func (e *engine) keepClass(class Class, v difftest.Verdict, idx int64) shrink.Ke
 }
 
 // roundtripDisagreement checks that parse → print → reparse is a fixed
-// point; a mismatch is a frontend defect worth a corpus entry.
-func roundtripDisagreement(name string, prog *ast.Program) (string, bool) {
+// point for prog, the parse of src; a mismatch is a frontend defect worth
+// a corpus entry. When src is already prog's print (every mutant is), the
+// reparse is skipped: the parser is deterministic, so reparsing the print
+// rebuilds prog, whose print is the same text again.
+func roundtripDisagreement(name, src string, prog *ast.Program) (string, bool) {
 	printed := ast.Print(prog)
+	if printed == src {
+		return "", false
+	}
 	re, err := parser.Parse(name, printed)
 	if err != nil {
 		return "printed form does not reparse: " + err.Error(), true

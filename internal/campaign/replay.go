@@ -172,7 +172,7 @@ func replayOne(ctx context.Context, m corpus.Meta, src string, trials, max int) 
 			return "unparseable", err.Error(), nil
 		}
 		if m.Class == ClassParserDisagreement || m.Class == ClassRoundtripClean {
-			if detail, bad := roundtripDisagreement("replay.p4", prog); bad {
+			if detail, bad := roundtripDisagreement("replay.p4", src, prog); bad {
 				return string(ClassParserDisagreement), detail, nil
 			}
 			return string(ClassRoundtripClean), "parse → print → reparse is now a fixed point", nil

@@ -39,6 +39,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/corpus"
 	"repro/internal/lattice"
+	"repro/internal/mutate"
 )
 
 // seedEntry is one corpus program available for mutation.
@@ -47,6 +48,21 @@ type seedEntry struct {
 	class   Class
 	source  string
 	cluster string // (class, rule, fingerprint) key; unique for unparseable seeds
+
+	seed   *mutate.Seed // source prepared for mutation; see mutationSeed
+	parsed bool         // seed has been built (it stays nil if source does not parse)
+}
+
+// mutationSeed returns the entry's source prepared for mutation, built on
+// the entry's first pick and reused by every later mutant of it and every
+// splice from it; nil when the source does not parse. Only the campaign's
+// producer goroutine picks seeds, so the build needs no lock.
+func (s *seedEntry) mutationSeed() *mutate.Seed {
+	if !s.parsed {
+		s.parsed = true
+		s.seed, _ = mutate.NewSeed(s.key+".p4", s.source)
+	}
+	return s.seed
 }
 
 // seedPool is a weighted sampler over corpus entries.
@@ -313,13 +329,13 @@ func clusterKeyOf(e *corpus.Entry) string {
 func (p *seedPool) size() int { return len(p.entries) }
 
 // pick draws one seed, weight-proportionally, from rng.
-func (p *seedPool) pick(rng *rand.Rand) seedEntry {
+func (p *seedPool) pick(rng *rand.Rand) *seedEntry {
 	x := rng.Float64() * p.total
 	i := sort.SearchFloat64s(p.cum, x)
 	if i >= len(p.entries) {
 		i = len(p.entries) - 1
 	}
-	return p.entries[i]
+	return &p.entries[i]
 }
 
 // weightOf returns the sampling weight of the seed at index i (test and

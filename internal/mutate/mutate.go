@@ -80,46 +80,94 @@ type Result struct {
 // Mutate parses src and returns a mutated variant per the package
 // contract. It errors if src does not parse, the lattice spec is
 // unresolvable, or no valid distinct mutant appears within the retry
-// budget.
+// budget. It is NewSeed and Seed.Mutate in one call; a caller that
+// mutates one program many times keeps the Seed instead.
 func Mutate(rng *rand.Rand, file, src string, cfg Config) (Result, error) {
 	lat, err := gen.Config{Lattice: cfg.Lattice}.ResolveLattice()
 	if err != nil {
 		return Result{}, fmt.Errorf("mutate: %w", err)
 	}
-	parent, err := parser.Parse(file, src)
+	seed, err := NewSeed(file, src)
 	if err != nil {
-		return Result{}, fmt.Errorf("mutate: seed does not parse: %w", err)
+		return Result{}, err
 	}
-	canon := ast.Print(parent)
-	ops := cfg.Ops
+	var donor *Seed
+	if cfg.Donor != "" {
+		donor, _ = NewSeed(file+"#donor", cfg.Donor)
+	}
+	return seed.mutate(rng, lat, donor, cfg.Ops, cfg.Retries)
+}
+
+// Seed is one parent program prepared for repeated mutation, so frontend
+// work is done once per Seed rather than once per mutation or attempt:
+// NewSeed parses the source, the first mutation prints that tree
+// canonically and parses the print as the base each attempt copies, and
+// the first mutation that takes it as a donor collects the source tree's
+// sites.
+// A Seed is not safe for concurrent use.
+type Seed struct {
+	file  string
+	tree  *ast.Program // the parse of the source; splice material as a donor
+	canon string       // ast.Print(tree); a mutant must differ from it
+	base  *ast.Program // the parse of canon; nil until first mutated
+	graft *sites       // tree's sites; nil until first passed as a donor
+}
+
+// NewSeed parses src as a seed for mutation. It errors if src does not
+// parse.
+func NewSeed(file, src string) (*Seed, error) {
+	tree, err := parser.Parse(file, src)
+	if err != nil {
+		return nil, fmt.Errorf("mutate: seed does not parse: %w", err)
+	}
+	return &Seed{file: file, tree: tree}, nil
+}
+
+// Mutate returns a mutated variant of s per the package contract, with
+// the default operator and retry bounds. lat is the resolved campaign
+// lattice; donor, when non-nil, adds the splice operators. It errors if
+// no valid distinct mutant appears within the retry budget.
+func (s *Seed) Mutate(rng *rand.Rand, lat lattice.Lattice, donor *Seed) (Result, error) {
+	return s.mutate(rng, lat, donor, 0, 0)
+}
+
+func (s *Seed) mutate(rng *rand.Rand, lat lattice.Lattice, donor *Seed, ops, retries int) (Result, error) {
+	if s.base == nil {
+		s.canon = ast.Print(s.tree)
+		base, err := parser.Parse(s.file, s.canon)
+		if err != nil {
+			return Result{}, fmt.Errorf("mutate: canonical print of %s does not reparse: %w", s.file, err)
+		}
+		s.base = base
+	}
 	if ops <= 0 {
 		ops = 2
 	}
-	retries := cfg.Retries
 	if retries <= 0 {
 		retries = 16
 	}
-	var donor *ast.Program
-	if cfg.Donor != "" {
-		donor, _ = parser.Parse(file+"#donor", cfg.Donor)
+	m := &mutator{rng: rng, lat: lat}
+	if donor != nil {
+		if donor.graft == nil {
+			donor.graft = collect(donor.tree)
+		}
+		m.donor = donor.graft
 	}
-
 	for attempt := 0; attempt < retries; attempt++ {
-		// Each attempt mutates a fresh parse of the seed, so rejected
+		// Each attempt mutates a fresh copy of the base, so rejected
 		// candidates leave no residue.
-		prog := parser.MustParse(file, canon)
-		m := &mutator{rng: rng, lat: lat, donor: donor}
+		prog := copyProgram(s.base)
 		applied := m.apply(prog, 1+rng.Intn(ops))
 		if len(applied) == 0 {
 			continue
 		}
 		out := ast.Print(prog)
-		if out == canon || !valid(file, out, lat) {
+		if out == s.canon || !valid(s.file, out, lat) {
 			continue
 		}
 		return Result{Source: out, Ops: applied}, nil
 	}
-	return Result{}, fmt.Errorf("mutate: no valid mutant of %s within %d attempts", file, retries)
+	return Result{}, fmt.Errorf("mutate: no valid mutant of %s within %d attempts", s.file, retries)
 }
 
 // valid is the mutant admission predicate: parse, resolve under lat, and
@@ -139,11 +187,11 @@ func valid(file, src string, lat lattice.Lattice) bool {
 	return basecheck.Check(prog).OK
 }
 
-// mutator holds one attempt's state.
+// mutator holds one mutation's state.
 type mutator struct {
 	rng   *rand.Rand
 	lat   lattice.Lattice
-	donor *ast.Program
+	donor *sites // the donor's sites; nil without a donor
 }
 
 // op is one mutation operator; it reports whether it found an admissible
@@ -364,10 +412,10 @@ func (m *mutator) wrapIf(_ *ast.Program, s *sites) bool {
 // admission predicate rejects grafts that reference structure the target
 // program lacks.
 func (m *mutator) splice(_ *ast.Program, s *sites) bool {
-	if m.donor == nil {
+	ds := m.donor
+	if ds == nil {
 		return false
 	}
-	ds := collect(m.donor)
 	if len(ds.conds) > 0 && len(s.ifs) > 0 && m.rng.Intn(2) == 0 {
 		s.ifs[m.rng.Intn(len(s.ifs))].Cond = copyExpr(ds.conds[m.rng.Intn(len(ds.conds))])
 		return true

@@ -1,8 +1,9 @@
 // Site collection and AST deep copy for the mutation operators. The
 // walker gathers mutable pointers (annotation sites, operators, literals,
 // blocks) in syntactic order, so a site draw is uniform over the program;
-// the copiers produce alias-free subtrees so clone-and-perturb and splice
-// never mutate their source through sharing.
+// the copiers produce alias-free trees so a mutation attempt never
+// changes its seed's base, and clone-and-perturb and splice never mutate
+// their source, through sharing.
 package mutate
 
 import (
@@ -139,7 +140,131 @@ func (s *sites) expr(e ast.Expr) {
 }
 
 // ---------------------------------------------------------------------------
-// Deep copy (expressions and statements; enough for clone/splice/wrap)
+// Deep copy
+
+// copyProgram returns a copy of p that shares no node with it, so each
+// mutation attempt can edit its copy of a seed's base in place. Positions
+// are copied too: the copy is the tree a reparse of the base's source
+// would build.
+func copyProgram(p *ast.Program) *ast.Program {
+	out := &ast.Program{File: p.File, Decls: make([]ast.Decl, len(p.Decls)), Controls: make([]*ast.ControlDecl, len(p.Controls))}
+	for i, d := range p.Decls {
+		out.Decls[i] = copyDecl(d)
+	}
+	for i, c := range p.Controls {
+		out.Controls[i] = copyControl(c)
+	}
+	return out
+}
+
+func copyDecl(d ast.Decl) ast.Decl {
+	switch d := d.(type) {
+	case *ast.TypedefDecl:
+		return &ast.TypedefDecl{P: d.P, Type: copySec(d.Type), Name: d.Name}
+	case *ast.MatchKindDecl:
+		return &ast.MatchKindDecl{P: d.P, Members: append([]string(nil), d.Members...)}
+	case *ast.HeaderDecl:
+		return &ast.HeaderDecl{P: d.P, Name: d.Name, Fields: copyFields(d.Fields)}
+	case *ast.StructDecl:
+		return &ast.StructDecl{P: d.P, Name: d.Name, Fields: copyFields(d.Fields)}
+	case *ast.VarDecl:
+		return copyVarDecl(d)
+	case *ast.FuncDecl:
+		return &ast.FuncDecl{P: d.P, Name: d.Name, IsAction: d.IsAction, Ret: copySec(d.Ret),
+			Params: copyParams(d.Params), Body: copyBlock(d.Body)}
+	case *ast.TableDecl:
+		t := &ast.TableDecl{P: d.P, Name: d.Name, Keys: make([]ast.TableKey, len(d.Keys)), Actions: make([]ast.ActionRef, len(d.Actions))}
+		for i, k := range d.Keys {
+			t.Keys[i] = ast.TableKey{P: k.P, Expr: copyExpr(k.Expr), MatchKind: k.MatchKind}
+		}
+		for i, a := range d.Actions {
+			t.Actions[i] = copyActionRef(a)
+		}
+		if d.Default != nil {
+			a := copyActionRef(*d.Default)
+			t.Default = &a
+		}
+		return t
+	case *ast.ControlDecl:
+		return copyControl(d)
+	default:
+		return d // unreachable for the closed Decl set
+	}
+}
+
+func copyControl(c *ast.ControlDecl) *ast.ControlDecl {
+	out := &ast.ControlDecl{P: c.P, Name: c.Name, Params: copyParams(c.Params),
+		Locals: make([]ast.Decl, len(c.Locals)), Apply: copyBlock(c.Apply), PCLabel: c.PCLabel}
+	for i, d := range c.Locals {
+		out.Locals[i] = copyDecl(d)
+	}
+	return out
+}
+
+func copyFields(fs []ast.FieldDecl) []ast.FieldDecl {
+	out := make([]ast.FieldDecl, len(fs))
+	for i, f := range fs {
+		out[i] = ast.FieldDecl{P: f.P, Type: copySec(f.Type), Name: f.Name}
+	}
+	return out
+}
+
+func copyParams(ps []ast.Param) []ast.Param {
+	out := make([]ast.Param, len(ps))
+	for i, p := range ps {
+		out[i] = ast.Param{P: p.P, Dir: p.Dir, Type: copySec(p.Type), Name: p.Name}
+	}
+	return out
+}
+
+func copyActionRef(a ast.ActionRef) ast.ActionRef {
+	out := ast.ActionRef{P: a.P, Name: a.Name}
+	if a.Args != nil {
+		out.Args = make([]ast.Expr, len(a.Args))
+		for i, e := range a.Args {
+			out.Args[i] = copyExpr(e)
+		}
+	}
+	return out
+}
+
+func copyVarDecl(d *ast.VarDecl) *ast.VarDecl {
+	c := *d
+	c.Type = copySec(d.Type)
+	c.Init = copyExpr(d.Init)
+	return &c
+}
+
+func copySec(t *ast.SecType) *ast.SecType {
+	if t == nil {
+		return nil
+	}
+	return &ast.SecType{P: t.P, Base: copyType(t.Base), Label: t.Label}
+}
+
+func copyType(t ast.Type) ast.Type {
+	switch t := t.(type) {
+	case *ast.BoolType:
+		c := *t
+		return &c
+	case *ast.IntType:
+		c := *t
+		return &c
+	case *ast.BitType:
+		c := *t
+		return &c
+	case *ast.VoidType:
+		c := *t
+		return &c
+	case *ast.NamedType:
+		c := *t
+		return &c
+	case *ast.StackType:
+		return &ast.StackType{P: t.P, Elem: copySec(t.Elem), Size: t.Size}
+	default:
+		return t // nil, or unreachable for the closed Type set
+	}
+}
 
 func copyExpr(e ast.Expr) ast.Expr {
 	switch e := e.(type) {
@@ -210,13 +335,7 @@ func copyStmt(s ast.Stmt) ast.Stmt {
 	case *ast.ApplyStmt:
 		return &ast.ApplyStmt{P: s.P, Table: copyExpr(s.Table)}
 	case *ast.DeclStmt:
-		d := *s.Decl
-		if d.Type != nil {
-			t := *d.Type
-			d.Type = &t
-		}
-		d.Init = copyExpr(d.Init)
-		return &ast.DeclStmt{P: s.P, Decl: &d}
+		return &ast.DeclStmt{P: s.P, Decl: copyVarDecl(s.Decl)}
 	default:
 		return s // unreachable for the closed Stmt set
 	}

@@ -82,7 +82,7 @@ const (
 	keywordEnd
 )
 
-var kindNames = map[Kind]string{
+var kindNames = [...]string{
 	ILLEGAL: "ILLEGAL", EOF: "EOF", IDENT: "identifier", INT: "integer",
 	TRUE: "true", FALSE: "false", STRING: "string",
 	LPAREN: "(", RPAREN: ")", LBRACE: "{", RBRACE: "}",
@@ -102,26 +102,66 @@ var kindNames = map[Kind]string{
 
 // String returns a human-readable name for the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-var keywords = func() map[string]Kind {
-	m := make(map[string]Kind)
-	for k := keywordBeg + 1; k < keywordEnd; k++ {
-		m[kindNames[k]] = k
-	}
-	m["true"] = TRUE
-	m["false"] = FALSE
-	return m
-}()
-
 // LookupIdent maps an identifier spelling to its keyword kind, or IDENT.
+// The lexer calls it on every identifier, so it is a string switch (which
+// the compiler dispatches on length before comparing bytes) rather than a
+// map lookup that hashes every spelling.
 func LookupIdent(s string) Kind {
-	if k, ok := keywords[s]; ok {
-		return k
+	switch s {
+	case "action":
+		return ACTION
+	case "apply":
+		return APPLY
+	case "bit":
+		return BIT
+	case "bool":
+		return BOOL
+	case "control":
+		return CONTROL
+	case "else":
+		return ELSE
+	case "exit":
+		return EXIT
+	case "function":
+		return FUNCTION
+	case "header":
+		return HEADER
+	case "if":
+		return IF
+	case "in":
+		return IN
+	case "inout":
+		return INOUT
+	case "int":
+		return INT_T
+	case "match_kind":
+		return MATCH_KIND
+	case "out":
+		return OUT
+	case "return":
+		return RETURN
+	case "struct":
+		return STRUCT
+	case "table":
+		return TABLE
+	case "typedef":
+		return TYPEDEF
+	case "void":
+		return VOID
+	case "const":
+		return CONST
+	case "register":
+		return REGISTER
+	case "true":
+		return TRUE
+	case "false":
+		return FALSE
 	}
 	return IDENT
 }
