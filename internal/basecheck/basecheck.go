@@ -44,7 +44,7 @@ func (r *Result) Err() error {
 // absent — they are resolved against a permissive two-point lattice so the
 // same annotated sources can be base-checked.
 func Check(prog *ast.Program) *Result {
-	c := &checker{lat: permissive{lattice.TwoPoint()}}
+	c := &checker{lat: labelBlind}
 	c.res = resolve.New(c.lat, &c.diags)
 	c.run(prog)
 	return &Result{OK: !c.diags.HasErrors(), Diags: c.diags.All()}
@@ -57,6 +57,10 @@ type permissive struct{ lattice.Lattice }
 
 func (p permissive) Lookup(string) (lattice.Label, bool) { return p.Bottom(), true }
 
+// labelBlind is the lattice every base check resolves against. Lattices
+// are immutable once built, so one serves every check.
+var labelBlind lattice.Lattice = permissive{lattice.TwoPoint()}
+
 type checker struct {
 	lat   lattice.Lattice
 	diags diag.List
@@ -66,8 +70,8 @@ type checker struct {
 func (c *checker) run(prog *ast.Program) {
 	c.res.CollectTypeDecls(prog)
 	env := types.NewEnv()
-	for name, t := range c.res.Builtins() {
-		env.Bind(name, t)
+	for _, b := range c.res.Builtins() {
+		env.Bind(b.Name, b.Type)
 	}
 	mkType := types.SecType{T: c.res.MatchKindType(), L: c.lat.Bottom()}
 	for _, m := range c.res.MatchKinds {
@@ -75,7 +79,7 @@ func (c *checker) run(prog *ast.Program) {
 	}
 	for _, d := range prog.Decls {
 		if vd, ok := d.(*ast.VarDecl); ok {
-			env = c.checkVarDecl(env, vd)
+			c.checkVarDecl(env, vd)
 		}
 	}
 	if len(prog.Controls) == 0 {
@@ -87,8 +91,8 @@ func (c *checker) run(prog *ast.Program) {
 	}
 }
 
-func (c *checker) checkControl(global *types.Env, ctrl *ast.ControlDecl) {
-	env := global.Child()
+func (c *checker) checkControl(env *types.Env, ctrl *ast.ControlDecl) {
+	outer := env.Open()
 	for _, p := range ctrl.Params {
 		st := c.res.SecType(p.Type)
 		if st.IsZero() {
@@ -103,22 +107,23 @@ func (c *checker) checkControl(global *types.Env, ctrl *ast.ControlDecl) {
 	for _, d := range ctrl.Locals {
 		switch d := d.(type) {
 		case *ast.VarDecl:
-			env = c.checkVarDecl(env, d)
+			c.checkVarDecl(env, d)
 		case *ast.FuncDecl:
-			env = c.checkFuncDecl(env, d)
+			c.checkFuncDecl(env, d)
 		case *ast.TableDecl:
-			env = c.checkTableDecl(env, d)
+			c.checkTableDecl(env, d)
 		default:
 			c.diags.Errorf(d.Pos(), "unsupported declaration in control body")
 		}
 	}
-	c.checkBlock(env.Child(), ctrl.Apply)
+	c.checkBlock(env, ctrl.Apply)
+	env.Close(outer)
 }
 
-func (c *checker) checkVarDecl(env *types.Env, d *ast.VarDecl) *types.Env {
+func (c *checker) checkVarDecl(env *types.Env, d *ast.VarDecl) {
 	declared := c.res.SecType(d.Type)
 	if declared.IsZero() {
-		return env
+		return
 	}
 	if env.InCurrentScope(d.Name) {
 		c.diags.Errorf(d.P, "%q redeclared in this scope", d.Name)
@@ -133,12 +138,11 @@ func (c *checker) checkVarDecl(env *types.Env, d *ast.VarDecl) *types.Env {
 		}
 	}
 	env.Bind(d.Name, declared)
-	return env
 }
 
-func (c *checker) checkFuncDecl(env *types.Env, d *ast.FuncDecl) *types.Env {
+func (c *checker) checkFuncDecl(env *types.Env, d *ast.FuncDecl) {
 	params := make([]types.Param, 0, len(d.Params))
-	body := env.Child()
+	outer := env.Open()
 	for _, p := range d.Params {
 		st := c.res.SecType(p.Type)
 		if st.IsZero() {
@@ -154,31 +158,36 @@ func (c *checker) checkFuncDecl(env *types.Env, d *ast.FuncDecl) *types.Env {
 		case ast.DirNone:
 			ctrlPlane = d.IsAction
 		}
-		if body.InCurrentScope(p.Name) {
+		if env.InCurrentScope(p.Name) {
 			c.diags.Errorf(p.P, "duplicate parameter %q", p.Name)
 			continue
 		}
 		params = append(params, types.Param{Name: p.Name, Dir: dir, Type: st, CtrlPlane: ctrlPlane})
-		body.Bind(p.Name, st)
+		env.Bind(p.Name, st)
 	}
-	ret := types.SecType{T: types.Unit{}, L: c.lat.Bottom()}
+	unit := types.SecType{T: types.Unit{}, L: c.lat.Bottom()}
+	ret := unit
 	if d.Ret != nil {
-		ret = c.res.SecType(d.Ret)
+		// An unresolvable return type has been reported; check the body
+		// against ⟨unit, ⊥⟩, as the IFC checker does.
+		if ret = c.res.SecType(d.Ret); ret.IsZero() {
+			ret = unit
+		}
 	}
 	if d.IsAction && d.Ret != nil {
 		c.diags.Errorf(d.P, "action %s cannot have a return type", d.Name)
 	}
-	body.Bind("return", ret)
-	c.checkBlock(body.Child(), d.Body)
+	env.Bind("return", ret)
+	c.checkBlock(env, d.Body)
+	env.Close(outer)
 	ft := &types.Func{Params: params, PCFn: c.lat.Bottom(), Ret: ret, IsAction: d.IsAction}
 	if env.InCurrentScope(d.Name) {
 		c.diags.Errorf(d.P, "%q redeclared in this scope", d.Name)
 	}
 	env.Bind(d.Name, types.SecType{T: ft, L: c.lat.Bottom()})
-	return env
 }
 
-func (c *checker) checkTableDecl(env *types.Env, d *ast.TableDecl) *types.Env {
+func (c *checker) checkTableDecl(env *types.Env, d *ast.TableDecl) {
 	for _, k := range d.Keys {
 		kt := c.checkExpr(env, k.Expr)
 		if !kt.IsZero() && !types.IsScalar(kt.T) {
@@ -222,24 +231,24 @@ func (c *checker) checkTableDecl(env *types.Env, d *ast.TableDecl) *types.Env {
 		c.diags.Errorf(d.P, "%q redeclared in this scope", d.Name)
 	}
 	env.Bind(d.Name, types.SecType{T: &types.Table{PCTbl: c.lat.Bottom()}, L: c.lat.Bottom()})
-	return env
 }
 
 func (c *checker) checkBlock(env *types.Env, b *ast.BlockStmt) {
-	scope := env.Child()
+	outer := env.Open()
 	for _, s := range b.Stmts {
-		scope = c.checkStmt(scope, s)
+		c.checkStmt(env, s)
 	}
+	env.Close(outer)
 }
 
-func (c *checker) checkStmt(env *types.Env, s ast.Stmt) *types.Env {
+func (c *checker) checkStmt(env *types.Env, s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.BlockStmt:
 		c.checkBlock(env, s)
 	case *ast.AssignStmt:
 		if !ast.IsLValue(s.LHS) {
 			c.diags.Errorf(s.P, "%s is not assignable", s.LHS)
-			return env
+			return
 		}
 		lt := c.checkExpr(env, s.LHS)
 		rt := c.checkExpr(env, s.RHS)
@@ -259,20 +268,22 @@ func (c *checker) checkStmt(env *types.Env, s ast.Stmt) *types.Env {
 		}
 		c.checkBlock(env, s.Then)
 		if s.Else != nil {
-			c.checkStmt(env.Child(), s.Else)
+			outer := env.Open()
+			c.checkStmt(env, s.Else)
+			env.Close(outer)
 		}
 	case *ast.ExitStmt:
 	case *ast.ReturnStmt:
 		ret, ok := env.Lookup("return")
 		if !ok {
 			c.diags.Errorf(s.P, "return outside of a function body")
-			return env
+			return
 		}
 		if s.X == nil {
 			if _, isUnit := ret.T.(types.Unit); !isUnit {
 				c.diags.Errorf(s.P, "missing return value of type %s", ret.T)
 			}
-			return env
+			return
 		}
 		xt := c.checkExpr(env, s.X)
 		if !xt.IsZero() {
@@ -295,11 +306,10 @@ func (c *checker) checkStmt(env *types.Env, s ast.Stmt) *types.Env {
 			}
 		}
 	case *ast.DeclStmt:
-		return c.checkVarDecl(env, s.Decl)
+		c.checkVarDecl(env, s.Decl)
 	default:
 		c.diags.Errorf(s.Pos(), "unsupported statement")
 	}
-	return env
 }
 
 func (c *checker) checkExpr(env *types.Env, e ast.Expr) types.SecType {

@@ -25,8 +25,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/ast"
 	"repro/internal/diag"
 	"repro/internal/lattice"
@@ -127,8 +125,8 @@ func (c *checker) qualify(name string) string {
 func (c *checker) run() {
 	c.res.CollectTypeDecls(c.prog)
 	env := types.NewEnv()
-	for name, t := range c.res.Builtins() {
-		env.Bind(name, t)
+	for _, b := range c.res.Builtins() {
+		env.Bind(b.Name, b.Type)
 	}
 	// Match-kind members are variables of type ⟨match_kind, ⊥⟩ (T-MatchKind).
 	mkType := types.SecType{T: c.res.MatchKindType(), L: c.bot()}
@@ -138,7 +136,7 @@ func (c *checker) run() {
 	// Top-level constants.
 	for _, d := range c.prog.Decls {
 		if vd, ok := d.(*ast.VarDecl); ok {
-			env = c.checkVarDecl(env, c.bot(), vd)
+			c.checkVarDecl(env, c.bot(), vd)
 		}
 	}
 	if len(c.prog.Controls) == 0 {
@@ -150,18 +148,18 @@ func (c *checker) run() {
 	}
 }
 
-// checkControl checks one control block: parameters are bound into a child
-// Γ, locals are processed in order (declarations extend Γ, per the
-// declaration judgement), and the apply block is checked at the control's
-// pc (⊥ unless annotated).
-func (c *checker) checkControl(global *types.Env, ctrl *ast.ControlDecl) {
+// checkControl checks one control block: parameters are bound into an
+// inner scope of Γ, locals are processed in order (declarations extend Γ,
+// per the declaration judgement), and the apply block is checked at the
+// control's pc (⊥ unless annotated).
+func (c *checker) checkControl(env *types.Env, ctrl *ast.ControlDecl) {
 	c.curControl = ctrl.Name
 	defer func() { c.curControl = "" }()
 
 	pc := c.res.Label(ctrl.P, ctrl.PCLabel)
 	c.controlPC[ctrl.Name] = pc
 
-	env := global.Child()
+	outer := env.Open()
 	for _, p := range ctrl.Params {
 		st := c.res.SecType(p.Type)
 		if st.IsZero() {
@@ -176,16 +174,17 @@ func (c *checker) checkControl(global *types.Env, ctrl *ast.ControlDecl) {
 	for _, d := range ctrl.Locals {
 		switch d := d.(type) {
 		case *ast.VarDecl:
-			env = c.checkVarDecl(env, pc, d)
+			c.checkVarDecl(env, pc, d)
 		case *ast.FuncDecl:
-			env = c.checkFuncDecl(env, d)
+			c.checkFuncDecl(env, d)
 		case *ast.TableDecl:
-			env = c.checkTableDecl(env, d)
+			c.checkTableDecl(env, d)
 		default:
 			c.diags.Errorf(d.Pos(), "unsupported declaration in control body")
 		}
 	}
-	c.checkBlock(env.Child(), pc, ctrl.Apply)
+	c.checkBlock(env, pc, ctrl.Apply)
+	env.Close(outer)
 }
 
 // ---------------------------------------------------------------------------
@@ -194,10 +193,10 @@ func (c *checker) checkControl(global *types.Env, ctrl *ast.ControlDecl) {
 // checkVarDecl implements T-VarDecl and T-VarInit: τ x and τ x := exp.
 // The initializer's label must flow into the declared label (T-SubType-In),
 // and its base type must unfold to the declared base type.
-func (c *checker) checkVarDecl(env *types.Env, pc lattice.Label, d *ast.VarDecl) *types.Env {
+func (c *checker) checkVarDecl(env *types.Env, pc lattice.Label, d *ast.VarDecl) {
 	declared := c.res.SecType(d.Type)
 	if declared.IsZero() {
-		return env
+		return
 	}
 	if env.InCurrentScope(d.Name) {
 		c.diags.Errorf(d.P, "%q redeclared in this scope", d.Name)
@@ -225,15 +224,14 @@ func (c *checker) checkVarDecl(env *types.Env, pc lattice.Label, d *ast.VarDecl)
 	if d.Init != nil {
 		c.addEffect(declared.L)
 	}
-	return env
 }
 
 // checkFuncDecl implements T-FuncDecl. The body is checked in
 // Γ1 = Γ[params, return ↦ ⟨τret, χret⟩]; its write effect is accumulated
 // and becomes the function's pc_fn, recorded on the arrow type.
-func (c *checker) checkFuncDecl(env *types.Env, d *ast.FuncDecl) *types.Env {
+func (c *checker) checkFuncDecl(env *types.Env, d *ast.FuncDecl) {
 	params := make([]types.Param, 0, len(d.Params))
-	body := env.Child()
+	outer := env.Open()
 	for _, p := range d.Params {
 		st := c.res.SecType(p.Type)
 		if st.IsZero() {
@@ -255,12 +253,12 @@ func (c *checker) checkFuncDecl(env *types.Env, d *ast.FuncDecl) *types.Env {
 			// Directionless parameters of plain functions behave as in.
 			ctrlPlane = false
 		}
-		if body.InCurrentScope(p.Name) {
+		if env.InCurrentScope(p.Name) {
 			c.diags.Errorf(p.P, "duplicate parameter %q", p.Name)
 			continue
 		}
 		params = append(params, types.Param{Name: p.Name, Dir: dir, Type: st, CtrlPlane: ctrlPlane})
-		body.Bind(p.Name, st)
+		env.Bind(p.Name, st)
 	}
 	ret := types.SecType{T: types.Unit{}, L: c.bot()}
 	if d.Ret != nil {
@@ -272,16 +270,17 @@ func (c *checker) checkFuncDecl(env *types.Env, d *ast.FuncDecl) *types.Env {
 	if d.IsAction && d.Ret != nil {
 		c.diags.RuleErrorf(d.P, "T-FuncDecl", "action %s cannot have a return type", d.Name)
 	}
-	body.Bind("return", ret)
+	env.Bind("return", ret)
 
 	// Check the body at ⊥, accumulating its write effect; the meet of the
 	// effects is pc_fn. By monotonicity of the statement rules in pc
 	// (validated by property tests), the body also checks at pc_fn itself.
 	saved := c.effect
 	c.effect = c.lat.Top()
-	c.checkBlock(body.Child(), c.bot(), d.Body)
+	c.checkBlock(env, c.bot(), d.Body)
 	pcFn := c.effect
 	c.effect = saved
+	env.Close(outer)
 
 	ft := &types.Func{Params: params, PCFn: pcFn, Ret: ret, IsAction: d.IsAction}
 	if env.InCurrentScope(d.Name) {
@@ -289,7 +288,6 @@ func (c *checker) checkFuncDecl(env *types.Env, d *ast.FuncDecl) *types.Env {
 	}
 	env.Bind(d.Name, types.SecType{T: ft, L: c.bot()})
 	c.funcPC[c.qualify(d.Name)] = pcFn
-	return env
 }
 
 // checkTableDecl implements T-TblDecl. The table's pc_tbl is chosen
@@ -300,7 +298,7 @@ func (c *checker) checkFuncDecl(env *types.Env, d *ast.FuncDecl) *types.Env {
 //	χ_k ⊑ pc_fn_j           (implied by the above since pc_tbl ⊑ pc_fn_j)
 //	bound argument types match the action's leading parameters
 //	trailing unbound parameters must be control-plane (directionless)
-func (c *checker) checkTableDecl(env *types.Env, d *ast.TableDecl) *types.Env {
+func (c *checker) checkTableDecl(env *types.Env, d *ast.TableDecl) {
 	// Key expressions and their labels.
 	keyJoin := c.bot()
 	for _, k := range d.Keys {
@@ -368,7 +366,6 @@ func (c *checker) checkTableDecl(env *types.Env, d *ast.TableDecl) *types.Env {
 	}
 	env.Bind(d.Name, types.SecType{T: &types.Table{PCTbl: pcTbl}, L: c.bot()})
 	c.tablePC[c.qualify(d.Name)] = pcTbl
-	return env
 }
 
 // ---------------------------------------------------------------------------
@@ -378,25 +375,24 @@ func (c *checker) checkTableDecl(env *types.Env, d *ast.TableDecl) *types.Env {
 func (c *checker) addEffect(l lattice.Label) { c.effect = c.lat.Meet(c.effect, l) }
 
 // checkBlock checks a statement block (T-Seq/T-Empty), threading Γ through
-// declaration statements in a child scope.
+// declaration statements in an inner scope.
 func (c *checker) checkBlock(env *types.Env, pc lattice.Label, b *ast.BlockStmt) {
-	scope := env.Child()
+	outer := env.Open()
 	for _, s := range b.Stmts {
-		scope = c.checkStmt(scope, pc, s)
+		c.checkStmt(env, pc, s)
 	}
+	env.Close(outer)
 }
 
-// checkStmt checks one statement at security context pc and returns the
-// (possibly extended) Γ′.
-func (c *checker) checkStmt(env *types.Env, pc lattice.Label, s ast.Stmt) *types.Env {
+// checkStmt checks one statement at security context pc, extending Γ to
+// Γ′ in place.
+func (c *checker) checkStmt(env *types.Env, pc lattice.Label, s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.BlockStmt:
 		c.checkBlock(env, pc, s)
-		return env
 
 	case *ast.AssignStmt:
 		c.checkAssign(env, pc, s)
-		return env
 
 	case *ast.IfStmt:
 		// T-Cond: guard ⟨bool, χ1⟩; both branches checked at
@@ -412,9 +408,10 @@ func (c *checker) checkStmt(env *types.Env, pc lattice.Label, s ast.Stmt) *types
 		}
 		c.checkBlock(env, branchPC, s.Then)
 		if s.Else != nil {
-			c.checkStmt(env.Child(), branchPC, s.Else)
+			outer := env.Open()
+			c.checkStmt(env, branchPC, s.Else)
+			env.Close(outer)
 		}
-		return env
 
 	case *ast.ExitStmt:
 		// T-Exit: well-typed only at pc = ⊥. Exiting is observable
@@ -424,7 +421,6 @@ func (c *checker) checkStmt(env *types.Env, pc lattice.Label, s ast.Stmt) *types
 				"exit in a security context %s above ⊥ would leak the branch taken", pc)
 		}
 		c.addEffect(c.bot())
-		return env
 
 	case *ast.ReturnStmt:
 		// T-Return: well-typed only at pc = ⊥; the returned expression
@@ -437,13 +433,13 @@ func (c *checker) checkStmt(env *types.Env, pc lattice.Label, s ast.Stmt) *types
 		ret, ok := env.Lookup("return")
 		if !ok {
 			c.diags.RuleErrorf(s.P, "T-Return", "return outside of a function body")
-			return env
+			return
 		}
 		if s.X == nil {
 			if _, isUnit := ret.T.(types.Unit); !isUnit {
 				c.diags.RuleErrorf(s.P, "T-Return", "missing return value of type %s", ret)
 			}
-			return env
+			return
 		}
 		xt, _ := c.checkExpr(env, pc, s.X)
 		if !xt.IsZero() {
@@ -456,28 +452,26 @@ func (c *checker) checkStmt(env *types.Env, pc lattice.Label, s ast.Stmt) *types
 					xt.L, ret.L, xt.L, ret.L)
 			}
 		}
-		return env
 
 	case *ast.ExprStmt:
 		// T-FnCallStmt: the expression must be a well-typed call.
 		call, ok := s.X.(*ast.Call)
 		if !ok {
 			c.diags.Errorf(s.P, "expression statement must be a call")
-			return env
+			return
 		}
 		c.checkCall(env, pc, call)
-		return env
 
 	case *ast.ApplyStmt:
 		// T-TblCall: exp : ⟨table(pc_tbl), ⊥⟩ and pc ⊑ pc_tbl.
 		tt, _ := c.checkExpr(env, pc, s.Table)
 		if tt.IsZero() {
-			return env
+			return
 		}
 		tbl, ok := tt.T.(*types.Table)
 		if !ok {
 			c.diags.RuleErrorf(s.P, "T-TblCall", "%s is not a table (type %s)", s.Table, tt)
-			return env
+			return
 		}
 		if !c.lat.Leq(pc, tbl.PCTbl) {
 			c.diags.RuleErrorf(s.P, "T-TblCall",
@@ -485,14 +479,12 @@ func (c *checker) checkStmt(env *types.Env, pc lattice.Label, s ast.Stmt) *types
 				s.Table, tbl.PCTbl, pc, pc, tbl.PCTbl)
 		}
 		c.addEffect(tbl.PCTbl)
-		return env
 
 	case *ast.DeclStmt:
-		return c.checkVarDecl(env, pc, s.Decl)
+		c.checkVarDecl(env, pc, s.Decl)
 
 	default:
 		c.diags.Errorf(s.Pos(), "unsupported statement")
-		return env
 	}
 }
 
@@ -806,7 +798,7 @@ func (c *checker) checkCall(env *types.Env, pc lattice.Label, e *ast.Call) (type
 		return ft.Ret, types.In
 	}
 	for i, arg := range e.Args {
-		c.checkArg(env, pc, fmt.Sprint(e.Fun), ft.Params[i], arg)
+		c.checkArg(env, pc, e.Fun, ft.Params[i], arg)
 	}
 	if !c.lat.Leq(pc, ft.PCFn) {
 		c.diags.RuleErrorf(e.P, "T-Call",
@@ -817,8 +809,10 @@ func (c *checker) checkCall(env *types.Env, pc lattice.Label, e *ast.Call) (type
 	return ft.Ret, types.In
 }
 
-// checkArg checks one argument against one parameter.
-func (c *checker) checkArg(env *types.Env, pc lattice.Label, fn string, p types.Param, arg ast.Expr) {
+// checkArg checks one argument against one parameter. fn names the callee
+// (the call's function expression, or the action's name at a table) and is
+// only formatted when a diagnostic fires.
+func (c *checker) checkArg(env *types.Env, pc lattice.Label, fn any, p types.Param, arg ast.Expr) {
 	at, dir := c.checkExpr(env, pc, arg)
 	if at.IsZero() {
 		return

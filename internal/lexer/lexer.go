@@ -7,9 +7,9 @@
 // grammar, including the angle brackets that do double duty as comparison
 // operators and as the delimiters of security-annotated types <bit<8>, low>.
 // Disambiguation of < is left to the parser, which has the grammatical
-// context; the lexer always emits LT/GT/SHL/SHR/LEQ/GEQ greedily except
-// that it never joins >> when lexing inside a type context marker — the
-// parser instead asks for SplitShr when it needs two closing angles.
+// context; the lexer always emits LT/GT/SHL/SHR/LEQ/GEQ greedily, and the
+// parser splits a >> or >= that closes a type, handing the second half back
+// through Push.
 package lexer
 
 import (
@@ -44,36 +44,27 @@ func (l *Lexer) pos() token.Pos {
 	return token.Pos{File: l.file, Line: l.line, Col: l.col}
 }
 
-func (l *Lexer) peekByte() byte {
-	if l.off >= len(l.src) {
+// at returns the byte at offset i, or 0 past the end of the input. A NUL
+// byte in the input therefore reads as the end of input, everywhere.
+func (l *Lexer) at(i int) byte {
+	if i >= len(l.src) {
 		return 0
 	}
-	return l.src[l.off]
+	return l.src[i]
 }
 
-func (l *Lexer) peekByte2() byte {
-	if l.off+1 >= len(l.src) {
-		return 0
-	}
-	return l.src[l.off+1]
-}
-
-func (l *Lexer) advance() byte {
-	if l.off >= len(l.src) {
-		return 0
-	}
-	c := l.src[l.off]
-	l.off++
-	if c == '\n' {
-		l.line++
-		l.col = 1
+// skipTo moves the scan to offset j, counting the lines and columns of the
+// bytes it passes over.
+func (l *Lexer) skipTo(j int) {
+	seg := l.src[l.off:j]
+	if nl := strings.LastIndexByte(seg, '\n'); nl >= 0 {
+		l.line += strings.Count(seg, "\n")
+		l.col = len(seg) - nl
 	} else {
-		l.col++
+		l.col += len(seg)
 	}
-	return c
+	l.off = j
 }
-
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
@@ -91,174 +82,200 @@ func isIdentCont(c byte) bool { return isIdentStart(c) || isDigit(c) }
 // for an unterminated block comment.
 func (l *Lexer) skipSpaceAndComments() error {
 	for {
-		for isSpace(l.peekByte()) {
-			l.advance()
-		}
-		if l.peekByte() == '/' && l.peekByte2() == '/' {
-			for l.peekByte() != 0 && l.peekByte() != '\n' {
-				l.advance()
+		off, line, col := l.off, l.line, l.col
+	space:
+		for ; off < len(l.src); off++ {
+			switch l.src[off] {
+			case ' ', '\t', '\r':
+				col++
+			case '\n':
+				line++
+				col = 1
+			default:
+				break space
 			}
-			continue
 		}
-		if l.peekByte() == '/' && l.peekByte2() == '*' {
+		l.off, l.line, l.col = off, line, col
+		if l.at(off) != '/' {
+			return nil
+		}
+		switch l.at(off + 1) {
+		case '/':
+			j := off + 2
+			for j < len(l.src) && l.src[j] != '\n' && l.src[j] != 0 {
+				j++
+			}
+			l.col += j - off
+			l.off = j
+		case '*':
 			p := l.pos()
-			l.advance()
-			l.advance()
+			j := off + 2
 			for {
-				if l.peekByte() == 0 {
+				c := l.at(j)
+				if c == 0 {
+					l.skipTo(j)
 					return l.errorf(p, "unterminated block comment")
 				}
-				if l.peekByte() == '*' && l.peekByte2() == '/' {
-					l.advance()
-					l.advance()
+				if c == '*' && l.at(j+1) == '/' {
 					break
 				}
-				l.advance()
+				j++
 			}
-			continue
+			l.skipTo(j + 2)
+		default:
+			return nil
 		}
-		return nil
 	}
 }
 
 // Next returns the next token. After EOF it keeps returning EOF.
 func (l *Lexer) Next() (token.Token, error) {
+	var t token.Token
+	err := l.Scan(&t)
+	return t, err
+}
+
+// punct maps each byte that is a token on its own, whatever follows it, to
+// the token's kind; every other byte maps to ILLEGAL.
+var punct = [256]token.Kind{
+	'(': token.LPAREN, ')': token.RPAREN, '{': token.LBRACE, '}': token.RBRACE,
+	'[': token.LBRACKET, ']': token.RBRACKET, ',': token.COMMA, ';': token.SEMICOLON,
+	':': token.COLON, '.': token.DOT, '@': token.AT, '+': token.PLUS, '-': token.MINUS,
+	'*': token.STAR, '/': token.SLASH, '%': token.PERCENT, '^': token.CARET, '~': token.BITNOT,
+}
+
+// Scan scans the next token into *t, the caller's token, and returns the
+// error Next would. After EOF it keeps scanning EOF.
+func (l *Lexer) Scan(t *token.Token) error {
 	if n := len(l.peeked); n > 0 {
-		t := l.peeked[n-1]
+		*t = l.peeked[n-1]
 		l.peeked = l.peeked[:n-1]
-		return t, nil
+		return nil
 	}
 	if err := l.skipSpaceAndComments(); err != nil {
-		return token.Token{Kind: token.ILLEGAL, Pos: l.pos()}, err
+		*t = token.Token{Kind: token.ILLEGAL, Pos: l.pos()}
+		return err
 	}
-	p := l.pos()
-	c := l.peekByte()
+	t.Pos = l.pos()
+	t.Lit = ""
+	c := l.at(l.off)
 	switch {
 	case c == 0:
-		return token.Token{Kind: token.EOF, Pos: p}, nil
+		t.Kind = token.EOF
+		return nil
 	case isIdentStart(c):
-		start := l.off
-		for isIdentCont(l.peekByte()) {
-			l.advance()
+		j := l.off + 1
+		for j < len(l.src) && isIdentCont(l.src[j]) {
+			j++
 		}
-		lit := l.src[start:l.off]
-		return token.Token{Kind: token.LookupIdent(lit), Lit: lit, Pos: p}, nil
+		t.Lit = l.src[l.off:j]
+		t.Kind = token.LookupIdent(t.Lit)
+		l.col += j - l.off
+		l.off = j
+		return nil
 	case isDigit(c):
-		return l.lexNumber(p)
+		return l.lexNumber(t)
 	}
-	l.advance()
-	two := func(second byte, k2, k1 token.Kind) token.Token {
-		if l.peekByte() == second {
-			l.advance()
-			return token.Token{Kind: k2, Pos: p}
+	// Every remaining token is one or two bytes on one line.
+	l.off++
+	l.col++
+	if k := punct[c]; k != token.ILLEGAL {
+		t.Kind = k
+		return nil
+	}
+	two := func(second byte, k2, k1 token.Kind) token.Kind {
+		if l.at(l.off) == second {
+			l.off++
+			l.col++
+			return k2
 		}
-		return token.Token{Kind: k1, Pos: p}
+		return k1
 	}
 	switch c {
-	case '(':
-		return token.Token{Kind: token.LPAREN, Pos: p}, nil
-	case ')':
-		return token.Token{Kind: token.RPAREN, Pos: p}, nil
-	case '{':
-		return token.Token{Kind: token.LBRACE, Pos: p}, nil
-	case '}':
-		return token.Token{Kind: token.RBRACE, Pos: p}, nil
-	case '[':
-		return token.Token{Kind: token.LBRACKET, Pos: p}, nil
-	case ']':
-		return token.Token{Kind: token.RBRACKET, Pos: p}, nil
-	case ',':
-		return token.Token{Kind: token.COMMA, Pos: p}, nil
-	case ';':
-		return token.Token{Kind: token.SEMICOLON, Pos: p}, nil
-	case ':':
-		return token.Token{Kind: token.COLON, Pos: p}, nil
-	case '.':
-		return token.Token{Kind: token.DOT, Pos: p}, nil
-	case '@':
-		return token.Token{Kind: token.AT, Pos: p}, nil
-	case '+':
-		return token.Token{Kind: token.PLUS, Pos: p}, nil
-	case '-':
-		return token.Token{Kind: token.MINUS, Pos: p}, nil
-	case '*':
-		return token.Token{Kind: token.STAR, Pos: p}, nil
-	case '/':
-		return token.Token{Kind: token.SLASH, Pos: p}, nil
-	case '%':
-		return token.Token{Kind: token.PERCENT, Pos: p}, nil
-	case '^':
-		return token.Token{Kind: token.CARET, Pos: p}, nil
-	case '~':
-		return token.Token{Kind: token.BITNOT, Pos: p}, nil
 	case '&':
-		return two('&', token.AND, token.AMP), nil
+		t.Kind = two('&', token.AND, token.AMP)
 	case '|':
-		return two('|', token.OR, token.PIPE), nil
+		t.Kind = two('|', token.OR, token.PIPE)
 	case '=':
-		return two('=', token.EQ, token.ASSIGN), nil
+		t.Kind = two('=', token.EQ, token.ASSIGN)
 	case '!':
-		return two('=', token.NEQ, token.NOT), nil
+		t.Kind = two('=', token.NEQ, token.NOT)
 	case '<':
-		if l.peekByte() == '<' {
-			l.advance()
-			return token.Token{Kind: token.SHL, Pos: p}, nil
+		if l.at(l.off) == '<' {
+			t.Kind = two('<', token.SHL, token.LT)
+		} else {
+			t.Kind = two('=', token.LEQ, token.LT)
 		}
-		return two('=', token.LEQ, token.LT), nil
 	case '>':
-		if l.peekByte() == '>' {
-			l.advance()
-			return token.Token{Kind: token.SHR, Pos: p}, nil
+		if l.at(l.off) == '>' {
+			t.Kind = two('>', token.SHR, token.GT)
+		} else {
+			t.Kind = two('=', token.GEQ, token.GT)
 		}
-		return two('=', token.GEQ, token.GT), nil
+	default:
+		t.Kind, t.Lit = token.ILLEGAL, string(c)
+		return l.errorf(t.Pos, "unexpected character %q", c)
 	}
-	return token.Token{Kind: token.ILLEGAL, Lit: string(c), Pos: p},
-		l.errorf(p, "unexpected character %q", c)
+	return nil
 }
 
 // lexNumber scans decimal, hex (0x...), and width-prefixed (8w255, 4w0xF)
-// literals. Width-prefixed literals keep their full spelling in Lit; the
-// parser decodes them.
-func (l *Lexer) lexNumber(p token.Pos) (token.Token, error) {
+// literals into *t, whose Pos is set. Width-prefixed literals keep their
+// full spelling in Lit; the parser decodes them.
+func (l *Lexer) lexNumber(t *token.Token) error {
 	start := l.off
-	for isDigit(l.peekByte()) {
-		l.advance()
+	j := start
+	for isDigit(l.at(j)) {
+		j++
+	}
+	// finish consumes the literal up to j.
+	finish := func() {
+		l.col += j - start
+		l.off = j
+	}
+	malformedHex := func() error {
+		finish()
+		t.Kind = token.ILLEGAL
+		return l.errorf(t.Pos, "malformed hex literal")
 	}
 	// Width-prefixed literal: <width>w<value>.
-	if l.peekByte() == 'w' && (isDigit(l.peekByte2()) || l.peekByte2() == '0') {
-		l.advance() // w
-		if l.peekByte() == '0' && (l.peekByte2() == 'x' || l.peekByte2() == 'X') {
-			l.advance()
-			l.advance()
-			if !isHexDigit(l.peekByte()) {
-				return token.Token{Kind: token.ILLEGAL, Pos: p}, l.errorf(p, "malformed hex literal")
+	if l.at(j) == 'w' && isDigit(l.at(j+1)) {
+		j++ // w
+		if l.at(j) == '0' && (l.at(j+1) == 'x' || l.at(j+1) == 'X') {
+			j += 2
+			if !isHexDigit(l.at(j)) {
+				return malformedHex()
 			}
-			for isHexDigit(l.peekByte()) {
-				l.advance()
+			for isHexDigit(l.at(j)) {
+				j++
 			}
 		} else {
-			for isDigit(l.peekByte()) {
-				l.advance()
+			for isDigit(l.at(j)) {
+				j++
 			}
 		}
-		return token.Token{Kind: token.INT, Lit: l.src[start:l.off], Pos: p}, nil
+		finish()
+		t.Kind, t.Lit = token.INT, l.src[start:j]
+		return nil
 	}
 	// Hex literal.
-	if l.off-start == 1 && l.src[start] == '0' && (l.peekByte() == 'x' || l.peekByte() == 'X') {
-		l.advance()
-		if !isHexDigit(l.peekByte()) {
-			return token.Token{Kind: token.ILLEGAL, Pos: p}, l.errorf(p, "malformed hex literal")
+	if j-start == 1 && l.src[start] == '0' && (l.at(j) == 'x' || l.at(j) == 'X') {
+		j++
+		if !isHexDigit(l.at(j)) {
+			return malformedHex()
 		}
-		for isHexDigit(l.peekByte()) {
-			l.advance()
+		for isHexDigit(l.at(j)) {
+			j++
 		}
 	}
-	lit := l.src[start:l.off]
-	if isIdentStart(l.peekByte()) {
-		return token.Token{Kind: token.ILLEGAL, Lit: lit, Pos: p},
-			l.errorf(p, "identifier character immediately after number %q", lit)
+	finish()
+	t.Lit = l.src[start:j]
+	if isIdentStart(l.at(j)) {
+		t.Kind = token.ILLEGAL
+		return l.errorf(t.Pos, "identifier character immediately after number %q", t.Lit)
 	}
-	return token.Token{Kind: token.INT, Lit: lit, Pos: p}, nil
+	t.Kind = token.INT
+	return nil
 }
 
 // Push returns a token to the stream; the next call to Next yields it.

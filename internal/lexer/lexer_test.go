@@ -2,10 +2,14 @@ package lexer
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
+	"repro/internal/progs"
 	"repro/internal/token"
 )
 
@@ -234,4 +238,93 @@ func TestRoundTripStability(t *testing.T) {
 			t.Errorf("token %d kind changed: %s vs %s", i, first[i].Kind, second[i].Kind)
 		}
 	}
+}
+
+// scanEdgeInputs are hand-written inputs for TestScanMatchesNext: comments
+// of both kinds, unterminated and NUL-cut comments, the >> and >= tokens
+// the parser splits through Push, hex and width-prefixed literals and
+// their malformed forms, a digit followed by an identifier, illegal and
+// NUL bytes, and mixed whitespace.
+var scanEdgeInputs = []string{
+	"", "   ", "\r\n\t mixed  whitespace\n\n x\t\ty",
+	"// line only", "x // trailing\ny", "x //\n//\n y",
+	"/* block */ x", "/* multi\nline\n */ y", "a/**/b", "/*/ x */ z", "/* ** / */ q",
+	"x /* never ends", "/*", "/* ends with star *", "/* nul \x00 */ after",
+	"// comment\x00 still", "x\x00y", "\x00 x",
+	">> >= > >>= <<= <= << < >>>", "bit<bit<8>> x; <bit<8>, high>= y;",
+	"a==b!=c&&d||e&f|g^h~i!j%k@l.m", "(){}[],;:+-*/",
+	"0 42 0x1F 0XaB 8w255 4w0xF 4w0XF 16w0 64w18446744073709551615",
+	"0x", "0xg", "8w0xg", "8w0x", "8wz", "9w", "12abc", "0x1Fg", "7_", "3w4w5",
+	"a $ b", "\xff", "é", "x\\y", "`", "\"str\"",
+	"_a1 b_2 __ apply control inout match_kind true false",
+}
+
+// TestScanMatchesNext checks that Scan and Next produce the same token
+// stream as the byte-at-a-time reference scanner: kinds, literals,
+// positions and errors, token by token, including after an error and
+// with >> and >= split through Push the way the parser does. Scan writes
+// every token into the same variable, so a field it fails to reset shows.
+func TestScanMatchesNext(t *testing.T) {
+	var inputs []string
+	inputs = append(inputs, scanEdgeInputs...)
+	for _, p := range progs.All() {
+		for _, v := range []progs.Variant{progs.Buggy, progs.Fixed, progs.Unannotated} {
+			inputs = append(inputs, p.Source(v))
+		}
+	}
+	files, err := filepath.Glob("../../testdata/regression-corpus/findings/*.p4")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("regression corpus: %d files, %v", len(files), err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, string(b))
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 1000; i++ {
+		cfg := gen.DefaultConfig()
+		cfg.Lattice = []string{"two-point", "diamond", "chain:4", "powerset:2"}[i%4]
+		inputs = append(inputs, gen.Random(rng, cfg))
+	}
+	inputs = append(inputs, gen.Synth(4, 2, 3), gen.SynthChainLabels(6))
+
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for n, src := range inputs {
+		ref, nx, sc := newRef("f.p4", src), New("f.p4", src), New("f.p4", src)
+		split := rand.New(rand.NewSource(int64(n)))
+		var tok token.Token
+		for i := 0; i <= len(src)+1; i++ {
+			want, wantErr := ref.Next()
+			got, gotErr := nx.Next()
+			scanErr := sc.Scan(&tok)
+			if got != want || errText(gotErr) != errText(wantErr) {
+				t.Fatalf("input %d token %d: Next = %+v, %v; reference %+v, %v\n%q", n, i, got, gotErr, want, wantErr, src)
+			}
+			if tok != want || errText(scanErr) != errText(wantErr) {
+				t.Fatalf("input %d token %d: Scan = %+v, %v; reference %+v, %v\n%q", n, i, tok, scanErr, want, wantErr, src)
+			}
+			if want.Kind == token.EOF && wantErr == nil {
+				break
+			}
+			if (want.Kind == token.SHR || want.Kind == token.GEQ) && split.Intn(2) == 0 {
+				half := token.Token{Kind: token.GT, Pos: want.Pos}
+				if want.Kind == token.GEQ {
+					half.Kind = token.ASSIGN
+				}
+				half.Pos.Col++
+				ref.Push(half)
+				nx.Push(half)
+				sc.Push(half)
+			}
+		}
+	}
+	t.Logf("%d inputs lex identically", len(inputs))
 }

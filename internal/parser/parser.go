@@ -88,14 +88,17 @@ type bailout struct{ err error }
 type parser struct {
 	lx  *lexer.Lexer
 	tok token.Token
+	// stmts and exprs are scratch stacks: a block's statements and a
+	// call's arguments collect on top while nested ones come and go, and
+	// are copied out at their exact length once complete.
+	stmts []ast.Stmt
+	exprs []ast.Expr
 }
 
 func (p *parser) next() {
-	t, err := p.lx.Next()
-	if err != nil {
+	if err := p.lx.Scan(&p.tok); err != nil {
 		panic(bailout{err})
 	}
-	p.tok = t
 }
 
 func (p *parser) errf(pos token.Pos, format string, args ...any) {
@@ -557,12 +560,25 @@ func (p *parser) parseVarDecl() *ast.VarDecl {
 
 func (p *parser) parseBlock() *ast.BlockStmt {
 	pos := p.expect(token.LBRACE).Pos
-	b := &ast.BlockStmt{P: pos}
+	base := len(p.stmts)
 	for p.tok.Kind != token.RBRACE {
-		b.Stmts = append(b.Stmts, p.parseStmt())
+		p.stmts = append(p.stmts, p.parseStmt())
 	}
 	p.expect(token.RBRACE)
-	return b
+	return &ast.BlockStmt{P: pos, Stmts: popStack(&p.stmts, base)}
+}
+
+// popStack removes the entries of *stack from base up and returns them in
+// a slice of their own, nil if there are none.
+func popStack[T any](stack *[]T, base int) []T {
+	top := (*stack)[base:]
+	if len(top) == 0 {
+		return nil
+	}
+	out := make([]T, len(top))
+	copy(out, top)
+	*stack = (*stack)[:base]
+	return out
 }
 
 func (p *parser) parseStmt() ast.Stmt {
@@ -780,15 +796,15 @@ func (p *parser) parsePostfix() ast.Expr {
 		case token.LPAREN:
 			pos := p.tok.Pos
 			p.next()
-			var args []ast.Expr
+			base := len(p.exprs)
 			for p.tok.Kind != token.RPAREN {
-				args = append(args, p.parseExpr())
+				p.exprs = append(p.exprs, p.parseExpr())
 				if !p.accept(token.COMMA) {
 					break
 				}
 			}
 			p.expect(token.RPAREN)
-			x = &ast.Call{P: pos, Fun: x, Args: args}
+			x = &ast.Call{P: pos, Fun: x, Args: popStack(&p.exprs, base)}
 		default:
 			return x
 		}

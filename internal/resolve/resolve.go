@@ -249,26 +249,33 @@ func (r *Resolver) MatchKindType() *types.MatchKind {
 	return &types.MatchKind{Members: r.MatchKinds}
 }
 
-// Builtins returns the builtin functions bound in the initial Γ:
+// Builtin is one builtin function bound in the initial Γ.
+type Builtin struct {
+	Name string
+	Type types.SecType
+}
+
+// Builtins returns the builtin functions bound in the initial Γ, in a
+// fixed order:
 //
 //	mark_to_drop(inout standard_metadata_t): writes only low metadata
 //	    fields, so its pc_fn is ⊥;
 //	NoAction(): writes nothing, so its pc_fn is ⊤ (callable anywhere).
-func (r *Resolver) Builtins() map[string]types.SecType {
+func (r *Resolver) Builtins() []Builtin {
 	std, _ := r.Defs.Lookup("standard_metadata_t")
 	low := r.Lat.Bottom()
 	unit := types.SecType{T: types.Unit{}, L: low}
-	return map[string]types.SecType{
-		"mark_to_drop": {T: &types.Func{
+	return []Builtin{
+		{"mark_to_drop", types.SecType{T: &types.Func{
 			Params:   []types.Param{{Name: "std_meta", Dir: types.InOut, Type: std}},
 			PCFn:     low,
 			Ret:      unit,
 			IsAction: true,
-		}, L: low},
-		"NoAction": {T: &types.Func{
+		}, L: low}},
+		{"NoAction", types.SecType{T: &types.Func{
 			PCFn:     r.Lat.Top(),
 			Ret:      unit,
 			IsAction: true,
-		}, L: low},
+		}, L: low}},
 	}
 }

@@ -103,7 +103,15 @@ func TestStandardMetadataBuiltin(t *testing.T) {
 
 func TestBuiltins(t *testing.T) {
 	r, _ := newTestResolver(t)
-	bs := r.Builtins()
+	bs := map[string]types.SecType{}
+	var order []string
+	for _, b := range r.Builtins() {
+		bs[b.Name] = b.Type
+		order = append(order, b.Name)
+	}
+	if len(order) != 2 || order[0] != "mark_to_drop" || order[1] != "NoAction" {
+		t.Errorf("builtins in order %v, want [mark_to_drop NoAction]", order)
+	}
 	mtd, ok := bs["mark_to_drop"]
 	if !ok {
 		t.Fatal("no mark_to_drop")

@@ -339,27 +339,96 @@ func IsScalar(t Type) bool {
 	}
 }
 
-// Env is the typing context Γ: a scoped map from variable names to security
-// types. It is persistent in style: child scopes shadow parents.
+// Env is the typing context Γ of one check: a single stack of bindings,
+// innermost last, with the start of the innermost scope. Open starts a
+// scope and Close drops it, so entering and leaving a block allocates
+// nothing. Inner bindings shadow outer ones until their scope closes.
 type Env struct {
-	parent *Env
-	vars   map[string]SecType
+	binds []binding
+	start int // position of the innermost scope's first binding
+	// index maps each name to its latest binding once the stack has
+	// outgrown a linear scan (indexAt bindings); it is kept from then on.
+	index map[string]int
 }
 
-// NewEnv returns an empty top-level typing context.
-func NewEnv() *Env { return &Env{vars: map[string]SecType{}} }
+type binding struct {
+	name string
+	t    SecType
+	// shadow is the position of the binding of name that this one hides
+	// in index, or -1; Close restores it. Unused while index is nil.
+	shadow int
+}
 
-// Child returns a fresh scope whose lookups fall back to e.
-func (e *Env) Child() *Env { return &Env{parent: e, vars: map[string]SecType{}} }
+// indexAt is the stack depth from which Env keeps its name index: below
+// it a backward scan over the bindings beats hashing the name.
+const indexAt = 24
+
+// NewEnv returns an empty top-level typing context, with room for the
+// bindings of a small program.
+func NewEnv() *Env { return &Env{binds: make([]binding, 0, 32)} }
+
+// Open starts an inner scope and returns the outer one, to be handed back
+// to Close.
+func (e *Env) Open() (outer int) {
+	outer = e.start
+	e.start = len(e.binds)
+	return outer
+}
+
+// Close drops the innermost scope's bindings and makes outer, the value
+// of the matching Open, the innermost scope again.
+func (e *Env) Close(outer int) {
+	if e.index != nil {
+		for i := len(e.binds) - 1; i >= e.start; i-- {
+			if b := &e.binds[i]; b.shadow < 0 {
+				delete(e.index, b.name)
+			} else {
+				e.index[b.name] = b.shadow
+			}
+		}
+	}
+	e.binds = e.binds[:e.start]
+	e.start = outer
+}
 
 // Bind declares or shadows name at type t in the current scope.
-func (e *Env) Bind(name string, t SecType) { e.vars[name] = t }
+func (e *Env) Bind(name string, t SecType) {
+	b := binding{name: name, t: t, shadow: -1}
+	if e.index != nil {
+		if i, ok := e.index[name]; ok {
+			b.shadow = i
+		}
+		e.index[name] = len(e.binds)
+	}
+	e.binds = append(e.binds, b)
+	if e.index == nil && len(e.binds) > indexAt {
+		e.buildIndex()
+	}
+}
 
-// Lookup resolves name through the scope chain.
+func (e *Env) buildIndex() {
+	e.index = make(map[string]int, 2*len(e.binds))
+	for i := range e.binds {
+		b := &e.binds[i]
+		b.shadow = -1
+		if j, ok := e.index[b.name]; ok {
+			b.shadow = j
+		}
+		e.index[b.name] = i
+	}
+}
+
+// Lookup resolves name to its innermost binding.
 func (e *Env) Lookup(name string) (SecType, bool) {
-	for s := e; s != nil; s = s.parent {
-		if t, ok := s.vars[name]; ok {
-			return t, true
+	if e.index != nil {
+		if i, ok := e.index[name]; ok {
+			return e.binds[i].t, true
+		}
+		return SecType{}, false
+	}
+	for i := len(e.binds) - 1; i >= 0; i-- {
+		if e.binds[i].name == name {
+			return e.binds[i].t, true
 		}
 	}
 	return SecType{}, false
@@ -369,8 +438,16 @@ func (e *Env) Lookup(name string) (SecType, bool) {
 // scope (used to reject duplicate declarations without forbidding
 // shadowing).
 func (e *Env) InCurrentScope(name string) bool {
-	_, ok := e.vars[name]
-	return ok
+	if e.index != nil {
+		i, ok := e.index[name]
+		return ok && i >= e.start
+	}
+	for i := len(e.binds) - 1; i >= e.start; i-- {
+		if e.binds[i].name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // TypeDefs is the type-definition context Δ mapping type names to their

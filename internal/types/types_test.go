@@ -142,29 +142,30 @@ func TestEnvScoping(t *testing.T) {
 	low := lbl(t, "low")
 	e := NewEnv()
 	e.Bind("x", SecType{T: Bit{8}, L: low})
-	child := e.Child()
-	child.Bind("y", SecType{T: Bool{}, L: low})
-	if _, ok := child.Lookup("x"); !ok {
-		t.Error("child cannot see parent binding")
-	}
-	if _, ok := e.Lookup("y"); ok {
-		t.Error("parent sees child binding")
+	outer := e.Open()
+	e.Bind("y", SecType{T: Bool{}, L: low})
+	if _, ok := e.Lookup("x"); !ok {
+		t.Error("inner scope cannot see outer binding")
 	}
 	// Shadowing.
-	child.Bind("x", SecType{T: Bool{}, L: low})
-	got, _ := child.Lookup("x")
+	e.Bind("x", SecType{T: Bool{}, L: low})
+	got, _ := e.Lookup("x")
 	if _, isBool := got.T.(Bool); !isBool {
 		t.Error("shadowing failed")
 	}
-	orig, _ := e.Lookup("x")
-	if _, isBit := orig.T.(Bit); !isBit {
-		t.Error("parent binding clobbered by shadow")
-	}
-	if !child.InCurrentScope("x") || child.InCurrentScope("zzz") {
+	if !e.InCurrentScope("x") || e.InCurrentScope("zzz") {
 		t.Error("InCurrentScope wrong")
 	}
+	e.Close(outer)
+	if _, ok := e.Lookup("y"); ok {
+		t.Error("outer scope sees inner binding")
+	}
+	orig, _ := e.Lookup("x")
+	if _, isBit := orig.T.(Bit); !isBit {
+		t.Error("outer binding clobbered by shadow")
+	}
 	if e.InCurrentScope("y") {
-		t.Error("InCurrentScope leaked to parent")
+		t.Error("InCurrentScope leaked to outer scope")
 	}
 }
 
