@@ -23,8 +23,9 @@
 // builder (Zero, RandomFrom, the exhaustive and NI samplers) follows type
 // order, and the base checker's record and header type equality is
 // order-sensitive, so assignments and calls in a base-checked program keep
-// the invariant. Map inputs from outside the program are checked on entry
-// (RunControl); RunIndexed states it as a precondition. An access whose
+// the invariant. RunIndexed states it as a precondition for inputs from
+// outside the program, which their builder checks with FieldOrderMismatch
+// (the NI harness does, for values its FixInputs hook edits). An access whose
 // base type is unknown (a call result, say) or whose position falls outside
 // the value's fields scans by name, exactly as the interpreter does.
 //
@@ -58,7 +59,7 @@ const (
 	rGlobal = iota // program-level constants, builtins, match kinds
 	rCtrl          // the running control's frame (params + locals)
 	rLocal         // the innermost call frame (function params + locals)
-	rReg           // persistent register storage (survives RunControl)
+	rReg           // persistent register storage (survives runs until Reset)
 )
 
 // varRef is a resolved name: a region plus a slot index within it.

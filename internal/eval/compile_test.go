@@ -49,7 +49,7 @@ func runMachineSeq(m *eval.Machine, seq []map[string]eval.Value) ([]map[string]e
 	outs := make([]map[string]eval.Value, 0, len(seq))
 	sigs := make([]eval.Signal, 0, len(seq))
 	for _, inputs := range seq {
-		out, sig, err := m.RunControl("", inputs)
+		out, sig, err := eval.RunNamed(m, "", inputs)
 		if err != nil {
 			return outs, sigs, err
 		}
@@ -409,7 +409,8 @@ control C(inout headers hdr) {
 // TestRunControlRejectsReorderedInput: compiled field accesses index by
 // position, so an input record or header whose fields are out of declared
 // order must be refused on entry, naming the parameter, instead of being
-// read at the wrong field.
+// read at the wrong field. FieldOrderMismatch is the check; RunNamed here
+// and the NI trial loop (TestFixInputsFieldOrder) apply it to map inputs.
 func TestRunControlRejectsReorderedInput(t *testing.T) {
 	prog, err := parser.Parse("reorder.p4", `
 header h_t { <bit<8>, low> a; <bit<8>, low> b; }
@@ -437,14 +438,14 @@ control C(inout headers hdr, inout <bit<8>, low> n) {
 			{Name: "z", Val: eval.NewBit(8, 0)},
 		}}
 	}
-	out, _, err := m.RunControl("", map[string]eval.Value{"hdr": hdr("a", "b")})
+	out, _, err := eval.RunNamed(m, "", map[string]eval.Value{"hdr": hdr("a", "b")})
 	if err != nil {
 		t.Fatalf("declared order: %v", err)
 	}
 	if got := out["n"]; !eval.ValueEqual(got, eval.NewBit(8, 1)) {
 		t.Errorf("n = %s, want 8w1", got)
 	}
-	_, _, err = m.RunControl("", map[string]eval.Value{"hdr": hdr("b", "a")})
+	_, _, err = eval.RunNamed(m, "", map[string]eval.Value{"hdr": hdr("b", "a")})
 	want := `eval: input hdr.h: field 0 is "b", declared "a"`
 	if err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Fatalf("reordered input: error %v, want prefix %q", err, want)

@@ -87,7 +87,7 @@ control C(inout meta_t m) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			_, _, err = eval.NewMachine(code, nil).RunControl("", nil)
+			_, _, err = eval.RunNamed(eval.NewMachine(code, nil), "", nil)
 			if got := errString(err); got != c.want {
 				t.Errorf("compiled: %s, want %s", got, c.want)
 			}

@@ -120,40 +120,6 @@ func (m *Machine) set(r varRef, v Value) {
 	}
 }
 
-// RunControl executes the named control block ("" = the first control),
-// mirroring Interp.RunControl: missing inputs get zero values, outputs are
-// deep copies of the final parameter values. Inputs come from outside the
-// compiled program, so every record and header in them is checked against
-// its parameter's declared field order first; a reordered input is an
-// error naming the parameter, never a read of the wrong field.
-func (m *Machine) RunControl(name string, inputs map[string]Value) (map[string]Value, Signal, error) {
-	idx := m.code.ControlIndex(name)
-	if idx < 0 {
-		return nil, Signal{}, fmt.Errorf("eval: no control %q", name)
-	}
-	c := m.code.controls[idx]
-	frame := m.controlFrame(c)
-	for i, p := range c.params {
-		if given, ok := inputs[p.name]; ok {
-			if msg := FieldOrderMismatch(given, p.st.T); msg != "" {
-				return nil, Signal{}, fmt.Errorf("eval: input %s%s; record and header inputs must keep their declared field order", p.name, msg)
-			}
-			frame[i] = Copy(given)
-		} else {
-			frame[i] = Zero(p.st.T)
-		}
-	}
-	sig, err := m.run(c, frame)
-	if err != nil {
-		return nil, sig, err
-	}
-	out := map[string]Value{}
-	for i, p := range c.params {
-		out[p.name] = Copy(frame[i])
-	}
-	return out, sig, nil
-}
-
 // RunIndexed executes control idx with pre-positioned argument values: one
 // per declared parameter, in declaration order. The argument values are
 // installed without copying. The machine mutates only the slots of their
@@ -165,10 +131,10 @@ func (m *Machine) RunControl(name string, inputs map[string]Value) (map[string]V
 // freely. Every record and header in the arguments must have exactly its
 // declared fields in declared order (FieldOrderMismatch is ""), as values
 // built from the type — Zero, RandomFrom, the NI and exhaustive samplers —
-// do: compiled field accesses index by position, and unlike RunControl
-// this path does not check. The returned slice aliases the control frame
-// — it is valid only until the machine's next run. This is the NI hot
-// path.
+// do: compiled field accesses index by position, and this path does not
+// check (FieldOrderMismatch does). The returned slice aliases the control
+// frame — it is valid only until the machine's next run. This is the only
+// way to run a compiled control.
 func (m *Machine) RunIndexed(idx int, args []Value) ([]Value, Signal, error) {
 	c := m.code.controls[idx]
 	if len(args) != len(c.params) {

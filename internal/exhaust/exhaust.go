@@ -62,12 +62,10 @@ const (
 	// ReasonMultiPacket: the multi-packet adversary needs sequence
 	// enumeration, which the oracle does not attempt.
 	ReasonMultiPacket = "multi-packet"
-	// ReasonFixedInputs: FixInputs steers trials through a map-shaped
-	// path the positional enumerator cannot reproduce.
+	// ReasonFixedInputs: FixInputs edits each randomized trial's drawn
+	// inputs, and the enumerator does not apply it per assignment, so a
+	// sweep would cover inputs the experiment excludes.
 	ReasonFixedInputs = "fixed-inputs"
-	// ReasonDuplicateParams: duplicate parameter names force map-keyed
-	// semantics.
-	ReasonDuplicateParams = "duplicate-params"
 	// ReasonNoCompile: the program only runs on the tree-walking
 	// interpreter; enumeration requires the compiled engine.
 	ReasonNoCompile = "compile-failed"
@@ -156,13 +154,6 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 		return inconclusive(ReasonNoCompile)
 	}
 	names := code.ParamNames(idx)
-	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			return inconclusive(ReasonDuplicateParams)
-		}
-		seen[n] = true
-	}
 	obs := e.Observer
 	if obs.IsZero() {
 		obs = e.Lat.Bottom()

@@ -222,3 +222,28 @@ func TestDeterministic(t *testing.T) {
 		t.Fatalf("witness drift: %s vs %s", a.Violations[0], b.Violations[0])
 	}
 }
+
+// TestDuplicateParamsRejected: a control with two parameters named x is
+// refused with an error naming x, not enumerated with one of them
+// shadowing the other. The base checker rejects such a control, so only a
+// direct caller of the oracle can hand it one.
+func TestDuplicateParamsRejected(t *testing.T) {
+	prog, err := parser.Parse("dup.p4", dupParamSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &ni.Experiment{Prog: prog, Lat: lattice.TwoPoint()}
+	res, err := exhaust.Oracle{}.Check(e, 1)
+	if err == nil || !strings.Contains(err.Error(), `"x"`) {
+		t.Fatalf("Check: result %+v, error %v; want an error naming x", res, err)
+	}
+}
+
+// dupParamSrc declares parameter x twice, at two labels.
+const dupParamSrc = `
+control C(inout <bit<4>, low> x, inout <bit<4>, high> x) {
+    apply {
+        x = x + 4w1;
+    }
+}
+`

@@ -44,8 +44,10 @@ func (l *Lexer) pos() token.Pos {
 	return token.Pos{File: l.file, Line: l.line, Col: l.col}
 }
 
-// at returns the byte at offset i, or 0 past the end of the input. A NUL
-// byte in the input therefore reads as the end of input, everywhere.
+// at returns the byte at offset i, or 0 past the end of the input. Callers
+// only compare it with bytes other than NUL, so a NUL in the input is never
+// taken for the end: the end is off == len(src), and a NUL outside a
+// comment is an illegal character.
 func (l *Lexer) at(i int) byte {
 	if i >= len(l.src) {
 		return 0
@@ -102,7 +104,7 @@ func (l *Lexer) skipSpaceAndComments() error {
 		switch l.at(off + 1) {
 		case '/':
 			j := off + 2
-			for j < len(l.src) && l.src[j] != '\n' && l.src[j] != 0 {
+			for j < len(l.src) && l.src[j] != '\n' {
 				j++
 			}
 			l.col += j - off
@@ -111,12 +113,11 @@ func (l *Lexer) skipSpaceAndComments() error {
 			p := l.pos()
 			j := off + 2
 			for {
-				c := l.at(j)
-				if c == 0 {
+				if j >= len(l.src) {
 					l.skipTo(j)
 					return l.errorf(p, "unterminated block comment")
 				}
-				if c == '*' && l.at(j+1) == '/' {
+				if l.src[j] == '*' && l.at(j+1) == '/' {
 					break
 				}
 				j++
@@ -158,11 +159,12 @@ func (l *Lexer) Scan(t *token.Token) error {
 	}
 	t.Pos = l.pos()
 	t.Lit = ""
-	c := l.at(l.off)
-	switch {
-	case c == 0:
+	if l.off >= len(l.src) {
 		t.Kind = token.EOF
 		return nil
+	}
+	c := l.src[l.off]
+	switch {
 	case isIdentStart(c):
 		j := l.off + 1
 		for j < len(l.src) && isIdentCont(l.src[j]) {

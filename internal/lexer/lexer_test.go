@@ -241,9 +241,9 @@ func TestRoundTripStability(t *testing.T) {
 }
 
 // scanEdgeInputs are hand-written inputs for TestScanMatchesNext: comments
-// of both kinds, unterminated and NUL-cut comments, the >> and >= tokens
-// the parser splits through Push, hex and width-prefixed literals and
-// their malformed forms, a digit followed by an identifier, illegal and
+// of both kinds, unterminated ones and ones holding a NUL, the >> and >=
+// tokens the parser splits through Push, hex and width-prefixed literals
+// and their malformed forms, a digit followed by an identifier, illegal and
 // NUL bytes, and mixed whitespace.
 var scanEdgeInputs = []string{
 	"", "   ", "\r\n\t mixed  whitespace\n\n x\t\ty",

@@ -8,7 +8,9 @@ import (
 
 // refLexer is the byte-at-a-time scanner Scan replaced: every byte goes
 // through advance, which keeps the line and column. It is the reference
-// TestScanMatchesNext checks Scan and Next against.
+// TestScanMatchesNext checks Scan and Next against. Like Scan, it ends the
+// input at its last byte, not at a NUL: a NUL is an illegal character
+// outside a comment and ordinary text inside one.
 type refLexer struct {
 	src  string
 	file string
@@ -71,7 +73,7 @@ func (l *refLexer) skipSpaceAndComments() error {
 			l.advance()
 		}
 		if l.peekByte() == '/' && l.peekByte2() == '/' {
-			for l.peekByte() != 0 && l.peekByte() != '\n' {
+			for l.off < len(l.src) && l.peekByte() != '\n' {
 				l.advance()
 			}
 			continue
@@ -81,7 +83,7 @@ func (l *refLexer) skipSpaceAndComments() error {
 			l.advance()
 			l.advance()
 			for {
-				if l.peekByte() == 0 {
+				if l.off >= len(l.src) {
 					return l.errorf(p, "unterminated block comment")
 				}
 				if l.peekByte() == '*' && l.peekByte2() == '/' {
@@ -110,7 +112,7 @@ func (l *refLexer) Next() (token.Token, error) {
 	p := l.pos()
 	c := l.peekByte()
 	switch {
-	case c == 0:
+	case l.off >= len(l.src):
 		return token.Token{Kind: token.EOF, Pos: p}, nil
 	case isIdentStart(c):
 		start := l.off

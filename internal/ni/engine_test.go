@@ -1,19 +1,20 @@
 package ni_test
 
-// Engine parity: an Experiment run with Interp (tree-walker) and one run
-// with the compiled engine must report byte-identical results — the same
-// violations in the same trials with the same rendered witnesses, the same
-// executed-trial counts, and the same errors. The fuzz corpus classifies
-// and dedups findings by these strings, so parity here is what lets the
-// compiled engine replace the interpreter without invalidating recorded
-// campaigns.
+// Engine parity: one trial loop drives both engines, so an Experiment run
+// with Interp (tree-walker) and one run with the compiled engine must
+// report byte-identical results — the same violations in the same trials
+// with the same rendered witnesses, the same executed-trial counts, and
+// the same errors. Both must also agree with ReferenceRunN, the map-shaped
+// loop the trial loop replaced, which draws with the generic type walks,
+// runs a fresh interpreter per run and compares by name. The fuzz corpus
+// classifies and dedups findings by these strings, so parity here is what
+// keeps recorded campaigns valid.
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"repro/internal/eval"
 	"repro/internal/gen"
 	"repro/internal/lattice"
 	"repro/internal/ni"
@@ -23,27 +24,38 @@ import (
 
 func runBoth(t *testing.T, mk func(interp bool) *ni.Experiment, trials int, seed int64) {
 	t.Helper()
-	vioI, ranI, errI := mk(true).RunN(trials, seed)
-	vioC, ranC, errC := mk(false).RunN(trials, seed)
-	if ranI != ranC {
-		t.Fatalf("trial counts differ: interp %d, compiled %d", ranI, ranC)
+	type result struct {
+		name string
+		vio  []ni.Violation
+		ran  int
+		err  error
 	}
-	esI, esC := fmt.Sprint(errI), fmt.Sprint(errC)
-	if esI != esC {
-		t.Fatalf("errors differ:\n  interp:   %s\n  compiled: %s", esI, esC)
-	}
-	if len(vioI) != len(vioC) {
-		t.Fatalf("violation counts differ: interp %d, compiled %d", len(vioI), len(vioC))
-	}
-	for i := range vioI {
-		if vioI[i].String() != vioC[i].String() {
-			t.Fatalf("violation %d differs:\n  interp:   %s\n  compiled: %s", i, vioI[i], vioC[i])
+	ref := result{name: "reference"}
+	ref.vio, ref.ran, ref.err = ni.ReferenceRunN(mk(true), trials, seed)
+	interp := result{name: "interp"}
+	interp.vio, interp.ran, interp.err = mk(true).RunN(trials, seed)
+	compiled := result{name: "compiled"}
+	compiled.vio, compiled.ran, compiled.err = mk(false).RunN(trials, seed)
+	for _, got := range []result{interp, compiled} {
+		if got.ran != ref.ran {
+			t.Fatalf("trial counts differ: %s %d, %s %d", ref.name, ref.ran, got.name, got.ran)
+		}
+		if es, ws := fmt.Sprint(got.err), fmt.Sprint(ref.err); es != ws {
+			t.Fatalf("errors differ:\n  %s: %s\n  %s: %s", ref.name, ws, got.name, es)
+		}
+		if len(got.vio) != len(ref.vio) {
+			t.Fatalf("violation counts differ: %s %d, %s %d", ref.name, len(ref.vio), got.name, len(got.vio))
+		}
+		for i := range ref.vio {
+			if got.vio[i].String() != ref.vio[i].String() {
+				t.Fatalf("violation %d differs:\n  %s: %s\n  %s: %s", i, ref.name, ref.vio[i], got.name, got.vio[i])
+			}
 		}
 	}
 }
 
 func TestEnginesAgreeOnGeneratedPrograms(t *testing.T) {
-	for _, spec := range []string{"two-point", "chain:4", "nparty:3"} {
+	for _, spec := range []string{"two-point", "chain:4", "nparty:3", "diamond", "powerset:2"} {
 		spec := spec
 		t.Run(spec, func(t *testing.T) {
 			t.Parallel()
@@ -92,24 +104,32 @@ func TestEnginesAgreeOnStatefulMultiPacket(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeWithFixInputs pins the compiled map path (FixInputs
-// forces map-shaped trials) against the interpreter.
+// TestEnginesAgreeWithFixInputs runs the case-study matrix — every case
+// study, buggy and fixed, every control, every observer, one packet and
+// three — with the populated control planes and input-steering hooks the
+// case-study tests use, so FixInputs edits reach all three loops.
 func TestEnginesAgreeWithFixInputs(t *testing.T) {
-	p := progs.Cache()
-	prog, err := parser.Parse(p.FileName(progs.Buggy), p.Source(progs.Buggy))
-	if err != nil {
-		t.Fatalf("parse: %v", err)
+	experiments := 0
+	for _, p := range progs.All() {
+		lat := p.Lattice()
+		for _, variant := range []progs.Variant{progs.Buggy, progs.Fixed} {
+			prog := parser.MustParse(p.FileName(variant), p.Source(variant))
+			for _, ctrl := range prog.Controls {
+				for _, obs := range lat.Elements() {
+					for _, packets := range []int{1, 3} {
+						name := fmt.Sprintf("%s/%s/%s/%s/%d", p.Name, variant, ctrl.Name, obs, packets)
+						mk := func(interp bool) *ni.Experiment {
+							return &ni.Experiment{Prog: prog, Lat: lat, Control: ctrl.Name, Observer: obs,
+								CP: caseStudyCP(t, p.Name), FixInputs: caseStudyFix(p.Name), Packets: packets, Interp: interp}
+						}
+						t.Run(name, func(t *testing.T) { runBoth(t, mk, 30, 11) })
+						experiments++
+					}
+				}
+			}
+		}
 	}
-	name := prog.Controls[0].Params[0].Name
-	fix := func(in map[string]eval.Value) {
-		// A deterministic no-op edit: the hook's presence is what forces
-		// the map-shaped trial path on both engines.
-		in[name] = eval.Copy(in[name])
-	}
-	mk := func(interp bool) *ni.Experiment {
-		return &ni.Experiment{Prog: prog, Lat: p.Lattice(), FixInputs: fix, Interp: interp}
-	}
-	runBoth(t, mk, 30, 11)
+	t.Logf("%d experiments agree", experiments)
 }
 
 // TestSameSeedSameResults is the determinism contract the benchmark gate

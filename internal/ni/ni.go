@@ -52,12 +52,13 @@ type Experiment struct {
 	// fields are still freshly randomized for the second run). It may
 	// replace leaf values and edit containers in place, but every record
 	// and header must keep exactly its declared fields in declared order:
-	// the compiled engine reads fields by position and refuses a
-	// reordered input with an error naming the parameter.
+	// the compiled engine reads fields by position, so a trial refuses a
+	// reordered input, on either engine, with an error naming the
+	// parameter.
 	FixInputs func(map[string]eval.Value)
 	// Packets is the number of packets per trial (default 1). With
-	// Packets > 1 each run pushes the whole sequence through ONE
-	// interpreter, so register state persists across packets — the
+	// Packets > 1 each run pushes the whole sequence through ONE machine
+	// (or interpreter), so register state persists across packets — the
 	// multi-packet adversary of the paper's Section 7. The two sequences
 	// agree on every observable input of every packet; outputs are
 	// compared packet by packet.
@@ -67,11 +68,15 @@ type Experiment struct {
 	// result, so all trials, observer levels, and packets of this
 	// Experiment share one compilation. Callers running many experiments
 	// over the same program (the pipeline's observer sweep) should
-	// eval.Compile once and set Code on each.
+	// eval.Compile once and set Code on each. If Prog does not compile,
+	// the runs go to the tree-walking interpreter, which reports the
+	// program's load-time error.
 	Code *eval.Compiled
-	// Interp forces the tree-walking interpreter, disabling compilation.
-	// The two engines are observationally identical (same outputs,
-	// signals, error strings, and rng stream); this exists for
+	// Interp runs every trial's two runs on the tree-walking interpreter
+	// instead of compiled machines. Only the runs change: the draws,
+	// FixInputs and the output comparison are the same trial loop, and
+	// the two engines are observationally identical (same outputs,
+	// signals and error strings), so results are too. It exists for
 	// differential testing and benchmarking.
 	Interp bool
 	// Metrics, when non-nil, receives ni_trials_total (trials executed),
@@ -157,9 +162,9 @@ func (e *Experiment) RunN(trials int, seed int64) ([]Violation, int, error) {
 
 func (e *Experiment) runN(trials int, seed int64) ([]Violation, int, error) {
 	// The experiment's BatchRand, reseeded for this round, produces the
-	// bit-identical stream to rand.New(rand.NewSource(seed)), so the three
-	// engine paths below (and any recorded corpus seed) draw exactly the
-	// same trials, and the round allocates no generator.
+	// bit-identical stream to rand.New(rand.NewSource(seed)), so both
+	// engines (and any recorded corpus seed) draw exactly the same trials,
+	// and the round allocates no generator.
 	rng := e.Rand(seed)
 	obs := e.Observer
 	if obs.IsZero() {
@@ -177,62 +182,83 @@ func (e *Experiment) runN(trials int, seed int64) ([]Violation, int, error) {
 	if packets < 1 {
 		packets = 1
 	}
-	if code := e.engine(); code != nil {
-		if e.FixInputs == nil && uniqueParamNames(ctrl) {
-			return e.runCompiledFast(code, ctrl, paramTypes, obs, packets, trials, rng)
-		}
-		return e.runCompiledMap(code, ctrl, paramTypes, obs, packets, trials, rng)
+	n := len(ctrl.Params)
+	pts := make([]types.SecType, n)
+	samplers := make([]sampler, n)
+	diffs := make([]Comparator, n)
+	for i, p := range ctrl.Params {
+		pts[i] = paramTypes[p.Name]
+		samplers[i] = compileSampler(pts[i], obs, e.Lat)
+		diffs[i] = ObservableDiff(pts[i], obs, e.Lat)
 	}
+	// Each run goes to a reusable compiled machine or, without a compiled
+	// program, to a fresh tree-walking interpreter (machA and machB nil).
+	var machA, machB *eval.Machine
+	idx := -1
+	if code := e.engine(); code != nil {
+		idx = code.ControlIndex(e.Control)
+		machA, machB = e.machines(code)
+	}
+	run := func(m *eval.Machine, seq, outs [][]eval.Value, sigs []eval.Signal) error {
+		if m == nil {
+			return runInterpSeq(e.Prog, ctrl, e.CP, seq, outs, sigs)
+		}
+		return runMachineSeq(m, idx, seq, outs, sigs)
+	}
+	// Trial input sequences, reused across trials (values are overwritten
+	// wholesale each trial).
+	seqA := make([][]eval.Value, packets)
+	seqB := make([][]eval.Value, packets)
+	for k := range seqA {
+		seqA[k] = make([]eval.Value, n)
+		seqB[k] = make([]eval.Value, n)
+	}
+	outsA := make([][]eval.Value, packets)
+	outsB := make([][]eval.Value, packets)
+	sigsA := make([]eval.Signal, packets)
+	sigsB := make([]eval.Signal, packets)
 	var out []Violation
 	for t := 0; t < trials; t++ {
-		// Draw the packet sequences: every packet's inputs for run A,
-		// with run B's derived to agree on all observable fields.
-		seqA := make([]map[string]eval.Value, packets)
-		seqB := make([]map[string]eval.Value, packets)
+		// Draw the packet sequences: every packet's inputs for run A, with
+		// run B's derived to agree on all observable fields. Run B is
+		// derived before either run, which may edit run A's values in
+		// place.
 		for k := 0; k < packets; k++ {
-			inA := map[string]eval.Value{}
-			inB := map[string]eval.Value{}
-			for _, p := range ctrl.Params {
-				inA[p.Name] = eval.RandomFrom(paramTypes[p.Name].T, rng)
+			inA, inB := seqA[k], seqB[k]
+			for i := range samplers {
+				inA[i] = samplers[i].draw(rng)
 			}
 			if e.FixInputs != nil {
-				e.FixInputs(inA)
+				if err := e.fixInputs(ctrl, pts, inA); err != nil {
+					return out, t + 1, fmt.Errorf("ni: trial %d run A: packet %d: %v", t, k, err)
+				}
 			}
-			for _, p := range ctrl.Params {
-				pt := paramTypes[p.Name]
-				inB[p.Name] = randomizeAbove(eval.Copy(inA[p.Name]), pt, obs, e.Lat, rng)
+			for i := range samplers {
+				inB[i] = samplers[i].vary(inA[i], rng)
 			}
-			seqA[k] = inA
-			seqB[k] = inB
 		}
-		cp := e.CP
-		if cp == nil {
-			cp = controlplane.New()
-		}
-		outA, sigA, err := runSequence(e.Prog, ctrl.Name, cp.Clone(), seqA)
-		if err != nil {
+		if err := run(machA, seqA, outsA, sigsA); err != nil {
 			return out, t + 1, fmt.Errorf("ni: trial %d run A: %v", t, err)
 		}
-		outB, sigB, err := runSequence(e.Prog, ctrl.Name, cp.Clone(), seqB)
-		if err != nil {
+		if err := run(machB, seqB, outsB, sigsB); err != nil {
 			return out, t + 1, fmt.Errorf("ni: trial %d run B: %v", t, err)
 		}
 		violated := false
 		for k := 0; k < packets && !violated; k++ {
-			if sigA[k].Kind != sigB[k].Kind {
+			if sigsA[k].Kind != sigsB[k].Kind {
 				out = append(out, Violation{Trial: t,
 					Where: fmt.Sprintf("packet %d signal", k),
-					A:     sigA[k].String(), B: sigB[k].String()})
+					A:     sigsA[k].String(), B: sigsB[k].String()})
 				violated = true
 				break
 			}
-			for _, p := range ctrl.Params {
-				pt := paramTypes[p.Name]
-				where := p.Name
-				if packets > 1 {
-					where = fmt.Sprintf("packet %d: %s", k, p.Name)
-				}
-				if v, ok := diffObservable(where, outA[k][p.Name], outB[k][p.Name], pt, obs, e.Lat); !ok {
+			for i, p := range ctrl.Params {
+				if v, ok := diffs[i].Diff(outsA[k][i], outsB[k][i]); !ok {
+					if packets > 1 {
+						v.Where = fmt.Sprintf("packet %d: %s%s", k, p.Name, v.Where)
+					} else {
+						v.Where = p.Name + v.Where
+					}
 					v.Trial = t
 					out = append(out, v)
 					violated = true
@@ -242,6 +268,31 @@ func (e *Experiment) runN(trials int, seed int64) ([]Violation, int, error) {
 		}
 	}
 	return out, trials, nil
+}
+
+// fixInputs hands run A's drawn inputs to FixInputs by name and takes back
+// what it leaves. The compiled engine reads record and header fields by
+// position, so every returned value must keep its declared field order; it
+// is then copied, so no value the hook keeps or shares reaches a run,
+// which edits its inputs in place. A parameter the hook deletes runs on its
+// zero value.
+func (e *Experiment) fixInputs(ctrl *ast.ControlDecl, pts []types.SecType, in []eval.Value) error {
+	named := make(map[string]eval.Value, len(in))
+	for i, p := range ctrl.Params {
+		named[p.Name] = in[i]
+	}
+	e.FixInputs(named)
+	for i, p := range ctrl.Params {
+		v, ok := named[p.Name]
+		if !ok {
+			v = eval.Zero(pts[i].T)
+		}
+		if msg := eval.FieldOrderMismatch(v, pts[i].T); msg != "" {
+			return fmt.Errorf("eval: input %s%s; record and header inputs must keep their declared field order", p.Name, msg)
+		}
+		in[i] = eval.Copy(v)
+	}
+	return nil
 }
 
 // RunAdaptive performs trials in escalating rounds — min trials first,
@@ -286,115 +337,6 @@ func (e *Experiment) RunAdaptive(min, max int, seed int64) ([]Violation, int, er
 	return nil, ran, nil
 }
 
-// runSequence pushes a packet sequence through one interpreter so that
-// register state persists, returning per-packet outputs and signals.
-func runSequence(prog *ast.Program, control string, cp *controlplane.ControlPlane, seq []map[string]eval.Value) ([]map[string]eval.Value, []eval.Signal, error) {
-	in, err := eval.New(prog, cp)
-	if err != nil {
-		return nil, nil, err
-	}
-	outs := make([]map[string]eval.Value, len(seq))
-	sigs := make([]eval.Signal, len(seq))
-	for k, inputs := range seq {
-		out, sig, err := in.RunControl(control, inputs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("packet %d: %v", k, err)
-		}
-		outs[k] = out
-		sigs[k] = sig
-	}
-	return outs, sigs, nil
-}
-
-// uniqueParamNames reports whether every control parameter name is
-// distinct. The slice-indexed fast path identifies parameters by position;
-// duplicate names have map semantics (the last declaration wins for both
-// inputs and outputs), which only the map paths reproduce.
-func uniqueParamNames(ctrl *ast.ControlDecl) bool {
-	for i := range ctrl.Params {
-		for j := i + 1; j < len(ctrl.Params); j++ {
-			if ctrl.Params[i].Name == ctrl.Params[j].Name {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// runCompiledFast is the NI hot path: compiled execution with
-// slice-indexed parameters — no per-trial interpreter construction, no
-// map-keyed input/output marshalling, and no defensive value copies
-// (values are immutable trees and machines never mutate them). The rng
-// draw order, violation reporting, and error wrapping are identical to the
-// tree-walking path.
-func (e *Experiment) runCompiledFast(code *eval.Compiled, ctrl *ast.ControlDecl, paramTypes map[string]types.SecType, obs lattice.Label, packets, trials int, rng eval.Rng) ([]Violation, int, error) {
-	idx := code.ControlIndex(e.Control)
-	machA, machB := e.machines(code)
-	n := len(ctrl.Params)
-	pts := make([]types.SecType, n)
-	samplers := make([]sampler, n)
-	diffs := make([]Comparator, n)
-	for i, p := range ctrl.Params {
-		pts[i] = paramTypes[p.Name]
-		samplers[i] = compileSampler(pts[i], obs, e.Lat)
-		diffs[i] = ObservableDiff(pts[i], obs, e.Lat)
-	}
-	// Trial input sequences, reused across trials (values are overwritten
-	// wholesale each trial).
-	seqA := make([][]eval.Value, packets)
-	seqB := make([][]eval.Value, packets)
-	for k := range seqA {
-		seqA[k] = make([]eval.Value, n)
-		seqB[k] = make([]eval.Value, n)
-	}
-	outsA := make([][]eval.Value, packets)
-	outsB := make([][]eval.Value, packets)
-	sigsA := make([]eval.Signal, packets)
-	sigsB := make([]eval.Signal, packets)
-	var out []Violation
-	for t := 0; t < trials; t++ {
-		for k := 0; k < packets; k++ {
-			inA, inB := seqA[k], seqB[k]
-			for i := range samplers {
-				inA[i] = samplers[i].draw(rng)
-			}
-			for i := range samplers {
-				inB[i] = samplers[i].vary(inA[i], rng)
-			}
-		}
-		if err := runMachineSeq(machA, idx, seqA, outsA, sigsA); err != nil {
-			return out, t + 1, fmt.Errorf("ni: trial %d run A: %v", t, err)
-		}
-		if err := runMachineSeq(machB, idx, seqB, outsB, sigsB); err != nil {
-			return out, t + 1, fmt.Errorf("ni: trial %d run B: %v", t, err)
-		}
-		violated := false
-		for k := 0; k < packets && !violated; k++ {
-			if sigsA[k].Kind != sigsB[k].Kind {
-				out = append(out, Violation{Trial: t,
-					Where: fmt.Sprintf("packet %d signal", k),
-					A:     sigsA[k].String(), B: sigsB[k].String()})
-				violated = true
-				break
-			}
-			for i, p := range ctrl.Params {
-				if v, ok := diffs[i].Diff(outsA[k][i], outsB[k][i]); !ok {
-					if packets > 1 {
-						v.Where = fmt.Sprintf("packet %d: %s%s", k, p.Name, v.Where)
-					} else {
-						v.Where = p.Name + v.Where
-					}
-					v.Trial = t
-					out = append(out, v)
-					violated = true
-					break
-				}
-			}
-		}
-	}
-	return out, trials, nil
-}
-
 // runMachineSeq pushes one packet sequence through a reset machine,
 // filling outs and sigs. For single-packet sequences the outputs alias the
 // machine's control frame (valid until its next run — one trial); longer
@@ -418,81 +360,36 @@ func runMachineSeq(m *eval.Machine, idx int, seq, outs [][]eval.Value, sigs []ev
 	return nil
 }
 
-// runCompiledMap is the compiled engine behind the map-keyed trial shape —
-// used when FixInputs needs a map to edit or when duplicate parameter
-// names demand map semantics. Per-trial work matches the interpreter path
-// minus the interpreter itself.
-func (e *Experiment) runCompiledMap(code *eval.Compiled, ctrl *ast.ControlDecl, paramTypes map[string]types.SecType, obs lattice.Label, packets, trials int, rng eval.Rng) ([]Violation, int, error) {
-	machA, machB := e.machines(code)
-	var out []Violation
-	for t := 0; t < trials; t++ {
-		seqA := make([]map[string]eval.Value, packets)
-		seqB := make([]map[string]eval.Value, packets)
-		for k := 0; k < packets; k++ {
-			inA := map[string]eval.Value{}
-			inB := map[string]eval.Value{}
-			for _, p := range ctrl.Params {
-				inA[p.Name] = eval.RandomFrom(paramTypes[p.Name].T, rng)
-			}
-			if e.FixInputs != nil {
-				e.FixInputs(inA)
-			}
-			for _, p := range ctrl.Params {
-				pt := paramTypes[p.Name]
-				inB[p.Name] = randomizeAbove(eval.Copy(inA[p.Name]), pt, obs, e.Lat, rng)
-			}
-			seqA[k] = inA
-			seqB[k] = inB
-		}
-		outA, sigA, err := runMachineMapSeq(machA, ctrl.Name, seqA)
-		if err != nil {
-			return out, t + 1, fmt.Errorf("ni: trial %d run A: %v", t, err)
-		}
-		outB, sigB, err := runMachineMapSeq(machB, ctrl.Name, seqB)
-		if err != nil {
-			return out, t + 1, fmt.Errorf("ni: trial %d run B: %v", t, err)
-		}
-		violated := false
-		for k := 0; k < packets && !violated; k++ {
-			if sigA[k].Kind != sigB[k].Kind {
-				out = append(out, Violation{Trial: t,
-					Where: fmt.Sprintf("packet %d signal", k),
-					A:     sigA[k].String(), B: sigB[k].String()})
-				violated = true
-				break
-			}
-			for _, p := range ctrl.Params {
-				pt := paramTypes[p.Name]
-				where := p.Name
-				if packets > 1 {
-					where = fmt.Sprintf("packet %d: %s", k, p.Name)
-				}
-				if v, ok := diffObservable(where, outA[k][p.Name], outB[k][p.Name], pt, obs, e.Lat); !ok {
-					v.Trial = t
-					out = append(out, v)
-					violated = true
-					break
-				}
-			}
-		}
+// runInterpSeq is runMachineSeq on a fresh interpreter over its own clone
+// of cp (nil = an empty control plane), so that register state persists
+// across the sequence's packets and nothing carries over between runs.
+// The interpreter takes and returns parameters by name, and copies both
+// ways.
+func runInterpSeq(prog *ast.Program, ctrl *ast.ControlDecl, cp *controlplane.ControlPlane, seq, outs [][]eval.Value, sigs []eval.Signal) error {
+	if cp != nil {
+		cp = cp.Clone()
 	}
-	return out, trials, nil
-}
-
-// runMachineMapSeq is runSequence on a reset machine.
-func runMachineMapSeq(m *eval.Machine, control string, seq []map[string]eval.Value) ([]map[string]eval.Value, []eval.Signal, error) {
-	m.Reset()
-	outs := make([]map[string]eval.Value, len(seq))
-	sigs := make([]eval.Signal, len(seq))
-	for k, inputs := range seq {
-		out, sig, err := m.RunControl(control, inputs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("packet %d: %v", k, err)
+	in, err := eval.New(prog, cp)
+	if err != nil {
+		return err
+	}
+	for k, args := range seq {
+		inputs := make(map[string]eval.Value, len(args))
+		for i, p := range ctrl.Params {
+			inputs[p.Name] = args[i]
 		}
-		outs[k] = out
+		out, sig, err := in.RunControl(ctrl.Name, inputs)
+		if err != nil {
+			return fmt.Errorf("packet %d: %v", k, err)
+		}
+		o := make([]eval.Value, len(args))
+		for i, p := range ctrl.Params {
+			o[i] = out[p.Name]
+		}
+		outs[k] = o
 		sigs[k] = sig
 	}
-	return outs, sigs, nil
+	return nil
 }
 
 func (e *Experiment) findControl() *ast.ControlDecl {
@@ -505,13 +402,18 @@ func (e *Experiment) findControl() *ast.ControlDecl {
 }
 
 // paramTypes resolves the control's parameter types against the real
-// lattice so labels are faithful.
+// lattice so labels are faithful. Trials address parameters by name and
+// by position alike, so a repeated name is an error (the base checker
+// rejects such a control too).
 func (e *Experiment) paramTypes(ctrl *ast.ControlDecl) (map[string]types.SecType, error) {
 	var diags diag.List
 	res := resolve.New(e.Lat, &diags)
 	res.CollectTypeDecls(e.Prog)
 	out := map[string]types.SecType{}
 	for _, p := range ctrl.Params {
+		if _, dup := out[p.Name]; dup {
+			return nil, fmt.Errorf("ni: control %s: duplicate parameter %q", ctrl.Name, p.Name)
+		}
 		out[p.Name] = res.SecType(p.Type)
 	}
 	if err := diags.Err(); err != nil {
@@ -521,16 +423,17 @@ func (e *Experiment) paramTypes(ctrl *ast.ControlDecl) (map[string]types.SecType
 }
 
 // sampler is a per-parameter trial plan with the type walk, field lookups,
-// and lattice queries of RandomFrom / randomizeAbove resolved at
-// experiment setup: draw builds a fresh random input (same rng consumption
-// as eval.RandomFrom) and vary is randomizeAbove (same draws). Outputs are
-// compared by a Comparator, which the exhaustive oracle shares. Only the
-// indexed fast path uses samplers — its inputs are always built from the
-// type itself, in the type's field order, which is also what the compiled
-// machine's positional field accesses require. The map path keeps the
-// generic walks: FixInputs may edit the values it is handed (but not
-// reorder their fields; Machine.RunControl checks), and the walks tolerate
-// whatever kinds it leaves.
+// and lattice queries resolved at experiment setup: draw builds a fresh
+// random input (same rng consumption as eval.RandomFrom), and vary derives
+// run B's input from run A's, keeping every observable (χ ⊑ obs) scalar
+// leaf and redrawing every other one. Outputs are compared by a
+// Comparator, which the exhaustive oracle shares. draw builds each value
+// from the type itself, with every record's and header's declared fields
+// in declared order, which is what the compiled machine's positional field
+// accesses require. A value FixInputs edited keeps that order (the trial
+// loop checks), but it may hold a value of another kind where the type
+// has a record, header or stack; vary copies such a value unchanged, with
+// no draws.
 type sampler struct {
 	draw func(rng eval.Rng) eval.Value
 	vary func(v eval.Value, rng eval.Rng) eval.Value
@@ -561,7 +464,7 @@ func compileSampler(t types.SecType, obs lattice.Label, lat lattice.Lattice) sam
 			vary: func(v eval.Value, rng eval.Rng) eval.Value {
 				rv, ok := v.(*eval.RecordVal)
 				if !ok || len(rv.Fields) != len(subs) {
-					return randomizeAbove(v, t, obs, lat, rng)
+					return eval.Copy(v)
 				}
 				fs := make([]eval.NamedValue, len(subs))
 				for i := range subs {
@@ -583,7 +486,7 @@ func compileSampler(t types.SecType, obs lattice.Label, lat lattice.Lattice) sam
 			vary: func(v eval.Value, rng eval.Rng) eval.Value {
 				hv, ok := v.(*eval.HeaderVal)
 				if !ok || len(hv.Fields) != len(subs) {
-					return randomizeAbove(v, t, obs, lat, rng)
+					return eval.Copy(v)
 				}
 				fs := make([]eval.NamedValue, len(subs))
 				for i := range subs {
@@ -606,7 +509,7 @@ func compileSampler(t types.SecType, obs lattice.Label, lat lattice.Lattice) sam
 			vary: func(v eval.Value, rng eval.Rng) eval.Value {
 				sv, ok := v.(*eval.StackVal)
 				if !ok {
-					return randomizeAbove(v, t, obs, lat, rng)
+					return eval.Copy(v)
 				}
 				es := make([]eval.Value, len(sv.Elems))
 				for i := range es {
@@ -623,10 +526,9 @@ func compileSampler(t types.SecType, obs lattice.Label, lat lattice.Lattice) sam
 	}
 }
 
-// fieldSamplers compiles one sampler per declared field, resolving
-// FieldOf once. Fields randomizeAbove would skip (absent from the type)
-// cannot occur here: fast-path values are built by draw from the type
-// itself.
+// fieldSamplers compiles one sampler per declared field, in declared
+// order, so draw and vary address a record's or header's fields by
+// position.
 func fieldSamplers(fields []types.Field, obs lattice.Label, lat lattice.Lattice) ([]string, []sampler) {
 	names := make([]string, len(fields))
 	subs := make([]sampler, len(fields))
@@ -635,58 +537,6 @@ func fieldSamplers(fields []types.Field, obs lattice.Label, lat lattice.Lattice)
 		subs[i] = compileSampler(f.Type, obs, lat)
 	}
 	return names, subs
-}
-
-// randomizeAbove returns v with every scalar leaf whose label does NOT
-// flow to obs replaced by a fresh random value; observable leaves are
-// preserved, so the result is below-obs-equivalent to v.
-func randomizeAbove(v eval.Value, t types.SecType, obs lattice.Label, lat lattice.Lattice, rng eval.Rng) eval.Value {
-	if types.IsScalar(t.T) {
-		if lat.Leq(t.L, obs) {
-			return v
-		}
-		return eval.RandomFrom(t.T, rng)
-	}
-	switch tt := t.T.(type) {
-	case *types.Record:
-		rv, ok := v.(*eval.RecordVal)
-		if !ok {
-			return v
-		}
-		fs := make([]eval.NamedValue, len(rv.Fields))
-		copy(fs, rv.Fields)
-		for i := range fs {
-			if f, ok := types.FieldOf(tt, fs[i].Name); ok {
-				fs[i].Val = randomizeAbove(fs[i].Val, f.Type, obs, lat, rng)
-			}
-		}
-		return &eval.RecordVal{Fields: fs}
-	case *types.Header:
-		hv, ok := v.(*eval.HeaderVal)
-		if !ok {
-			return v
-		}
-		fs := make([]eval.NamedValue, len(hv.Fields))
-		copy(fs, hv.Fields)
-		for i := range fs {
-			if f, ok := types.FieldOf(tt, fs[i].Name); ok {
-				fs[i].Val = randomizeAbove(fs[i].Val, f.Type, obs, lat, rng)
-			}
-		}
-		return &eval.HeaderVal{Valid: hv.Valid, Fields: fs}
-	case *types.Stack:
-		sv, ok := v.(*eval.StackVal)
-		if !ok {
-			return v
-		}
-		es := make([]eval.Value, len(sv.Elems))
-		for i, el := range sv.Elems {
-			es[i] = randomizeAbove(el, tt.Elem, obs, lat, rng)
-		}
-		return &eval.StackVal{Elems: es}
-	default:
-		return v
-	}
 }
 
 // Comparator is the observable-output comparison for values of one
@@ -824,23 +674,11 @@ func (n *obsNode) equal(a, b eval.Value) bool {
 	return true
 }
 
-// diffObservable compares the observable (χ ⊑ obs) scalar leaves of a and
-// b; on a mismatch it returns the witness and false. Witness paths are
-// built only along the failing spine — the match case (virtually every
-// trial of every campaign) allocates nothing.
-func diffObservable(path string, a, b eval.Value, t types.SecType, obs lattice.Label, lat lattice.Lattice) (Violation, bool) {
-	v, ok := diffObs(a, b, t, obs, lat)
-	if ok {
-		return Violation{}, true
-	}
-	v.Where = path + v.Where
-	return v, false
-}
-
-// diffObs is diffObservable with the witness path kept relative: the
-// returned Violation's Where is the suffix below the comparison root
-// (empty at a scalar leaf), prefixed one step at a time as the failure
-// unwinds.
+// diffObs compares the observable (χ ⊑ obs) scalar leaves of a and b,
+// walking records and headers by field name; on a mismatch it returns the
+// witness and false. The witness's Where is the path below the comparison
+// root (empty at a scalar leaf), prefixed one step at a time as the
+// failure unwinds.
 func diffObs(a, b eval.Value, t types.SecType, obs lattice.Label, lat lattice.Lattice) (Violation, bool) {
 	if types.IsScalar(t.T) {
 		if !lat.Leq(t.L, obs) {

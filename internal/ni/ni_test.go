@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/controlplane"
 	"repro/internal/eval"
+	"repro/internal/lattice"
 	"repro/internal/ni"
 	"repro/internal/parser"
 	"repro/internal/progs"
@@ -388,5 +389,26 @@ func TestFixInputsFieldOrder(t *testing.T) {
 	_, err := reorder.Run(1, 2)
 	if err == nil || !strings.Contains(err.Error(), "eval: input hdr.") || !strings.Contains(err.Error(), "declared") {
 		t.Fatalf("reordering FixInputs: error %v, want one naming input hdr", err)
+	}
+}
+
+// TestDuplicateParamsRejected: a control with two parameters named x is
+// refused on both engines with an error naming x, rather than run with one
+// parameter shadowing the other. The base checker rejects such a control,
+// so only a direct caller of the harness can hand it one.
+func TestDuplicateParamsRejected(t *testing.T) {
+	prog := parser.MustParse("dup.p4", `
+control C(inout <bit<4>, low> x, inout <bit<4>, high> x) {
+    apply {
+        x = x + 4w1;
+    }
+}
+`)
+	for _, interp := range []bool{false, true} {
+		e := &ni.Experiment{Prog: prog, Lat: lattice.TwoPoint(), Interp: interp}
+		vs, ran, err := e.RunN(4, 1)
+		if err == nil || !strings.Contains(err.Error(), `"x"`) || ran != 0 || len(vs) != 0 {
+			t.Fatalf("interp=%v: %d trials, %d violations, error %v; want no trials and an error naming x", interp, ran, len(vs), err)
+		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"repro/internal/parser"
 )
 
-// TestSamplersKeepFieldOrder: the indexed fast path hands draw's and
-// vary's values straight to RunIndexed, whose compiled field accesses read
+// TestSamplersKeepFieldOrder: the trial loop hands draw's and vary's
+// values straight to RunIndexed, whose compiled field accesses read
 // records and headers by position. Both must therefore build exactly the
 // declared fields in declared order. Checked over the generator's
 // parameter types on three lattices, observing at bottom and top.
@@ -54,4 +54,70 @@ func TestSamplersKeepFieldOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestVaryMatchesReference: vary derives run B's inputs exactly as the
+// generic walk randomizeAbove (now only the reference's) does — the same
+// value from the same draws — for drawn values and for every edit a
+// FixInputs hook can make that keeps the declared field order: a leaf
+// replaced, or a record turned into a header or back, which is a shape
+// vary copies unchanged.
+func TestVaryMatchesReference(t *testing.T) {
+	draws := new(eval.BatchRand)
+	draws.Seed(43)
+	var r1, r2 eval.BatchRand
+	edits := []struct {
+		name string
+		edit func(eval.Value) (eval.Value, bool)
+	}{{"leaf flipped", flipLeaf}, {"kind swapped", swapKind}}
+	checked := map[string]int{}
+	n := int64(0)
+	for _, p := range diffParams(t) {
+		for _, obs := range p.lat.Elements() {
+			s := compileSampler(p.st, obs, p.lat)
+			a := s.draw(draws)
+			check := func(what string, in eval.Value) {
+				t.Helper()
+				n++
+				r1.Seed(n)
+				r2.Seed(n)
+				got := s.vary(eval.Copy(in), &r1)
+				want := randomizeAbove(eval.Copy(in), p.st, obs, p.lat, &r2)
+				if !eval.ValueEqual(got, want) || r1.Uint64() != r2.Uint64() {
+					t.Fatalf("%s at %s, %s %s:\n  vary:      %s\n  reference: %s", p.where, obs, what, in, got, want)
+				}
+				checked[what]++
+			}
+			check("drawn", a)
+			for _, e := range edits {
+				for k := 0; ; k++ {
+					b, ok := editNth(eval.Copy(a), k, e.edit)
+					if !ok {
+						break
+					}
+					if eval.FieldOrderMismatch(b, p.st.T) == "" {
+						check(e.name, b)
+					}
+				}
+			}
+		}
+	}
+	for _, e := range edits {
+		if checked[e.name] == 0 {
+			t.Errorf("no input with a %s", e.name)
+		}
+	}
+	t.Logf("inputs checked: %v", checked)
+}
+
+// swapKind turns a record into a header with the same fields and a header
+// into a record.
+func swapKind(v eval.Value) (eval.Value, bool) {
+	switch x := v.(type) {
+	case *eval.RecordVal:
+		return &eval.HeaderVal{Valid: true, Fields: x.Fields}, true
+	case *eval.HeaderVal:
+		return &eval.RecordVal{Fields: x.Fields}, true
+	}
+	return v, false
 }

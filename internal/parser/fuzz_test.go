@@ -24,13 +24,17 @@ func seedCorpus(f *testing.F) {
 	}
 	f.Add(gen.Synth(2, 2, 2))
 	f.Add(gen.SynthChainLabels(3))
-	// Adversarial fragments: deep nesting, split >> tokens, stray bytes.
+	// Adversarial fragments: deep nesting, split >> tokens, stray bytes in
+	// a comment and outside one. A NUL is not the end of the input, so
+	// the last two are syntax errors.
 	f.Add("control C(inout bit<8> x) { apply { x = ((((x)))); } }")
 	f.Add("header h { bit<8>[4][2] s; }")
 	f.Add("typedef <bit<8>, high> t8;")
 	f.Add("control C() { apply { if (true) { exit; } else if (false) { return; } } }")
-	f.Add("\x00\xff{<>>=")
+	f.Add("// \x00\xff{<>>=")
 	f.Add("const bit<64> x = 64w18446744073709551615;")
+	f.Add("\x00\xff{<>>=")
+	f.Add("control C(inout bit<8> x) { apply { x = x + 1; } }\x00 this is not P4 {{{")
 }
 
 // FuzzParse asserts the parser never panics: it must either return a

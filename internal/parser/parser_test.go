@@ -279,6 +279,38 @@ func TestSyntaxErrors(t *testing.T) {
 	}
 }
 
+// TestNULBytes: a NUL byte is not the end of the input. Outside a comment
+// it is an illegal character, wherever it falls, so text after it is never
+// silently dropped; inside a comment of either kind it is comment text and
+// ends nothing.
+func TestNULBytes(t *testing.T) {
+	const prog = "control C(inout bit<8> x) { apply { x = x + 1; } }"
+	cases := []struct{ name, src, want string }{
+		{"after a program", prog + "\x00 this is not P4 {{{", "test.p4:1:51: unexpected character '\\x00'"},
+		{"mid-program", "control C(inout bit<8> x) { apply { x = \x00x + 1; } }", "test.p4:1:41: unexpected character '\\x00'"},
+		{"at the start", "\x00" + prog, "test.p4:1:1: unexpected character '\\x00'"},
+		{"in a line comment", prog + " // a \x00 b\ncontrol D() { apply { } }", ""},
+		{"in a block comment", "control C(inout bit<8> x) { apply { /* a \x00 b */ x = x + 1; } }", ""},
+		{"in an unterminated block comment", prog + " /* a \x00 b", "test.p4:1:52: unterminated block comment"},
+	}
+	for _, c := range cases {
+		prog, err := Parse("test.p4", c.src)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want == "" && len(prog.Controls) == 0:
+			t.Errorf("%s: no control parsed", c.name)
+		case c.want != "" && (err == nil || err.Error() != c.want):
+			t.Errorf("%s: error %v, want %s", c.name, err, c.want)
+		}
+	}
+	// The line comment ends at its newline, not at the NUL: the control
+	// after it is parsed too.
+	if prog := mustParse(t, cases[3].src); len(prog.Controls) != 2 {
+		t.Errorf("line comment with a NUL: %d controls, want 2", len(prog.Controls))
+	}
+}
+
 func TestMatchKindEmpty(t *testing.T) {
 	mustFail(t, `match_kind { }`, "at least one member")
 }
