@@ -38,6 +38,41 @@ func TestCheckAll(t *testing.T) {
 	}
 }
 
+// TestCheckAllDefaultBudget: a session built without WithNIBudget checks
+// with the one default budget, adaptive 4/32 — the same per-job trial
+// counts and violations as an explicit WithNIBudget(4, 32) — on the buggy
+// and the fixed case studies.
+func TestCheckAllDefaultBudget(t *testing.T) {
+	var jobs []repro.BatchJob
+	for _, p := range repro.CaseStudies() {
+		jobs = append(jobs,
+			repro.BatchJob{Name: p.FileName(repro.Buggy), Source: p.Source(repro.Buggy), Lat: p.Lattice()},
+			repro.BatchJob{Name: p.FileName(repro.Fixed), Source: p.Source(repro.Fixed), Lat: p.Lattice()},
+		)
+	}
+	check := func(opts ...repro.SessionOption) *repro.BatchSummary {
+		t.Helper()
+		s, err := repro.NewSession(append(opts, repro.WithSeed(5), repro.WithWorkers(2))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		sum, err := s.CheckAll(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum
+	}
+	def, explicit := check(), check(repro.WithNIBudget(4, 32))
+	for i := range jobs {
+		d, e := def.Results[i], explicit.Results[i]
+		if d.NITrialsRun != e.NITrialsRun || len(d.NIViolations) != len(e.NIViolations) {
+			t.Errorf("%s: default budget ran %d trials with %d violations; WithNIBudget(4, 32) ran %d with %d",
+				jobs[i].Name, d.NITrialsRun, len(d.NIViolations), e.NITrialsRun, len(e.NIViolations))
+		}
+	}
+}
+
 // TestCampaignWithoutCorpus runs a small campaign through Session.Campaign
 // with no WithCorpus: findings stay in memory, and the run still records
 // its telemetry into the session registry.

@@ -13,6 +13,7 @@
 //	              [DIR]
 //	p4fuzz triage [-json] [-novelty N] [-o FILE] [-events] [-events-json]
 //	              [DIR]
+//	p4fuzz triage -diff [-md] [-o FILE] OLD.json NEW.json
 //	p4fuzz retire [-promote-dir DIR] [-trials 4] [-trials-max 32]
 //	              [-events] [-events-json] [DIR]
 //	p4fuzz compact [-trials 4] [-trials-max 32] [-events] [-events-json]
@@ -95,8 +96,17 @@
 // triage prints the corpus's ranked cluster table (findings grouped by
 // verdict class, cited typing rule, and AST shape fingerprint) as text or
 // JSON (-json), optionally to a file (-o). Exit 1 when any corpus entry
-// is malformed. cmd/p4triage is a thin alias of this subcommand that
-// additionally diffs two reports (-diff).
+// is malformed, so a CI gate over a checked-in corpus fails the moment
+// its metadata rots.
+//
+// triage -diff compares two JSON reports (the -json form) as a time
+// series: clusters present only in NEW are new defect classes, grown
+// ones are more of a known class, gone ones emptied out. When the new
+// report's corpus has a persisted metrics.json, the diff also prints a
+// one-line fleet summary (windows done, lease reclaims, merged findings
+// per worker) and a compaction summary. -md renders the diff as a
+// GitHub-flavored Markdown fragment, the form the nightly workflow
+// appends to its job summary. Exit 0, or 2 when a report is unreadable.
 //
 // -trials is the per-program NI budget; when -trials-max exceeds it, the
 // budget is adaptive — accepted programs get -trials, rejected programs
@@ -338,7 +348,7 @@ func runMain(args []string) int {
 		fmt.Fprintln(mode.reportWriter())
 		fmt.Fprint(mode.reportWriter(), repro.FormatTriageReport(trep))
 		// A malformed corpus entry fails the run just as it fails
-		// p4triage: a green job must mean the corpus is trustworthy.
+		// p4fuzz triage: a green job must mean the corpus is trustworthy.
 		triageClean = trep.OK()
 	}
 	if !rep.OK() || !triageClean || err != nil {
@@ -350,7 +360,7 @@ func runMain(args []string) int {
 func replayMain(args []string) int {
 	fs := flag.NewFlagSet("p4fuzz replay", flag.ExitOnError)
 	trials := fs.Int("trials", 0, "base NI trials for findings recorded without a budget (0 = 4)")
-	trialsMax := fs.Int("trials-max", 0, "adaptive NI ceiling for findings recorded without a budget (0 = 32)")
+	trialsMax := fs.Int("trials-max", 0, "adaptive NI ceiling for findings recorded without a budget (0 = 8x -trials, negative = flat)")
 	liveEvents := fs.Bool("events", false, "stream structured progress events to stderr while running")
 	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line (the report moves to stderr)")
 	fs.Parse(args)
@@ -386,7 +396,7 @@ func retireMain(args []string) int {
 	fs := flag.NewFlagSet("p4fuzz retire", flag.ExitOnError)
 	promoteDir := fs.String("promote-dir", "", "retired-corpus directory (default <corpus>/../retired-corpus)")
 	trials := fs.Int("trials", 0, "base NI trials for findings recorded without a budget (0 = 4)")
-	trialsMax := fs.Int("trials-max", 0, "adaptive NI ceiling for findings recorded without a budget (0 = 32)")
+	trialsMax := fs.Int("trials-max", 0, "adaptive NI ceiling for findings recorded without a budget (0 = 8x -trials, negative = flat)")
 	liveEvents := fs.Bool("events", false, "stream structured progress events to stderr while running")
 	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line (the report moves to stderr)")
 	fs.Parse(args)
@@ -429,7 +439,7 @@ func retireMain(args []string) int {
 func compactMain(args []string) int {
 	fs := flag.NewFlagSet("p4fuzz compact", flag.ExitOnError)
 	trials := fs.Int("trials", 0, "base NI trials for findings recorded without a budget (0 = 4)")
-	trialsMax := fs.Int("trials-max", 0, "adaptive NI ceiling for findings recorded without a budget (0 = 32)")
+	trialsMax := fs.Int("trials-max", 0, "adaptive NI ceiling for findings recorded without a budget (0 = 8x -trials, negative = flat)")
 	liveEvents := fs.Bool("events", false, "stream structured progress events to stderr while running")
 	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line (the report moves to stderr)")
 	fs.Parse(args)
@@ -507,7 +517,12 @@ func triageMain(args []string) int {
 	outPath := fs.String("o", "", "write the report to this file instead of stdout")
 	liveEvents := fs.Bool("events", false, "stream structured progress events to stderr while running")
 	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line (the report moves to stderr)")
+	diff := fs.Bool("diff", false, "compare two JSON reports (OLD.json NEW.json) instead of triaging a corpus")
+	md := fs.Bool("md", false, "with -diff, render the diff as Markdown (for CI job summaries)")
 	fs.Parse(args)
+	if *diff {
+		return triageDiff(fs.Args(), *md, *outPath)
+	}
 	dir, ok := corpusArg(fs, "testdata/regression-corpus")
 	if !ok {
 		return 2
@@ -515,8 +530,7 @@ func triageMain(args []string) int {
 	return triageReport(dir, *asJSON, *novelty, *outPath, pickEventMode(*liveEvents, *jsonEvents))
 }
 
-// triageReport renders one corpus's triage report — the same Session
-// calls cmd/p4triage's shim makes.
+// triageReport renders one corpus's triage report.
 func triageReport(dir string, asJSON bool, novelty int, outPath string, mode eventMode) int {
 	s, err := repro.NewSession(
 		repro.WithCorpus(dir),
@@ -552,6 +566,41 @@ func triageReport(dir string, asJSON bool, novelty int, outPath string, mode eve
 	}
 	if !rep.OK() {
 		return 1
+	}
+	return 0
+}
+
+// triageDiff loads two JSON triage reports and prints their cluster-level
+// diff.
+func triageDiff(args []string, md bool, outPath string) int {
+	if len(args) != 2 {
+		fmt.Fprintf(os.Stderr, "p4fuzz: triage -diff wants exactly two report files (old.json new.json), got %d\n", len(args))
+		return 2
+	}
+	reports := make([]*repro.TriageReport, 2)
+	for i, path := range args {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "p4fuzz: triage: %v\n", err)
+			return 2
+		}
+		if reports[i], err = repro.UnmarshalTriageReport(raw); err != nil {
+			fmt.Fprintf(os.Stderr, "p4fuzz: triage: %s: %v\n", path, err)
+			return 2
+		}
+	}
+	d := repro.DiffTriageReports(reports[0], reports[1])
+	out := repro.FormatTriageDiff(d)
+	if md {
+		out = repro.MarkdownTriageDiff(d)
+	}
+	if outPath == "" {
+		os.Stdout.WriteString(out)
+		return 0
+	}
+	if err := os.WriteFile(outPath, []byte(out), 0o644); err != nil {
+		fmt.Fprintf(os.Stderr, "p4fuzz: triage: %v\n", err)
+		return 2
 	}
 	return 0
 }

@@ -72,6 +72,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/events"
 	"repro/internal/fleet"
 	"repro/internal/gen"
@@ -188,31 +189,36 @@ func run(args []string) int {
 		}
 	}
 
-	if !pipeline.ValidOracle(*niOracle) {
-		fmt.Fprintf(os.Stderr, "p4fuzzd: unknown NI oracle %q (want adaptive, randomized, or exhaustive)\n", *niOracle)
+	spec := campaign.Spec{
+		Seed: *seed,
+		Gen:  gcfg,
+		Budget: pipeline.Budget{
+			Trials:        *trials,
+			TrialsMax:     *trialsMax,
+			Oracle:        *niOracle,
+			ExhaustBudget: *exhaustBudget,
+			ExhaustProbes: *exhaustProbes,
+		},
+		Mutate:      *mutate,
+		MutateFrac:  *mutateFrac,
+		Minimize:    *minimize,
+		MaxPerClass: *maxPerClass,
+	}
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "p4fuzzd: %v\n", err)
 		return 2
 	}
 
 	rep, err := fleet.RunCoordinator(ctx, fleet.Config{
-		CorpusDir:     *corpusDir,
-		N:             *n,
-		WindowSize:    *window,
-		Seed:          *seed,
-		Gen:           gcfg,
-		NITrials:      *trials,
-		NITrialsMax:   *trialsMax,
-		NIOracle:      *niOracle,
-		ExhaustBudget: *exhaustBudget,
-		ExhaustProbes: *exhaustProbes,
-		Mutate:        *mutate,
-		MutateFrac:    *mutateFrac,
-		Minimize:      *minimize,
-		MaxPerClass:   *maxPerClass,
-		LeaseTTL:      *leaseTTL,
-		Poll:          *poll,
-		Log:           os.Stderr,
-		Events:        sink,
-		Metrics:       reg,
+		CorpusDir:  *corpusDir,
+		N:          *n,
+		WindowSize: *window,
+		Spec:       spec,
+		LeaseTTL:   *leaseTTL,
+		Poll:       *poll,
+		Log:        os.Stderr,
+		Events:     sink,
+		Metrics:    reg,
 	})
 	// Workers exit on their own once the manifest is retired (success) or
 	// their context dies (cancellation); wait so their final events land.

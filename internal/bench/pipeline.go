@@ -59,6 +59,7 @@ func PipelineSweep(jobs []pipeline.Job, workerCounts []int) []PipelineRow {
 		sum, err := pipeline.Run(context.Background(), jobs, pipeline.Options{
 			Workers: w,
 			NI:      pipeline.NIAccepted,
+			Budget:  pipeline.Budget{Trials: 8},
 			NISeed:  1,
 		})
 		if err != nil {

@@ -22,15 +22,15 @@
 //     windows partition a campaign deterministically: the union of the
 //     windows equals one run over their span. internal/fleet leases
 //     windows to workers and tracks the search frontier across runs;
-//   - spends its NI-trial budget adaptively (pipeline.Options.NITrialsMax):
+//   - spends its NI-trial budget adaptively (pipeline.Budget.TrialsMax):
 //     few trials on IFC-accepted programs, escalating on rejected ones
 //     where an interference witness would settle rejected-clean vs
 //     rejected-witnessed;
-//   - optionally closes the coverage-guided loop (Config.Mutate): the
+//   - optionally closes the coverage-guided loop (Spec.Mutate): the
 //     persisted corpus becomes the seed pool, and a configurable share of
 //     jobs are internal/mutate variants of previous findings — weighted by
 //     verdict class and recency — instead of fresh gen.Random samples;
-//   - campaigns over any stock lattice (Config.Gen.Lattice), so chain-N
+//   - campaigns over any stock lattice (Spec.Gen.Lattice), so chain-N
 //     and n-party searches reach label flows two-point programs cannot
 //     express;
 //   - doubles as a regression suite: Replay re-checks every persisted
@@ -149,37 +149,23 @@ type Window struct {
 	Lo, Hi int64
 }
 
-// Config configures a campaign run.
-type Config struct {
-	// Window is the global-index window the run covers. Required and
-	// non-empty.
-	Window Window
+// Spec is a campaign's parameters: what each global index generates and
+// how its program is judged. A Session, a fleet manifest and a campaign
+// run pass this one value; the JSON tags are the fleet manifest's.
+type Spec struct {
 	// Seed is the campaign seed: global index i generates its program
 	// from Seed+i and seeds its NI experiment with Seed+i, independent of
 	// the window boundaries and worker interleaving.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// Gen configures the program generator (zero = gen.DefaultConfig).
-	Gen gen.Config
-	// NITrials is the base NI budget (default 4) — what IFC-accepted
-	// programs get.
-	NITrials int
-	// NITrialsMax is the adaptive escalation ceiling for IFC-rejected
-	// programs (default 8 × NITrials; set negative to disable adaptation).
-	NITrialsMax int
-	// Workers bounds the pipeline worker pool and, once the stream has
-	// drained, how many findings minimize at once (<= 0 = GOMAXPROCS).
-	Workers int
-	// NIOracle selects the NI backend (see pipeline.Options.Oracle; "" is
-	// the historical adaptive default). "exhaustive" splits the
-	// rejected-clean precision class into
-	// proved-imprecise/secret-exhaustive/under-tested
-	// and is recorded in each finding's Meta so replay re-checks under
-	// the same oracle.
-	NIOracle string
-	// ExhaustBudget and ExhaustProbes configure the exhaustive oracle
-	// (0 = defaults: exhaust.DefaultBudget runs, derived probes).
-	ExhaustBudget uint64
-	ExhaustProbes int
+	Gen gen.Config `json:"gen"`
+	// Budget is the NI budget and backend (see pipeline.Budget; the zero
+	// value is the adaptive oracle at 4 trials escalating to 32). The
+	// oracle and the exhaustive oracle's settings are recorded in each
+	// finding's Meta so replay re-checks under the same oracle; the
+	// "exhaustive" oracle splits the rejected-clean precision class into
+	// proved-imprecise/secret-exhaustive/under-tested.
+	pipeline.Budget
 	// Mutate enables corpus-seeded mutation: a MutateFrac share of the
 	// campaign's jobs are AST-level mutants of persisted findings (drawn
 	// from the seed pool weighted by verdict class and recency) instead of
@@ -187,22 +173,13 @@ type Config struct {
 	// index given the pool, so window runs stay partition-exact when they
 	// share a corpus snapshot. With an empty corpus the campaign
 	// simply generates everything fresh.
-	Mutate bool
+	Mutate bool `json:"mutate,omitempty"`
 	// MutateFrac is the fraction of jobs mutated from seeds when Mutate is
 	// set (0 = default 0.5; must be in (0, 1]).
-	MutateFrac float64
-	// CorpusDir is the persistent corpus directory ("" = keep findings in
-	// memory only).
-	CorpusDir string
-	// Corpus is an already-open handle over CorpusDir; when set, the run
-	// reads and writes through it (sharing its caches and dedup map)
-	// instead of opening the directory again. Session threads one handle
-	// through every operation this way. CorpusDir defaults to the handle's
-	// directory; the novelty file lives relative to it.
-	Corpus *corpus.Corpus
+	MutateFrac float64 `json:"mutate_frac,omitempty"`
 	// Minimize shrinks each finding to the smallest program reproducing
 	// its class before dedup and persistence.
-	Minimize bool
+	Minimize bool `json:"minimize,omitempty"`
 	// MaxPerClass caps findings *processed* per class per run — counted
 	// before minimization and dedup, so it bounds both corpus growth and
 	// the per-run shrinking bill even once the corpus is saturated and
@@ -212,7 +189,44 @@ type Config struct {
 	// order its workers finish jobs in. Skipped findings are counted, not
 	// silently dropped; later windows cover fresh indices, so capped
 	// classes drain over time.
-	MaxPerClass int
+	MaxPerClass int `json:"max_per_class,omitempty"`
+}
+
+// Resolved returns s with every default applied: the default generator,
+// the resolved NI budget, MutateFrac 0.5 and MaxPerClass 25.
+func (s Spec) Resolved() Spec {
+	if s.Gen == (gen.Config{}) {
+		s.Gen = gen.DefaultConfig()
+	}
+	s.Budget = s.Budget.Resolved()
+	if s.MutateFrac == 0 {
+		s.MutateFrac = 0.5
+	}
+	if s.MaxPerClass == 0 {
+		s.MaxPerClass = 25
+	}
+	return s
+}
+
+// Config configures a campaign run: a window, the campaign's Spec, and
+// the run's own resources.
+type Config struct {
+	// Window is the global-index window the run covers. Required and
+	// non-empty.
+	Window Window
+	Spec
+	// Workers bounds the pipeline worker pool and, once the stream has
+	// drained, how many findings minimize at once (<= 0 = GOMAXPROCS).
+	Workers int
+	// CorpusDir is the persistent corpus directory ("" = keep findings in
+	// memory only).
+	CorpusDir string
+	// Corpus is an already-open handle over CorpusDir; when set, the run
+	// reads and writes through it (sharing its caches and dedup map)
+	// instead of opening the directory again. Session threads one handle
+	// through every operation this way. CorpusDir defaults to the handle's
+	// directory; the novelty file lives relative to it.
+	Corpus *corpus.Corpus
 	// Log receives one line per persisted finding (nil = discard).
 	Log io.Writer
 	// Events receives the run's structured event stream: job-done and
@@ -320,27 +334,24 @@ func (r *Report) OK() bool {
 		r.ParserDisagreements == 0
 }
 
-// engine carries one run's wiring.
+// engine carries one run's wiring. Its cfg has the Spec's defaults
+// applied.
 type engine struct {
-	ctx      context.Context
-	cfg      Config
-	gcfg     gen.Config
-	lat      lattice.Lattice
-	trials   int
-	max      int
-	perClass int
-	corp     *corpus.Corpus
-	pool     *seedPool
-	seen     map[string]bool
-	log      io.Writer
-	sink     events.Sink
+	ctx  context.Context
+	cfg  Config
+	lat  lattice.Lattice
+	corp *corpus.Corpus
+	pool *seedPool
+	seen map[string]bool
+	log  io.Writer
+	sink events.Sink
 	// jobs is how many indices the window covers; tickEvery spaces the
 	// progress-tick events (deterministic in the job count).
 	jobs      int
 	tickEvery int
 	rep       *Report
 	// pending holds, per class, the findings collected for the post-stream
-	// finalize phase — at most perClass of them, the class's lowest global
+	// finalize phase — at most MaxPerClass of them, the class's lowest global
 	// indices; npending counts them across classes.
 	pending  map[Class][]pendingFinding
 	npending int
@@ -413,13 +424,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.MutateFrac < 0 || cfg.MutateFrac > 1 {
 		return nil, fmt.Errorf("campaign: MutateFrac %v out of [0, 1] (0 = the default 0.5)", cfg.MutateFrac)
 	}
+	cfg.Spec = cfg.Spec.Resolved()
 	e := &engine{
 		ctx:      ctx,
 		cfg:      cfg,
-		gcfg:     cfg.Gen,
-		trials:   cfg.NITrials,
-		max:      cfg.NITrialsMax,
-		perClass: cfg.MaxPerClass,
 		seen:     map[string]bool{},
 		log:      cfg.Log,
 		sink:     cfg.Events,
@@ -428,9 +436,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		prov:     map[int64]provenance{},
 		novelty:  map[string]NoveltyStat{},
 		credited: map[int64]bool{},
-	}
-	if e.gcfg == (gen.Config{}) {
-		e.gcfg = gen.DefaultConfig()
 	}
 	// Cache the run's metric handles (nil-and-no-op without a registry)
 	// and pre-register every known series at zero, so a snapshot's series
@@ -452,20 +457,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	e.mStream = e.met.Histogram("campaign_phase_seconds", metrics.DurationBuckets, "phase", "stream")
 	e.mFinalize = e.met.Histogram("campaign_phase_seconds", metrics.DurationBuckets, "phase", "finalize")
 	var err error
-	if e.lat, err = e.gcfg.ResolveLattice(); err != nil {
+	if e.lat, err = cfg.Gen.ResolveLattice(); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	if e.trials <= 0 {
-		e.trials = 4
-	}
-	if e.max == 0 {
-		e.max = 8 * e.trials
-	}
-	if e.max < e.trials {
-		e.max = e.trials // negative or undersized ceiling: fixed budget
-	}
-	if e.perClass == 0 {
-		e.perClass = 25
 	}
 	if e.log == nil {
 		e.log = io.Discard
@@ -491,7 +484,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Window:     win,
 		Workers:    workers,
 		Seed:       cfg.Seed,
-		Gen:        e.gcfg,
+		Gen:        cfg.Gen,
 		CorpusDir:  cfg.CorpusDir,
 	}
 	if e.pool != nil {
@@ -534,15 +527,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}()
 
 	results := pipeline.RunStream(ctx, jobs, pipeline.Options{
-		Workers:       workers,
-		NI:            pipeline.NIAll,
-		NITrials:      e.trials,
-		NITrialsMax:   e.max,
-		NISeed:        cfg.Seed,
-		Oracle:        cfg.NIOracle,
-		ExhaustBudget: cfg.ExhaustBudget,
-		ExhaustProbes: cfg.ExhaustProbes,
-		Metrics:       cfg.Metrics,
+		Workers: workers,
+		NI:      pipeline.NIAll,
+		Budget:  cfg.Budget,
+		NISeed:  cfg.Seed,
+		Metrics: cfg.Metrics,
 	})
 	for r := range results {
 		e.consume(&r)
@@ -594,11 +583,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 func (e *engine) jobSource(rng *rand.Rand, idx int64) string {
 	rng.Seed(e.cfg.Seed + idx)
 	if e.cfg.Mutate && e.pool != nil && e.pool.size() > 0 {
-		frac := e.cfg.MutateFrac
-		if frac == 0 {
-			frac = 0.5
-		}
-		if rng.Float64() < frac {
+		if rng.Float64() < e.cfg.MutateFrac {
 			seed := e.pool.pick(rng)
 			e.mSeedDraws.Inc()
 			var donor *mutate.Seed
@@ -619,7 +604,7 @@ func (e *engine) jobSource(rng *rand.Rand, idx int64) string {
 			}
 		}
 	}
-	return gen.Random(rng, e.gcfg)
+	return gen.Random(rng, e.cfg.Gen)
 }
 
 // emitMetrics ships one KindMetrics snapshot event; no-op without a
@@ -731,7 +716,7 @@ func (e *engine) collect(class Class, v difftest.Verdict, detail, rule string, r
 	// corpus — where nearly everything minimizes onto a known entry —
 	// grow the per-run shrinking bill without bound.
 	kept := e.pending[class]
-	if e.perClass <= 0 || len(kept) < e.perClass {
+	if e.cfg.MaxPerClass < 0 || len(kept) < e.cfg.MaxPerClass {
 		e.pending[class] = append(kept, p)
 		e.npending++
 		return
@@ -800,7 +785,7 @@ func (e *engine) finalize(ps []pendingFinding, workers int) {
 }
 
 // minimize builds the finding for one collected program, shrunk when
-// Config.Minimize is set. It reads only the run's fixed configuration, so
+// Spec.Minimize is set. It reads only the run's fixed configuration, so
 // any number of calls may run at once. Cancellation must not sit in a
 // delta-debug loop: once the context is done no shrink starts and those
 // in flight stop (see keepClass), so the finding keeps the source it has.
@@ -855,12 +840,12 @@ func (e *engine) commit(p pendingFinding, f Finding) {
 			Index:         idx,
 			GenSeed:       f.GenSeed,
 			NISeed:        f.NISeed,
-			NITrials:      e.trials,
-			NITrialsMax:   e.max,
-			NIOracle:      e.cfg.NIOracle,
+			NITrials:      e.cfg.Trials,
+			NITrialsMax:   e.cfg.TrialsMax,
+			NIOracle:      e.cfg.Oracle,
 			ExhaustBudget: e.cfg.ExhaustBudget,
 			ExhaustProbes: e.cfg.ExhaustProbes,
-			Gen:           e.gcfg,
+			Gen:           e.cfg.Gen,
 			Origin:        p.origin,
 			ParentKey:     p.parent,
 			MutateOps:     p.ops,
@@ -925,15 +910,11 @@ func (e *engine) keepClass(class Class, v difftest.Verdict, idx int64) shrink.Ke
 	}
 	return func(cand string) bool {
 		sum, err := pipeline.Run(e.ctx, []pipeline.Job{{Name: "cand.p4", Source: cand, Lat: e.lat}}, pipeline.Options{
-			Workers:       1,
-			NI:            pipeline.NIAll,
-			NITrials:      e.trials,
-			NITrialsMax:   e.max,
-			NISeed:        e.cfg.Seed + idx, // same NI randomness as the original job
-			Oracle:        e.cfg.NIOracle,   // class must be judged under the same oracle
-			ExhaustBudget: e.cfg.ExhaustBudget,
-			ExhaustProbes: e.cfg.ExhaustProbes,
-			Metrics:       e.met, // shrink replays are real pipeline work
+			Workers: 1,
+			NI:      pipeline.NIAll,
+			Budget:  e.cfg.Budget,     // class must be judged under the same oracle
+			NISeed:  e.cfg.Seed + idx, // same NI randomness as the original job
+			Metrics: e.met,            // shrink replays are real pipeline work
 		})
 		if err != nil || len(sum.Results) != 1 {
 			return false

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -55,7 +56,7 @@ func classifySource(t *testing.T, src string, niSeed int64, trials, max int) dif
 	t.Helper()
 	sum, err := pipeline.Run(context.Background(),
 		[]pipeline.Job{{Name: "replay.p4", Source: src, Lat: lattice.TwoPoint()}},
-		pipeline.Options{Workers: 1, NI: pipeline.NIAll, NITrials: trials, NITrialsMax: max, NISeed: niSeed})
+		pipeline.Options{Workers: 1, NI: pipeline.NIAll, Budget: pipeline.Budget{Trials: trials, TrialsMax: max}, NISeed: niSeed})
 	if err != nil || len(sum.Results) != 1 {
 		t.Fatalf("replay failed: %v", err)
 	}
@@ -70,14 +71,10 @@ func classifySource(t *testing.T, src string, niSeed int64, trials, max int) dif
 func TestCampaignTwoRunDemo(t *testing.T) {
 	dir := t.TempDir()
 	base := Config{
-		Window:      Window{Lo: 0, Hi: 60},
-		Seed:        42,
-		Gen:         smallGen(),
-		NITrials:    2,
-		NITrialsMax: 8,
-		Workers:     2,
-		CorpusDir:   dir,
-		Minimize:    true,
+		Window:    Window{Lo: 0, Hi: 60},
+		Spec:      Spec{Seed: 42, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 8}, Minimize: true},
+		Workers:   2,
+		CorpusDir: dir,
 	}
 
 	// Run 1: fresh corpus.
@@ -168,12 +165,8 @@ func TestCampaignTwoRunDemo(t *testing.T) {
 func TestCampaignWindowUnion(t *testing.T) {
 	const n = 90
 	base := Config{
-		Seed:        7,
-		Gen:         smallGen(),
-		NITrials:    2,
-		NITrialsMax: 4,
-		Workers:     2,
-		MaxPerClass: -1,
+		Spec:    Spec{Seed: 7, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 4}, MaxPerClass: -1},
+		Workers: 2,
 	}
 
 	whole := t.TempDir()
@@ -226,10 +219,25 @@ func TestCampaignWindowUnion(t *testing.T) {
 	}
 }
 
+// TestConfigSpecFieldsNotShadowed: every Spec field, Budget's included,
+// resolves through Config to the embedded Spec. A field of the same name
+// declared on Config would shadow the Spec's value without a compile
+// error — a Minimize set on the Spec would then minimize nothing.
+func TestConfigSpecFieldsNotShadowed(t *testing.T) {
+	ct := reflect.TypeOf(Config{})
+	embed, _ := ct.FieldByName("Spec")
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Spec{})) {
+		got, ok := ct.FieldByName(f.Name)
+		if !ok || got.Index[0] != embed.Index[0] {
+			t.Errorf("Config.%s does not resolve to the embedded Spec (index %v)", f.Name, got.Index)
+		}
+	}
+}
+
 // TestCampaignWindowValidation: the window is required and must be
 // non-empty and non-negative.
 func TestCampaignWindowValidation(t *testing.T) {
-	base := Config{Gen: smallGen(), NITrials: 1}
+	base := Config{Spec: Spec{Gen: smallGen(), Budget: pipeline.Budget{Trials: 1}}}
 	for name, cfg := range map[string]Config{
 		"missing":  {},
 		"empty":    {Window: Window{Lo: 5, Hi: 5}},
@@ -237,7 +245,7 @@ func TestCampaignWindowValidation(t *testing.T) {
 		"negative": {Window: Window{Lo: -1, Hi: 3}},
 	} {
 		cfg.Gen = base.Gen
-		cfg.NITrials = base.NITrials
+		cfg.Trials = base.Trials
 		if _, err := Run(context.Background(), cfg); err == nil {
 			t.Errorf("%s: invalid window config accepted", name)
 		}
@@ -252,9 +260,7 @@ func TestCampaignCancellation(t *testing.T) {
 	defer cancel()
 	rep, err := Run(ctx, Config{
 		Window:    Window{Lo: 0, Hi: 5000},
-		Seed:      3,
-		Gen:       smallGen(),
-		NITrials:  2,
+		Spec:      Spec{Seed: 3, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2}},
 		CorpusDir: dir,
 	})
 	if err == nil || !rep.Aborted {
@@ -271,7 +277,7 @@ func TestCampaignCancellation(t *testing.T) {
 // TestCampaignNoCorpusDir: without a corpus dir the campaign still runs,
 // dedups within the run, and keeps findings in memory.
 func TestCampaignNoCorpusDir(t *testing.T) {
-	rep, err := Run(context.Background(), Config{Window: Window{Lo: 0, Hi: 40}, Seed: 9, Gen: smallGen(), NITrials: 1})
+	rep, err := Run(context.Background(), Config{Window: Window{Lo: 0, Hi: 40}, Spec: Spec{Seed: 9, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,10 +306,8 @@ func TestCampaignFindsNoDefects(t *testing.T) {
 		n = 100
 	}
 	rep, err := Run(context.Background(), Config{
-		Window:      Window{Lo: 0, Hi: n},
-		Seed:        20260728,
-		NITrials:    8,
-		NITrialsMax: 8,
+		Window: Window{Lo: 0, Hi: n},
+		Spec:   Spec{Seed: 20260728, Budget: pipeline.Budget{Trials: 8, TrialsMax: 8}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -348,16 +352,11 @@ func TestCampaignDeterministicFindings(t *testing.T) {
 		var log strings.Builder
 		var o outcome
 		rep, err := Run(context.Background(), Config{
-			Window:      Window{Lo: 0, Hi: 200},
-			Seed:        17,
-			Gen:         smallGen(),
-			NITrials:    2,
-			NITrialsMax: 64,
-			Workers:     workers,
-			CorpusDir:   dir,
-			Minimize:    true,
-			MaxPerClass: 15,
-			Log:         &log,
+			Window:    Window{Lo: 0, Hi: 200},
+			Spec:      Spec{Seed: 17, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 64}, Minimize: true, MaxPerClass: 15},
+			Workers:   workers,
+			CorpusDir: dir,
+			Log:       &log,
 			// No lock: events come from the calling goroutine only, which
 			// -race checks.
 			Events: func(ev events.Event) {
@@ -441,14 +440,9 @@ func TestCampaignDeterministicFindings(t *testing.T) {
 // minimizing goroutine outlives it.
 func TestCampaignFinalizeCancellation(t *testing.T) {
 	cfg := Config{
-		Window:      Window{Lo: 0, Hi: 120},
-		Seed:        17,
-		Gen:         smallGen(),
-		NITrials:    2,
-		NITrialsMax: 64,
-		Workers:     2,
-		Minimize:    true,
-		MaxPerClass: 15,
+		Window:  Window{Lo: 0, Hi: 120},
+		Spec:    Spec{Seed: 17, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 64}, Minimize: true, MaxPerClass: 15},
+		Workers: 2,
 	}
 	full, err := Run(context.Background(), cfg)
 	if err != nil {

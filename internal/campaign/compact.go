@@ -43,7 +43,7 @@ type CompactConfig struct {
 	// runs through it instead of opening the directory again.
 	Corpus *corpus.Corpus
 	// NITrials and NITrialsMax are the replay budget for entries whose
-	// metadata predates budget recording (campaign defaults).
+	// metadata predates budget recording (see ReplayConfig).
 	NITrials    int
 	NITrialsMax int
 	// Log receives one line per rewritten or collapsed entry (nil =
@@ -90,14 +90,6 @@ func (r *CompactReport) OK() bool { return len(r.Errors) == 0 }
 // lost mid-compaction. The returned error is a context or corpus-I/O
 // failure; per-entry problems land in CompactReport.Errors.
 func Compact(ctx context.Context, cfg CompactConfig) (*CompactReport, error) {
-	trials := cfg.NITrials
-	if trials <= 0 {
-		trials = 4
-	}
-	max := cfg.NITrialsMax
-	if max <= 0 {
-		max = 8 * trials
-	}
 	log := cfg.Log
 	if log == nil {
 		log = io.Discard
@@ -110,17 +102,17 @@ func Compact(ctx context.Context, cfg CompactConfig) (*CompactReport, error) {
 	// the way out — the report is built incrementally, so one deferred
 	// add covers every exit path.
 	met := cfg.Metrics
-	met.Counter("compact_entries_total")
-	met.Counter("compact_minimized_total")
-	met.Counter("compact_collapsed_total")
-	met.Counter("compact_bytes_saved_total")
-	met.Counter("compact_skipped_total")
+	met.Counter(metrics.CompactEntries)
+	met.Counter(metrics.CompactMinimized)
+	met.Counter(metrics.CompactCollapsed)
+	met.Counter(metrics.CompactBytesSaved)
+	met.Counter(metrics.CompactSkipped)
 	defer func() {
-		met.Counter("compact_entries_total").Add(int64(rep.Total))
-		met.Counter("compact_minimized_total").Add(int64(rep.Minimized))
-		met.Counter("compact_collapsed_total").Add(int64(rep.Collapsed))
-		met.Counter("compact_bytes_saved_total").Add(int64(rep.BytesSaved))
-		met.Counter("compact_skipped_total").Add(int64(rep.Skipped))
+		met.Counter(metrics.CompactEntries).Add(int64(rep.Total))
+		met.Counter(metrics.CompactMinimized).Add(int64(rep.Minimized))
+		met.Counter(metrics.CompactCollapsed).Add(int64(rep.Collapsed))
+		met.Counter(metrics.CompactBytesSaved).Add(int64(rep.BytesSaved))
+		met.Counter(metrics.CompactSkipped).Add(int64(rep.Skipped))
 	}()
 
 	corp := cfg.Corpus
@@ -157,7 +149,7 @@ func Compact(ctx context.Context, cfg CompactConfig) (*CompactReport, error) {
 			continue
 		}
 		rep.Total++
-		got, _, err := replayOne(ctx, m, src, trials, max)
+		got, _, err := replayOne(ctx, m, src, cfg.NITrials, cfg.NITrialsMax)
 		if err != nil {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", e.Path, err))
 			continue
@@ -174,7 +166,7 @@ func Compact(ctx context.Context, cfg CompactConfig) (*CompactReport, error) {
 		// candidate is kept iff it replays to the recorded class, so the
 		// compacted entry replays clean by construction.
 		keep := func(cand string) bool {
-			g, _, err := replayOne(ctx, m, cand, trials, max)
+			g, _, err := replayOne(ctx, m, cand, cfg.NITrials, cfg.NITrialsMax)
 			return err == nil && g == string(m.Class)
 		}
 		name := strings.TrimSuffix(e.Name, ".json") + ".p4"

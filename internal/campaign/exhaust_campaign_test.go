@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/pipeline"
 )
 
 // TestExhaustiveCampaignSplitsAndReplays runs a small campaign under the
@@ -24,14 +25,10 @@ func TestExhaustiveCampaignSplitsAndReplays(t *testing.T) {
 	g := smallGen()
 	g.NumFields = 1
 	rep, err := Run(context.Background(), Config{
-		Window:      Window{Lo: 0, Hi: 120},
-		Seed:        42,
-		Gen:         g,
-		NITrials:    2,
-		NITrialsMax: 8,
-		NIOracle:    "exhaustive",
-		Workers:     2,
-		CorpusDir:   dir,
+		Window:    Window{Lo: 0, Hi: 120},
+		Spec:      Spec{Seed: 42, Gen: g, Budget: pipeline.Budget{Trials: 2, TrialsMax: 8, Oracle: "exhaustive"}},
+		Workers:   2,
+		CorpusDir: dir,
 	})
 	if err != nil {
 		t.Fatalf("campaign: %v", err)

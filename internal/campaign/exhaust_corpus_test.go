@@ -37,12 +37,10 @@ func TestRegressionCorpusExhaustiveVerdicts(t *testing.T) {
 			t.Fatalf("%s: lattice: %v", e.Path, err)
 		}
 		sum, err := pipeline.Run(context.Background(), []pipeline.Job{{Name: e.Name, Source: src, Lat: lat}}, pipeline.Options{
-			Workers:     1,
-			NI:          pipeline.NIAll,
-			NITrials:    e.Meta.NITrials,
-			NITrialsMax: e.Meta.NITrialsMax,
-			NISeed:      e.Meta.NISeed,
-			Oracle:      pipeline.OracleExhaustive,
+			Workers: 1,
+			NI:      pipeline.NIAll,
+			Budget:  pipeline.Budget{Trials: e.Meta.NITrials, TrialsMax: e.Meta.NITrialsMax, Oracle: pipeline.OracleExhaustive},
+			NISeed:  e.Meta.NISeed,
 		})
 		if err != nil {
 			t.Fatalf("%s: pipeline: %v", e.Path, err)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/events"
 	"repro/internal/metrics"
+	"repro/internal/pipeline"
 )
 
 // TestCampaignMetrics: a campaign with a registry attached (a) counts
@@ -19,9 +20,11 @@ func TestCampaignMetrics(t *testing.T) {
 	var mu sync.Mutex
 	var progress, snaps []events.Event
 	rep, err := Run(context.Background(), Config{
-		Window: Window{Lo: 0, Hi: 60}, Seed: 7, Gen: smallGen(), NITrials: 2, Workers: 2,
-		CorpusDir: t.TempDir(), MaxPerClass: -1,
-		Metrics: reg,
+		Window:    Window{Lo: 0, Hi: 60},
+		Spec:      Spec{Seed: 7, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2}, MaxPerClass: -1},
+		Workers:   2,
+		CorpusDir: t.TempDir(),
+		Metrics:   reg,
 		Events: func(e events.Event) {
 			mu.Lock()
 			defer mu.Unlock()

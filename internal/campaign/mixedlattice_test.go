@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/lattice"
+	"repro/internal/pipeline"
 )
 
 // copyCorpus clones the checked-in regression corpus's finding pairs into
@@ -121,13 +122,15 @@ func TestSeedPoolFiltersIncompatibleLattices(t *testing.T) {
 func TestMixedLatticeCampaignNoUnknownLabels(t *testing.T) {
 	dir := copyCorpus(t, "../../testdata/regression-corpus")
 	rep, err := Run(context.Background(), Config{
-		Window:     Window{Lo: 0, Hi: 60},
-		Seed:       1,
-		Gen:        smallGen(), // empty Lattice = two-point
-		Mutate:     true,
-		MutateFrac: 1.0,
-		NITrials:   2,
-		CorpusDir:  dir,
+		Window: Window{Lo: 0, Hi: 60},
+		Spec: Spec{
+			Seed:       1,
+			Gen:        smallGen(), // empty Lattice = two-point
+			Budget:     pipeline.Budget{Trials: 2},
+			Mutate:     true,
+			MutateFrac: 1.0,
+		},
+		CorpusDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/difftest"
+	"repro/internal/pipeline"
 )
 
 // seedCorpus runs a small plain campaign into dir so later runs have a
@@ -90,15 +91,10 @@ func checkMutationWindowUnion(t *testing.T, seedDir string) {
 		copyFindings(t, seedDir, dir)
 		copyNoveltyState(t, seedDir, dir)
 		rep, err := Run(context.Background(), Config{
-			Window:      w,
-			Seed:        7,
-			Gen:         smallGen(),
-			NITrials:    1,
-			NITrialsMax: 4,
-			Workers:     2,
-			Mutate:      true,
-			CorpusDir:   dir,
-			MaxPerClass: -1,
+			Window:    w,
+			Spec:      Spec{Seed: 7, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
+			Workers:   2,
+			CorpusDir: dir,
 		})
 		if err != nil {
 			t.Fatalf("window [%d, %d): %v", w.Lo, w.Hi, err)
@@ -157,8 +153,9 @@ func checkMutationWindowUnion(t *testing.T, seedDir string) {
 func TestCampaignMutationShardUnion(t *testing.T) {
 	seedDir := t.TempDir()
 	seedCorpus(t, seedDir, Config{
-		Window: Window{Lo: 0, Hi: 80}, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
-		CorpusDir: seedDir, Minimize: true,
+		Window:    Window{Lo: 0, Hi: 80},
+		Spec:      Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Minimize: true},
+		CorpusDir: seedDir,
 	})
 	checkMutationWindowUnion(t, seedDir)
 }
@@ -172,13 +169,15 @@ func TestCampaignMutationShardUnion(t *testing.T) {
 func TestCampaignMutationShardUnionWithNovelty(t *testing.T) {
 	seedDir := t.TempDir()
 	seedCorpus(t, seedDir, Config{
-		Window: Window{Lo: 0, Hi: 80}, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
-		CorpusDir: seedDir, Minimize: true,
+		Window:    Window{Lo: 0, Hi: 80},
+		Spec:      Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Minimize: true},
+		CorpusDir: seedDir,
 	})
 	// A mutation run over the seeded corpus leaves novelty records behind.
 	prior, err := Run(context.Background(), Config{
-		Window: Window{Lo: 0, Hi: 100}, Seed: 23, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
-		Mutate: true, CorpusDir: seedDir, MaxPerClass: -1,
+		Window:    Window{Lo: 0, Hi: 100},
+		Spec:      Spec{Seed: 23, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
+		CorpusDir: seedDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,22 +201,18 @@ func TestCampaignChainMutationReachesNewClasses(t *testing.T) {
 	dir := t.TempDir()
 	// Seed pool: a plain two-point campaign, as PR-2 nightlies left behind.
 	seedCorpus(t, dir, Config{
-		Window: Window{Lo: 0, Hi: 80}, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
-		CorpusDir: dir, Minimize: true,
+		Window:    Window{Lo: 0, Hi: 80},
+		Spec:      Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Minimize: true},
+		CorpusDir: dir,
 	})
 
 	chainGen := smallGen()
 	chainGen.Lattice = "chain:4"
 	rep, err := Run(context.Background(), Config{
-		Window:      Window{Lo: 0, Hi: 200},
-		Seed:        5,
-		Gen:         chainGen,
-		NITrials:    1,
-		NITrialsMax: 4,
-		Workers:     2,
-		Mutate:      true,
-		CorpusDir:   dir,
-		MaxPerClass: -1,
+		Window:    Window{Lo: 0, Hi: 200},
+		Spec:      Spec{Seed: 5, Gen: chainGen, Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
+		Workers:   2,
+		CorpusDir: dir,
 	})
 	if err != nil {
 		t.Fatalf("chain-4 mutation campaign: %v", err)
@@ -270,8 +265,9 @@ func TestCampaignChainMutationReachesNewClasses(t *testing.T) {
 func TestCampaignChainNoveltyCoversStaticPriorClasses(t *testing.T) {
 	seedDir := t.TempDir()
 	seedCorpus(t, seedDir, Config{
-		Window: Window{Lo: 0, Hi: 80}, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
-		CorpusDir: seedDir, Minimize: true,
+		Window:    Window{Lo: 0, Hi: 80},
+		Spec:      Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Minimize: true},
+		CorpusDir: seedDir,
 	})
 	// Generate novelty records with a two-point mutation run, then reset
 	// the findings to the original snapshot so both campaigns below start
@@ -279,8 +275,9 @@ func TestCampaignChainNoveltyCoversStaticPriorClasses(t *testing.T) {
 	noveltyDir := t.TempDir()
 	copyFindings(t, seedDir, noveltyDir)
 	if _, err := Run(context.Background(), Config{
-		Window: Window{Lo: 0, Hi: 100}, Seed: 23, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
-		Mutate: true, CorpusDir: noveltyDir, MaxPerClass: -1,
+		Window:    Window{Lo: 0, Hi: 100},
+		Spec:      Spec{Seed: 23, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
+		CorpusDir: noveltyDir,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -289,15 +286,10 @@ func TestCampaignChainNoveltyCoversStaticPriorClasses(t *testing.T) {
 	chainGen.Lattice = "chain:4"
 	campaignOver := func(dir string) map[Class]bool {
 		rep, err := Run(context.Background(), Config{
-			Window:      Window{Lo: 0, Hi: 200},
-			Seed:        5,
-			Gen:         chainGen,
-			NITrials:    1,
-			NITrialsMax: 4,
-			Workers:     2,
-			Mutate:      true,
-			CorpusDir:   dir,
-			MaxPerClass: -1,
+			Window:    Window{Lo: 0, Hi: 200},
+			Spec:      Spec{Seed: 5, Gen: chainGen, Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
+			Workers:   2,
+			CorpusDir: dir,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/pipeline"
 )
 
 // writePoolFinding drops one synthetic finding pair into dir so seed-pool
@@ -196,12 +197,14 @@ func TestSeedPoolNoveltyDistribution(t *testing.T) {
 func TestCampaignRecordsNovelty(t *testing.T) {
 	dir := t.TempDir()
 	seedCorpus(t, dir, Config{
-		Window: Window{Lo: 0, Hi: 80}, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
-		CorpusDir: dir, Minimize: true,
+		Window:    Window{Lo: 0, Hi: 80},
+		Spec:      Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Minimize: true},
+		CorpusDir: dir,
 	})
 	rep, err := Run(context.Background(), Config{
-		Window: Window{Lo: 0, Hi: 120}, Seed: 7, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
-		Mutate: true, CorpusDir: dir, MaxPerClass: -1,
+		Window:    Window{Lo: 0, Hi: 120},
+		Spec:      Spec{Seed: 7, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
+		CorpusDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +250,8 @@ func TestCampaignRecordsNovelty(t *testing.T) {
 func TestCampaignMetaRecordsRule(t *testing.T) {
 	dir := t.TempDir()
 	rep, err := Run(context.Background(), Config{
-		Window: Window{Lo: 0, Hi: 80}, Seed: 11, Gen: smallGen(), NITrials: 1, NITrialsMax: 4,
+		Window:    Window{Lo: 0, Hi: 80},
+		Spec:      Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}},
 		CorpusDir: dir,
 	})
 	if err != nil {

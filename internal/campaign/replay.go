@@ -35,8 +35,9 @@ type ReplayConfig struct {
 	// through every operation this way.
 	Corpus *corpus.Corpus
 	// NITrials and NITrialsMax are the NI budget for findings whose
-	// metadata predates budget recording (defaults 4 and 32, the campaign
-	// defaults). Findings recorded with their budget replay under it.
+	// metadata predates budget recording (pipeline.Budget's Trials and
+	// TrialsMax, with its defaults). Findings recorded with their budget
+	// replay under it.
 	NITrials    int
 	NITrialsMax int
 	// Log receives one line per drifted finding (nil = discard).
@@ -83,14 +84,6 @@ func (r *ReplayReport) OK() bool { return len(r.Drifts) == 0 && len(r.Errors) ==
 // checker stack. The returned error is a context or corpus-I/O failure;
 // drift is reported in the ReplayReport, not as an error.
 func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
-	trials := cfg.NITrials
-	if trials <= 0 {
-		trials = 4
-	}
-	max := cfg.NITrialsMax
-	if max <= 0 {
-		max = 8 * trials
-	}
 	log := cfg.Log
 	if log == nil {
 		log = io.Discard
@@ -126,7 +119,7 @@ func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", e.Path, err))
 			continue
 		}
-		got, detail, err := replayOne(ctx, e.Meta, src, trials, max)
+		got, detail, err := replayOne(ctx, e.Meta, src, cfg.NITrials, cfg.NITrialsMax)
 		if err != nil {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", e.Path, err))
 			continue
@@ -154,9 +147,11 @@ func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
 	return rep, nil
 }
 
-// replayOne re-classifies one finding. The returned string is the corpus
-// class the current stack assigns, or a description when the result has
-// no corpus class ("sound", "rejected-witnessed", "roundtrip-clean", ...).
+// replayOne re-classifies one finding under its recorded budget; trials
+// and max stand in for trial counts its metadata does not record. The
+// returned string is the corpus class the current stack assigns, or a
+// description when the result has no corpus class ("sound",
+// "rejected-witnessed", "roundtrip-clean", ...).
 func replayOne(ctx context.Context, m corpus.Meta, src string, trials, max int) (string, string, error) {
 	// A persisted program the frontend no longer parses drifts to
 	// "unparseable" uniformly, whatever its recorded class. Verdict
@@ -183,26 +178,24 @@ func replayOne(ctx context.Context, m corpus.Meta, src string, trials, max int) 
 	if err != nil {
 		return "", "", err
 	}
+	// Replay under the oracle the finding was classified with: the
+	// proved-imprecise/secret-exhaustive/under-tested classes only
+	// reproduce under the exhaustive oracle at the recorded budget.
+	// Entries predating the oracle split record "" and replay under the
+	// default, unchanged.
+	b := pipeline.Budget{Trials: trials, TrialsMax: max,
+		Oracle: m.NIOracle, ExhaustBudget: m.ExhaustBudget, ExhaustProbes: m.ExhaustProbes}
 	if m.NITrials > 0 {
-		trials = m.NITrials
+		b.Trials = m.NITrials
 	}
 	if m.NITrialsMax > 0 {
-		max = m.NITrialsMax
+		b.TrialsMax = m.NITrialsMax
 	}
 	sum, err := pipeline.Run(ctx, []pipeline.Job{{Name: "replay.p4", Source: src, Lat: lat}}, pipeline.Options{
-		Workers:     1,
-		NI:          pipeline.NIAll,
-		NITrials:    trials,
-		NITrialsMax: max,
-		NISeed:      m.NISeed,
-		// Replay under the oracle the finding was classified with: the
-		// proved-imprecise/secret-exhaustive/under-tested classes only
-		// reproduce under the exhaustive oracle at the recorded budget.
-		// Entries predating the oracle split record "" and replay under
-		// the default, unchanged.
-		Oracle:        m.NIOracle,
-		ExhaustBudget: m.ExhaustBudget,
-		ExhaustProbes: m.ExhaustProbes,
+		Workers: 1,
+		NI:      pipeline.NIAll,
+		Budget:  b,
+		NISeed:  m.NISeed,
 	})
 	if err != nil {
 		return "", "", err

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/pipeline"
 )
 
 // soundSrc is a trivially sound two-point program, used to inject verdict
@@ -28,14 +30,10 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 func TestReplayReproducesAndFlagsDrift(t *testing.T) {
 	dir := t.TempDir()
 	rep, err := Run(context.Background(), Config{
-		Window:      Window{Lo: 0, Hi: 80},
-		Seed:        42,
-		Gen:         smallGen(),
-		NITrials:    2,
-		NITrialsMax: 8,
-		Workers:     2,
-		CorpusDir:   dir,
-		Minimize:    true,
+		Window:    Window{Lo: 0, Hi: 80},
+		Spec:      Spec{Seed: 42, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 8}, Minimize: true},
+		Workers:   2,
+		CorpusDir: dir,
 	})
 	if err != nil {
 		t.Fatalf("campaign: %v", err)

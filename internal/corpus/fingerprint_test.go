@@ -1,16 +1,14 @@
-package triage_test
+package corpus
 
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/triage"
 )
 
 // fp fingerprints src or fails the test.
 func fp(t *testing.T, src string) string {
 	t.Helper()
-	f, err := triage.FingerprintSource("fp.p4", src)
+	f, err := FingerprintSource("fp.p4", src)
 	if err != nil {
 		t.Fatalf("fingerprint: %v\n%s", err, src)
 	}
@@ -79,8 +77,8 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if again := fp(t, fpBase); again != base {
 		t.Errorf("fingerprint not deterministic: %s then %s", base, again)
 	}
-	if len(base) != triage.FingerprintLen {
-		t.Errorf("fingerprint %q has length %d, want %d", base, len(base), triage.FingerprintLen)
+	if len(base) != FingerprintLen {
+		t.Errorf("fingerprint %q has length %d, want %d", base, len(base), FingerprintLen)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/pipeline"
 )
 
 // TestCampaignDeterministic checks that the verdict tally Classify
@@ -14,11 +15,9 @@ import (
 func TestCampaignDeterministic(t *testing.T) {
 	run := func(workers int) *campaign.Report {
 		rep, err := campaign.Run(context.Background(), campaign.Config{
-			Window:      campaign.Window{Lo: 0, Hi: 60},
-			Seed:        99,
-			NITrials:    4,
-			NITrialsMax: -1,
-			Workers:     workers,
+			Window:  campaign.Window{Lo: 0, Hi: 60},
+			Spec:    campaign.Spec{Seed: 99, Budget: pipeline.Budget{Trials: 4, TrialsMax: -1}},
+			Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)

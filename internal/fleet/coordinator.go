@@ -16,6 +16,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/corpus"
 	"repro/internal/events"
 	"repro/internal/gen"
@@ -35,26 +36,11 @@ type Config struct {
 	// Smaller windows cost more protocol traffic but lose less work per
 	// dead worker.
 	WindowSize int64
-	// Seed and Gen fix the index → program mapping, manifest-wide.
-	Seed int64
-	Gen  gen.Config
-	// NITrials and NITrialsMax set the per-program NI budget workers run.
-	NITrials    int
-	NITrialsMax int
-	// NIOracle selects the NI backend workers classify with ("" =
-	// adaptive); ExhaustBudget and ExhaustProbes configure the exhaustive
-	// oracle. Manifest-wide like the seed: every worker must judge an
-	// index under the same oracle or the merged corpus mixes verdict
-	// semantics.
-	NIOracle      string
-	ExhaustBudget uint64
-	ExhaustProbes int
-	// Mutate, MutateFrac, Minimize, and MaxPerClass are passed through to
-	// the workers' campaign runs via the manifest.
-	Mutate      bool
-	MutateFrac  float64
-	Minimize    bool
-	MaxPerClass int
+	// Spec is the campaign the workers run, passed to them through the
+	// manifest. Its seed, generator and NI oracle are manifest-wide: every
+	// worker must generate and judge an index the same way or the merged
+	// corpus mixes campaigns and verdict semantics.
+	campaign.Spec
 	// LeaseTTL is how stale a worker heartbeat may grow before its window
 	// is reclaimed (default 1 minute). It bounds how long a dead worker's
 	// window sits idle, so it should comfortably exceed the worker's
@@ -127,9 +113,8 @@ func RunCoordinator(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
 	}
-	gcfg := cfg.Gen
-	if gcfg == (gen.Config{}) {
-		gcfg = gen.DefaultConfig()
+	if cfg.Gen == (gen.Config{}) {
+		cfg.Gen = gen.DefaultConfig()
 	}
 	for _, d := range []string{leasesDir(cfg.CorpusDir), doneDir(cfg.CorpusDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -137,7 +122,7 @@ func RunCoordinator(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}
 
-	man, err := openManifest(cfg, gcfg)
+	man, err := openManifest(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -172,13 +157,13 @@ func RunCoordinator(ctx context.Context, cfg Config) (*Report, error) {
 	// Pre-register the fleet series so a scrape taken the instant the
 	// coordinator starts already shows them (at zero), and cache the
 	// per-scan handles. All nil and no-op without a registry.
-	lastScan := cfg.Metrics.Gauge("fleet_last_scan_unix_seconds")
-	cfg.Metrics.Gauge("fleet_active_leases")
-	cfg.Metrics.Gauge("fleet_stale_leases")
-	cfg.Metrics.Gauge("fleet_lease_heartbeat_age_seconds")
-	cfg.Metrics.Counter("fleet_reclaims_total")
-	cfg.Metrics.Counter("fleet_windows_done_total")
-	cfg.Metrics.Gauge("fleet_windows_total").SetInt(int64(len(windows)))
+	lastScan := cfg.Metrics.Gauge(metrics.FleetLastScan)
+	cfg.Metrics.Gauge(metrics.FleetActiveLeases)
+	cfg.Metrics.Gauge(metrics.FleetStaleLeases)
+	cfg.Metrics.Gauge(metrics.FleetHeartbeatAge)
+	cfg.Metrics.Counter(metrics.FleetReclaims)
+	cfg.Metrics.Counter(metrics.FleetWindowsDone)
+	cfg.Metrics.Gauge(metrics.FleetWindows).SetInt(int64(len(windows)))
 
 	for {
 		lastScan.SetInt(time.Now().Unix())
@@ -228,16 +213,16 @@ func RunCoordinator(ctx context.Context, cfg Config) (*Report, error) {
 // frontier. Adopting validates the campaign identity: merging windows
 // generated under a different seed or generator would poison the corpus
 // with findings from a different campaign.
-func openManifest(cfg Config, gcfg gen.Config) (*Manifest, error) {
+func openManifest(cfg Config) (*Manifest, error) {
 	man, err := readManifest(cfg.CorpusDir)
 	if err == nil {
-		if man.Seed != cfg.Seed || man.Gen != gcfg {
+		if man.Seed != cfg.Seed || man.Gen != cfg.Gen {
 			return nil, fmt.Errorf("fleet: an open fleet run at %s was recorded for a different seed or generator config — finish it with matching flags or remove it",
 				manifestPath(cfg.CorpusDir))
 		}
 		// The oracle is part of the campaign identity too: the same window
 		// judged under a different NI backend can classify differently.
-		if man.NIOracle != cfg.NIOracle || man.ExhaustBudget != cfg.ExhaustBudget || man.ExhaustProbes != cfg.ExhaustProbes {
+		if man.Oracle != cfg.Oracle || man.ExhaustBudget != cfg.ExhaustBudget || man.ExhaustProbes != cfg.ExhaustProbes {
 			return nil, fmt.Errorf("fleet: an open fleet run at %s was recorded for a different NI oracle configuration — finish it with matching flags or remove it",
 				manifestPath(cfg.CorpusDir))
 		}
@@ -268,11 +253,7 @@ func openManifest(cfg Config, gcfg gen.Config) (*Manifest, error) {
 	}
 	man = &Manifest{
 		Lo: lo, Hi: lo + cfg.N, Window: win,
-		Seed: cfg.Seed, Gen: gcfg,
-		NITrials: cfg.NITrials, NITrialsMax: cfg.NITrialsMax,
-		NIOracle: cfg.NIOracle, ExhaustBudget: cfg.ExhaustBudget, ExhaustProbes: cfg.ExhaustProbes,
-		Mutate: cfg.Mutate, MutateFrac: cfg.MutateFrac,
-		Minimize: cfg.Minimize, MaxPerClass: cfg.MaxPerClass,
+		Spec:      cfg.Spec,
 		LeaseTTL:  cfg.LeaseTTL,
 		CreatedAt: time.Now(),
 	}
@@ -332,7 +313,7 @@ func scanDone(ctx context.Context, cfg Config, main *corpus.Corpus, windows []Wi
 		}
 		if merged {
 			st.merged = true
-			cfg.Metrics.Counter("fleet_windows_done_total").Inc()
+			cfg.Metrics.Counter(metrics.FleetWindowsDone).Inc()
 		}
 	}
 }
@@ -380,7 +361,7 @@ func mergeMarker(cfg Config, main, staging *corpus.Corpus, m *DoneMarker, merged
 		mergedKeys[key] = true
 		delete(misses, key)
 		rep.Merged++
-		cfg.Metrics.Counter("fleet_merged_findings_total", "worker", m.Worker).Inc()
+		cfg.Metrics.Counter(metrics.FleetMergedFindings, "worker", m.Worker).Inc()
 		cfg.Events.Emit(events.Event{
 			Kind: events.KindMerge, Op: "fleet", Worker: m.Worker,
 			Key: key, Class: string(e.Meta.Class), Lo: m.Lo, Hi: m.Hi,
@@ -406,9 +387,9 @@ func reclaimExpired(cfg Config, man *Manifest, rep *Report) error {
 	var active, stale int
 	var oldest time.Duration
 	defer func() {
-		cfg.Metrics.Gauge("fleet_active_leases").SetInt(int64(active))
-		cfg.Metrics.Gauge("fleet_stale_leases").SetInt(int64(stale))
-		cfg.Metrics.Gauge("fleet_lease_heartbeat_age_seconds").Set(oldest.Seconds())
+		cfg.Metrics.Gauge(metrics.FleetActiveLeases).SetInt(int64(active))
+		cfg.Metrics.Gauge(metrics.FleetStaleLeases).SetInt(int64(stale))
+		cfg.Metrics.Gauge(metrics.FleetHeartbeatAge).Set(oldest.Seconds())
 	}()
 	for _, de := range ents {
 		var lo, hi int64
@@ -442,7 +423,7 @@ func reclaimExpired(cfg Config, man *Manifest, rep *Report) error {
 			return fmt.Errorf("fleet: reclaim: %w", err)
 		}
 		rep.Reclaimed++
-		cfg.Metrics.Counter("fleet_reclaims_total").Inc()
+		cfg.Metrics.Counter(metrics.FleetReclaims).Inc()
 		cfg.Events.Emit(events.Event{
 			Kind: events.KindReclaim, Op: "fleet", Worker: l.Worker, Lo: lo, Hi: hi,
 			Detail: fmt.Sprintf("lease heartbeat stale for > %v; window re-issued", man.LeaseTTL),

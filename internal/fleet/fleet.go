@@ -60,7 +60,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/events"
-	"repro/internal/gen"
 )
 
 // Manifest is the fleet run's contract, written by the coordinator and
@@ -73,26 +72,13 @@ type Manifest struct {
 	// Window is the lease granularity: windows are [Lo, Lo+Window),
 	// [Lo+Window, Lo+2*Window), ... (the last one clipped to Hi).
 	Window int64 `json:"window"`
-	// Seed and Gen fix the index → program mapping fleet-wide.
-	Seed int64      `json:"seed"`
-	Gen  gen.Config `json:"gen"`
-	// NITrials and NITrialsMax are the per-program NI budget.
-	NITrials    int `json:"ni_trials,omitempty"`
-	NITrialsMax int `json:"ni_trials_max,omitempty"`
-	// NIOracle, ExhaustBudget, and ExhaustProbes fix the NI backend
-	// fleet-wide ("" = adaptive): verdict classes depend on the oracle, so
-	// it is part of the campaign identity the same way the seed is.
-	NIOracle      string `json:"ni_oracle,omitempty"`
-	ExhaustBudget uint64 `json:"exhaust_budget,omitempty"`
-	ExhaustProbes int    `json:"exhaust_probes,omitempty"`
-	// Mutate, MutateFrac, Minimize, and MaxPerClass mirror the campaign
-	// config fields of the same names. Note that under Mutate, workers
-	// draw seeds from their own staging corpora, so a mutating fleet is
-	// not partition-exact with a single run over the same span.
-	Mutate      bool    `json:"mutate,omitempty"`
-	MutateFrac  float64 `json:"mutate_frac,omitempty"`
-	Minimize    bool    `json:"minimize,omitempty"`
-	MaxPerClass int     `json:"max_per_class,omitempty"`
+	// Spec is the campaign every worker runs, as the coordinator was
+	// given it. Seed and Gen fix the index → program mapping fleet-wide,
+	// and the NI oracle is part of the campaign identity the same way:
+	// verdict classes depend on it. Note that under Mutate, workers draw
+	// seeds from their own staging corpora, so a mutating fleet is not
+	// partition-exact with a single run over the same span.
+	campaign.Spec
 	// LeaseTTL is how stale a lease's heartbeat may grow before the
 	// coordinator reclaims the window.
 	LeaseTTL time.Duration `json:"lease_ttl"`

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/events"
 	"repro/internal/gen"
+	"repro/internal/pipeline"
 )
 
 func smallGen() gen.Config {
@@ -95,6 +97,58 @@ func TestLeaseProtocol(t *testing.T) {
 
 // TestManifestWindows: the span is carved into [Lo, Lo+W), ... with the
 // last window clipped.
+// TestManifestJSONStable: a manifest with every field set, recorded before
+// the campaign parameters moved into campaign.Spec, decodes into the Spec
+// and re-encodes to the same bytes.
+func TestManifestJSONStable(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "manifest.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(golden, &m); err != nil {
+		t.Fatal(err)
+	}
+	want := campaign.Spec{
+		Seed: 42,
+		Gen:  gen.Config{MaxDepth: 2, MaxStmts: 4, NumFields: 1, WithActions: true, Lattice: "chain:4"},
+		Budget: pipeline.Budget{Trials: 6, TrialsMax: 48,
+			Oracle: pipeline.OracleExhaustive, ExhaustBudget: 1 << 12, ExhaustProbes: 3},
+		Mutate: true, MutateFrac: 0.25, Minimize: true, MaxPerClass: 7,
+	}
+	if m.Spec != want {
+		t.Errorf("decoded spec %+v, want %+v", m.Spec, want)
+	}
+	path := filepath.Join(t.TempDir(), "manifest.json")
+	if err := writeJSONAtomic(path, &m); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(golden) {
+		t.Errorf("re-encoded manifest differs from the golden:\n%s\nwant:\n%s", got, golden)
+	}
+}
+
+// TestSpecFieldsNotShadowed: every campaign.Spec field, Budget's
+// included, resolves through the fleet Config and Manifest to their
+// embedded Spec. A field of the same name declared next to the embedding
+// would shadow the Spec's value without a compile error.
+func TestSpecFieldsNotShadowed(t *testing.T) {
+	for _, outer := range []any{Config{}, Manifest{}} {
+		ot := reflect.TypeOf(outer)
+		embed, _ := ot.FieldByName("Spec")
+		for _, f := range reflect.VisibleFields(reflect.TypeOf(campaign.Spec{})) {
+			got, ok := ot.FieldByName(f.Name)
+			if !ok || got.Index[0] != embed.Index[0] {
+				t.Errorf("%s.%s does not resolve to the embedded Spec (index %v)", ot.Name(), f.Name, got.Index)
+			}
+		}
+	}
+}
+
 func TestManifestWindows(t *testing.T) {
 	m := &Manifest{Lo: 10, Hi: 45, Window: 15}
 	got := m.windows()
@@ -117,13 +171,9 @@ func TestManifestWindows(t *testing.T) {
 func TestFleetChurn(t *testing.T) {
 	const n = 90
 	base := campaign.Config{
-		Window:      campaign.Window{Lo: 0, Hi: n},
-		Seed:        7,
-		Gen:         smallGen(),
-		NITrials:    2,
-		NITrialsMax: 4,
-		Workers:     2,
-		MaxPerClass: -1,
+		Window:  campaign.Window{Lo: 0, Hi: n},
+		Spec:    campaign.Spec{Seed: 7, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 4}, MaxPerClass: -1},
+		Workers: 2,
 	}
 
 	// Single-run baseline.
@@ -179,16 +229,12 @@ func TestFleetChurn(t *testing.T) {
 
 	var coordEvents []events.Event
 	rep, err := RunCoordinator(ctx, Config{
-		CorpusDir:   dir,
-		N:           n,
-		WindowSize:  15,
-		Seed:        base.Seed,
-		Gen:         base.Gen,
-		NITrials:    base.NITrials,
-		NITrialsMax: base.NITrialsMax,
-		MaxPerClass: base.MaxPerClass,
-		LeaseTTL:    450 * time.Millisecond,
-		Poll:        25 * time.Millisecond,
+		Spec:       campaign.Spec{Seed: base.Seed, Gen: base.Gen, Budget: base.Budget, MaxPerClass: base.MaxPerClass},
+		CorpusDir:  dir,
+		N:          n,
+		WindowSize: 15,
+		LeaseTTL:   450 * time.Millisecond,
+		Poll:       25 * time.Millisecond,
 		Events: func(e events.Event) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -280,9 +326,12 @@ func TestFleetFrontierAdvance(t *testing.T) {
 			RunWorker(ctx, dir, WorkerOptions{WorkerID: "w", Poll: 10 * time.Millisecond})
 		}()
 		rep, err := RunCoordinator(ctx, Config{
-			CorpusDir: dir, N: 20, WindowSize: 10,
-			Seed: 3, Gen: smallGen(), NITrials: 1,
-			LeaseTTL: time.Second, Poll: 10 * time.Millisecond,
+			Spec:       campaign.Spec{Seed: 3, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1}},
+			CorpusDir:  dir,
+			N:          20,
+			WindowSize: 10,
+			LeaseTTL:   time.Second,
+			Poll:       10 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("coordinator: %v", err)
@@ -308,9 +357,12 @@ func TestFleetManifestAdoption(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	cfg := Config{
-		CorpusDir: dir, N: 20, WindowSize: 10,
-		Seed: 3, Gen: smallGen(), NITrials: 1,
-		LeaseTTL: time.Second, Poll: 20 * time.Millisecond,
+		Spec:       campaign.Spec{Seed: 3, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1}},
+		CorpusDir:  dir,
+		N:          20,
+		WindowSize: 10,
+		LeaseTTL:   time.Second,
+		Poll:       20 * time.Millisecond,
 	}
 	// No workers: the span cannot complete; the coordinator dies on ctx.
 	if _, err := RunCoordinator(ctx, cfg); err == nil {

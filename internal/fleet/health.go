@@ -70,10 +70,10 @@ func (h *HealthChecker) Check() Health {
 	}
 
 	snap := h.Metrics.Snapshot()
-	out.ActiveLeases = int(snap.Gauge("fleet_active_leases"))
-	out.StaleLeases = int(snap.Gauge("fleet_stale_leases"))
-	out.OldestHeartbeatSeconds = snap.Gauge("fleet_lease_heartbeat_age_seconds")
-	lastScan := snap.Gauge("fleet_last_scan_unix_seconds")
+	out.ActiveLeases = int(snap.Gauge(metrics.FleetActiveLeases))
+	out.StaleLeases = int(snap.Gauge(metrics.FleetStaleLeases))
+	out.OldestHeartbeatSeconds = snap.Gauge(metrics.FleetHeartbeatAge)
+	lastScan := snap.Gauge(metrics.FleetLastScan)
 	if lastScan > 0 {
 		out.LastScanAgeSeconds = time.Since(time.Unix(int64(lastScan), 0)).Seconds()
 	}

@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/events"
 	"repro/internal/metrics"
+	"repro/internal/pipeline"
 )
 
 // TestHealthChecker walks the verdict table: healthy needs an open
@@ -154,10 +156,13 @@ func TestFleetMetricsLive(t *testing.T) {
 		}(id)
 	}
 	rep, err := RunCoordinator(ctx, Config{
-		CorpusDir: dir, N: 30, WindowSize: 10,
-		Seed: 7, Gen: smallGen(), NITrials: 1, MaxPerClass: -1,
-		LeaseTTL: time.Second, Poll: 10 * time.Millisecond,
-		Metrics: reg,
+		Spec:       campaign.Spec{Seed: 7, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1}, MaxPerClass: -1},
+		CorpusDir:  dir,
+		N:          30,
+		WindowSize: 10,
+		LeaseTTL:   time.Second,
+		Poll:       10 * time.Millisecond,
+		Metrics:    reg,
 	})
 	wg.Wait()
 	if err != nil {

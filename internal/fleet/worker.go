@@ -187,23 +187,13 @@ func runWindow(ctx context.Context, corpusDir, staging, id string, man *Manifest
 		}
 	}()
 	crep, err := campaign.Run(ctx, campaign.Config{
-		Window:        w,
-		Seed:          man.Seed,
-		Gen:           man.Gen,
-		NITrials:      man.NITrials,
-		NITrialsMax:   man.NITrialsMax,
-		NIOracle:      man.NIOracle,
-		ExhaustBudget: man.ExhaustBudget,
-		ExhaustProbes: man.ExhaustProbes,
-		Workers:       opts.Workers,
-		Mutate:        man.Mutate,
-		MutateFrac:    man.MutateFrac,
-		CorpusDir:     staging,
-		Minimize:      man.Minimize,
-		MaxPerClass:   man.MaxPerClass,
-		Log:           opts.Log,
-		Events:        workerStamped(opts.Events, id),
-		Metrics:       opts.Metrics,
+		Window:    w,
+		Spec:      man.Spec,
+		Workers:   opts.Workers,
+		CorpusDir: staging,
+		Log:       opts.Log,
+		Events:    workerStamped(opts.Events, id),
+		Metrics:   opts.Metrics,
 	})
 	close(hbStop)
 	<-hbDone

@@ -273,8 +273,8 @@ func TestWriteFileRoundTrip(t *testing.T) {
 // TestUpdateFileMerges: UpdateFile overwrites only the series the new
 // snapshot carries — series another process persisted (a fleet run's
 // worker-labeled telemetry) survive a later process's write (a triage
-// session's op timings). The clobber this prevents: p4triage running
-// after p4fuzzd on the same corpus must not erase the fleet snapshot.
+// session's op timings). The clobber this prevents: p4fuzz triage
+// running after p4fuzzd on the same corpus must not erase the fleet snapshot.
 func TestUpdateFileMerges(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 

@@ -3,7 +3,7 @@
 // an Oracle decides how to spend effort over it — a flat randomized
 // budget, an adaptive escalating budget, or (internal/exhaust) full
 // enumeration of the secret input space. The pipeline selects one per
-// job via Options.Oracle; everything downstream consumes the uniform
+// job via pipeline.Budget.Oracle; everything downstream consumes the uniform
 // Result, so the campaign stack is oracle-agnostic.
 package ni
 

@@ -30,13 +30,34 @@ control Noop(inout headers hdr) {
 
 func TestValidOracle(t *testing.T) {
 	for _, name := range []string{"", pipeline.OracleAdaptive, pipeline.OracleRandomized, pipeline.OracleExhaustive} {
-		if !pipeline.ValidOracle(name) {
-			t.Errorf("ValidOracle(%q) = false, want true", name)
+		if err := (pipeline.Budget{Oracle: name}).Validate(); err != nil {
+			t.Errorf("Validate(%q) = %v, want nil", name, err)
 		}
 	}
 	for _, name := range []string{"exhaust", "random", "Adaptive", "proof"} {
-		if pipeline.ValidOracle(name) {
-			t.Errorf("ValidOracle(%q) = true, want false", name)
+		if (pipeline.Budget{Oracle: name}).Validate() == nil {
+			t.Errorf("Validate(%q) = nil, want an error", name)
+		}
+	}
+}
+
+// TestBudgetResolved: the one default NI budget — 4 trials, a ceiling of
+// 8 × trials, and a negative or undersized ceiling made flat.
+func TestBudgetResolved(t *testing.T) {
+	for _, tc := range []struct{ trials, max, wantTrials, wantMax int }{
+		{0, 0, 4, 32},
+		{2, 0, 2, 16},
+		{4, -1, 4, 4},
+		{8, 3, 8, 8},
+	} {
+		b := pipeline.Budget{Trials: tc.trials, TrialsMax: tc.max, Oracle: pipeline.OracleExhaustive, ExhaustBudget: 9, ExhaustProbes: 2}
+		got := b.Resolved()
+		want := pipeline.Budget{Trials: tc.wantTrials, TrialsMax: tc.wantMax, Oracle: pipeline.OracleExhaustive, ExhaustBudget: 9, ExhaustProbes: 2}
+		if got != want {
+			t.Errorf("Budget{%d, %d}.Resolved() = %+v, want %+v", tc.trials, tc.max, got, want)
+		}
+		if again := got.Resolved(); again != got {
+			t.Errorf("Resolved is not idempotent: %+v then %+v", got, again)
 		}
 	}
 }
@@ -55,7 +76,7 @@ func runOne(t *testing.T, opts pipeline.Options) *pipeline.JobResult {
 // historical adaptive-on-rejection behavior, "randomized" flattens it,
 // and "exhaustive" upgrades the job to a proof with provenance fields.
 func TestOracleSelection(t *testing.T) {
-	base := pipeline.Options{Workers: 1, NI: pipeline.NIAll, NITrials: 4, NITrialsMax: 32, NISeed: 11}
+	base := pipeline.Options{Workers: 1, NI: pipeline.NIAll, Budget: pipeline.Budget{Trials: 4, TrialsMax: 32}, NISeed: 11}
 
 	r := runOne(t, base)
 	if r.NIOracle != "adaptive" {
@@ -100,8 +121,11 @@ func TestOracleSelection(t *testing.T) {
 func TestExhaustiveMetricsIdentity(t *testing.T) {
 	reg := metrics.NewRegistry()
 	opts := pipeline.Options{
-		Workers: 1, NI: pipeline.NIAll, NITrials: 2, NITrialsMax: 4, NISeed: 3,
-		Oracle: pipeline.OracleExhaustive, Metrics: reg,
+		Workers: 1,
+		NI:      pipeline.NIAll,
+		Budget:  pipeline.Budget{Trials: 2, TrialsMax: 4, Oracle: pipeline.OracleExhaustive},
+		NISeed:  3,
+		Metrics: reg,
 	}
 	jobs := []pipeline.Job{
 		{Name: "a.p4", Source: imprecisionSrc, Lat: lattice.TwoPoint()},

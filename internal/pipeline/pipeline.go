@@ -110,35 +110,12 @@ type Options struct {
 	Workers int
 	// NI selects the non-interference stage's mode (default NIOff).
 	NI NIMode
-	// NITrials is the number of randomized trials per NI experiment
-	// (default 8 when the NI stage runs).
-	NITrials int
-	// NITrialsMax, when greater than NITrials, switches the NI stage to an
-	// adaptive budget: IFC-accepted programs get NITrials trials (a
-	// violation there would be a soundness bug, which bulk evidence makes
-	// rare), while IFC-rejected programs escalate in doubling rounds from
-	// NITrials up to NITrialsMax total, stopping at the first interference
-	// witness — spending trials where rejection witnesses are likely, to
-	// separate true positives from conservative rejections.
-	NITrialsMax int
+	// Budget is the NI stage's trial budget and backend; Run and
+	// RunStream apply Budget.Resolved's defaults.
+	Budget
 	// NISeed seeds the NI experiments; job i runs with NISeed + i so a
 	// batch is reproducible regardless of worker interleaving.
 	NISeed int64
-	// Observer overrides the NI observer label (zero = lattice bottom).
-	Observer lattice.Label
-	// Oracle selects the NI backend: OracleAdaptive (the default, also
-	// chosen by ""), OracleRandomized (flat budget, no escalation), or
-	// OracleExhaustive (internal/exhaust enumeration with the adaptive
-	// sampler as fallback for enumeration-ineligible jobs). The adaptive
-	// default degrades to a flat randomized budget when NITrialsMax
-	// doesn't exceed NITrials, exactly as before the oracle split.
-	Oracle string
-	// ExhaustBudget bounds machine runs per exhaustive observer check
-	// (0 = exhaust.DefaultBudget). Only read by OracleExhaustive.
-	ExhaustBudget uint64
-	// ExhaustProbes fixes the exhaustive oracle's public probes per
-	// observer (0 = derived from the budget).
-	ExhaustProbes int
 	// Metrics, when non-nil, receives per-stage duration histograms
 	// (pipeline_stage_seconds{stage=...}), a pipeline_jobs_total counter,
 	// and the NI stage's trial/witness counters. Nil costs one no-op call
@@ -146,21 +123,67 @@ type Options struct {
 	Metrics *metrics.Registry
 }
 
-// Oracle names for Options.Oracle.
+// Budget is the NI stage's trial budget and backend. A campaign records
+// it in its fleet manifest, hence the JSON tags.
+type Budget struct {
+	// Trials is the number of randomized trials per NI experiment, and
+	// all that IFC-accepted programs get (0 = 4).
+	Trials int `json:"ni_trials,omitempty"`
+	// TrialsMax, when greater than Trials, makes the budget adaptive:
+	// IFC-rejected programs escalate in doubling rounds from Trials up to
+	// TrialsMax total, stopping at the first interference witness —
+	// spending trials where rejection witnesses are likely, to separate
+	// true positives from conservative rejections (0 = 8 × Trials;
+	// negative or below Trials = a flat budget of Trials).
+	TrialsMax int `json:"ni_trials_max,omitempty"`
+	// Oracle selects the NI backend: OracleAdaptive (the default, also
+	// chosen by ""), OracleRandomized (flat budget, no escalation), or
+	// OracleExhaustive (internal/exhaust enumeration with the adaptive
+	// sampler as fallback for enumeration-ineligible jobs). The adaptive
+	// default degrades to a flat randomized budget when TrialsMax doesn't
+	// exceed Trials.
+	Oracle string `json:"ni_oracle,omitempty"`
+	// ExhaustBudget bounds machine runs per exhaustive observer check
+	// (0 = exhaust.DefaultBudget). Only read by OracleExhaustive.
+	ExhaustBudget uint64 `json:"exhaust_budget,omitempty"`
+	// ExhaustProbes fixes the exhaustive oracle's public probes per
+	// observer (0 = derived from the budget).
+	ExhaustProbes int `json:"exhaust_probes,omitempty"`
+}
+
+// Resolved returns b with the one default NI budget applied: 4 trials,
+// a ceiling of 8 × Trials, and a ceiling that is negative or below
+// Trials made equal to it (a flat budget). The oracle fields stay as
+// given.
+func (b Budget) Resolved() Budget {
+	if b.Trials <= 0 {
+		b.Trials = 4
+	}
+	if b.TrialsMax == 0 {
+		b.TrialsMax = 8 * b.Trials
+	}
+	if b.TrialsMax < b.Trials {
+		b.TrialsMax = b.Trials
+	}
+	return b
+}
+
+// Oracle names for Budget.Oracle.
 const (
 	OracleAdaptive   = "adaptive"
 	OracleRandomized = "randomized"
 	OracleExhaustive = "exhaustive"
 )
 
-// ValidOracle reports whether name selects a known NI backend ("" is the
+// Validate rejects an Oracle that names no known NI backend ("" is the
 // adaptive default).
-func ValidOracle(name string) bool {
-	switch name {
+func (b Budget) Validate() error {
+	switch b.Oracle {
 	case "", OracleAdaptive, OracleRandomized, OracleExhaustive:
-		return true
+		return nil
 	}
-	return false
+	return fmt.Errorf("unknown NI oracle %q (want %q, %q, or %q)",
+		b.Oracle, OracleAdaptive, OracleRandomized, OracleExhaustive)
 }
 
 // instruments caches the metric handles a run's hot path touches, so
@@ -234,7 +257,7 @@ type JobResult struct {
 	NIRan bool
 	// NITrialsRun is the number of NI trials actually executed — less than
 	// the configured budget when an adaptive run stopped at a witness,
-	// more than NITrials when a rejected program escalated. For the
+	// more than Budget.Trials when a rejected program escalated. For the
 	// exhaustive oracle each enumerated assignment run counts as one
 	// trial.
 	NITrialsRun int
@@ -317,7 +340,7 @@ type Summary struct {
 	// Parsed, BaseAccepted, IFCAccepted, and NIViolating count jobs.
 	Parsed, BaseAccepted, IFCAccepted, NIViolating int
 	// NITrialsRun totals NI trials across jobs (interesting under an
-	// adaptive budget, where it differs from jobs × NITrials).
+	// adaptive budget, where it differs from jobs × Budget.Trials).
 	NITrialsRun int64
 }
 
@@ -332,10 +355,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*Summary, error) {
 	if workers > len(jobs) && len(jobs) > 0 {
 		workers = len(jobs)
 	}
-	trials := opts.NITrials
-	if trials <= 0 {
-		trials = 8
-	}
+	opts.Budget = opts.Budget.Resolved()
 
 	start := time.Now()
 	ins := newInstruments(opts)
@@ -350,7 +370,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*Summary, error) {
 			for i := range idx {
 				job := jobs[i]
 				job.Seq = int64(i)
-				results[i] = runJob(job, opts, trials, ins)
+				results[i] = runJob(job, opts, ins)
 				done[i] = true
 			}
 		}()
@@ -423,10 +443,7 @@ func RunStream(ctx context.Context, jobs <-chan Job, opts Options) <-chan JobRes
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	trials := opts.NITrials
-	if trials <= 0 {
-		trials = 8
-	}
+	opts.Budget = opts.Budget.Resolved()
 	ins := newInstruments(opts)
 	out := make(chan JobResult, workers) // one parked result per worker (see the doc)
 	var wg sync.WaitGroup
@@ -442,7 +459,7 @@ func RunStream(ctx context.Context, jobs <-chan Job, opts Options) <-chan JobRes
 					if !ok {
 						return
 					}
-					r := runJob(job, opts, trials, ins)
+					r := runJob(job, opts, ins)
 					select {
 					case out <- r:
 					case <-ctx.Done():
@@ -459,8 +476,9 @@ func RunStream(ctx context.Context, jobs <-chan Job, opts Options) <-chan JobRes
 	return out
 }
 
-// runJob pushes one job through the stage sequence.
-func runJob(job Job, opts Options, trials int, ins instruments) JobResult {
+// runJob pushes one job through the stage sequence under a resolved
+// budget.
+func runJob(job Job, opts Options, ins instruments) JobResult {
 	niSeed := opts.NISeed + job.Seq
 	r := JobResult{Job: job}
 	defer func() { ins.observe(&r) }()
@@ -512,17 +530,13 @@ func runJob(job Job, opts Options, trials int, ins instruments) JobResult {
 	// and only witnessable at L1/L2. The trial budget is split across the
 	// observer sweep (ceil division, so every observer gets at least one
 	// trial), and the sweep stops at the first witness: one violation
-	// settles the classification. An explicit Options.Observer overrides
-	// the sweep with that single vantage point.
-	observers := []lattice.Label{opts.Observer}
-	if opts.Observer.IsZero() {
-		observers = observersFor(lat)
-	}
+	// settles the classification.
+	observers := observersFor(lat)
 	split := len(observers)
-	baseT := (trials + split - 1) / split
+	baseT := (opts.Trials + split - 1) / split
 	maxT := 0
-	if opts.NITrialsMax > trials {
-		maxT = (opts.NITrialsMax + split - 1) / split
+	if opts.TrialsMax > opts.Trials {
+		maxT = (opts.TrialsMax + split - 1) / split
 	}
 	// Compile once per job: every observer level (and every trial within
 	// it) runs the same closure tree. A compile failure pins the whole

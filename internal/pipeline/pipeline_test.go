@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/lattice"
+	"repro/internal/ni"
 	"repro/internal/pipeline"
 	"repro/internal/progs"
 )
@@ -31,7 +32,7 @@ func corpus(n int) []pipeline.Job {
 // the verdicts the sequential path does, job for job.
 func TestRunMatchesSequential(t *testing.T) {
 	jobs := corpus(60)
-	opts := pipeline.Options{NI: pipeline.NIAccepted, NITrials: 4, NISeed: 7}
+	opts := pipeline.Options{NI: pipeline.NIAccepted, Budget: pipeline.Budget{Trials: 4}, NISeed: 7}
 	seqOpts, parOpts := opts, opts
 	seqOpts.Workers = 1
 	parOpts.Workers = 8
@@ -104,7 +105,7 @@ func TestRunNIModes(t *testing.T) {
 		{pipeline.NIAll, func(r *pipeline.JobResult) bool { return r.BaseOK() }},
 	} {
 		sum, err := pipeline.Run(context.Background(), jobs,
-			pipeline.Options{Workers: 4, NI: tc.mode, NITrials: 2})
+			pipeline.Options{Workers: 4, NI: tc.mode, Budget: pipeline.Budget{Trials: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +181,7 @@ func TestRunSpeedup(t *testing.T) {
 		cores = runtime.NumCPU() // oversubscription adds no parallelism
 	}
 	jobs := corpus(200)
-	opts := pipeline.Options{NI: pipeline.NIAccepted, NITrials: 8, NISeed: 1}
+	opts := pipeline.Options{NI: pipeline.NIAccepted, Budget: pipeline.Budget{Trials: 8}, NISeed: 1}
 
 	measure := func(workers int) time.Duration {
 		o := opts
@@ -229,8 +230,8 @@ func TestFormatSummary(t *testing.T) {
 // element, so flows between non-bottom labels of taller lattices are
 // witnessable. A chain-4 program leaking L3 into an L1 field is invisible
 // to an L0 observer (the historical single vantage point) but must be
-// witnessed by the sweep; pinning the L0 observer explicitly must still
-// see nothing.
+// witnessed by the sweep; an experiment pinned to the L0 observer, with
+// the same trials and seed, must still see nothing.
 func TestNIObserverSweep(t *testing.T) {
 	lat := lattice.Chain(4)
 	src := `header data_t {
@@ -246,7 +247,10 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 `
 	job := []pipeline.Job{{Name: "midleak.p4", Source: src, Lat: lat}}
 	sum, err := pipeline.Run(context.Background(), job, pipeline.Options{
-		Workers: 1, NI: pipeline.NIAll, NITrials: 9, NISeed: 5,
+		Workers: 1,
+		NI:      pipeline.NIAll,
+		Budget:  pipeline.Budget{Trials: 9},
+		NISeed:  5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,13 +264,11 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 	}
 
 	bot, _ := lat.Lookup("L0")
-	sum, err = pipeline.Run(context.Background(), job, pipeline.Options{
-		Workers: 1, NI: pipeline.NIAll, NITrials: 9, NISeed: 5, Observer: bot,
-	})
+	res, err := ni.Randomized{Trials: 9}.Check(&ni.Experiment{Prog: r.Prog, Lat: lat, Observer: bot}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sum.Results[0].NIViolations; len(got) != 0 {
+	if got := res.Violations; len(got) != 0 {
 		t.Fatalf("L0 observer witnessed a leak it cannot see: %v", got)
 	}
 }

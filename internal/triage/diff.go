@@ -106,10 +106,10 @@ func compactionSummary(corpusDir string) string {
 	if err != nil {
 		return ""
 	}
-	entries := int(snap.Counter("compact_entries_total"))
-	minimized := int(snap.Counter("compact_minimized_total"))
-	collapsed := int(snap.Counter("compact_collapsed_total"))
-	saved := int(snap.Counter("compact_bytes_saved_total"))
+	entries := int(snap.Counter(metrics.CompactEntries))
+	minimized := int(snap.Counter(metrics.CompactMinimized))
+	collapsed := int(snap.Counter(metrics.CompactCollapsed))
+	saved := int(snap.Counter(metrics.CompactBytesSaved))
 	if entries == 0 && minimized == 0 && collapsed == 0 {
 		return ""
 	}
@@ -129,15 +129,15 @@ func fleetSummary(corpusDir string) string {
 	if err != nil {
 		return ""
 	}
-	windows := int(snap.Counter("fleet_windows_done_total"))
-	reclaims := int(snap.Counter("fleet_reclaims_total"))
+	windows := int(snap.Counter(metrics.FleetWindowsDone))
+	reclaims := int(snap.Counter(metrics.FleetReclaims))
 	type workerCount struct {
 		worker string
 		n      int
 	}
 	var merged []workerCount
 	for _, c := range snap.Counters {
-		if c.Name == "fleet_merged_findings_total" {
+		if c.Name == metrics.FleetMergedFindings {
 			merged = append(merged, workerCount{c.Labels["worker"], int(c.Value)})
 		}
 	}

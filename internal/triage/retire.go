@@ -53,7 +53,8 @@ type RetireConfig struct {
 	// replay it like any other.
 	PromoteDir string
 	// NITrials and NITrialsMax are the replay NI budget for findings
-	// whose metadata predates budget recording (campaign defaults).
+	// whose metadata predates budget recording (see
+	// campaign.ReplayConfig).
 	NITrials    int
 	NITrialsMax int
 	// Log receives one line per retired entry (nil = discard).

@@ -10,6 +10,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/corpus"
 	"repro/internal/gen"
+	"repro/internal/pipeline"
 	"repro/internal/triage"
 )
 
@@ -41,14 +42,10 @@ func TestRetirePromotesFixedFindings(t *testing.T) {
 	dir := t.TempDir()
 	promote := filepath.Join(t.TempDir(), "retired")
 	rep, err := campaign.Run(context.Background(), campaign.Config{
-		Window:      campaign.Window{Lo: 0, Hi: 80},
-		Seed:        42,
-		Gen:         smallGen(),
-		NITrials:    2,
-		NITrialsMax: 8,
-		Workers:     2,
-		CorpusDir:   dir,
-		Minimize:    true,
+		Window:    campaign.Window{Lo: 0, Hi: 80},
+		Spec:      campaign.Spec{Seed: 42, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 8}, Minimize: true},
+		Workers:   2,
+		CorpusDir: dir,
 	})
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
@@ -187,7 +184,7 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 		t.Fatalf("dead-store fixture does not replay rejected-clean:\n%s", campaign.FormatReplayReport(rr0))
 	}
 	// "Fix" twin A only.
-	fpBefore, err := triage.FingerprintSource("a.p4", twinA)
+	fpBefore, err := corpus.FingerprintSource("a.p4", twinA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +232,9 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 func TestRetireLeavesUnparseableAlone(t *testing.T) {
 	dir := t.TempDir()
 	rep, err := campaign.Run(context.Background(), campaign.Config{
-		Window:      campaign.Window{Lo: 0, Hi: 60},
-		Seed:        7,
-		Gen:         smallGen(),
-		NITrials:    1,
-		NITrialsMax: 4,
-		CorpusDir:   dir,
+		Window:    campaign.Window{Lo: 0, Hi: 60},
+		Spec:      campaign.Spec{Seed: 7, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}},
+		CorpusDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -115,6 +115,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/controlplane"
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/eval"
 	"repro/internal/lattice"
 	"repro/internal/mutate"
@@ -319,7 +320,7 @@ func MarshalTriageReport(r *TriageReport) ([]byte, error) { return triage.Marsha
 
 // FingerprintProgram returns the AST shape fingerprint triage clusters
 // by: equal fingerprints mean equal canonical skeletons.
-func FingerprintProgram(prog *Program) string { return triage.Fingerprint(prog) }
+func FingerprintProgram(prog *Program) string { return corpus.Fingerprint(prog) }
 
 // TriageDiff is the outcome of comparing two triage reports;
 // TriageClusterDelta one cluster whose size moved between them.

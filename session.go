@@ -113,27 +113,15 @@ type GenConfig = gen.Config
 // race on the corpus regardless of process structure). Close the session
 // after the last operation returns to release the event channel.
 type Session struct {
-	gcfg        gen.Config
-	latSpec     string
-	seed        int64
-	trials      int
-	trialsMax   int
-	workers     int
-	corpusDir   string
-	promoteDir  string
-	mutate      bool
-	mutateFrac  float64
-	minimize    bool
-	maxPerClass int
-	maxNovelty  int
-	log         io.Writer
-
-	// niOracle selects the NI backend every operation checks programs
-	// with ("" = the adaptive default); exhaustBudget and exhaustProbes
-	// configure the exhaustive oracle's enumeration.
-	niOracle      string
-	exhaustBudget uint64
-	exhaustProbes int
+	// spec is the campaign the session runs and the NI budget and oracle
+	// every operation checks programs with.
+	spec       campaign.Spec
+	latSpec    string
+	workers    int
+	corpusDir  string
+	promoteDir string
+	maxNovelty int
+	log        io.Writer
 
 	eventBuf int
 	mu       sync.Mutex
@@ -175,21 +163,23 @@ func WithLattice(spec string) SessionOption { return func(s *Session) { s.latSpe
 // WithGenConfig sets the whole generator configuration (shape knobs and
 // lattice together); a WithLattice spec, given in either order, overrides
 // just the lattice.
-func WithGenConfig(g GenConfig) SessionOption { return func(s *Session) { s.gcfg = g } }
+func WithGenConfig(g GenConfig) SessionOption { return func(s *Session) { s.spec.Gen = g } }
 
 // WithSeed sets the campaign seed: global index i generates its program
 // from seed+i and seeds its NI experiment with seed+i.
-func WithSeed(seed int64) SessionOption { return func(s *Session) { s.seed = seed } }
+func WithSeed(seed int64) SessionOption { return func(s *Session) { s.spec.Seed = seed } }
 
 // WithWorkers bounds the analysis worker pool and, in a campaign, how many
 // findings minimize at once (<= 0 = GOMAXPROCS).
 func WithWorkers(n int) SessionOption { return func(s *Session) { s.workers = n } }
 
 // WithNIBudget sets the base NI trials per program and the adaptive
-// escalation ceiling for IFC-rejected programs (0 = the campaign
-// defaults, 4 and 8x; max < trials disables adaptation).
+// escalation ceiling for IFC-rejected programs, for every operation. A
+// zero takes the default: 4 trials, a ceiling of 8 × trials; a ceiling
+// below trials disables adaptation. Without this option every operation
+// runs the default 4/32.
 func WithNIBudget(trials, max int) SessionOption {
-	return func(s *Session) { s.trials, s.trialsMax = trials, max }
+	return func(s *Session) { s.spec.Trials, s.spec.TrialsMax = trials, max }
 }
 
 // WithNIOracle selects the noninterference backend for every operation:
@@ -199,29 +189,29 @@ func WithNIBudget(trials, max int) SessionOption {
 // return proof-grade proved-secure / proved-insecure verdicts, falling
 // back to sampling when the secret space exceeds the budget). "" keeps
 // the default. NewSession rejects unknown names eagerly.
-func WithNIOracle(name string) SessionOption { return func(s *Session) { s.niOracle = name } }
+func WithNIOracle(name string) SessionOption { return func(s *Session) { s.spec.Oracle = name } }
 
 // WithExhaustBudget bounds the exhaustive oracle's enumeration: budget is
 // the assignment ceiling per observer (0 = the default 2^16), probes the
 // number of public-input probes when only the secret space fits (0 =
 // derived from the budget). No effect under the sampling oracles.
 func WithExhaustBudget(budget uint64, probes int) SessionOption {
-	return func(s *Session) { s.exhaustBudget, s.exhaustProbes = budget, probes }
+	return func(s *Session) { s.spec.ExhaustBudget, s.spec.ExhaustProbes = budget, probes }
 }
 
 // WithMutation enables the coverage-guided loop: frac of the campaign's
 // jobs become AST-level mutants of corpus findings (0 = the default 0.5).
 func WithMutation(frac float64) SessionOption {
-	return func(s *Session) { s.mutate, s.mutateFrac = true, frac }
+	return func(s *Session) { s.spec.Mutate, s.spec.MutateFrac = true, frac }
 }
 
 // WithMinimize shrinks each finding to the smallest program reproducing
 // its class before dedup and persistence.
-func WithMinimize() SessionOption { return func(s *Session) { s.minimize = true } }
+func WithMinimize() SessionOption { return func(s *Session) { s.spec.Minimize = true } }
 
 // WithMaxPerClass caps findings processed per class per campaign run
 // (0 = default 25, negative = unlimited).
-func WithMaxPerClass(n int) SessionOption { return func(s *Session) { s.maxPerClass = n } }
+func WithMaxPerClass(n int) SessionOption { return func(s *Session) { s.spec.MaxPerClass = n } }
 
 // WithMaxNovelty caps the triage report's seed-novelty ranking
 // (0 = default 10, negative = unlimited).
@@ -251,21 +241,20 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 	// Defaults first, lattice override second: WithLattice alone must not
 	// zero the shape knobs (a {Lattice: spec} config is not "the default
 	// shape with a taller lattice" — it is an action-free generator).
-	if s.gcfg == (gen.Config{}) {
-		s.gcfg = gen.DefaultConfig()
+	if s.spec.Gen == (gen.Config{}) {
+		s.spec.Gen = gen.DefaultConfig()
 	}
 	if s.latSpec != "" {
-		s.gcfg.Lattice = s.latSpec
+		s.spec.Gen.Lattice = s.latSpec
 	}
-	if err := s.gcfg.Validate(); err != nil {
+	if err := s.spec.Gen.Validate(); err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	if s.mutateFrac < 0 || s.mutateFrac > 1 {
-		return nil, fmt.Errorf("session: mutation fraction %v out of [0, 1] (0 = the default 0.5)", s.mutateFrac)
+	if s.spec.MutateFrac < 0 || s.spec.MutateFrac > 1 {
+		return nil, fmt.Errorf("session: mutation fraction %v out of [0, 1] (0 = the default 0.5)", s.spec.MutateFrac)
 	}
-	if !pipeline.ValidOracle(s.niOracle) {
-		return nil, fmt.Errorf("session: unknown NI oracle %q (want %q, %q, or %q)",
-			s.niOracle, pipeline.OracleAdaptive, pipeline.OracleRandomized, pipeline.OracleExhaustive)
+	if err := s.spec.Validate(); err != nil {
+		return nil, fmt.Errorf("session: %w", err)
 	}
 	return s, nil
 }
@@ -439,24 +428,14 @@ func (s *Session) Campaign(ctx context.Context, n int) (*CampaignReport, error) 
 	}
 	finish := s.startOp("campaign")
 	rep, err := campaign.Run(ctx, campaign.Config{
-		Window:        campaign.Window{Lo: 0, Hi: int64(n)},
-		Seed:          s.seed,
-		Gen:           s.gcfg,
-		NITrials:      s.trials,
-		NITrialsMax:   s.trialsMax,
-		NIOracle:      s.niOracle,
-		ExhaustBudget: s.exhaustBudget,
-		ExhaustProbes: s.exhaustProbes,
-		Workers:       s.workers,
-		Mutate:        s.mutate,
-		MutateFrac:    s.mutateFrac,
-		CorpusDir:     s.corpusDir,
-		Corpus:        corp,
-		Minimize:      s.minimize,
-		MaxPerClass:   s.maxPerClass,
-		Log:           s.log,
-		Events:        s.sink(),
-		Metrics:       s.metrics,
+		Window:    campaign.Window{Lo: 0, Hi: int64(n)},
+		Spec:      s.spec,
+		Workers:   s.workers,
+		CorpusDir: s.corpusDir,
+		Corpus:    corp,
+		Log:       s.log,
+		Events:    s.sink(),
+		Metrics:   s.metrics,
 	})
 	summary := ""
 	if rep != nil {
@@ -491,8 +470,8 @@ func (s *Session) Replay(ctx context.Context) (*ReplayReport, error) {
 	rep, err := campaign.Replay(ctx, campaign.ReplayConfig{
 		CorpusDir:   s.corpusDir,
 		Corpus:      corp,
-		NITrials:    s.trials,
-		NITrialsMax: s.trialsMax,
+		NITrials:    s.spec.Trials,
+		NITrialsMax: s.spec.TrialsMax,
 		Log:         s.log,
 		Events:      s.sink(),
 	})
@@ -547,8 +526,8 @@ func (s *Session) Retire(ctx context.Context) (*RetireReport, error) {
 		CorpusDir:   s.corpusDir,
 		Corpus:      corp,
 		PromoteDir:  s.promoteDir,
-		NITrials:    s.trials,
-		NITrialsMax: s.trialsMax,
+		NITrials:    s.spec.Trials,
+		NITrialsMax: s.spec.TrialsMax,
 		Log:         s.log,
 		Events:      s.sink(),
 	})
@@ -579,8 +558,8 @@ func (s *Session) Compact(ctx context.Context) (*CompactReport, error) {
 	rep, err := campaign.Compact(ctx, campaign.CompactConfig{
 		CorpusDir:   s.corpusDir,
 		Corpus:      corp,
-		NITrials:    s.trials,
-		NITrialsMax: s.trialsMax,
+		NITrials:    s.spec.Trials,
+		NITrialsMax: s.spec.TrialsMax,
 		Log:         s.log,
 		Events:      s.sink(),
 		Metrics:     s.metrics,
@@ -594,18 +573,14 @@ func (s *Session) Compact(ctx context.Context) (*CompactReport, error) {
 }
 
 // batchOptions is the pipeline configuration the session's batch-analysis
-// methods share: full NI, the session's budgets, seed, and worker pool.
+// methods share: full NI, the session's budget, seed, and worker pool.
 func (s *Session) batchOptions() pipeline.Options {
 	return pipeline.Options{
-		Workers:       s.workers,
-		NI:            pipeline.NIAll,
-		NITrials:      s.trials,
-		NITrialsMax:   s.trialsMax,
-		NISeed:        s.seed,
-		Oracle:        s.niOracle,
-		ExhaustBudget: s.exhaustBudget,
-		ExhaustProbes: s.exhaustProbes,
-		Metrics:       s.metrics,
+		Workers: s.workers,
+		NI:      pipeline.NIAll,
+		Budget:  s.spec.Budget,
+		NISeed:  s.spec.Seed,
+		Metrics: s.metrics,
 	}
 }
 

@@ -513,7 +513,10 @@ func TestSessionCheckMethodsMatchWrappers(t *testing.T) {
 		t.Fatal(err)
 	}
 	pSum, err := pipeline.Run(context.Background(), jobs, pipeline.Options{
-		Workers: 2, NI: pipeline.NIAll, NITrials: 2, NITrialsMax: 4, NISeed: 11,
+		Workers: 2,
+		NI:      pipeline.NIAll,
+		Budget:  pipeline.Budget{Trials: 2, TrialsMax: 4},
+		NISeed:  11,
 	})
 	if err != nil {
 		t.Fatal(err)
