@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/difftest"
+	"repro/internal/ni"
 )
 
 // TestCheckAll drives Session.CheckAll over the embedded case studies and
@@ -69,6 +71,40 @@ func TestCheckAllDefaultBudget(t *testing.T) {
 		if d.NITrialsRun != e.NITrialsRun || len(d.NIViolations) != len(e.NIViolations) {
 			t.Errorf("%s: default budget ran %d trials with %d violations; WithNIBudget(4, 32) ran %d with %d",
 				jobs[i].Name, d.NITrialsRun, len(d.NIViolations), e.NITrialsRun, len(e.NIViolations))
+		}
+	}
+}
+
+// TestCaseStudyGradesHonest: every buggy case study leaks (the paper shows
+// how), so no oracle may grade one secure. Most of their leaks go through
+// tables, and Session.CheckAll runs them against the empty control plane,
+// where every apply misses: a clean sweep there covers that one control
+// plane, not every configuration, so the exhaustive oracle must answer
+// with a witness or an inconclusive grade. No buggy variant may come back
+// proved-secure, nor be filed as secret-exhaustive or proved-imprecise,
+// under either oracle.
+func TestCaseStudyGradesHonest(t *testing.T) {
+	var jobs []repro.BatchJob
+	for _, p := range repro.CaseStudies() {
+		jobs = append(jobs, repro.BatchJob{Name: p.FileName(repro.Buggy), Source: p.Source(repro.Buggy), Lat: p.Lattice()})
+	}
+	for _, oracle := range []string{"adaptive", "exhaustive"} {
+		s, err := repro.NewSession(repro.WithSeed(5), repro.WithWorkers(2), repro.WithNIOracle(oracle))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := s.CheckAll(context.Background(), jobs)
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range sum.Results {
+			r := &sum.Results[i]
+			v, _ := difftest.Classify(r)
+			t.Logf("%s %s: %s %s, %s", oracle, jobs[i].Name, r.NIOutcome, r.NIReason, v)
+			if r.NIOutcome == ni.ProvedSecure || v == difftest.SecretExhausted || v == difftest.ProvedImprecise {
+				t.Errorf("%s oracle: buggy %s graded %s (%s)", oracle, jobs[i].Name, r.NIOutcome, v)
+			}
 		}
 	}
 }

@@ -247,6 +247,10 @@ type Config struct {
 	// makes progress ticks carry jobs/sec / findings/sec rates plus
 	// periodic KindMetrics snapshot events.
 	Metrics *metrics.Registry
+
+	// onResult, when set, sees every analyzed job's pipeline result, in
+	// the order the stream delivers them, before it is classified.
+	onResult func(*pipeline.JobResult)
 }
 
 // Finding is one interesting program collected by the campaign.
@@ -631,6 +635,9 @@ func (e *engine) provenanceOf(idx int64) (provenance, bool) {
 
 // consume classifies one streamed result and routes its findings.
 func (e *engine) consume(r *pipeline.JobResult) {
+	if e.cfg.onResult != nil {
+		e.cfg.onResult(r)
+	}
 	e.rep.Analyzed++
 	e.rep.TrialsRun += int64(r.NITrialsRun)
 	e.mJobs.Inc()

@@ -42,7 +42,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/controlplane"
 	"repro/internal/diag"
-	"repro/internal/lattice"
 	"repro/internal/resolve"
 	"repro/internal/token"
 	"repro/internal/types"
@@ -230,7 +229,7 @@ func (c *compiler) check() bool {
 // load time); callers should fall back to the tree-walking interpreter.
 func Compile(prog *ast.Program) (*Compiled, error) {
 	c := &compiler{}
-	c.res = resolve.New(permissive{lattice.TwoPoint()}, &c.diags)
+	c.res = resolve.New(labelBlind, &c.diags)
 	c.res.CollectTypeDecls(prog)
 	if err := c.diags.Err(); err != nil {
 		return nil, err

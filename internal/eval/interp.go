@@ -56,6 +56,10 @@ type permissive struct{ lattice.Lattice }
 
 func (p permissive) Lookup(string) (lattice.Label, bool) { return p.Bottom(), true }
 
+// labelBlind is the lattice the interpreter and the compiler resolve
+// against. Lattices are immutable once built, so one serves every load.
+var labelBlind lattice.Lattice = permissive{lattice.TwoPoint()}
+
 // Interp evaluates a program against a control plane.
 type Interp struct {
 	prog  *ast.Program
@@ -95,7 +99,7 @@ func New(prog *ast.Program, cp *controlplane.ControlPlane) (*Interp, error) {
 	}
 	in := &Interp{prog: prog, cp: cp, store: NewStore(), fuel: DefaultFuel,
 		registers: map[string]Loc{}}
-	in.res = resolve.New(permissive{lattice.TwoPoint()}, &in.diags)
+	in.res = resolve.New(labelBlind, &in.diags)
 	in.res.CollectTypeDecls(prog)
 	if err := in.diags.Err(); err != nil {
 		return nil, err

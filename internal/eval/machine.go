@@ -34,6 +34,8 @@ type Machine struct {
 
 	fuel  int
 	depth int
+
+	emptyApplies uint64 // see EmptyTableApplies
 }
 
 // mwb is a pending copy-out writeback: the destination l-value, the window
@@ -81,6 +83,13 @@ func (m *Machine) Reset() {
 	m.idxs = m.idxs[:0]
 	m.wbs = m.wbs[:0]
 }
+
+// EmptyTableApplies counts the table applications, over every run since
+// NewMachine (Reset keeps the count), that met a table with no installed
+// entries: the control plane chose nothing, and only the miss path ran.
+// An oracle that proves a property of such runs has proved it for that
+// empty table alone.
+func (m *Machine) EmptyTableApplies() uint64 { return m.emptyApplies }
 
 // ControlPlane returns the machine's control plane.
 func (m *Machine) ControlPlane() *controlplane.ControlPlane { return m.cp }
@@ -367,6 +376,9 @@ func (m *Machine) applyTable(pos token.Pos, tv *cTable) (Signal, error) {
 			return Signal{}, fmt.Errorf("%s: table %s key %d: %v", pos, tv.name, i, err)
 		}
 		keys = append(keys, u)
+	}
+	if t := m.cp.Table(tv.name); t == nil || len(t.Entries) == 0 {
+		m.emptyApplies++
 	}
 	call, ok := m.cp.Lookup(tv.name, keys)
 	if !ok {

@@ -72,6 +72,12 @@ const (
 	// ReasonRunError: a machine run failed mid-sweep, so the sweep is
 	// partial — whatever it covered proves nothing either way.
 	ReasonRunError = "machine-run-error"
+	// ReasonControlPlane: a clean sweep applied a table with no installed
+	// entries. It covered one control plane, the empty one, while
+	// non-interference quantifies over every configuration of the tables
+	// (Definition C.8), so it proves nothing about the others. A witness
+	// still proves interference: the empty control plane is a legal one.
+	ReasonControlPlane = "control-plane"
 )
 
 // Oracle is the exhaustive backend. The zero value enumerates with
@@ -149,6 +155,10 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 	if err != nil {
 		return ni.Result{}, false, err
 	}
+	diffs, err := e.Comparators()
+	if err != nil {
+		return ni.Result{}, false, err
+	}
 	idx := code.ControlIndex(e.Control)
 	if idx < 0 {
 		return inconclusive(ReasonNoCompile)
@@ -184,12 +194,8 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 	}
 
 	m, _ := e.Machines(code)
-	sweep := &sweeper{plan: p, m: m, idx: idx, names: names,
-		base:  make([]eval.Value, len(names)),
-		diffs: make([]ni.Comparator, len(names))}
-	for i, n := range names {
-		sweep.diffs[i] = ni.ObservableDiff(pts[n], obs, e.Lat)
-	}
+	sweep := &sweeper{plan: p, m: m, idx: idx, names: names, diffs: diffs,
+		base: make([]eval.Value, len(names)), emptyApplies: m.EmptyTableApplies()}
 
 	if satMul(secretCount, pubCount) <= budget {
 		// Total mode: enumerate the whole public × secret space.
@@ -253,6 +259,12 @@ type sweeper struct {
 	runs    uint64
 	base    []eval.Value
 	baseSig eval.Signal
+	// emptyApplies is the machine's EmptyTableApplies count before the
+	// sweep's first run; emptyTable records, at the end of each clean
+	// secret sweep, whether a run has applied a table with no entries
+	// since.
+	emptyApplies uint64
+	emptyTable   bool
 }
 
 // secrets enumerates the secret odometer for the current public state.
@@ -291,6 +303,7 @@ func (s *sweeper) secrets(sec *odometer) (*ni.Violation, error) {
 			}
 		}
 		if !sec.advance(p) {
+			s.emptyTable = s.m.EmptyTableApplies() > s.emptyApplies
 			return nil, nil
 		}
 	}
@@ -339,8 +352,9 @@ func snapshotFields(dst, src []eval.NamedValue) bool {
 // witness-interrupted, or error-interrupted sweep. An error means the
 // sweep is partial, and a partial clean sweep proves nothing — the
 // outcome degrades to Inconclusive so no caller can mistake it for a
-// certificate. (A witness and an error never arrive together: secrets
-// stops at whichever comes first.)
+// certificate. So does a clean sweep whose runs applied a table with no
+// entries (ReasonControlPlane). (A witness and an error never arrive
+// together: secrets stops at whichever comes first.)
 func (s *sweeper) result(vio *ni.Violation, total bool, err error) ni.Result {
 	r := ni.Result{
 		Trials:      int(s.runs),
@@ -355,6 +369,10 @@ func (s *sweeper) result(vio *ni.Violation, total bool, err error) ni.Result {
 	case err != nil:
 		r.Outcome = ni.Inconclusive
 		r.Reason = ReasonRunError
+		r.Total = false
+	case s.emptyTable:
+		r.Outcome = ni.Inconclusive
+		r.Reason = ReasonControlPlane
 		r.Total = false
 	}
 	return r

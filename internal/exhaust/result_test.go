@@ -12,7 +12,8 @@ import (
 // outcome: a partial enumeration proves nothing, so it must degrade to
 // Inconclusive with the run-error reason (machine-run errors are not
 // reproducible from well-typed sources, which is why this is tested at
-// the assembly seam rather than end-to-end).
+// the assembly seam rather than end-to-end), and that a clean sweep that
+// met an empty table is inconclusive.
 func TestSweepResultOutcomes(t *testing.T) {
 	s := &sweeper{runs: 37}
 	vio := &ni.Violation{Trial: 3, Where: "hdr", A: "0", B: "1"}
@@ -38,5 +39,21 @@ func TestSweepResultOutcomes(t *testing.T) {
 	}
 	if r.Assignments != 37 || r.Trials != 37 {
 		t.Errorf("error-interrupted sweep dropped the run counts: %+v", r)
+	}
+
+	// A sweep whose runs applied a table with no entries covered only the
+	// empty control plane: clean, it proves nothing; a witness still
+	// proves interference.
+	s.emptyTable = true
+	for _, total := range []bool{true, false} {
+		if r := s.result(nil, total, nil); r.Outcome != ni.Inconclusive || r.Reason != ReasonControlPlane || r.Total {
+			t.Errorf("clean sweep over an empty table (total=%v): %+v, want non-total inconclusive(%s)", total, r, ReasonControlPlane)
+		}
+	}
+	if r := s.result(vio, true, nil); r.Outcome != ni.ProvedInsecure || len(r.Violations) != 1 {
+		t.Errorf("witnessed sweep over an empty table: %+v, want proved-insecure with the witness", r)
+	}
+	if r := s.result(nil, true, errors.New("boom")); r.Reason != ReasonRunError {
+		t.Errorf("error-interrupted sweep over an empty table: reason %q, want %q", r.Reason, ReasonRunError)
 	}
 }

@@ -1,9 +1,11 @@
 package ni_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/controlplane"
 	"repro/internal/ni"
 	"repro/internal/parser"
 	"repro/internal/progs"
@@ -22,14 +24,14 @@ func TestTrialAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	ceilings := map[string]float64{
-		"D2R/D2R_Ingress":            5668,
-		"App/App_Ingress":            1885,
-		"Lattice/Alice_Ingress":      2464,
-		"Lattice/Bob_Ingress":        2464,
-		"Topology/Obfuscate_Ingress": 2848,
-		"Cache/Cache_Ingress":        1694,
-		"NetChain/NetChain_Ingress":  1118,
-		"Stateful/Stateful_Ingress":  1445,
+		"D2R/D2R_Ingress":            4644,
+		"App/App_Ingress":            861,
+		"Lattice/Alice_Ingress":      928,
+		"Lattice/Bob_Ingress":        928,
+		"Topology/Obfuscate_Ingress": 1567,
+		"Cache/Cache_Ingress":        414,
+		"NetChain/NetChain_Ingress":  350,
+		"Stateful/Stateful_Ingress":  677,
 	}
 	checked := 0
 	for _, p := range progs.All() {
@@ -65,5 +67,48 @@ func TestTrialAllocs(t *testing.T) {
 	}
 	if checked != len(ceilings) {
 		t.Fatalf("checked %d controls, %d ceilings recorded", checked, len(ceilings))
+	}
+}
+
+// TestRoundSetupAllocs pins the trial plan cache. Once an Experiment has
+// run a round, a later round's setup — everything RunN allocates besides
+// its trials, measured as a round of zero trials — must cost no more than
+// drawing one trial's inputs from scratch. Rebuilding the plan each round
+// (resolving the parameter types, compiling a sampler and a comparator
+// per parameter) costs more. Checked on every control of every case
+// study, buggy and fixed, with no control plane (a campaign's setting)
+// and with the case study's own.
+func TestRoundSetupAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	for _, p := range progs.All() {
+		for _, v := range []progs.Variant{progs.Buggy, progs.Fixed} {
+			prog := parser.MustParse(p.FileName(v), p.Source(v))
+			for _, ctrl := range prog.Controls {
+				for _, cp := range []*controlplane.ControlPlane{nil, caseStudyCP(t, p.Name)} {
+					key := fmt.Sprintf("%s/%s (control plane: %v)", p.FileName(v), ctrl.Name, cp != nil)
+					e := &ni.Experiment{Prog: prog, Lat: p.Lattice(), Control: ctrl.Name, CP: cp}
+					if _, err := e.Run(1, 13); err != nil {
+						t.Fatalf("%s: %v", key, err)
+					}
+					setup := math.Inf(1)
+					for range 3 {
+						setup = min(setup, testing.AllocsPerRun(5, func() {
+							if _, err := e.Run(0, 13); err != nil {
+								t.Fatal(err)
+							}
+						}))
+					}
+					draws, err := ni.DrawAllocs(e)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if setup > draws {
+						t.Errorf("%s: a warm round's setup allocates %v, one trial's fresh draws %v", key, setup, draws)
+					}
+				}
+			}
+		}
 	}
 }

@@ -32,15 +32,26 @@ import (
 )
 
 // Experiment configures a non-interference experiment.
+//
+// An Experiment builds its trial plan — the control, the parameters'
+// security types, one input sampler and one output comparator per
+// parameter — on the first RunN, ControlParams or Comparators call, and
+// every later round, observer check and exhaustive sweep reuses it. The
+// plan captures Prog, Lat, Control and Observer; it is rebuilt whenever
+// one of them differs from what it was built from (pointer or value
+// compare), so a caller may edit those fields between runs. The other
+// fields are read afresh by every run.
 type Experiment struct {
-	// Prog is the (parsed) program under test.
+	// Prog is the (parsed) program under test. Captured by the plan.
 	Prog *ast.Program
 	// Lat is the security lattice the program is annotated against.
+	// Captured by the plan.
 	Lat lattice.Lattice
-	// Control names the control block to run ("" = first).
+	// Control names the control block to run ("" = first). Captured by
+	// the plan.
 	Control string
 	// Observer is the label l of the adversary: fields with χ ⊑ l are
-	// observable. Zero means the lattice bottom.
+	// observable. Zero means the lattice bottom. Captured by the plan.
 	Observer lattice.Label
 	// CP holds the control-plane entries, shared by both runs. Nil means
 	// an empty control plane (every table application misses).
@@ -54,7 +65,9 @@ type Experiment struct {
 	// and header must keep exactly its declared fields in declared order:
 	// the compiled engine reads fields by position, so a trial refuses a
 	// reordered input, on either engine, with an error naming the
-	// parameter.
+	// parameter. The values it is handed belong to the trial loop, which
+	// refills them for the next trial, so it must not keep them past its
+	// return; what it leaves is copied before any run.
 	FixInputs func(map[string]eval.Value)
 	// Packets is the number of packets per trial (default 1). With
 	// Packets > 1 each run pushes the whole sequence through ONE machine
@@ -88,6 +101,7 @@ type Experiment struct {
 	machA, machB *eval.Machine
 	machCode     *eval.Compiled
 	rng          *eval.BatchRand
+	plan         *trialPlan
 }
 
 // engine returns the compiled program to run trials on, compiling lazily
@@ -166,31 +180,14 @@ func (e *Experiment) runN(trials int, seed int64) ([]Violation, int, error) {
 	// engines (and any recorded corpus seed) draw exactly the same trials,
 	// and the round allocates no generator.
 	rng := e.Rand(seed)
-	obs := e.Observer
-	if obs.IsZero() {
-		obs = e.Lat.Bottom()
-	}
-	ctrl := e.findControl()
-	if ctrl == nil {
-		return nil, 0, fmt.Errorf("ni: control %q not found", e.Control)
-	}
-	paramTypes, err := e.paramTypes(ctrl)
+	p, err := e.trialPlan()
 	if err != nil {
 		return nil, 0, err
 	}
-	packets := e.Packets
-	if packets < 1 {
-		packets = 1
-	}
-	n := len(ctrl.Params)
-	pts := make([]types.SecType, n)
-	samplers := make([]sampler, n)
-	diffs := make([]Comparator, n)
-	for i, p := range ctrl.Params {
-		pts[i] = paramTypes[p.Name]
-		samplers[i] = compileSampler(pts[i], obs, e.Lat)
-		diffs[i] = ObservableDiff(pts[i], obs, e.Lat)
-	}
+	ctrl := p.ctrl
+	samplers := p.inputs()
+	packets := max(e.Packets, 1)
+	a, b := p.runs(packets)
 	// Each run goes to a reusable compiled machine or, without a compiled
 	// program, to a fresh tree-walking interpreter (machA and machB nil).
 	var machA, machB *eval.Machine
@@ -199,65 +196,56 @@ func (e *Experiment) runN(trials int, seed int64) ([]Violation, int, error) {
 		idx = code.ControlIndex(e.Control)
 		machA, machB = e.machines(code)
 	}
-	run := func(m *eval.Machine, seq, outs [][]eval.Value, sigs []eval.Signal) error {
+	run := func(m *eval.Machine, r *trialRun) error {
 		if m == nil {
-			return runInterpSeq(e.Prog, ctrl, e.CP, seq, outs, sigs)
+			return runInterpSeq(e.Prog, ctrl, e.CP, r.seq, r.outs, r.sigs)
 		}
-		return runMachineSeq(m, idx, seq, outs, sigs)
+		return runMachineSeq(m, idx, r.seq, r.outs, r.sigs)
 	}
-	// Trial input sequences, reused across trials (values are overwritten
-	// wholesale each trial).
-	seqA := make([][]eval.Value, packets)
-	seqB := make([][]eval.Value, packets)
-	for k := range seqA {
-		seqA[k] = make([]eval.Value, n)
-		seqB[k] = make([]eval.Value, n)
-	}
-	outsA := make([][]eval.Value, packets)
-	outsB := make([][]eval.Value, packets)
-	sigsA := make([]eval.Signal, packets)
-	sigsB := make([]eval.Signal, packets)
 	var out []Violation
 	for t := 0; t < trials; t++ {
-		// Draw the packet sequences: every packet's inputs for run A, with
-		// run B's derived to agree on all observable fields. Run B is
-		// derived before either run, which may edit run A's values in
-		// place.
+		// Draw the packet sequences into the previous trial's input trees:
+		// every packet's inputs for run A, with run B's derived to agree on
+		// all observable fields. Run B is derived before either run, which
+		// may edit run A's values in place. Refilling is safe because no
+		// run keeps a container once it returns (Machine.RunIndexed; the
+		// interpreter copies its inputs) and the previous trial's outputs
+		// were compared before this draw.
 		for k := 0; k < packets; k++ {
-			inA, inB := seqA[k], seqB[k]
-			for i := range samplers {
-				inA[i] = samplers[i].draw(rng)
+			inA, inB := a.seq[k], b.seq[k]
+			for i, s := range samplers {
+				inA[i] = s.draw(inA[i], rng)
 			}
 			if e.FixInputs != nil {
-				if err := e.fixInputs(ctrl, pts, inA); err != nil {
+				if err := e.fixInputs(ctrl, p.pts, inA); err != nil {
 					return out, t + 1, fmt.Errorf("ni: trial %d run A: packet %d: %v", t, k, err)
 				}
 			}
-			for i := range samplers {
-				inB[i] = samplers[i].vary(inA[i], rng)
+			for i, s := range samplers {
+				inB[i] = s.vary(inB[i], inA[i], rng)
 			}
 		}
-		if err := run(machA, seqA, outsA, sigsA); err != nil {
+		if err := run(machA, a); err != nil {
 			return out, t + 1, fmt.Errorf("ni: trial %d run A: %v", t, err)
 		}
-		if err := run(machB, seqB, outsB, sigsB); err != nil {
+		if err := run(machB, b); err != nil {
 			return out, t + 1, fmt.Errorf("ni: trial %d run B: %v", t, err)
 		}
 		violated := false
 		for k := 0; k < packets && !violated; k++ {
-			if sigsA[k].Kind != sigsB[k].Kind {
+			if a.sigs[k].Kind != b.sigs[k].Kind {
 				out = append(out, Violation{Trial: t,
 					Where: fmt.Sprintf("packet %d signal", k),
-					A:     sigsA[k].String(), B: sigsB[k].String()})
+					A:     a.sigs[k].String(), B: b.sigs[k].String()})
 				violated = true
 				break
 			}
-			for i, p := range ctrl.Params {
-				if v, ok := diffs[i].Diff(outsA[k][i], outsB[k][i]); !ok {
+			for i, prm := range ctrl.Params {
+				if v, ok := p.diffs[i].Diff(a.outs[k][i], b.outs[k][i]); !ok {
 					if packets > 1 {
-						v.Where = fmt.Sprintf("packet %d: %s%s", k, p.Name, v.Where)
+						v.Where = fmt.Sprintf("packet %d: %s%s", k, prm.Name, v.Where)
 					} else {
-						v.Where = p.Name + v.Where
+						v.Where = prm.Name + v.Where
 					}
 					v.Trial = t
 					out = append(out, v)
@@ -401,6 +389,95 @@ func (e *Experiment) findControl() *ast.ControlDecl {
 	return nil
 }
 
+// trialPlan is an experiment's setup for one (Prog, Lat, Control,
+// Observer): the control, its parameters' security types by name and by
+// position, one comparator and (once a trial needs them) one sampler per
+// parameter. It also keeps the trial loop's two runs' buffers, whose input
+// trees every trial refills in place.
+type trialPlan struct {
+	prog     *ast.Program
+	lat      lattice.Lattice
+	control  string
+	observer lattice.Label
+
+	ctrl     *ast.ControlDecl
+	obs      lattice.Label // Observer, or the lattice bottom for zero
+	byName   map[string]types.SecType
+	pts      []types.SecType
+	samplers []sampler // see inputs
+	diffs    []Comparator
+
+	a, b trialRun
+}
+
+// trialRun is one run's per-packet buffers: its input trees, refilled by
+// each trial's draws, and its outputs and signals.
+type trialRun struct {
+	seq  [][]eval.Value
+	outs [][]eval.Value
+	sigs []eval.Signal
+}
+
+// trialPlan returns the experiment's plan, building it on first use and
+// again whenever Prog, Lat, Control or Observer differs from what it was
+// built from. A failed build is not kept.
+func (e *Experiment) trialPlan() (*trialPlan, error) {
+	if p := e.plan; p != nil && p.prog == e.Prog && p.lat == e.Lat &&
+		p.control == e.Control && p.observer == e.Observer {
+		return p, nil
+	}
+	ctrl := e.findControl()
+	if ctrl == nil {
+		return nil, fmt.Errorf("ni: control %q not found", e.Control)
+	}
+	byName, err := e.paramTypes(ctrl)
+	if err != nil {
+		return nil, err
+	}
+	obs := e.Observer
+	if obs.IsZero() {
+		obs = e.Lat.Bottom()
+	}
+	n := len(ctrl.Params)
+	p := &trialPlan{prog: e.Prog, lat: e.Lat, control: e.Control, observer: e.Observer,
+		ctrl: ctrl, obs: obs, byName: byName,
+		pts: make([]types.SecType, n), diffs: make([]Comparator, n)}
+	for i, prm := range ctrl.Params {
+		p.pts[i] = byName[prm.Name]
+		p.diffs[i] = ObservableDiff(p.pts[i], obs, e.Lat)
+	}
+	e.plan = p
+	return p, nil
+}
+
+// inputs returns the plan's samplers, compiling them on first use: an
+// exhaustive sweep builds its inputs itself and never needs them.
+func (p *trialPlan) inputs() []sampler {
+	if p.samplers == nil {
+		p.samplers = make([]sampler, len(p.pts))
+		for i, pt := range p.pts {
+			p.samplers[i] = compileSampler(pt, p.obs, p.lat)
+		}
+	}
+	return p.samplers
+}
+
+// runs returns the two runs' buffers sized for packets packets, keeping
+// the previous round's input trees when the packet count is unchanged.
+func (p *trialPlan) runs(packets int) (*trialRun, *trialRun) {
+	if len(p.a.seq) != packets {
+		for _, r := range []*trialRun{&p.a, &p.b} {
+			r.seq = make([][]eval.Value, packets)
+			for k := range r.seq {
+				r.seq[k] = make([]eval.Value, len(p.pts))
+			}
+			r.outs = make([][]eval.Value, packets)
+			r.sigs = make([]eval.Signal, packets)
+		}
+	}
+	return &p.a, &p.b
+}
+
 // paramTypes resolves the control's parameter types against the real
 // lattice so labels are faithful. Trials address parameters by name and
 // by position alike, so a repeated name is an error (the base checker
@@ -422,8 +499,8 @@ func (e *Experiment) paramTypes(ctrl *ast.ControlDecl) (map[string]types.SecType
 	return out, nil
 }
 
-// sampler is a per-parameter trial plan with the type walk, field lookups,
-// and lattice queries resolved at experiment setup: draw builds a fresh
+// sampler is a per-parameter input plan with the type walk, field
+// lookups, and lattice queries resolved at experiment setup: draw builds a
 // random input (same rng consumption as eval.RandomFrom), and vary derives
 // run B's input from run A's, keeping every observable (χ ⊑ obs) scalar
 // leaf and redrawing every other one. Outputs are compared by a
@@ -434,96 +511,133 @@ func (e *Experiment) paramTypes(ctrl *ast.ControlDecl) (map[string]types.SecType
 // loop checks), but it may hold a value of another kind where the type
 // has a record, header or stack; vary copies such a value unchanged, with
 // no draws.
+//
+// Both write into dst, the value the same parameter held in the previous
+// trial: wherever dst has the shape the type calls for (a record or header
+// with the declared field count, a stack of the right length) they refill
+// its field and element slots and header validity in place, and they
+// allocate only where it does not. The draws are the same either way. So
+// a caller hands in a dst only once nothing else holds it: no run keeps
+// a container past its return (Machine.RunIndexed), and the trial loop
+// compares a trial's outputs before the next trial's draws. dst must not
+// share a container with vary's src.
 type sampler struct {
-	draw func(rng eval.Rng) eval.Value
-	vary func(v eval.Value, rng eval.Rng) eval.Value
+	draw func(dst eval.Value, rng eval.Rng) eval.Value
+	vary func(dst, src eval.Value, rng eval.Rng) eval.Value
 }
 
 func compileSampler(t types.SecType, obs lattice.Label, lat lattice.Lattice) sampler {
 	if types.IsScalar(t.T) {
 		tt := t.T
-		s := sampler{draw: func(rng eval.Rng) eval.Value { return eval.RandomFrom(tt, rng) }}
+		s := sampler{draw: func(_ eval.Value, rng eval.Rng) eval.Value { return eval.RandomFrom(tt, rng) }}
 		if lat.Leq(t.L, obs) {
-			s.vary = func(v eval.Value, _ eval.Rng) eval.Value { return v }
+			s.vary = func(_, src eval.Value, _ eval.Rng) eval.Value { return src }
 		} else {
-			s.vary = func(_ eval.Value, rng eval.Rng) eval.Value { return eval.RandomFrom(tt, rng) }
+			s.vary = func(_, _ eval.Value, rng eval.Rng) eval.Value { return eval.RandomFrom(tt, rng) }
 		}
 		return s
 	}
 	switch tt := t.T.(type) {
-	case *types.Record:
-		names, subs := fieldSamplers(tt.Fields, obs, lat)
+	case *types.Record, *types.Header:
+		_, header := tt.(*types.Header)
+		names, subs := fieldSamplers(types.Fields(tt), obs, lat)
 		return sampler{
-			draw: func(rng eval.Rng) eval.Value {
-				fs := make([]eval.NamedValue, len(subs))
+			draw: func(dst eval.Value, rng eval.Rng) eval.Value {
+				dst, fs := fieldsInto(dst, header, len(subs))
 				for i := range subs {
-					fs[i] = eval.NamedValue{Name: names[i], Val: subs[i].draw(rng)}
+					fs[i] = eval.NamedValue{Name: names[i], Val: subs[i].draw(fs[i].Val, rng)}
 				}
-				return &eval.RecordVal{Fields: fs}
+				if header {
+					dst.(*eval.HeaderVal).Valid = true
+				}
+				return dst
 			},
-			vary: func(v eval.Value, rng eval.Rng) eval.Value {
-				rv, ok := v.(*eval.RecordVal)
-				if !ok || len(rv.Fields) != len(subs) {
-					return eval.Copy(v)
+			vary: func(dst, src eval.Value, rng eval.Rng) eval.Value {
+				sf, ok := fieldsOf(src, header, len(subs))
+				if !ok {
+					return eval.Copy(src)
 				}
-				fs := make([]eval.NamedValue, len(subs))
+				dst, fs := fieldsInto(dst, header, len(subs))
 				for i := range subs {
-					fs[i] = eval.NamedValue{Name: names[i], Val: subs[i].vary(rv.Fields[i].Val, rng)}
+					fs[i] = eval.NamedValue{Name: names[i], Val: subs[i].vary(fs[i].Val, sf[i].Val, rng)}
 				}
-				return &eval.RecordVal{Fields: fs}
-			},
-		}
-	case *types.Header:
-		names, subs := fieldSamplers(tt.Fields, obs, lat)
-		return sampler{
-			draw: func(rng eval.Rng) eval.Value {
-				fs := make([]eval.NamedValue, len(subs))
-				for i := range subs {
-					fs[i] = eval.NamedValue{Name: names[i], Val: subs[i].draw(rng)}
+				if header {
+					dst.(*eval.HeaderVal).Valid = src.(*eval.HeaderVal).Valid
 				}
-				return &eval.HeaderVal{Valid: true, Fields: fs}
-			},
-			vary: func(v eval.Value, rng eval.Rng) eval.Value {
-				hv, ok := v.(*eval.HeaderVal)
-				if !ok || len(hv.Fields) != len(subs) {
-					return eval.Copy(v)
-				}
-				fs := make([]eval.NamedValue, len(subs))
-				for i := range subs {
-					fs[i] = eval.NamedValue{Name: names[i], Val: subs[i].vary(hv.Fields[i].Val, rng)}
-				}
-				return &eval.HeaderVal{Valid: hv.Valid, Fields: fs}
+				return dst
 			},
 		}
 	case *types.Stack:
 		el := compileSampler(tt.Elem, obs, lat)
 		size := tt.Size
 		return sampler{
-			draw: func(rng eval.Rng) eval.Value {
-				es := make([]eval.Value, size)
-				for i := range es {
-					es[i] = el.draw(rng)
+			draw: func(dst eval.Value, rng eval.Rng) eval.Value {
+				dv := stackInto(dst, size)
+				for i := range dv.Elems {
+					dv.Elems[i] = el.draw(dv.Elems[i], rng)
 				}
-				return &eval.StackVal{Elems: es}
+				return dv
 			},
-			vary: func(v eval.Value, rng eval.Rng) eval.Value {
-				sv, ok := v.(*eval.StackVal)
+			vary: func(dst, src eval.Value, rng eval.Rng) eval.Value {
+				sv, ok := src.(*eval.StackVal)
 				if !ok {
-					return eval.Copy(v)
+					return eval.Copy(src)
 				}
-				es := make([]eval.Value, len(sv.Elems))
-				for i := range es {
-					es[i] = el.vary(sv.Elems[i], rng)
+				dv := stackInto(dst, len(sv.Elems))
+				for i := range dv.Elems {
+					dv.Elems[i] = el.vary(dv.Elems[i], sv.Elems[i], rng)
 				}
-				return &eval.StackVal{Elems: es}
+				return dv
 			},
 		}
 	default:
 		return sampler{
-			draw: func(rng eval.Rng) eval.Value { return eval.RandomFrom(t.T, rng) },
-			vary: func(v eval.Value, _ eval.Rng) eval.Value { return v },
+			draw: func(_ eval.Value, rng eval.Rng) eval.Value { return eval.RandomFrom(t.T, rng) },
+			vary: func(_, src eval.Value, _ eval.Rng) eval.Value { return src },
 		}
 	}
+}
+
+// fieldsOf returns v's fields when v is a header (header set) or a record
+// (header unset) with n fields.
+func fieldsOf(v eval.Value, header bool, n int) ([]eval.NamedValue, bool) {
+	var fs []eval.NamedValue
+	if header {
+		hv, ok := v.(*eval.HeaderVal)
+		if !ok {
+			return nil, false
+		}
+		fs = hv.Fields
+	} else {
+		rv, ok := v.(*eval.RecordVal)
+		if !ok {
+			return nil, false
+		}
+		fs = rv.Fields
+	}
+	return fs, len(fs) == n
+}
+
+// fieldsInto returns dst and its fields when it is a header or record of n
+// fields as fieldsOf reads it, and otherwise a new one of them.
+func fieldsInto(dst eval.Value, header bool, n int) (eval.Value, []eval.NamedValue) {
+	if fs, ok := fieldsOf(dst, header, n); ok {
+		return dst, fs
+	}
+	fs := make([]eval.NamedValue, n)
+	if header {
+		return &eval.HeaderVal{Fields: fs}, fs
+	}
+	return &eval.RecordVal{Fields: fs}, fs
+}
+
+// stackInto returns dst when it is a stack of n elements, and otherwise a
+// new one.
+func stackInto(dst eval.Value, n int) *eval.StackVal {
+	if sv, ok := dst.(*eval.StackVal); ok && len(sv.Elems) == n {
+		return sv
+	}
+	return &eval.StackVal{Elems: make([]eval.Value, n)}
 }
 
 // fieldSamplers compiles one sampler per declared field, in declared

@@ -121,17 +121,27 @@ func (o Adaptive) Check(e *Experiment, seed int64) (Result, error) {
 
 // ControlParams resolves the experiment's control block and its
 // parameters' security types — the input surface an alternate oracle
-// enumerates over. Exported for internal/exhaust.
+// enumerates over. Both come from the experiment's trial plan, built on
+// first use; the map is the plan's, so callers must not modify it.
+// Exported for internal/exhaust.
 func (e *Experiment) ControlParams() (*ast.ControlDecl, map[string]types.SecType, error) {
-	ctrl := e.findControl()
-	if ctrl == nil {
-		return nil, nil, fmt.Errorf("ni: control %q not found", e.Control)
-	}
-	pts, err := e.paramTypes(ctrl)
+	p, err := e.trialPlan()
 	if err != nil {
 		return nil, nil, err
 	}
-	return ctrl, pts, nil
+	return p.ctrl, p.byName, nil
+}
+
+// Comparators returns the trial plan's observable-output comparators at
+// the experiment's observer, one per control parameter in declaration
+// order (the order Machine.RunIndexed takes arguments in). The slice is
+// the plan's; callers must not modify it. Exported for internal/exhaust.
+func (e *Experiment) Comparators() ([]Comparator, error) {
+	p, err := e.trialPlan()
+	if err != nil {
+		return nil, err
+	}
+	return p.diffs, nil
 }
 
 // Engine returns the experiment's compiled program, compiling lazily

@@ -14,8 +14,9 @@ import (
 // TestSamplersKeepFieldOrder: the trial loop hands draw's and vary's
 // values straight to RunIndexed, whose compiled field accesses read
 // records and headers by position. Both must therefore build exactly the
-// declared fields in declared order. Checked over the generator's
-// parameter types on three lattices, observing at bottom and top.
+// declared fields in declared order, fresh or refilled into the previous
+// draw's tree. Checked over the generator's parameter types on three
+// lattices, observing at bottom and top.
 func TestSamplersKeepFieldOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	draws := new(eval.BatchRand)
@@ -40,12 +41,13 @@ func TestSamplersKeepFieldOrder(t *testing.T) {
 				for _, param := range ctrl.Params {
 					st := pts[param.Name]
 					s := compileSampler(st, obs, lat)
+					var a, b eval.Value
 					for k := 0; k < 3; k++ {
-						a := s.draw(draws)
+						a = s.draw(a, draws)
 						if msg := eval.FieldOrderMismatch(a, st.T); msg != "" {
 							t.Fatalf("%s-%d: draw of %s: %s%s", spec, i, param.Name, param.Name, msg)
 						}
-						b := s.vary(a, draws)
+						b = s.vary(b, a, draws)
 						if msg := eval.FieldOrderMismatch(b, st.T); msg != "" {
 							t.Fatalf("%s-%d: vary of %s at %s: %s%s", spec, i, param.Name, obs, param.Name, msg)
 						}
@@ -58,14 +60,14 @@ func TestSamplersKeepFieldOrder(t *testing.T) {
 
 // TestVaryMatchesReference: vary derives run B's inputs exactly as the
 // generic walk randomizeAbove (now only the reference's) does — the same
-// value from the same draws — for drawn values and for every edit a
-// FixInputs hook can make that keeps the declared field order: a leaf
-// replaced, or a record turned into a header or back, which is a shape
-// vary copies unchanged.
+// value from the same draws, built fresh or refilled into a stale tree —
+// for drawn values and for every edit a FixInputs hook can make that keeps
+// the declared field order: a leaf replaced, or a record turned into a
+// header or back, which is a shape vary copies unchanged.
 func TestVaryMatchesReference(t *testing.T) {
 	draws := new(eval.BatchRand)
 	draws.Seed(43)
-	var r1, r2 eval.BatchRand
+	var r1, r2, r3 eval.BatchRand
 	edits := []struct {
 		name string
 		edit func(eval.Value) (eval.Value, bool)
@@ -75,16 +77,23 @@ func TestVaryMatchesReference(t *testing.T) {
 	for _, p := range diffParams(t) {
 		for _, obs := range p.lat.Elements() {
 			s := compileSampler(p.st, obs, p.lat)
-			a := s.draw(draws)
+			a := s.draw(nil, draws)
+			stale := s.draw(nil, draws)
 			check := func(what string, in eval.Value) {
 				t.Helper()
 				n++
 				r1.Seed(n)
 				r2.Seed(n)
-				got := s.vary(eval.Copy(in), &r1)
+				r3.Seed(n)
+				got := s.vary(nil, eval.Copy(in), &r1)
 				want := randomizeAbove(eval.Copy(in), p.st, obs, p.lat, &r2)
-				if !eval.ValueEqual(got, want) || r1.Uint64() != r2.Uint64() {
+				next := r1.Uint64()
+				if !eval.ValueEqual(got, want) || next != r2.Uint64() {
 					t.Fatalf("%s at %s, %s %s:\n  vary:      %s\n  reference: %s", p.where, obs, what, in, got, want)
+				}
+				stale = s.vary(stale, eval.Copy(in), &r3)
+				if !eval.ValueEqual(stale, want) || r3.Uint64() != next {
+					t.Fatalf("%s at %s, %s %s:\n  vary refilled: %s\n  reference:     %s", p.where, obs, what, in, stale, want)
 				}
 				checked[what]++
 			}
