@@ -9,15 +9,12 @@
 //	              [-timeout 0] [-lattice SPEC] [-corpus-dir DIR]
 //	              [-ni-oracle NAME] [-exhaust-budget N] [-exhaust-probes N]
 //	              [-minimize] [-mutate] [-triage] [-events] [-events-json]
-//	p4fuzz replay [-trials 4] [-trials-max 32] [-events] [-events-json]
-//	              [DIR]
+//	p4fuzz replay [-events] [-events-json] [DIR]
 //	p4fuzz triage [-json] [-novelty N] [-o FILE] [-events] [-events-json]
 //	              [DIR]
 //	p4fuzz triage -diff [-md] [-o FILE] OLD.json NEW.json
-//	p4fuzz retire [-promote-dir DIR] [-trials 4] [-trials-max 32]
-//	              [-events] [-events-json] [DIR]
-//	p4fuzz compact [-trials 4] [-trials-max 32] [-events] [-events-json]
-//	              DIR
+//	p4fuzz retire [-promote-dir DIR] [-events] [-events-json] [DIR]
+//	p4fuzz compact [-events] [-events-json] DIR
 //	p4fuzz index  [-o FILE] [DIR]
 //
 // A missing or unknown subcommand prints this usage and exits 2.
@@ -108,10 +105,13 @@
 // GitHub-flavored Markdown fragment, the form the nightly workflow
 // appends to its job summary. Exit 0, or 2 when a report is unreadable.
 //
-// -trials is the per-program NI budget; when -trials-max exceeds it, the
-// budget is adaptive — accepted programs get -trials, rejected programs
-// escalate toward -trials-max until a witness appears. The default is an
-// adaptive 4/32 split; -trials N alone escalates toward 8N.
+// run's -trials is the per-program NI budget; when -trials-max exceeds
+// it, the budget is adaptive — accepted programs get -trials, rejected
+// programs escalate toward -trials-max until a witness appears. The
+// default is an adaptive 4/32 split; -trials N alone escalates toward 8N.
+// Each finding records the budget, oracle and NI seed it was classified
+// under, and replay, retire and compact judge it under those — a finding
+// recorded without a budget under the default 4/32.
 //
 // Exit status 0 if the operation found no defects, 1 on any defect,
 // drift, malformed corpus entry, or aborted run, 2 on usage errors.
@@ -359,8 +359,6 @@ func runMain(args []string) int {
 
 func replayMain(args []string) int {
 	fs := flag.NewFlagSet("p4fuzz replay", flag.ExitOnError)
-	trials := fs.Int("trials", 0, "base NI trials for findings recorded without a budget (0 = 4)")
-	trialsMax := fs.Int("trials-max", 0, "adaptive NI ceiling for findings recorded without a budget (0 = 8x -trials, negative = flat)")
 	liveEvents := fs.Bool("events", false, "stream structured progress events to stderr while running")
 	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line (the report moves to stderr)")
 	fs.Parse(args)
@@ -371,7 +369,6 @@ func replayMain(args []string) int {
 	mode := pickEventMode(*liveEvents, *jsonEvents)
 	s, err := repro.NewSession(
 		repro.WithCorpus(dir),
-		repro.WithNIBudget(*trials, *trialsMax),
 		repro.WithLog(os.Stderr),
 	)
 	if err != nil {
@@ -395,8 +392,6 @@ func replayMain(args []string) int {
 func retireMain(args []string) int {
 	fs := flag.NewFlagSet("p4fuzz retire", flag.ExitOnError)
 	promoteDir := fs.String("promote-dir", "", "retired-corpus directory (default <corpus>/../retired-corpus)")
-	trials := fs.Int("trials", 0, "base NI trials for findings recorded without a budget (0 = 4)")
-	trialsMax := fs.Int("trials-max", 0, "adaptive NI ceiling for findings recorded without a budget (0 = 8x -trials, negative = flat)")
 	liveEvents := fs.Bool("events", false, "stream structured progress events to stderr while running")
 	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line (the report moves to stderr)")
 	fs.Parse(args)
@@ -415,7 +410,6 @@ func retireMain(args []string) int {
 	s, err := repro.NewSession(
 		repro.WithCorpus(dir),
 		repro.WithPromoteDir(*promoteDir),
-		repro.WithNIBudget(*trials, *trialsMax),
 		repro.WithLog(os.Stderr),
 	)
 	if err != nil {
@@ -438,8 +432,6 @@ func retireMain(args []string) int {
 
 func compactMain(args []string) int {
 	fs := flag.NewFlagSet("p4fuzz compact", flag.ExitOnError)
-	trials := fs.Int("trials", 0, "base NI trials for findings recorded without a budget (0 = 4)")
-	trialsMax := fs.Int("trials-max", 0, "adaptive NI ceiling for findings recorded without a budget (0 = 8x -trials, negative = flat)")
 	liveEvents := fs.Bool("events", false, "stream structured progress events to stderr while running")
 	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line (the report moves to stderr)")
 	fs.Parse(args)
@@ -456,7 +448,6 @@ func compactMain(args []string) int {
 	mode := pickEventMode(*liveEvents, *jsonEvents)
 	s, err := repro.NewSession(
 		repro.WithCorpus(dir),
-		repro.WithNIBudget(*trials, *trialsMax),
 		repro.WithLog(os.Stderr),
 	)
 	if err != nil {

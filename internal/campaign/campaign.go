@@ -6,13 +6,14 @@
 //   - generates jobs lazily and feeds them through pipeline.RunStream, so
 //     memory is bounded by the worker pool, not the campaign length;
 //   - deduplicates interesting programs (soundness findings, precision
-//     findings, parser roundtrip disagreements) and, given a corpus
-//     directory, persists them with verdict metadata, so findings survive
-//     the process and accumulate across runs — without one it keeps them
-//     in memory;
+//     findings, parser roundtrip disagreements) and, given an open corpus,
+//     persists them with verdict metadata, so findings survive the
+//     process and accumulate across runs — without one it keeps them in
+//     memory;
 //   - optionally minimizes each finding with internal/shrink before
 //     persisting, so corpus entries are the smallest programs that still
-//     reproduce their verdict class — and families of equivalent findings
+//     reproduce their verdict class under the judge Replay and Compact
+//     use too — and families of equivalent findings
 //     collapse onto one entry; after the stream drains, the run's workers
 //     shrink findings concurrently while the calling goroutine commits
 //     them in global-index order, so the corpus and report do not depend
@@ -218,14 +219,9 @@ type Config struct {
 	// Workers bounds the pipeline worker pool and, once the stream has
 	// drained, how many findings minimize at once (<= 0 = GOMAXPROCS).
 	Workers int
-	// CorpusDir is the persistent corpus directory ("" = keep findings in
-	// memory only).
-	CorpusDir string
-	// Corpus is an already-open handle over CorpusDir; when set, the run
-	// reads and writes through it (sharing its caches and dedup map)
-	// instead of opening the directory again. Session threads one handle
-	// through every operation this way. CorpusDir defaults to the handle's
-	// directory; the novelty file lives relative to it.
+	// Corpus is the open corpus the run reads seeds from and persists
+	// findings to, beside which the novelty file lives (nil = keep
+	// findings in memory only).
 	Corpus *corpus.Corpus
 	// Log receives one line per persisted finding (nil = discard).
 	Log io.Writer
@@ -422,9 +418,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if win.Lo < 0 || win.Hi <= win.Lo {
 		return nil, fmt.Errorf("campaign: window [%d, %d) is empty or inverted", win.Lo, win.Hi)
 	}
-	if cfg.Corpus != nil && cfg.CorpusDir == "" {
-		cfg.CorpusDir = cfg.Corpus.Dir() // the novelty file lives beside findings/
-	}
 	if cfg.MutateFrac < 0 || cfg.MutateFrac > 1 {
 		return nil, fmt.Errorf("campaign: MutateFrac %v out of [0, 1] (0 = the default 0.5)", cfg.MutateFrac)
 	}
@@ -432,6 +425,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	e := &engine{
 		ctx:      ctx,
 		cfg:      cfg,
+		corp:     cfg.Corpus,
 		seen:     map[string]bool{},
 		log:      cfg.Log,
 		sink:     cfg.Events,
@@ -471,13 +465,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	e.corp = cfg.Corpus
-	if e.corp == nil && cfg.CorpusDir != "" {
-		if e.corp, err = corpus.OpenSink(cfg.CorpusDir, cfg.Events); err != nil {
-			return nil, fmt.Errorf("campaign: %w", err)
-		}
-	}
 	if cfg.Mutate {
 		if e.pool, err = loadSeedPool(e.corp, e.lat); err != nil {
 			return nil, fmt.Errorf("campaign: seed pool: %w", err)
@@ -489,7 +476,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Workers:    workers,
 		Seed:       cfg.Seed,
 		Gen:        cfg.Gen,
-		CorpusDir:  cfg.CorpusDir,
+		CorpusDir:  e.corp.Dir(),
 	}
 	if e.pool != nil {
 		e.rep.SeedPoolSize = e.pool.size()
@@ -550,7 +537,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		// Novelty deltas persist even on abort, like the findings above: an
 		// interrupted run's mutant outcomes are real coverage evidence. A
 		// save failure costs feedback quality, not findings — log and go on.
-		if err := saveNoveltyDeltas(cfg.CorpusDir, e.novelty); err != nil {
+		if err := saveNoveltyDeltas(e.corp.Dir(), e.novelty); err != nil {
 			fmt.Fprintf(e.log, "campaign: %v (novelty feedback lost for this run)\n", err)
 		}
 		// Likewise the corpus index: a failed save costs the next Open a
@@ -795,7 +782,7 @@ func (e *engine) finalize(ps []pendingFinding, workers int) {
 // Spec.Minimize is set. It reads only the run's fixed configuration, so
 // any number of calls may run at once. Cancellation must not sit in a
 // delta-debug loop: once the context is done no shrink starts and those
-// in flight stop (see keepClass), so the finding keeps the source it has.
+// in flight stop (see judge.keep), so the finding keeps the source it has.
 func (e *engine) minimize(p pendingFinding) Finding {
 	f := Finding{
 		Class:         p.class,
@@ -811,7 +798,11 @@ func (e *engine) minimize(p pendingFinding) Finding {
 		OriginalBytes: len(p.source),
 	}
 	if e.cfg.Minimize && e.ctx.Err() == nil {
-		if res, err := shrink.Minimize(p.name, f.Source, e.keepClass(p.class, p.verdict, p.idx)); err == nil {
+		// The finding's own judge: the class must hold under the same
+		// oracle and NI randomness as the original job, and shrink
+		// replays are real pipeline work, so they count in the registry.
+		j := judge{lat: e.lat, budget: e.cfg.Budget, niSeed: e.cfg.Seed + p.idx, met: e.met, class: p.class}
+		if res, err := shrink.Minimize(p.name, f.Source, j.keep(e.ctx)); err == nil {
 			f.Minimized = len(res.Source) < len(f.Source)
 			f.Source = res.Source
 		}
@@ -896,39 +887,6 @@ func minimizedTag(f Finding) string {
 		return ""
 	}
 	return fmt.Sprintf(", minimized from %d", f.OriginalBytes)
-}
-
-// keepClass is the shrinker predicate: the candidate must land in the same
-// corpus class as the original finding. Once the run's context is done it
-// rejects every candidate, so a cancel stops the shrinks in flight.
-func (e *engine) keepClass(class Class, v difftest.Verdict, idx int64) shrink.Keep {
-	if class == ClassParserDisagreement {
-		return func(cand string) bool {
-			if e.ctx.Err() != nil {
-				return false // as pipeline.Run below fails on a done context
-			}
-			prog, err := parser.Parse("cand.p4", cand)
-			if err != nil {
-				return false
-			}
-			_, bad := roundtripDisagreement("cand.p4", cand, prog)
-			return bad
-		}
-	}
-	return func(cand string) bool {
-		sum, err := pipeline.Run(e.ctx, []pipeline.Job{{Name: "cand.p4", Source: cand, Lat: e.lat}}, pipeline.Options{
-			Workers: 1,
-			NI:      pipeline.NIAll,
-			Budget:  e.cfg.Budget,     // class must be judged under the same oracle
-			NISeed:  e.cfg.Seed + idx, // same NI randomness as the original job
-			Metrics: e.met,            // shrink replays are real pipeline work
-		})
-		if err != nil || len(sum.Results) != 1 {
-			return false
-		}
-		got, _ := difftest.Classify(&sum.Results[0])
-		return got == v
-	}
 }
 
 // roundtripDisagreement checks that parse → print → reparse is a fixed

@@ -54,13 +54,9 @@ func readKeys(t *testing.T, dir string) map[string]corpus.Meta {
 // difftest verdict, for validating that persisted findings reproduce.
 func classifySource(t *testing.T, src string, niSeed int64, trials, max int) difftest.Verdict {
 	t.Helper()
-	sum, err := pipeline.Run(context.Background(),
-		[]pipeline.Job{{Name: "replay.p4", Source: src, Lat: lattice.TwoPoint()}},
-		pipeline.Options{Workers: 1, NI: pipeline.NIAll, Budget: pipeline.Budget{Trials: trials, TrialsMax: max}, NISeed: niSeed})
-	if err != nil || len(sum.Results) != 1 {
-		t.Fatalf("replay failed: %v", err)
-	}
-	v, _ := difftest.Classify(&sum.Results[0])
+	r := pipeline.Analyze(pipeline.Job{Name: "replay.p4", Source: src, Lat: lattice.TwoPoint()},
+		pipeline.Options{NI: pipeline.NIAll, Budget: pipeline.Budget{Trials: trials, TrialsMax: max}, NISeed: niSeed})
+	v, _ := difftest.Classify(&r)
 	return v
 }
 
@@ -71,10 +67,10 @@ func classifySource(t *testing.T, src string, niSeed int64, trials, max int) dif
 func TestCampaignTwoRunDemo(t *testing.T) {
 	dir := t.TempDir()
 	base := Config{
-		Window:    Window{Lo: 0, Hi: 60},
-		Spec:      Spec{Seed: 42, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 8}, Minimize: true},
-		Workers:   2,
-		CorpusDir: dir,
+		Window:  Window{Lo: 0, Hi: 60},
+		Spec:    Spec{Seed: 42, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 8}, Minimize: true},
+		Workers: 2,
+		Corpus:  openCorpus(t, dir),
 	}
 
 	// Run 1: fresh corpus.
@@ -172,7 +168,7 @@ func TestCampaignWindowUnion(t *testing.T) {
 	whole := t.TempDir()
 	wcfg := base
 	wcfg.Window = Window{Lo: 0, Hi: n}
-	wcfg.CorpusDir = whole
+	wcfg.Corpus = openCorpus(t, whole)
 	repWhole, err := Run(context.Background(), wcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +181,7 @@ func TestCampaignWindowUnion(t *testing.T) {
 	for _, w := range []Window{{0, 30}, {30, 35}, {35, 90}} {
 		cfg := base
 		cfg.Window = w
-		cfg.CorpusDir = dir
+		cfg.Corpus = openCorpus(t, dir)
 		rep, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("window [%d, %d): %v", w.Lo, w.Hi, err)
@@ -259,9 +255,9 @@ func TestCampaignCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	rep, err := Run(ctx, Config{
-		Window:    Window{Lo: 0, Hi: 5000},
-		Spec:      Spec{Seed: 3, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2}},
-		CorpusDir: dir,
+		Window: Window{Lo: 0, Hi: 5000},
+		Spec:   Spec{Seed: 3, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2}},
+		Corpus: openCorpus(t, dir),
 	})
 	if err == nil || !rep.Aborted {
 		t.Fatalf("cancelled campaign returned err=%v aborted=%v", err, rep.Aborted)
@@ -352,11 +348,11 @@ func TestCampaignDeterministicFindings(t *testing.T) {
 		var log strings.Builder
 		var o outcome
 		rep, err := Run(context.Background(), Config{
-			Window:    Window{Lo: 0, Hi: 200},
-			Spec:      Spec{Seed: 17, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 64}, Minimize: true, MaxPerClass: 15},
-			Workers:   workers,
-			CorpusDir: dir,
-			Log:       &log,
+			Window:  Window{Lo: 0, Hi: 200},
+			Spec:    Spec{Seed: 17, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 64}, Minimize: true, MaxPerClass: 15},
+			Workers: workers,
+			Corpus:  openCorpus(t, dir),
+			Log:     &log,
 			// No lock: events come from the calling goroutine only, which
 			// -race checks.
 			Events: func(ev events.Event) {
@@ -496,4 +492,14 @@ func TestCampaignFinalizeCancellation(t *testing.T) {
 			t.Errorf("a goroutine in %s outlived Run:\n%s", frame, stacks)
 		}
 	}
+}
+
+// openCorpus opens the corpus under dir.
+func openCorpus(t testing.TB, dir string) *corpus.Corpus {
+	t.Helper()
+	c, err := corpus.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -16,9 +16,11 @@
 //     drift is Retire's business, and minimizing against a drifted
 //     predicate would record the wrong program.
 //
-// The keep predicate replays candidates with the entry's recorded NI
-// seed and trial budget, so a compacted corpus replays clean by the same
-// argument the original persistence did.
+// The keep predicate is the campaign's shrink predicate: it judges
+// candidates with the entry's recorded NI seed and trial budget, so a
+// compacted corpus replays clean by the same argument the original
+// persistence did, and compacting a corpus a minimizing campaign just
+// wrote changes nothing.
 package campaign
 
 import (
@@ -37,15 +39,9 @@ import (
 
 // CompactConfig configures a corpus compaction.
 type CompactConfig struct {
-	// CorpusDir is the corpus to compact.
-	CorpusDir string
-	// Corpus is an already-open handle over CorpusDir; when set, the pass
-	// runs through it instead of opening the directory again.
+	// Corpus is the open corpus to compact (required). Each entry is
+	// judged under its recorded NI budget, like Replay.
 	Corpus *corpus.Corpus
-	// NITrials and NITrialsMax are the replay budget for entries whose
-	// metadata predates budget recording (see ReplayConfig).
-	NITrials    int
-	NITrialsMax int
 	// Log receives one line per rewritten or collapsed entry (nil =
 	// discard).
 	Log io.Writer
@@ -94,7 +90,11 @@ func Compact(ctx context.Context, cfg CompactConfig) (*CompactReport, error) {
 	if log == nil {
 		log = io.Discard
 	}
-	rep := &CompactReport{CorpusDir: cfg.CorpusDir}
+	if cfg.Corpus == nil {
+		return nil, fmt.Errorf("campaign: compact needs an open corpus")
+	}
+	corp := cfg.Corpus
+	rep := &CompactReport{CorpusDir: corp.Dir()}
 	start := time.Now()
 	defer func() { rep.Elapsed = time.Since(start) }()
 	// Pre-register the collapse series so a no-op pass still leaves them
@@ -114,18 +114,6 @@ func Compact(ctx context.Context, cfg CompactConfig) (*CompactReport, error) {
 		met.Counter(metrics.CompactBytesSaved).Add(int64(rep.BytesSaved))
 		met.Counter(metrics.CompactSkipped).Add(int64(rep.Skipped))
 	}()
-
-	corp := cfg.Corpus
-	if corp == nil {
-		dir := cfg.CorpusDir
-		if dir == "" {
-			dir = "."
-		}
-		var err error
-		if corp, err = corpus.OpenSink(dir, cfg.Events); err != nil {
-			return rep, fmt.Errorf("campaign: compact: %w", err)
-		}
-	}
 
 	// Snapshot the entry list first: collapse and rewrite both mutate the
 	// handle's index, which must not happen under its own iterator.
@@ -149,10 +137,14 @@ func Compact(ctx context.Context, cfg CompactConfig) (*CompactReport, error) {
 			continue
 		}
 		rep.Total++
-		got, _, err := replayOne(ctx, m, src, cfg.NITrials, cfg.NITrialsMax)
+		j, err := judgeOf(m)
 		if err != nil {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", e.Path, err))
 			continue
+		}
+		got, _, err := j.classify(ctx, src)
+		if err != nil {
+			return rep, err
 		}
 		cfg.Events.Emit(events.Event{
 			Kind: events.KindJobDone, Op: "compact",
@@ -162,15 +154,11 @@ func Compact(ctx context.Context, cfg CompactConfig) (*CompactReport, error) {
 			rep.Skipped++
 			continue
 		}
-		// Minimize under the entry's own recorded replay budget: a
-		// candidate is kept iff it replays to the recorded class, so the
-		// compacted entry replays clean by construction.
-		keep := func(cand string) bool {
-			g, _, err := replayOne(ctx, m, cand, cfg.NITrials, cfg.NITrialsMax)
-			return err == nil && g == string(m.Class)
-		}
+		// Minimize under the entry's own judge: a candidate is kept iff it
+		// replays to the recorded class, so the compacted entry replays
+		// clean by construction.
 		name := strings.TrimSuffix(e.Name, ".json") + ".p4"
-		res, err := shrink.Minimize(name, src, keep)
+		res, err := shrink.Minimize(name, src, j.keep(ctx))
 		if err != nil || len(res.Source) >= len(src) {
 			continue // already minimal (or unshrinkable) — leave as is
 		}

@@ -25,10 +25,10 @@ func TestExhaustiveCampaignSplitsAndReplays(t *testing.T) {
 	g := smallGen()
 	g.NumFields = 1
 	rep, err := Run(context.Background(), Config{
-		Window:    Window{Lo: 0, Hi: 120},
-		Spec:      Spec{Seed: 42, Gen: g, Budget: pipeline.Budget{Trials: 2, TrialsMax: 8, Oracle: "exhaustive"}},
-		Workers:   2,
-		CorpusDir: dir,
+		Window:  Window{Lo: 0, Hi: 120},
+		Spec:    Spec{Seed: 42, Gen: g, Budget: pipeline.Budget{Trials: 2, TrialsMax: 8, Oracle: "exhaustive"}},
+		Workers: 2,
+		Corpus:  openCorpus(t, dir),
 	})
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
@@ -63,7 +63,7 @@ func TestExhaustiveCampaignSplitsAndReplays(t *testing.T) {
 		t.Fatalf("%d proved-imprecise findings in %v — generated publics exceed the budget, so no sweep can be total", byClass[ClassProvedImprecise], byClass)
 	}
 
-	rr, err := Replay(context.Background(), ReplayConfig{CorpusDir: dir})
+	rr, err := Replay(context.Background(), ReplayConfig{Corpus: openCorpus(t, dir)})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/corpus"
@@ -36,16 +35,11 @@ func TestRegressionCorpusExhaustiveVerdicts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: lattice: %v", e.Path, err)
 		}
-		sum, err := pipeline.Run(context.Background(), []pipeline.Job{{Name: e.Name, Source: src, Lat: lat}}, pipeline.Options{
-			Workers: 1,
-			NI:      pipeline.NIAll,
-			Budget:  pipeline.Budget{Trials: e.Meta.NITrials, TrialsMax: e.Meta.NITrialsMax, Oracle: pipeline.OracleExhaustive},
-			NISeed:  e.Meta.NISeed,
+		r := pipeline.Analyze(pipeline.Job{Name: e.Name, Source: src, Lat: lat}, pipeline.Options{
+			NI:     pipeline.NIAll,
+			Budget: pipeline.Budget{Trials: e.Meta.NITrials, TrialsMax: e.Meta.NITrialsMax, Oracle: pipeline.OracleExhaustive},
+			NISeed: e.Meta.NISeed,
 		})
-		if err != nil {
-			t.Fatalf("%s: pipeline: %v", e.Path, err)
-		}
-		r := &sum.Results[0]
 		if r.NIOracle != "exhaustive" {
 			t.Fatalf("%s: ran oracle %q, want exhaustive", e.Path, r.NIOracle)
 		}
@@ -59,7 +53,7 @@ func TestRegressionCorpusExhaustiveVerdicts(t *testing.T) {
 		default:
 			t.Errorf("%s: outcome %v from the exhaustive oracle", e.Path, r.NIOutcome)
 		}
-		v, _ := difftest.Classify(r)
+		v, _ := difftest.Classify(&r)
 		split[v]++
 	}
 	if split[difftest.ProvedImprecise]+split[difftest.SecretExhausted] == 0 {

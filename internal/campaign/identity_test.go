@@ -48,7 +48,7 @@ func TestCampaignIdentityGolden(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Window: Window{Lo: 0, Hi: tc.n}, Spec: tc.spec, Workers: 2}
 			if tc.corpus {
-				cfg.CorpusDir = copyCorpus(t, "../../testdata/regression-corpus")
+				cfg.Corpus = openCorpus(t, copyCorpus(t, "../../testdata/regression-corpus"))
 			}
 			jobs := make([]string, tc.n)
 			cfg.onResult = func(r *pipeline.JobResult) {

@@ -130,7 +130,7 @@ func TestMixedLatticeCampaignNoUnknownLabels(t *testing.T) {
 			Mutate:     true,
 			MutateFrac: 1.0,
 		},
-		CorpusDir: dir,
+		Corpus: openCorpus(t, dir),
 	})
 	if err != nil {
 		t.Fatal(err)

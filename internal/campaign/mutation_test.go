@@ -91,10 +91,10 @@ func checkMutationWindowUnion(t *testing.T, seedDir string) {
 		copyFindings(t, seedDir, dir)
 		copyNoveltyState(t, seedDir, dir)
 		rep, err := Run(context.Background(), Config{
-			Window:    w,
-			Spec:      Spec{Seed: 7, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
-			Workers:   2,
-			CorpusDir: dir,
+			Window:  w,
+			Spec:    Spec{Seed: 7, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
+			Workers: 2,
+			Corpus:  openCorpus(t, dir),
 		})
 		if err != nil {
 			t.Fatalf("window [%d, %d): %v", w.Lo, w.Hi, err)
@@ -153,9 +153,9 @@ func checkMutationWindowUnion(t *testing.T, seedDir string) {
 func TestCampaignMutationShardUnion(t *testing.T) {
 	seedDir := t.TempDir()
 	seedCorpus(t, seedDir, Config{
-		Window:    Window{Lo: 0, Hi: 80},
-		Spec:      Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Minimize: true},
-		CorpusDir: seedDir,
+		Window: Window{Lo: 0, Hi: 80},
+		Spec:   Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Minimize: true},
+		Corpus: openCorpus(t, seedDir),
 	})
 	checkMutationWindowUnion(t, seedDir)
 }
@@ -169,15 +169,15 @@ func TestCampaignMutationShardUnion(t *testing.T) {
 func TestCampaignMutationShardUnionWithNovelty(t *testing.T) {
 	seedDir := t.TempDir()
 	seedCorpus(t, seedDir, Config{
-		Window:    Window{Lo: 0, Hi: 80},
-		Spec:      Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Minimize: true},
-		CorpusDir: seedDir,
+		Window: Window{Lo: 0, Hi: 80},
+		Spec:   Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Minimize: true},
+		Corpus: openCorpus(t, seedDir),
 	})
 	// A mutation run over the seeded corpus leaves novelty records behind.
 	prior, err := Run(context.Background(), Config{
-		Window:    Window{Lo: 0, Hi: 100},
-		Spec:      Spec{Seed: 23, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
-		CorpusDir: seedDir,
+		Window: Window{Lo: 0, Hi: 100},
+		Spec:   Spec{Seed: 23, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
+		Corpus: openCorpus(t, seedDir),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -201,18 +201,18 @@ func TestCampaignChainMutationReachesNewClasses(t *testing.T) {
 	dir := t.TempDir()
 	// Seed pool: a plain two-point campaign, as PR-2 nightlies left behind.
 	seedCorpus(t, dir, Config{
-		Window:    Window{Lo: 0, Hi: 80},
-		Spec:      Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Minimize: true},
-		CorpusDir: dir,
+		Window: Window{Lo: 0, Hi: 80},
+		Spec:   Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Minimize: true},
+		Corpus: openCorpus(t, dir),
 	})
 
 	chainGen := smallGen()
 	chainGen.Lattice = "chain:4"
 	rep, err := Run(context.Background(), Config{
-		Window:    Window{Lo: 0, Hi: 200},
-		Spec:      Spec{Seed: 5, Gen: chainGen, Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
-		Workers:   2,
-		CorpusDir: dir,
+		Window:  Window{Lo: 0, Hi: 200},
+		Spec:    Spec{Seed: 5, Gen: chainGen, Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
+		Workers: 2,
+		Corpus:  openCorpus(t, dir),
 	})
 	if err != nil {
 		t.Fatalf("chain-4 mutation campaign: %v", err)
@@ -245,7 +245,7 @@ func TestCampaignChainMutationReachesNewClasses(t *testing.T) {
 
 	// The new findings replay like any others: the corpus stays a valid
 	// regression suite across lattices.
-	rr, err := Replay(context.Background(), ReplayConfig{CorpusDir: dir})
+	rr, err := Replay(context.Background(), ReplayConfig{Corpus: openCorpus(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,9 +265,9 @@ func TestCampaignChainMutationReachesNewClasses(t *testing.T) {
 func TestCampaignChainNoveltyCoversStaticPriorClasses(t *testing.T) {
 	seedDir := t.TempDir()
 	seedCorpus(t, seedDir, Config{
-		Window:    Window{Lo: 0, Hi: 80},
-		Spec:      Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Minimize: true},
-		CorpusDir: seedDir,
+		Window: Window{Lo: 0, Hi: 80},
+		Spec:   Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Minimize: true},
+		Corpus: openCorpus(t, seedDir),
 	})
 	// Generate novelty records with a two-point mutation run, then reset
 	// the findings to the original snapshot so both campaigns below start
@@ -275,9 +275,9 @@ func TestCampaignChainNoveltyCoversStaticPriorClasses(t *testing.T) {
 	noveltyDir := t.TempDir()
 	copyFindings(t, seedDir, noveltyDir)
 	if _, err := Run(context.Background(), Config{
-		Window:    Window{Lo: 0, Hi: 100},
-		Spec:      Spec{Seed: 23, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
-		CorpusDir: noveltyDir,
+		Window: Window{Lo: 0, Hi: 100},
+		Spec:   Spec{Seed: 23, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
+		Corpus: openCorpus(t, noveltyDir),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -286,10 +286,10 @@ func TestCampaignChainNoveltyCoversStaticPriorClasses(t *testing.T) {
 	chainGen.Lattice = "chain:4"
 	campaignOver := func(dir string) map[Class]bool {
 		rep, err := Run(context.Background(), Config{
-			Window:    Window{Lo: 0, Hi: 200},
-			Spec:      Spec{Seed: 5, Gen: chainGen, Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
-			Workers:   2,
-			CorpusDir: dir,
+			Window:  Window{Lo: 0, Hi: 200},
+			Spec:    Spec{Seed: 5, Gen: chainGen, Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
+			Workers: 2,
+			Corpus:  openCorpus(t, dir),
 		})
 		if err != nil {
 			t.Fatal(err)

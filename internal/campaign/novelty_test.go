@@ -197,14 +197,14 @@ func TestSeedPoolNoveltyDistribution(t *testing.T) {
 func TestCampaignRecordsNovelty(t *testing.T) {
 	dir := t.TempDir()
 	seedCorpus(t, dir, Config{
-		Window:    Window{Lo: 0, Hi: 80},
-		Spec:      Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Minimize: true},
-		CorpusDir: dir,
+		Window: Window{Lo: 0, Hi: 80},
+		Spec:   Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Minimize: true},
+		Corpus: openCorpus(t, dir),
 	})
 	rep, err := Run(context.Background(), Config{
-		Window:    Window{Lo: 0, Hi: 120},
-		Spec:      Spec{Seed: 7, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
-		CorpusDir: dir,
+		Window: Window{Lo: 0, Hi: 120},
+		Spec:   Spec{Seed: 7, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}, Mutate: true, MaxPerClass: -1},
+		Corpus: openCorpus(t, dir),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,9 +250,9 @@ func TestCampaignRecordsNovelty(t *testing.T) {
 func TestCampaignMetaRecordsRule(t *testing.T) {
 	dir := t.TempDir()
 	rep, err := Run(context.Background(), Config{
-		Window:    Window{Lo: 0, Hi: 80},
-		Spec:      Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}},
-		CorpusDir: dir,
+		Window: Window{Lo: 0, Hi: 80},
+		Spec:   Spec{Seed: 11, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}},
+		Corpus: openCorpus(t, dir),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,27 +19,21 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/difftest"
 	"repro/internal/events"
+	"repro/internal/lattice"
+	"repro/internal/metrics"
 	"repro/internal/parser"
 	"repro/internal/pipeline"
+	"repro/internal/shrink"
 )
 
 // ReplayConfig configures a corpus replay.
 type ReplayConfig struct {
-	// CorpusDir is the corpus to replay. A missing or empty findings
-	// directory replays zero findings and passes — the first nightly run
-	// has nothing to regress against.
-	CorpusDir string
-	// Corpus is an already-open handle over CorpusDir; when set, the
-	// replay reads through it (sharing its source and parse caches)
-	// instead of opening the directory again. Session threads one handle
-	// through every operation this way.
+	// Corpus is the open corpus to replay (required). An empty corpus
+	// replays zero findings and passes — the first nightly run has
+	// nothing to regress against. Each finding replays under the NI
+	// budget its metadata records; one recorded without a budget replays
+	// under pipeline.Budget's defaults.
 	Corpus *corpus.Corpus
-	// NITrials and NITrialsMax are the NI budget for findings whose
-	// metadata predates budget recording (pipeline.Budget's Trials and
-	// TrialsMax, with its defaults). Findings recorded with their budget
-	// replay under it.
-	NITrials    int
-	NITrialsMax int
 	// Log receives one line per drifted finding (nil = discard).
 	Log io.Writer
 	// Events receives the replay's structured event stream (job-done per
@@ -80,31 +74,23 @@ type ReplayReport struct {
 // OK reports a clean replay: every finding reproduced its recorded class.
 func (r *ReplayReport) OK() bool { return len(r.Drifts) == 0 && len(r.Errors) == 0 }
 
-// Replay re-checks every persisted finding under dir against the current
-// checker stack. The returned error is a context or corpus-I/O failure;
-// drift is reported in the ReplayReport, not as an error.
+// Replay re-checks every persisted finding in the corpus against the
+// current checker stack. The returned error is a context failure or a
+// missing corpus; drift is reported in the ReplayReport, not as an error.
 func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
+	if cfg.Corpus == nil {
+		return nil, fmt.Errorf("campaign: replay needs an open corpus")
+	}
 	log := cfg.Log
 	if log == nil {
 		log = io.Discard
 	}
-	rep := &ReplayReport{ByClass: map[Class]int{}, CorpusDir: cfg.CorpusDir}
+	rep := &ReplayReport{ByClass: map[Class]int{}, CorpusDir: cfg.Corpus.Dir()}
 	start := time.Now()
 	defer func() { rep.Elapsed = time.Since(start) }()
 
-	c := cfg.Corpus
-	if c == nil {
-		dir := cfg.CorpusDir
-		if dir == "" {
-			dir = "."
-		}
-		var err error
-		if c, err = corpus.OpenSink(dir, cfg.Events); err != nil {
-			return rep, fmt.Errorf("campaign: replay: %w", err)
-		}
-	}
 	var seq int64
-	for e, err := range c.Entries() {
+	for e, err := range cfg.Corpus.Entries() {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return rep, ctxErr
 		}
@@ -119,10 +105,14 @@ func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", e.Path, err))
 			continue
 		}
-		got, detail, err := replayOne(ctx, e.Meta, src, cfg.NITrials, cfg.NITrialsMax)
+		j, err := judgeOf(e.Meta)
 		if err != nil {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", e.Path, err))
 			continue
+		}
+		got, detail, err := j.classify(ctx, src)
+		if err != nil {
+			return rep, err
 		}
 		cfg.Events.Emit(events.Event{
 			Kind: events.KindJobDone, Op: "replay",
@@ -147,73 +137,105 @@ func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
 	return rep, nil
 }
 
-// replayOne re-classifies one finding under its recorded budget; trials
-// and max stand in for trial counts its metadata does not record. The
-// returned string is the corpus class the current stack assigns, or a
-// description when the result has no corpus class ("sound",
-// "rejected-witnessed", "roundtrip-clean", ...).
-func replayOne(ctx context.Context, m corpus.Meta, src string, trials, max int) (string, string, error) {
-	// A persisted program the frontend no longer parses drifts to
-	// "unparseable" uniformly, whatever its recorded class. Verdict
-	// classes used to skip this check and fall into the pipeline, where
-	// the parse failure resurfaced as a generator-bug verdict — so an
-	// unparseable rejected-clean entry drifted to the wrong class and was
-	// then double-reported by retire's fingerprint pass. Generator-bug
-	// entries are exempt: an unparseable program can be exactly the
-	// recorded defect, and the pipeline reproduces it as such.
-	if m.Class != ClassGeneratorBug {
+// judge re-judges sources on behalf of one stored or candidate finding:
+// its lattice, NI budget and NI seed, and its recorded class. The
+// campaign's shrink, Replay, Compact (both its drift check and its
+// shrink) and, through Replay, triage's Retire all judge through it, so
+// a finding kept under a class replays to that class.
+type judge struct {
+	lat    lattice.Lattice
+	budget pipeline.Budget
+	niSeed int64
+	// met, when non-nil, receives the pipeline's series for every
+	// analysis (a campaign's shrink replays are real pipeline work).
+	met *metrics.Registry
+	// class is the recorded class. It picks the roundtrip check for
+	// parser-disagreement and roundtrip-clean findings.
+	class Class
+}
+
+// judgeOf is the judge for a stored finding: the lattice, budget and
+// seed its metadata records. A finding recorded without a trial budget
+// is judged under pipeline.Budget's defaults; one recorded without an
+// oracle, under the default oracle.
+func judgeOf(m corpus.Meta) (judge, error) {
+	lat, err := m.Gen.ResolveLattice()
+	if err != nil {
+		return judge{}, err
+	}
+	return judge{
+		lat: lat,
+		budget: pipeline.Budget{Trials: m.NITrials, TrialsMax: m.NITrialsMax,
+			Oracle: m.NIOracle, ExhaustBudget: m.ExhaustBudget, ExhaustProbes: m.ExhaustProbes},
+		niSeed: m.NISeed,
+		class:  m.Class,
+	}, nil
+}
+
+// classify returns the class the current stack gives src — a corpus class,
+// or "sound", "rejected-witnessed", "roundtrip-clean" or "unparseable" —
+// and the detail that explains it. Once ctx is done it analyses nothing
+// and returns ctx.Err().
+//
+// A source the frontend no longer parses judges "unparseable", whatever
+// the recorded class, so a drifted verdict entry is never relabelled a
+// generator bug (which retire's fingerprint pass would then report
+// twice). Generator-bug findings are exempt: an unparseable program can
+// be exactly the recorded defect, and Classify reproduces it as such.
+func (j judge) classify(ctx context.Context, src string) (string, string, error) {
+	if err := ctx.Err(); err != nil {
+		return "", "", err
+	}
+	if j.class == ClassParserDisagreement || j.class == ClassRoundtripClean {
 		prog, err := parser.Parse("replay.p4", src)
 		if err != nil {
 			return "unparseable", err.Error(), nil
 		}
-		if m.Class == ClassParserDisagreement || m.Class == ClassRoundtripClean {
-			if detail, bad := roundtripDisagreement("replay.p4", src, prog); bad {
-				return string(ClassParserDisagreement), detail, nil
-			}
-			return string(ClassRoundtripClean), "parse → print → reparse is now a fixed point", nil
+		if detail, bad := roundtripDisagreement("replay.p4", src, prog); bad {
+			return string(ClassParserDisagreement), detail, nil
 		}
+		return string(ClassRoundtripClean), "parse → print → reparse is now a fixed point", nil
 	}
-
-	lat, err := m.Gen.ResolveLattice()
-	if err != nil {
-		return "", "", err
-	}
-	// Replay under the oracle the finding was classified with: the
-	// proved-imprecise/secret-exhaustive/under-tested classes only
-	// reproduce under the exhaustive oracle at the recorded budget.
-	// Entries predating the oracle split record "" and replay under the
-	// default, unchanged.
-	b := pipeline.Budget{Trials: trials, TrialsMax: max,
-		Oracle: m.NIOracle, ExhaustBudget: m.ExhaustBudget, ExhaustProbes: m.ExhaustProbes}
-	if m.NITrials > 0 {
-		b.Trials = m.NITrials
-	}
-	if m.NITrialsMax > 0 {
-		b.TrialsMax = m.NITrialsMax
-	}
-	sum, err := pipeline.Run(ctx, []pipeline.Job{{Name: "replay.p4", Source: src, Lat: lat}}, pipeline.Options{
-		Workers: 1,
+	r := pipeline.Analyze(pipeline.Job{Name: "replay.p4", Source: src, Lat: j.lat}, pipeline.Options{
 		NI:      pipeline.NIAll,
-		Budget:  b,
-		NISeed:  m.NISeed,
+		Budget:  j.budget,
+		NISeed:  j.niSeed,
+		Metrics: j.met,
 	})
-	if err != nil {
-		return "", "", err
+	if r.ParseErr != nil && j.class != ClassGeneratorBug {
+		return "unparseable", r.ParseErr.Error(), nil
 	}
-	if len(sum.Results) != 1 {
-		return "", "", fmt.Errorf("replay produced %d results", len(sum.Results))
-	}
-	v, detail := difftest.Classify(&sum.Results[0])
+	v, detail := difftest.Classify(&r)
 	if class, ok := classOf(v); ok {
 		return string(class), detail, nil
 	}
-	switch v {
-	case difftest.Sound:
+	// The two verdicts no campaign persists.
+	if v == difftest.Sound {
 		return string(ClassSound), "IFC-accepted and NI-clean", nil
-	case difftest.RejectedWitnessed:
-		return string(ClassRejectedWitnessed), detail, nil
 	}
-	return v.String(), detail, nil
+	return string(ClassRejectedWitnessed), detail, nil
+}
+
+// keep is the shrink predicate over j: a candidate stays iff it judges
+// to the recorded class. Once ctx is done it keeps nothing, so a cancel
+// stops the shrinks in flight.
+//
+// Each candidate is judged on a goroutine of its own, which keep waits
+// for. A shrink judges hundreds of candidates back to back, and a
+// campaign shrinks on every CPU at once; judged inline, that work never
+// gives the scheduler a gap in which to run the GC's background mark
+// worker, so marking is left to allocation assists and the heap
+// overshoots its goal (in GC traces of the perfbench campaign workloads,
+// with peak RSS about 9% higher).
+func (j judge) keep(ctx context.Context) shrink.Keep {
+	return func(cand string) bool {
+		kept := make(chan bool, 1)
+		go func() {
+			got, _, err := j.classify(ctx, cand)
+			kept <- err == nil && got == string(j.class)
+		}()
+		return <-kept
+	}
 }
 
 // FormatReplayReport renders a replay outcome.

@@ -30,10 +30,10 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 func TestReplayReproducesAndFlagsDrift(t *testing.T) {
 	dir := t.TempDir()
 	rep, err := Run(context.Background(), Config{
-		Window:    Window{Lo: 0, Hi: 80},
-		Spec:      Spec{Seed: 42, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 8}, Minimize: true},
-		Workers:   2,
-		CorpusDir: dir,
+		Window:  Window{Lo: 0, Hi: 80},
+		Spec:    Spec{Seed: 42, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 8}, Minimize: true},
+		Workers: 2,
+		Corpus:  openCorpus(t, dir),
 	})
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
@@ -45,7 +45,7 @@ func TestReplayReproducesAndFlagsDrift(t *testing.T) {
 	// Clean replay: every persisted class reproduces. The finding's
 	// recorded NI budget rides along in its metadata, so the replay
 	// defaults here are irrelevant.
-	rr, err := Replay(context.Background(), ReplayConfig{CorpusDir: dir})
+	rr, err := Replay(context.Background(), ReplayConfig{Corpus: openCorpus(t, dir)})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestReplayReproducesAndFlagsDrift(t *testing.T) {
 	if err := os.WriteFile(victim, []byte(soundSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rr2, err := Replay(context.Background(), ReplayConfig{CorpusDir: dir})
+	rr2, err := Replay(context.Background(), ReplayConfig{Corpus: openCorpus(t, dir)})
 	if err != nil {
 		t.Fatalf("replay after tamper: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestReplayReproducesAndFlagsDrift(t *testing.T) {
 // run.
 func TestReplayEmptyAndMissingCorpus(t *testing.T) {
 	for _, dir := range []string{t.TempDir(), filepath.Join(t.TempDir(), "never-created")} {
-		rr, err := Replay(context.Background(), ReplayConfig{CorpusDir: dir})
+		rr, err := Replay(context.Background(), ReplayConfig{Corpus: openCorpus(t, dir)})
 		if err != nil {
 			t.Fatalf("replay of %s: %v", dir, err)
 		}
@@ -125,7 +125,7 @@ func TestReplayFlagsUnreplayablePairs(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(findings, "rejected-clean-deadbeef.json"), []byte(meta), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rr, err := Replay(context.Background(), ReplayConfig{CorpusDir: dir})
+	rr, err := Replay(context.Background(), ReplayConfig{Corpus: openCorpus(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestReplayCheckedInRegressionSeeds(t *testing.T) {
 	if _, err := os.Stat(dir); err != nil {
 		t.Skipf("no checked-in regression corpus: %v", err)
 	}
-	rr, err := Replay(context.Background(), ReplayConfig{CorpusDir: dir})
+	rr, err := Replay(context.Background(), ReplayConfig{Corpus: openCorpus(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}

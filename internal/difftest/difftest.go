@@ -6,9 +6,12 @@
 //   - the baseline checker (internal/basecheck) — label-insensitive Core P4;
 //   - the NI harness (internal/ni) — empirical non-interference testing.
 //
-// The campaign engine (internal/campaign), its corpus replay, and the
-// Session's batch-check events all classify through it, so a verdict
-// means the same thing everywhere.
+// The campaign engine (internal/campaign) classifies its stream through
+// it, and so does the campaign's judge, the one re-judge of a stored or
+// candidate finding behind the campaign's shrink, corpus replay,
+// compaction and (through replay) retirement; the Session's batch-check
+// events classify through it too. A verdict means the same thing
+// everywhere.
 //
 // Each analyzed program lands in exactly one verdict class:
 //

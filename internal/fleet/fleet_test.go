@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/corpus"
 	"repro/internal/events"
 	"repro/internal/gen"
 	"repro/internal/pipeline"
@@ -179,7 +180,10 @@ func TestFleetChurn(t *testing.T) {
 	// Single-run baseline.
 	whole := t.TempDir()
 	wcfg := base
-	wcfg.CorpusDir = whole
+	var err error
+	if wcfg.Corpus, err = corpus.Open(whole); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := campaign.Run(context.Background(), wcfg); err != nil {
 		t.Fatal(err)
 	}

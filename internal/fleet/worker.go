@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/corpus"
 	"repro/internal/events"
 	"repro/internal/metrics"
 )
@@ -169,6 +170,11 @@ func runWindow(ctx context.Context, corpusDir, staging, id string, man *Manifest
 	opts.Events.Emit(events.Event{
 		Kind: events.KindLease, Op: "fleet", Worker: id, Lo: w.Lo, Hi: w.Hi,
 	})
+	sink := workerStamped(opts.Events, id)
+	staged, err := corpus.OpenSink(staging, sink)
+	if err != nil {
+		return err
+	}
 	hbStop := make(chan struct{})
 	hbDone := make(chan struct{})
 	go func() {
@@ -187,13 +193,13 @@ func runWindow(ctx context.Context, corpusDir, staging, id string, man *Manifest
 		}
 	}()
 	crep, err := campaign.Run(ctx, campaign.Config{
-		Window:    w,
-		Spec:      man.Spec,
-		Workers:   opts.Workers,
-		CorpusDir: staging,
-		Log:       opts.Log,
-		Events:    workerStamped(opts.Events, id),
-		Metrics:   opts.Metrics,
+		Window:  w,
+		Spec:    man.Spec,
+		Workers: opts.Workers,
+		Corpus:  staged,
+		Log:     opts.Log,
+		Events:  sink,
+		Metrics: opts.Metrics,
 	})
 	close(hbStop)
 	<-hbDone

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/controlplane"
 	"repro/internal/ni"
 	"repro/internal/parser"
@@ -77,11 +78,15 @@ func TestTrialAllocs(t *testing.T) {
 // (resolving the parameter types, compiling a sampler and a comparator
 // per parameter) costs more. Checked on every control of every case
 // study, buggy and fixed, with no control plane (a campaign's setting)
-// and with the case study's own.
+// and with the case study's own. With no control plane, nothing can
+// change between rounds, so a program that declares tables must cost no
+// more than one that declares none.
 func TestRoundSetupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
+	// The nil-CP setups, split by whether the program declares tables.
+	var tableFree, tableDeclaring = math.Inf(-1), map[string]float64{}
 	for _, p := range progs.All() {
 		for _, v := range []progs.Variant{progs.Buggy, progs.Fixed} {
 			prog := parser.MustParse(p.FileName(v), p.Source(v))
@@ -107,8 +112,35 @@ func TestRoundSetupAllocs(t *testing.T) {
 					if setup > draws {
 						t.Errorf("%s: a warm round's setup allocates %v, one trial's fresh draws %v", key, setup, draws)
 					}
+					switch {
+					case cp != nil:
+					case declaresTables(prog):
+						tableDeclaring[key] = setup
+					default:
+						tableFree = max(tableFree, setup)
+					}
 				}
 			}
 		}
 	}
+	if len(tableDeclaring) == 0 || math.IsInf(tableFree, -1) {
+		t.Fatalf("need case studies with and without tables, got %d and %v", len(tableDeclaring), tableFree)
+	}
+	for key, setup := range tableDeclaring {
+		if setup > tableFree {
+			t.Errorf("%s: a warm round's setup allocates %v, a table-free program's at most %v", key, setup, tableFree)
+		}
+	}
+}
+
+// declaresTables reports whether any control of prog declares a table.
+func declaresTables(prog *ast.Program) bool {
+	for _, c := range prog.Controls {
+		for _, d := range c.Locals {
+			if _, ok := d.(*ast.TableDecl); ok {
+				return true
+			}
+		}
+	}
+	return false
 }

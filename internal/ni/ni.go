@@ -100,6 +100,7 @@ type Experiment struct {
 	triedCompile bool
 	machA, machB *eval.Machine
 	machCode     *eval.Compiled
+	machCloned   bool // the machines run on a clone of CP
 	rng          *eval.BatchRand
 	plan         *trialPlan
 }
@@ -122,22 +123,25 @@ func (e *Experiment) engine() *eval.Compiled {
 }
 
 // machines returns the experiment's two reusable machines (run A and
-// run B), rebound to a fresh clone of the experiment's control plane.
-// Both runs of a trial must see the same entries (Definition C.8), so one
-// clone is shared: machine runs only read the control plane.
+// run B). Both runs of a trial must see the same entries (Definition
+// C.8), so the pair shares one control plane: machine runs only read it.
+// With a nil CP that is one empty control plane, its tables declared when
+// the pair is built (or when CP was last cleared), which nothing can
+// change. A non-nil CP is cloned afresh every round, since callers may
+// edit it between runs.
 func (e *Experiment) machines(code *eval.Compiled) (*eval.Machine, *eval.Machine) {
-	if e.machCode != code {
-		e.machA = eval.NewMachine(code, nil)
-		e.machB = eval.NewMachine(code, nil)
-		e.machCode = code
+	if e.machCode != code || (e.CP == nil && e.machCloned) {
+		empty := controlplane.New()
+		e.machA = eval.NewMachine(code, empty)
+		e.machB = eval.NewMachine(code, empty)
+		e.machCode, e.machCloned = code, false
 	}
-	cp := e.CP
-	if cp == nil {
-		cp = controlplane.New()
+	if e.CP != nil {
+		cl := e.CP.Clone()
+		e.machA.SetControlPlane(cl)
+		e.machB.SetControlPlane(cl)
+		e.machCloned = true
 	}
-	cl := cp.Clone()
-	e.machA.SetControlPlane(cl)
-	e.machB.SetControlPlane(cl)
 	return e.machA, e.machB
 }
 

@@ -1,6 +1,7 @@
 package ni_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -409,6 +410,32 @@ control C(inout <bit<4>, low> x, inout <bit<4>, high> x) {
 		vs, ran, err := e.RunN(4, 1)
 		if err == nil || !strings.Contains(err.Error(), `"x"`) || ran != 0 || len(vs) != 0 {
 			t.Fatalf("interp=%v: %d trials, %d violations, error %v; want no trials and an error naming x", interp, ran, len(vs), err)
+		}
+	}
+}
+
+// TestClearedControlPlaneMatchesFresh: an experiment whose control plane
+// is cleared after a round runs the next round exactly as a fresh
+// experiment with none would — same witnesses, and the same count of
+// applies that met an empty table — not on the control plane it held.
+func TestClearedControlPlaneMatchesFresh(t *testing.T) {
+	for _, p := range progs.All() {
+		prog := parser.MustParse(p.FileName(progs.Buggy), p.Source(progs.Buggy))
+		cleared := &ni.Experiment{Prog: prog, Lat: p.Lattice(), CP: caseStudyCP(t, p.Name)}
+		if _, err := cleared.Run(8, 3); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		cleared.CP = nil
+		fresh := &ni.Experiment{Prog: prog, Lat: p.Lattice()}
+		got, gotErr := cleared.Run(8, 5)
+		want, wantErr := fresh.Run(8, 5)
+		if fmt.Sprint(got, gotErr) != fmt.Sprint(want, wantErr) {
+			t.Errorf("%s: cleared control plane gives %v %v, fresh %v %v", p.Name, got, gotErr, want, wantErr)
+		}
+		gotM, _ := cleared.Machines(cleared.Engine())
+		wantM, _ := fresh.Machines(fresh.Engine())
+		if g, w := gotM.EmptyTableApplies(), wantM.EmptyTableApplies(); g != w {
+			t.Errorf("%s: cleared control plane met %d empty tables, fresh %d", p.Name, g, w)
 		}
 	}
 }

@@ -12,11 +12,12 @@
 //     through the same stages, and internal/difftest classifies each
 //     result by cross-checking the oracles' verdicts.
 //
-// Jobs are independent, so the pool is a plain fan-out: a channel of job
-// indices feeds N workers, each writing its own slot of the results slice.
-// Cancellation is cooperative per job boundary — workers drain nothing
-// after ctx is done, and Run reports ctx.Err() while still returning the
-// results completed so far.
+// Jobs are independent, so the pool is a plain fan-out: a channel of jobs
+// feeds N workers (RunStream), and Run collects their results into job
+// order. Cancellation is cooperative per job boundary — workers take no
+// job after ctx is done, and Run reports ctx.Err() while still returning
+// the results completed so far. Analyze is one job on the caller's
+// goroutine.
 package pipeline
 
 import (
@@ -344,60 +345,40 @@ type Summary struct {
 	NITrialsRun int64
 }
 
-// Run analyzes all jobs with a bounded worker pool. It returns the partial
-// summary and ctx.Err() if the context is cancelled mid-batch; otherwise
-// every job has a result.
+// Run analyzes all jobs with a bounded worker pool: it collects
+// RunStream's results into job order. It returns the partial summary
+// and ctx.Err() if the context is cancelled mid-batch; otherwise every
+// job has a result.
 func Run(ctx context.Context, jobs []Job, opts Options) (*Summary, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) && len(jobs) > 0 {
-		workers = len(jobs)
+	if opts.Workers > len(jobs) && len(jobs) > 0 {
+		opts.Workers = len(jobs)
 	}
-	opts.Budget = opts.Budget.Resolved()
 
 	start := time.Now()
-	ins := newInstruments(opts)
+	in := make(chan Job, len(jobs)) // one slot per job: filled before the pool starts
+	for i, job := range jobs {
+		job.Seq = int64(i)
+		in <- job
+	}
+	close(in)
 	results := make([]JobResult, len(jobs))
 	done := make([]bool, len(jobs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				job := jobs[i]
-				job.Seq = int64(i)
-				results[i] = runJob(job, opts, ins)
-				done[i] = true
-			}
-		}()
+	for r := range RunStream(ctx, in, opts) {
+		results[r.Job.Seq] = r
+		done[r.Job.Seq] = true
 	}
 
+	sum := &Summary{Workers: opts.Workers, Elapsed: time.Since(start)}
 	var ctxErr error
-feed:
-	for i := range jobs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			ctxErr = ctx.Err()
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-
-	sum := &Summary{Workers: workers, Elapsed: time.Since(start)}
-	if ctxErr != nil {
-		// Keep only the prefix-closed set of completed results so callers
-		// see a dense, ordered slice.
-		for i := range results {
-			if !done[i] {
-				results = results[:i]
-				break
-			}
+	for i := range results {
+		if !done[i] {
+			// Only a cancel drops a job; keep the prefix-closed set of
+			// completed results so callers see a dense, ordered slice.
+			results, ctxErr = results[:i], ctx.Err()
+			break
 		}
 	}
 	sum.Results = results
@@ -474,6 +455,15 @@ func RunStream(ctx context.Context, jobs <-chan Job, opts Options) <-chan JobRes
 		close(out)
 	}()
 	return out
+}
+
+// Analyze runs one job through the stage sequence on the calling
+// goroutine: the path every pool worker takes, with opts.Budget's
+// defaults applied and opts.Metrics fed. Its NI experiment is seeded with
+// opts.NISeed + job.Seq.
+func Analyze(job Job, opts Options) JobResult {
+	opts.Budget = opts.Budget.Resolved()
+	return runJob(job, opts, newInstruments(opts))
 }
 
 // runJob pushes one job through the stage sequence under a resolved

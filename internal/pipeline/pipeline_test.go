@@ -63,6 +63,27 @@ func TestRunMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestAnalyzeMatchesRun: one job analysed alone on the caller's goroutine
+// gets exactly the result the pool gives it — same verdicts, same NI
+// trials and witnesses under the default budget, seeded by Seq.
+func TestAnalyzeMatchesRun(t *testing.T) {
+	jobs := corpus(30)
+	opts := pipeline.Options{Workers: 2, NI: pipeline.NIAll, NISeed: 3}
+	sum, err := pipeline.Run(context.Background(), jobs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, job := range jobs {
+		job.Seq = int64(i)
+		got, want := pipeline.Analyze(job, opts), sum.Results[i]
+		if got.IFCOK() != want.IFCOK() || got.NITrialsRun != want.NITrialsRun ||
+			fmt.Sprint(got.NIViolations, got.NIErr) != fmt.Sprint(want.NIViolations, want.NIErr) {
+			t.Errorf("job %d: Analyze gives ifc=%v trials=%d %v, Run ifc=%v trials=%d %v", i,
+				got.IFCOK(), got.NITrialsRun, got.NIViolations, want.IFCOK(), want.NITrialsRun, want.NIViolations)
+		}
+	}
+}
+
 // TestRunCaseStudies pushes every embedded case-study variant through the
 // pipeline and checks the expected verdicts survive the batch path.
 func TestRunCaseStudies(t *testing.T) {

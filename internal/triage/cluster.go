@@ -95,13 +95,9 @@ func (r *Report) OK() bool { return len(r.Errors) == 0 }
 
 // Config configures a triage run.
 type Config struct {
-	// CorpusDir is the corpus to triage. A missing or empty findings
-	// directory triages zero findings (empty report, OK).
-	CorpusDir string
-	// Corpus is an already-open handle over CorpusDir; when set, triage
-	// reads through it (sharing its parse and fingerprint caches) instead
-	// of opening the directory again. Session threads one handle through
-	// every operation this way.
+	// Corpus is the open corpus to triage (required); triage reads
+	// through it, sharing its parse and fingerprint caches. An empty
+	// corpus triages zero findings (empty report, OK).
 	Corpus *corpus.Corpus
 	// MaxNovelty caps the novelty ranking's length (0 = default 10,
 	// negative = unlimited).
@@ -111,28 +107,20 @@ type Config struct {
 	Events events.Sink
 }
 
-// Triage reads every finding under cfg.CorpusDir and builds the cluster
-// report. The returned error is a directory-level I/O failure; per-entry
-// problems are collected in Report.Errors.
+// Triage reads every finding in cfg.Corpus and builds the cluster
+// report. The returned error is a missing corpus or an unreadable
+// novelty file; per-entry problems are collected in Report.Errors.
 func Triage(cfg Config) (*Report, error) {
+	if cfg.Corpus == nil {
+		return nil, fmt.Errorf("triage: needs an open corpus")
+	}
 	rep := &Report{
-		CorpusDir: cfg.CorpusDir,
+		CorpusDir: cfg.Corpus.Dir(),
 		ByClass:   map[campaign.Class]int{},
 	}
 	clusters := map[string]*Cluster{}
 	classByKey := map[string]campaign.Class{}
-	corp := cfg.Corpus
-	if corp == nil {
-		dir := cfg.CorpusDir
-		if dir == "" {
-			dir = "."
-		}
-		var err error
-		if corp, err = corpus.OpenSink(dir, cfg.Events); err != nil {
-			return rep, fmt.Errorf("triage: %w", err)
-		}
-	}
-	for e, err := range corp.Entries() {
+	for e, err := range cfg.Corpus.Entries() {
 		if err != nil {
 			rep.Errors = append(rep.Errors, err.Error())
 			continue
@@ -217,7 +205,7 @@ func Triage(cfg Config) (*Report, error) {
 // findings' classes (gathered by Triage's corpus pass) and ranks seeds
 // by productivity.
 func rankNovelty(rep *Report, cfg Config, classByKey map[string]campaign.Class) error {
-	stats, err := campaign.LoadNovelty(cfg.CorpusDir)
+	stats, err := campaign.LoadNovelty(cfg.Corpus.Dir())
 	if err != nil {
 		return fmt.Errorf("triage: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/corpus"
 	"repro/internal/metrics"
 )
 
@@ -74,7 +75,11 @@ func TestDiffReports(t *testing.T) {
 // decodes back (UnmarshalReport) into a report that diffs cleanly against
 // itself — the path the nightly workflow takes across runs.
 func TestDiffRoundTripsThroughJSON(t *testing.T) {
-	rep, err := Triage(Config{CorpusDir: "../../testdata/regression-corpus"})
+	c, err := corpus.Open("../../testdata/regression-corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Triage(Config{Corpus: c})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -39,24 +38,14 @@ import (
 
 // RetireConfig configures a retire pass.
 type RetireConfig struct {
-	// CorpusDir is the live corpus to clean.
-	CorpusDir string
-	// Corpus is an already-open handle over CorpusDir; when set, the
-	// whole pass — the embedded replay, the promote-and-remove loop, and
-	// the final survivor triage — runs through it instead of re-opening
-	// the directory (historically Retire opened it three times). Session
-	// threads one handle through every operation this way.
+	// Corpus is the open live corpus to clean (required). The whole
+	// pass — the embedded replay, the promote-and-remove loop, and the
+	// final survivor triage — runs through it.
 	Corpus *corpus.Corpus
 	// PromoteDir is the retired corpus drifted entries are promoted into
-	// before removal ("" = <CorpusDir>/../retired-corpus when CorpusDir
-	// has a parent, else "retired-corpus"). Its layout is a corpus —
-	// replay it like any other.
+	// before removal ("" = retired-corpus beside the live corpus's
+	// directory). It is a corpus — replay it like any other.
 	PromoteDir string
-	// NITrials and NITrialsMax are the replay NI budget for findings
-	// whose metadata predates budget recording (see
-	// campaign.ReplayConfig).
-	NITrials    int
-	NITrialsMax int
 	// Log receives one line per retired entry (nil = discard).
 	Log io.Writer
 	// Events receives one retired event per promoted-and-removed entry
@@ -110,37 +99,26 @@ func (r *RetireReport) OK() bool { return len(r.Errors) == 0 }
 // the live corpus. The returned error is a context or directory-level
 // failure; per-entry problems land in RetireReport.Errors.
 func Retire(ctx context.Context, cfg RetireConfig) (*RetireReport, error) {
-	promoteDir := cfg.PromoteDir
-	if promoteDir == "" {
-		promoteDir = filepath.Join(filepath.Dir(filepath.Clean(cfg.CorpusDir)), "retired-corpus")
-	}
-	log := cfg.Log
-	if log == nil {
-		log = io.Discard
-	}
-	rep := &RetireReport{CorpusDir: cfg.CorpusDir, PromoteDir: promoteDir}
-
 	// One handle for the whole pass: the replay below, the
 	// promote-and-remove loop, and the final survivor triage all share
 	// its caches and see its removals.
 	corp := cfg.Corpus
 	if corp == nil {
-		dir := cfg.CorpusDir
-		if dir == "" {
-			dir = "."
-		}
-		var err error
-		if corp, err = corpus.OpenSink(dir, retireSink(cfg.Events)); err != nil {
-			return rep, fmt.Errorf("triage: retire: %w", err)
-		}
+		return nil, fmt.Errorf("triage: retire needs an open corpus")
 	}
+	promoteDir := cfg.PromoteDir
+	if promoteDir == "" {
+		promoteDir = filepath.Join(filepath.Dir(filepath.Clean(corp.Dir())), "retired-corpus")
+	}
+	log := cfg.Log
+	if log == nil {
+		log = io.Discard
+	}
+	rep := &RetireReport{CorpusDir: corp.Dir(), PromoteDir: promoteDir}
 
 	rr, err := campaign.Replay(ctx, campaign.ReplayConfig{
-		CorpusDir:   cfg.CorpusDir,
-		Corpus:      corp,
-		NITrials:    cfg.NITrials,
-		NITrialsMax: cfg.NITrialsMax,
-		Events:      retireSink(cfg.Events),
+		Corpus: corp,
+		Events: retireSink(cfg.Events),
 	})
 	if err != nil {
 		return rep, fmt.Errorf("triage: retire: %w", err)
@@ -197,10 +175,29 @@ func Retire(ctx context.Context, cfg RetireConfig) (*RetireReport, error) {
 		}
 		cands = append(cands, candidate{e: e, d: d, fp: fp, src: src})
 	}
+	var retired *corpus.Corpus
+	if len(cands) > 0 {
+		if retired, err = corpus.Open(promoteDir); err != nil {
+			return rep, fmt.Errorf("triage: retire: %w", err)
+		}
+	}
 	for _, c := range cands {
 		e, d, m := c.e, c.d, c.e.Meta
-		promoted, err := promote(promoteDir, m, c.src, campaign.Class(d.Got), d.Detail)
-		if err != nil {
+		// Re-record the finding under its new class, keeping its
+		// provenance. An entry already promoted (same new key) is left as
+		// is — two drifted duplicates collapse.
+		nm := m
+		nm.RetiredFrom, nm.RetiredAt = m.Class, time.Now()
+		nm.Class, nm.Detail = campaign.Class(d.Got), d.Detail
+		nm.Key = corpus.DedupKey(nm.Class, c.src)
+		var promoted string
+		if retired.Has(nm.Key) {
+			for r := range retired.Select(corpus.Filter{Class: nm.Class}) {
+				if r.Meta.Key == nm.Key {
+					promoted = r.Path
+				}
+			}
+		} else if promoted, err = retired.Put(nm, c.src); err != nil {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: promote: %v", e.Path, err))
 			continue
 		}
@@ -226,15 +223,17 @@ func Retire(ctx context.Context, cfg RetireConfig) (*RetireReport, error) {
 		})
 		fmt.Fprintf(log, "retired: %s (%s -> %s) promoted to %s\n", e.Path, m.Class, d.Got, promoted)
 	}
-	if err := corp.SaveIndex(); err != nil {
-		fmt.Fprintf(log, "retire: %v (index rebuilt on next open)\n", err)
+	for _, c := range []*corpus.Corpus{corp, retired} {
+		if err := c.SaveIndex(); err != nil {
+			fmt.Fprintf(log, "retire: %v (index rebuilt on next open)\n", err)
+		}
 	}
 
 	// Cluster the surviving corpus once and annotate each retired entry
 	// with how much of its defect class remains live — through the same
 	// handle, which has already dropped the removed entries.
 	if len(rep.Retired) > 0 {
-		after, err := Triage(Config{CorpusDir: cfg.CorpusDir, Corpus: corp})
+		after, err := Triage(Config{Corpus: corp})
 		if err != nil {
 			return rep, err
 		}
@@ -261,37 +260,6 @@ func retireSink(s events.Sink) events.Sink {
 		e.Op = "retire"
 		s(e)
 	}
-}
-
-// promote writes one drifted finding into the retired corpus under its
-// new class, preserving provenance. An entry already present (same new
-// key) is left as is — two drifted duplicates collapse.
-func promote(dir string, m corpus.Meta, src string, to campaign.Class, detail string) (string, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "findings"), 0o755); err != nil {
-		return "", err
-	}
-	m.RetiredFrom = m.Class
-	m.RetiredAt = time.Now()
-	m.Class = to
-	m.Detail = detail
-	m.Key = corpus.DedupKey(to, src)
-	stem := fmt.Sprintf("%s-%s", m.Class, m.Key[:12])
-	progPath := filepath.Join(dir, "findings", stem+".p4")
-	metaPath := filepath.Join(dir, "findings", stem+".json")
-	if _, err := os.Stat(metaPath); err == nil {
-		return progPath, nil
-	}
-	// Program first, metadata last: metadata presence is the
-	// already-promoted check above, so it must imply a complete pair — a
-	// crash between the two writes then leaves a harmless orphan .p4 that
-	// the next retire pass overwrites, not a wedged corpus.
-	if err := os.WriteFile(progPath, []byte(src), 0o644); err != nil {
-		return "", err
-	}
-	if err := corpus.WriteMeta(metaPath, m); err != nil {
-		return "", err
-	}
-	return progPath, nil
 }
 
 // FormatRetireReport renders a retire pass's outcome.

@@ -42,10 +42,10 @@ func TestRetirePromotesFixedFindings(t *testing.T) {
 	dir := t.TempDir()
 	promote := filepath.Join(t.TempDir(), "retired")
 	rep, err := campaign.Run(context.Background(), campaign.Config{
-		Window:    campaign.Window{Lo: 0, Hi: 80},
-		Spec:      campaign.Spec{Seed: 42, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 8}, Minimize: true},
-		Workers:   2,
-		CorpusDir: dir,
+		Window:  campaign.Window{Lo: 0, Hi: 80},
+		Spec:    campaign.Spec{Seed: 42, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 8}, Minimize: true},
+		Workers: 2,
+		Corpus:  openCorpus(t, dir),
 	})
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
@@ -55,7 +55,7 @@ func TestRetirePromotesFixedFindings(t *testing.T) {
 	}
 
 	// Nothing drifted yet: retire must be a no-op.
-	rr, err := triage.Retire(context.Background(), triage.RetireConfig{CorpusDir: dir, PromoteDir: promote})
+	rr, err := triage.Retire(context.Background(), triage.RetireConfig{Corpus: openCorpus(t, dir), PromoteDir: promote})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRetirePromotesFixedFindings(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rr2, err := triage.Retire(context.Background(), triage.RetireConfig{CorpusDir: dir, PromoteDir: promote})
+	rr2, err := triage.Retire(context.Background(), triage.RetireConfig{Corpus: openCorpus(t, dir), PromoteDir: promote})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRetirePromotesFixedFindings(t *testing.T) {
 
 	// Both corpora replay clean: the retired entry guards the fix.
 	for _, d := range []string{dir, promote} {
-		rep, err := campaign.Replay(context.Background(), campaign.ReplayConfig{CorpusDir: d})
+		rep, err := campaign.Replay(context.Background(), campaign.ReplayConfig{Corpus: openCorpus(t, d)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestRetirePromotesFixedFindings(t *testing.T) {
 
 	// Triage still works over the cleaned corpus, and the retire report's
 	// survivor annotation agrees with the post-retire cluster table.
-	after, err := triage.Triage(triage.Config{CorpusDir: dir})
+	after, err := triage.Triage(triage.Config{Corpus: openCorpus(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 		NITrials: 1, NITrialsMax: 2, NISeed: 6,
 	}, twinB)
 	// The fixture must replay clean before tampering with it.
-	rr0, err := campaign.Replay(context.Background(), campaign.ReplayConfig{CorpusDir: dir})
+	rr0, err := campaign.Replay(context.Background(), campaign.ReplayConfig{Corpus: openCorpus(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 		t.Fatal(err)
 	}
 	rr, err := triage.Retire(context.Background(), triage.RetireConfig{
-		CorpusDir:  dir,
+		Corpus:     openCorpus(t, dir),
 		PromoteDir: filepath.Join(t.TempDir(), "retired"),
 	})
 	if err != nil {
@@ -210,7 +210,7 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 	// count is keyed off its own current shape — which has no live
 	// members. The *twin's* cluster, however, must still be live in the
 	// post-retire triage under the recorded rule.
-	after, err := triage.Triage(triage.Config{CorpusDir: dir})
+	after, err := triage.Triage(triage.Config{Corpus: openCorpus(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,9 +232,9 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 func TestRetireLeavesUnparseableAlone(t *testing.T) {
 	dir := t.TempDir()
 	rep, err := campaign.Run(context.Background(), campaign.Config{
-		Window:    campaign.Window{Lo: 0, Hi: 60},
-		Spec:      campaign.Spec{Seed: 7, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}},
-		CorpusDir: dir,
+		Window: campaign.Window{Lo: 0, Hi: 60},
+		Spec:   campaign.Spec{Seed: 7, Gen: smallGen(), Budget: pipeline.Budget{Trials: 1, TrialsMax: 4}},
+		Corpus: openCorpus(t, dir),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestRetireLeavesUnparseableAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	rr, err := triage.Retire(context.Background(), triage.RetireConfig{
-		CorpusDir:  dir,
+		Corpus:     openCorpus(t, dir),
 		PromoteDir: filepath.Join(t.TempDir(), "retired"),
 	})
 	if err != nil {
@@ -309,7 +309,7 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 	}
 
 	rr, err := triage.Retire(context.Background(), triage.RetireConfig{
-		CorpusDir:  dir,
+		Corpus:     openCorpus(t, dir),
 		PromoteDir: filepath.Join(t.TempDir(), "retired"),
 	})
 	if err != nil {
@@ -327,5 +327,31 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 	}
 	if _, err := os.Stat(victim); err != nil {
 		t.Errorf("errored entry left the live corpus: %v", err)
+	}
+}
+
+// TestRetireCollapsesDriftedDuplicates: two live entries holding one
+// program under different recorded classes both drift to the same class;
+// the retired corpus keeps one pair, recorded from the first entry in
+// name order, and both retirements point at it.
+func TestRetireCollapsesDriftedDuplicates(t *testing.T) {
+	dir := t.TempDir()
+	for _, class := range []campaign.Class{campaign.ClassRejectedClean, campaign.ClassUnderTested} {
+		writeFinding(t, dir, corpus.Meta{Class: class, Rule: "T-Assign", Detail: "stale", NISeed: 5}, soundSrc)
+	}
+	promoteDir := filepath.Join(t.TempDir(), "retired")
+	rr, err := triage.Retire(context.Background(), triage.RetireConfig{Corpus: openCorpus(t, dir), PromoteDir: promoteDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rr.OK() || len(rr.Retired) != 2 || rr.Retired[0].PromotedPath != rr.Retired[1].PromotedPath {
+		t.Fatalf("want two retirements onto one pair:\n%s", triage.FormatRetireReport(rr))
+	}
+	var metas []corpus.Meta
+	for e := range openCorpus(t, promoteDir).Select(corpus.Filter{}) {
+		metas = append(metas, e.Meta)
+	}
+	if len(metas) != 1 || metas[0].Class != campaign.ClassSound || metas[0].RetiredFrom != campaign.ClassRejectedClean {
+		t.Fatalf("retired corpus holds %+v, want one sound entry retired from rejected-clean", metas)
 	}
 }

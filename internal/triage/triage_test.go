@@ -17,6 +17,16 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden cluster table from the current triage output")
 
+// openCorpus opens the corpus under dir.
+func openCorpus(t *testing.T, dir string) *corpus.Corpus {
+	t.Helper()
+	c, err := corpus.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // writeFinding drops one synthetic finding pair into dir's corpus.
 func writeFinding(t *testing.T, dir string, m corpus.Meta, src string) {
 	t.Helper()
@@ -73,7 +83,7 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 		Origin: "gen", NITrialsMax: 8, FoundAt: t1,
 	}, progC)
 
-	rep, err := triage.Triage(triage.Config{CorpusDir: dir})
+	rep, err := triage.Triage(triage.Config{Corpus: openCorpus(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +131,7 @@ control C(inout headers hdr, inout standard_metadata_t standard_metadata) {
 		Class:  campaign.ClassRejectedClean,
 		Detail: "x.p4:3:1: error: explicit flow: high ⋢ low [T-Assign]",
 	}, src)
-	rep, err := triage.Triage(triage.Config{CorpusDir: dir})
+	rep, err := triage.Triage(triage.Config{Corpus: openCorpus(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +154,7 @@ func TestTriageFlagsMalformedCorpus(t *testing.T) {
 	if err := corpus.WriteMeta(filepath.Join(findings, "rejected-clean-orphan.json"), orphan); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := triage.Triage(triage.Config{CorpusDir: dir})
+	rep, err := triage.Triage(triage.Config{Corpus: openCorpus(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +168,7 @@ func TestTriageFlagsMalformedCorpus(t *testing.T) {
 	// Unparseable program.
 	dir2 := t.TempDir()
 	writeFinding(t, dir2, corpus.Meta{Class: campaign.ClassRejectedClean, Detail: "d"}, "not a program {{{")
-	rep2, err := triage.Triage(triage.Config{CorpusDir: dir2})
+	rep2, err := triage.Triage(triage.Config{Corpus: openCorpus(t, dir2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +181,7 @@ func TestTriageFlagsMalformedCorpus(t *testing.T) {
 // report — the first nightly run has no corpus yet.
 func TestTriageEmptyAndMissingCorpus(t *testing.T) {
 	for _, dir := range []string{t.TempDir(), filepath.Join(t.TempDir(), "never-created")} {
-		rep, err := triage.Triage(triage.Config{CorpusDir: dir})
+		rep, err := triage.Triage(triage.Config{Corpus: openCorpus(t, dir)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +195,7 @@ func TestTriageEmptyAndMissingCorpus(t *testing.T) {
 // same cluster table.
 func TestTriageJSONRoundtrips(t *testing.T) {
 	dir := filepath.Join("..", "..", "testdata", "regression-corpus")
-	rep, err := triage.Triage(triage.Config{CorpusDir: dir})
+	rep, err := triage.Triage(triage.Config{Corpus: openCorpus(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +225,7 @@ func TestTriageRegressionCorpusGolden(t *testing.T) {
 	if _, err := os.Stat(dir); err != nil {
 		t.Skipf("no checked-in regression corpus: %v", err)
 	}
-	rep, err := triage.Triage(triage.Config{CorpusDir: dir})
+	rep, err := triage.Triage(triage.Config{Corpus: openCorpus(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,10 +174,12 @@ func WithSeed(seed int64) SessionOption { return func(s *Session) { s.spec.Seed 
 func WithWorkers(n int) SessionOption { return func(s *Session) { s.workers = n } }
 
 // WithNIBudget sets the base NI trials per program and the adaptive
-// escalation ceiling for IFC-rejected programs, for every operation. A
-// zero takes the default: 4 trials, a ceiling of 8 × trials; a ceiling
-// below trials disables adaptation. Without this option every operation
-// runs the default 4/32.
+// escalation ceiling for IFC-rejected programs, for campaigns and batch
+// checks. A zero takes the default: 4 trials, a ceiling of 8 × trials; a
+// ceiling below trials disables adaptation. Without this option they run
+// the default 4/32. Replay, Retire and Compact do not read it: each
+// finding is judged under the budget its metadata records, or under the
+// default 4/32 when it records none.
 func WithNIBudget(trials, max int) SessionOption {
 	return func(s *Session) { s.spec.Trials, s.spec.TrialsMax = trials, max }
 }
@@ -428,14 +430,13 @@ func (s *Session) Campaign(ctx context.Context, n int) (*CampaignReport, error) 
 	}
 	finish := s.startOp("campaign")
 	rep, err := campaign.Run(ctx, campaign.Config{
-		Window:    campaign.Window{Lo: 0, Hi: int64(n)},
-		Spec:      s.spec,
-		Workers:   s.workers,
-		CorpusDir: s.corpusDir,
-		Corpus:    corp,
-		Log:       s.log,
-		Events:    s.sink(),
-		Metrics:   s.metrics,
+		Window:  campaign.Window{Lo: 0, Hi: int64(n)},
+		Spec:    s.spec,
+		Workers: s.workers,
+		Corpus:  corp,
+		Log:     s.log,
+		Events:  s.sink(),
+		Metrics: s.metrics,
 	})
 	summary := ""
 	if rep != nil {
@@ -445,35 +446,29 @@ func (s *Session) Campaign(ctx context.Context, n int) (*CampaignReport, error) 
 	return rep, err
 }
 
-// needCorpus guards the corpus-reading operations: without WithCorpus
-// there is nothing to open, and silently scanning the current directory
-// would mask a misconfigured session.
-func (s *Session) needCorpus(op string) error {
+// corpusFor is the corpus handle for a corpus-reading operation: without
+// WithCorpus there is nothing to open, and silently scanning the current
+// directory would mask a misconfigured session.
+func (s *Session) corpusFor(op string) (*Corpus, error) {
 	if s.corpusDir == "" {
-		return fmt.Errorf("session: %s needs a corpus (WithCorpus)", op)
+		return nil, fmt.Errorf("session: %s needs a corpus (WithCorpus)", op)
 	}
-	return nil
+	return s.Corpus()
 }
 
 // Replay re-checks every finding in the session corpus against the
 // current checker stack — the corpus as a regression suite. Drift events
 // stream to Events; the report lists every mismatch.
 func (s *Session) Replay(ctx context.Context) (*ReplayReport, error) {
-	if err := s.needCorpus("Replay"); err != nil {
-		return nil, err
-	}
-	corp, err := s.Corpus()
+	corp, err := s.corpusFor("Replay")
 	if err != nil {
 		return nil, err
 	}
 	finish := s.startOp("replay")
 	rep, err := campaign.Replay(ctx, campaign.ReplayConfig{
-		CorpusDir:   s.corpusDir,
-		Corpus:      corp,
-		NITrials:    s.spec.Trials,
-		NITrialsMax: s.spec.TrialsMax,
-		Log:         s.log,
-		Events:      s.sink(),
+		Corpus: corp,
+		Log:    s.log,
+		Events: s.sink(),
 	})
 	summary := ""
 	if rep != nil {
@@ -487,16 +482,12 @@ func (s *Session) Replay(ctx context.Context) (*ReplayReport, error) {
 // shape) into the ranked analytics report; cluster events stream to
 // Events.
 func (s *Session) Triage() (*TriageReport, error) {
-	if err := s.needCorpus("Triage"); err != nil {
-		return nil, err
-	}
-	corp, err := s.Corpus()
+	corp, err := s.corpusFor("Triage")
 	if err != nil {
 		return nil, err
 	}
 	finish := s.startOp("triage")
 	rep, err := triage.Triage(triage.Config{
-		CorpusDir:  s.corpusDir,
 		Corpus:     corp,
 		MaxNovelty: s.maxNovelty,
 		Events:     s.sink(),
@@ -514,22 +505,16 @@ func (s *Session) Triage() (*TriageReport, error) {
 // (WithPromoteDir) and removed from the live one. Retired events stream
 // to Events.
 func (s *Session) Retire(ctx context.Context) (*RetireReport, error) {
-	if err := s.needCorpus("Retire"); err != nil {
-		return nil, err
-	}
-	corp, err := s.Corpus()
+	corp, err := s.corpusFor("Retire")
 	if err != nil {
 		return nil, err
 	}
 	finish := s.startOp("retire")
 	rep, err := triage.Retire(ctx, triage.RetireConfig{
-		CorpusDir:   s.corpusDir,
-		Corpus:      corp,
-		PromoteDir:  s.promoteDir,
-		NITrials:    s.spec.Trials,
-		NITrialsMax: s.spec.TrialsMax,
-		Log:         s.log,
-		Events:      s.sink(),
+		Corpus:     corp,
+		PromoteDir: s.promoteDir,
+		Log:        s.log,
+		Events:     s.sink(),
 	})
 	summary := ""
 	if rep != nil {
@@ -547,22 +532,16 @@ func (s *Session) Retire(ctx context.Context) (*RetireReport, error) {
 // longer reproduce their recorded class are left for Retire. Job-done
 // and progress events stream to Events.
 func (s *Session) Compact(ctx context.Context) (*CompactReport, error) {
-	if err := s.needCorpus("Compact"); err != nil {
-		return nil, err
-	}
-	corp, err := s.Corpus()
+	corp, err := s.corpusFor("Compact")
 	if err != nil {
 		return nil, err
 	}
 	finish := s.startOp("compact")
 	rep, err := campaign.Compact(ctx, campaign.CompactConfig{
-		CorpusDir:   s.corpusDir,
-		Corpus:      corp,
-		NITrials:    s.spec.Trials,
-		NITrialsMax: s.spec.TrialsMax,
-		Log:         s.log,
-		Events:      s.sink(),
-		Metrics:     s.metrics,
+		Corpus:  corp,
+		Log:     s.log,
+		Events:  s.sink(),
+		Metrics: s.metrics,
 	})
 	summary := ""
 	if rep != nil {
