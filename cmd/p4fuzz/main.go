@@ -8,13 +8,12 @@
 //	              [-workers 0] [-depth 3] [-stmts 5] [-fields 3]
 //	              [-timeout 0] [-lattice SPEC] [-corpus-dir DIR]
 //	              [-ni-oracle NAME] [-exhaust-budget N] [-exhaust-probes N]
-//	              [-minimize] [-mutate] [-triage] [-events] [-events-json]
-//	p4fuzz replay [-events] [-events-json] [DIR]
-//	p4fuzz triage [-json] [-novelty N] [-o FILE] [-events] [-events-json]
-//	              [DIR]
+//	              [-minimize] [-mutate] [-triage] [-events-json]
+//	p4fuzz replay [-events-json] [DIR]
+//	p4fuzz triage [-json] [-novelty N] [-o FILE] [-events-json] [DIR]
 //	p4fuzz triage -diff [-md] [-o FILE] OLD.json NEW.json
-//	p4fuzz retire [-promote-dir DIR] [-events] [-events-json] [DIR]
-//	p4fuzz compact [-events] [-events-json] DIR
+//	p4fuzz retire [-promote-dir DIR] [-events-json] [DIR]
+//	p4fuzz compact [-events-json] DIR
 //	p4fuzz index  [-o FILE] [DIR]
 //
 // A missing or unknown subcommand prints this usage and exits 2.
@@ -43,16 +42,19 @@
 // recency, novelty, and triage-cluster saturation). -triage appends the
 // corpus's ranked cluster summary after the campaign.
 //
-// -events streams structured progress to stderr while any subcommand
-// runs: op-start/op-end framing around every operation, coarse progress
-// ticks and drift/cluster/retired lines as they happen, one finding line
-// per new finding as the post-analysis phase minimizes and persists it,
-// and a warning line with the drop count when a slow listener forced the
-// stream to shed events — the live view CI logs tail, where the final
-// report is the summary. -events-json emits the same stream as one JSON
-// object per line on stdout (repro.Event marshalled verbatim, the form
-// fleet coordinators and jq pipelines consume); the report then prints
-// to stderr so stdout stays machine-parseable.
+// Every subcommand but index and triage -diff streams its structured
+// progress to stderr as text lines while it runs: op-start/op-end framing
+// around every operation, coarse progress ticks and drift/cluster/retired
+// lines as they happen, one finding line per new finding as the
+// post-analysis phase minimizes and persists it, one line per entry
+// compact rewrote or collapsed, and a warning line for every best-effort
+// failure worked around (a corpus or index write, a metrics snapshot)
+// and, with the drop count, when a slow listener forced the stream to
+// shed events — the live view CI logs tail, where the final report is
+// the summary. -events-json emits the same stream as one JSON object per
+// line on stdout instead (repro.Event marshalled verbatim, the form fleet
+// coordinators and jq pipelines consume); the report then prints to
+// stderr so stdout stays machine-parseable.
 //
 // Every operation also leaves its telemetry behind: progress ticks carry
 // jobs/sec and findings/sec, periodic metrics events ship full registry
@@ -126,10 +128,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro"
+	"repro/internal/events"
 	"repro/internal/gen"
 )
 
@@ -162,67 +166,28 @@ func main() {
 	os.Exit(subcommands[os.Args[1]](os.Args[2:]))
 }
 
-// eventMode is how a subcommand streams its session's events: not at
-// all, rendered as text lines on stderr (-events), or as one JSON object
-// per line on stdout (-events-json; the report moves to stderr so stdout
-// stays machine-parseable).
-type eventMode int
-
-const (
-	eventsOff eventMode = iota
-	eventsText
-	eventsJSON
-)
-
-func pickEventMode(text, asJSON bool) eventMode {
+// watchEvents renders the session's event stream while an operation
+// runs, as text on stderr or, with asJSON, as JSON lines on stdout. It
+// returns where the final report goes — the other stream, so stdout
+// stays machine-parseable under -events-json — and a stop function that
+// closes the stream and waits for the renderer to drain, so every event
+// of the finished operation, including the op-end framing, is rendered
+// before the report prints.
+func watchEvents(s *repro.Session, asJSON bool) (report io.Writer, stop func()) {
+	out, report := io.Writer(os.Stderr), io.Writer(os.Stdout)
 	if asJSON {
-		return eventsJSON
+		out, report = os.Stdout, os.Stderr
 	}
-	if text {
-		return eventsText
-	}
-	return eventsOff
-}
-
-// reportWriter is where a subcommand's final report goes: stdout
-// normally, stderr when stdout is the -events-json stream.
-func (m eventMode) reportWriter() *os.File {
-	if m == eventsJSON {
-		return os.Stderr
-	}
-	return os.Stdout
-}
-
-// watchEvents starts the live event renderer when a mode is selected.
-// The returned stop function closes the session's stream and waits for
-// the renderer to drain, so every event of the finished operation —
-// including the op-end framing — is rendered before the report prints.
-func watchEvents(s *repro.Session, mode eventMode) (stop func()) {
-	if mode == eventsOff {
-		return func() { s.Close() }
-	}
+	render := events.Writer(out, asJSON)
 	ch := s.Events()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if mode == eventsJSON {
-			enc := json.NewEncoder(os.Stdout)
-			for ev := range ch {
-				// repro.Event marshalled verbatim, one object per line —
-				// the contract CI's jq gate and fleet coordinators parse.
-				enc.Encode(ev)
-			}
-			return
-		}
 		for ev := range ch {
-			// Event.Text is the shared one-line rendering; job-done events
-			// have none (too chatty at campaign rates) and are skipped.
-			if line := ev.Text(); line != "" {
-				fmt.Fprintln(os.Stderr, line)
-			}
+			render(ev)
 		}
 	}()
-	return func() {
+	return report, func() {
 		s.Close()
 		<-done
 	}
@@ -262,8 +227,7 @@ func runMain(args []string) int {
 	minimize := fs.Bool("minimize", false, "shrink findings to minimal reproducers before persisting")
 	mutateSeeds := fs.Bool("mutate", false, "mutate persisted corpus findings for half the jobs (coverage-guided loop)")
 	triageAfter := fs.Bool("triage", false, "print the corpus's triage cluster summary after the campaign (requires -corpus-dir)")
-	liveEvents := fs.Bool("events", false, "stream structured progress events to stderr while running")
-	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line (the report moves to stderr)")
+	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line instead of text on stderr (the report moves to stderr)")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "p4fuzz: unexpected arguments %v\n", fs.Args())
@@ -276,8 +240,6 @@ func runMain(args []string) int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-
-	mode := pickEventMode(*liveEvents, *jsonEvents)
 
 	gcfg := gen.Config{
 		MaxDepth:    *depth,
@@ -304,7 +266,6 @@ func runMain(args []string) int {
 		repro.WithExhaustBudget(*exhaustBudget, *exhaustProbes),
 		repro.WithWorkers(*workers),
 		repro.WithCorpus(*corpusDir),
-		repro.WithLog(os.Stderr),
 	}
 	if *mutateSeeds {
 		opts = append(opts, repro.WithMutation(0))
@@ -320,7 +281,7 @@ func runMain(args []string) int {
 	// The renderer is stopped — drained through op-end — before anything
 	// prints, so the report (and the triage table) always follow the
 	// stream rather than racing it.
-	stop := watchEvents(s, mode)
+	out, stop := watchEvents(s, *jsonEvents)
 	rep, err := s.Campaign(ctx, *n)
 	var trep *repro.TriageReport
 	var terr error
@@ -338,15 +299,15 @@ func runMain(args []string) int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "p4fuzz: campaign aborted after %v: %v\n", rep.Elapsed.Round(time.Millisecond), err)
 	}
-	fmt.Fprint(mode.reportWriter(), repro.FormatCampaignReport(rep))
+	fmt.Fprint(out, repro.FormatCampaignReport(rep))
 	triageClean := true
 	if *triageAfter {
 		if terr != nil {
 			fmt.Fprintf(os.Stderr, "p4fuzz: triage: %v\n", terr)
 			return 2
 		}
-		fmt.Fprintln(mode.reportWriter())
-		fmt.Fprint(mode.reportWriter(), repro.FormatTriageReport(trep))
+		fmt.Fprintln(out)
+		fmt.Fprint(out, repro.FormatTriageReport(trep))
 		// A malformed corpus entry fails the run just as it fails
 		// p4fuzz triage: a green job must mean the corpus is trustworthy.
 		triageClean = trep.OK()
@@ -359,30 +320,27 @@ func runMain(args []string) int {
 
 func replayMain(args []string) int {
 	fs := flag.NewFlagSet("p4fuzz replay", flag.ExitOnError)
-	liveEvents := fs.Bool("events", false, "stream structured progress events to stderr while running")
-	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line (the report moves to stderr)")
+	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line instead of text on stderr (the report moves to stderr)")
 	fs.Parse(args)
 	dir, ok := corpusArg(fs, "testdata/regression-corpus")
 	if !ok {
 		return 2
 	}
-	mode := pickEventMode(*liveEvents, *jsonEvents)
 	s, err := repro.NewSession(
 		repro.WithCorpus(dir),
-		repro.WithLog(os.Stderr),
 	)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "p4fuzz: replay: %v\n", err)
 		return 2
 	}
-	stop := watchEvents(s, mode)
+	out, stop := watchEvents(s, *jsonEvents)
 	rep, err := s.Replay(context.Background())
 	stop()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "p4fuzz: replay: %v\n", err)
 		return 2
 	}
-	fmt.Fprint(mode.reportWriter(), repro.FormatReplayReport(rep))
+	fmt.Fprint(out, repro.FormatReplayReport(rep))
 	if !rep.OK() {
 		return 1
 	}
@@ -392,8 +350,7 @@ func replayMain(args []string) int {
 func retireMain(args []string) int {
 	fs := flag.NewFlagSet("p4fuzz retire", flag.ExitOnError)
 	promoteDir := fs.String("promote-dir", "", "retired-corpus directory (default <corpus>/../retired-corpus)")
-	liveEvents := fs.Bool("events", false, "stream structured progress events to stderr while running")
-	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line (the report moves to stderr)")
+	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line instead of text on stderr (the report moves to stderr)")
 	fs.Parse(args)
 	// No default corpus here, deliberately: retire deletes drifted entries
 	// from the live corpus, and a bare `p4fuzz retire` must not clean the
@@ -406,24 +363,22 @@ func retireMain(args []string) int {
 		fmt.Fprintln(os.Stderr, "p4fuzz: retire needs an explicit corpus directory (it removes drifted findings)")
 		return 2
 	}
-	mode := pickEventMode(*liveEvents, *jsonEvents)
 	s, err := repro.NewSession(
 		repro.WithCorpus(dir),
 		repro.WithPromoteDir(*promoteDir),
-		repro.WithLog(os.Stderr),
 	)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "p4fuzz: retire: %v\n", err)
 		return 2
 	}
-	stop := watchEvents(s, mode)
+	out, stop := watchEvents(s, *jsonEvents)
 	rep, err := s.Retire(context.Background())
 	stop()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "p4fuzz: retire: %v\n", err)
 		return 2
 	}
-	fmt.Fprint(mode.reportWriter(), repro.FormatRetireReport(rep))
+	fmt.Fprint(out, repro.FormatRetireReport(rep))
 	if !rep.OK() {
 		return 1
 	}
@@ -432,8 +387,7 @@ func retireMain(args []string) int {
 
 func compactMain(args []string) int {
 	fs := flag.NewFlagSet("p4fuzz compact", flag.ExitOnError)
-	liveEvents := fs.Bool("events", false, "stream structured progress events to stderr while running")
-	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line (the report moves to stderr)")
+	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line instead of text on stderr (the report moves to stderr)")
 	fs.Parse(args)
 	// Like retire: compact rewrites and removes corpus entries, so it never
 	// defaults to the checked-in regression corpus.
@@ -445,23 +399,21 @@ func compactMain(args []string) int {
 		fmt.Fprintln(os.Stderr, "p4fuzz: compact needs an explicit corpus directory (it rewrites findings)")
 		return 2
 	}
-	mode := pickEventMode(*liveEvents, *jsonEvents)
 	s, err := repro.NewSession(
 		repro.WithCorpus(dir),
-		repro.WithLog(os.Stderr),
 	)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "p4fuzz: compact: %v\n", err)
 		return 2
 	}
-	stop := watchEvents(s, mode)
+	out, stop := watchEvents(s, *jsonEvents)
 	rep, err := s.Compact(context.Background())
 	stop()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "p4fuzz: compact: %v\n", err)
 		return 2
 	}
-	fmt.Fprint(mode.reportWriter(), repro.FormatCompactReport(rep))
+	fmt.Fprint(out, repro.FormatCompactReport(rep))
 	if !rep.OK() {
 		return 1
 	}
@@ -506,8 +458,7 @@ func triageMain(args []string) int {
 	asJSON := fs.Bool("json", false, "emit the report as JSON instead of text")
 	novelty := fs.Int("novelty", 10, "max seeds in the novelty ranking (-1 = unlimited)")
 	outPath := fs.String("o", "", "write the report to this file instead of stdout")
-	liveEvents := fs.Bool("events", false, "stream structured progress events to stderr while running")
-	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line (the report moves to stderr)")
+	jsonEvents := fs.Bool("events-json", false, "stream events to stdout as one JSON object per line instead of text on stderr (the report moves to stderr)")
 	diff := fs.Bool("diff", false, "compare two JSON reports (OLD.json NEW.json) instead of triaging a corpus")
 	md := fs.Bool("md", false, "with -diff, render the diff as Markdown (for CI job summaries)")
 	fs.Parse(args)
@@ -518,11 +469,11 @@ func triageMain(args []string) int {
 	if !ok {
 		return 2
 	}
-	return triageReport(dir, *asJSON, *novelty, *outPath, pickEventMode(*liveEvents, *jsonEvents))
+	return triageReport(dir, *asJSON, *novelty, *outPath, *jsonEvents)
 }
 
 // triageReport renders one corpus's triage report.
-func triageReport(dir string, asJSON bool, novelty int, outPath string, mode eventMode) int {
+func triageReport(dir string, asJSON bool, novelty int, outPath string, jsonEvents bool) int {
 	s, err := repro.NewSession(
 		repro.WithCorpus(dir),
 		repro.WithMaxNovelty(novelty),
@@ -531,7 +482,7 @@ func triageReport(dir string, asJSON bool, novelty int, outPath string, mode eve
 		fmt.Fprintf(os.Stderr, "p4fuzz: triage: %v\n", err)
 		return 2
 	}
-	stop := watchEvents(s, mode)
+	report, stop := watchEvents(s, jsonEvents)
 	rep, err := s.Triage()
 	stop()
 	if err != nil {
@@ -553,7 +504,7 @@ func triageReport(dir string, asJSON bool, novelty int, outPath string, mode eve
 			return 2
 		}
 	} else {
-		mode.reportWriter().Write(out)
+		report.Write(out)
 	}
 	if !rep.OK() {
 		return 1

@@ -12,9 +12,9 @@
 //	        [-seed 1] [-depth 3] [-stmts 5] [-fields 3] [-lattice SPEC]
 //	        [-trials 4] [-trials-max 32] [-mutate] [-mutate-frac F]
 //	        [-minimize] [-max-per-class 25] [-lease-ttl 1m] [-poll 0]
-//	        [-pool 0] [-timeout 0] [-events] [-events-json] [-http ADDR]
+//	        [-pool 0] [-timeout 0] [-events-json] [-http ADDR]
 //	p4fuzzd -work -corpus-dir DIR [-worker-id ID] [-pool 0] [-poll 0]
-//	        [-events] [-events-json] [-http ADDR]
+//	        [-events-json] [-http ADDR]
 //
 // The first form is the coordinator. It opens (or, after a crash, adopts)
 // the fleet manifest for the next -n indices after the corpus's frontier,
@@ -34,10 +34,12 @@
 //
 // Local workers are spawned with -events-json and their stdout streams
 // are ingested: each line is decoded and re-emitted on the coordinator's
-// own stream, already stamped with the worker's id. -events renders that
-// merged stream as text on stderr; -events-json emits it as one JSON
-// object per line on stdout (repro.Event marshalled verbatim — the same
-// contract as p4fuzz -events-json) and moves the final report to stderr.
+// own stream, already stamped with the worker's id. The merged stream —
+// leases, reclaims, merges, findings, and a warning for every staging
+// read, done marker or merge to be retried — renders as text on stderr;
+// -events-json emits it instead as one JSON object per line on stdout
+// (repro.Event marshalled verbatim — the same contract as p4fuzz
+// -events-json) and moves the final report to stderr.
 //
 // -http ADDR serves live introspection while the run is up: /metrics
 // (Prometheus text), /metrics.json (the same snapshot as JSON), /healthz
@@ -108,8 +110,7 @@ func run(args []string) int {
 	maxPerClass := fs.Int("max-per-class", 0, "findings processed per class per window (0 = campaign default, negative = unlimited)")
 	leaseTTL := fs.Duration("lease-ttl", time.Minute, "reclaim a window when its lease heartbeat is staler than this")
 	timeout := fs.Duration("timeout", 0, "overall run timeout (0 = none)")
-	liveEvents := fs.Bool("events", false, "render the merged event stream as text on stderr")
-	jsonEvents := fs.Bool("events-json", false, "emit the merged event stream as one JSON object per line on stdout (the report moves to stderr)")
+	jsonEvents := fs.Bool("events-json", false, "emit the merged event stream as one JSON object per line on stdout instead of text on stderr (the report moves to stderr)")
 	httpAddr := fs.String("http", "", "serve /metrics, /metrics.json, /healthz, and /debug/pprof on this address (\":0\" = free port; \"\" = off)")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
@@ -132,7 +133,7 @@ func run(args []string) int {
 		defer cancel()
 	}
 
-	sink, reportOut := makeSink(*liveEvents, *jsonEvents)
+	sink, reportOut := makeSink(*jsonEvents)
 
 	// Every mode owns a registry; the coordinator additionally merges the
 	// snapshots its local workers ship over their event streams into a
@@ -153,7 +154,6 @@ func run(args []string) int {
 			WorkerID: *workerID,
 			Workers:  *pool,
 			Poll:     *poll,
-			Log:      os.Stderr,
 			Events:   sink,
 			Metrics:  reg,
 		})
@@ -216,7 +216,6 @@ func run(args []string) int {
 		Spec:       spec,
 		LeaseTTL:   *leaseTTL,
 		Poll:       *poll,
-		Log:        os.Stderr,
 		Events:     sink,
 		Metrics:    reg,
 	})
@@ -280,31 +279,14 @@ func serveHTTP(addr, corpusDir string, view *metrics.View, reg *metrics.Registry
 	return ln.Addr().String(), nil
 }
 
-// makeSink builds the process's event sink — text to stderr, JSON lines
-// to stdout, or discard — and picks where the final report goes (stderr
-// when stdout is the JSON stream).
-func makeSink(text, asJSON bool) (events.Sink, *os.File) {
-	switch {
-	case asJSON:
-		var mu sync.Mutex
-		enc := json.NewEncoder(os.Stdout)
-		return func(e events.Event) {
-			mu.Lock()
-			defer mu.Unlock()
-			enc.Encode(e)
-		}, os.Stderr
-	case text:
-		var mu sync.Mutex
-		return func(e events.Event) {
-			if line := e.Text(); line != "" {
-				mu.Lock()
-				defer mu.Unlock()
-				fmt.Fprintln(os.Stderr, line)
-			}
-		}, os.Stdout
-	default:
-		return nil, os.Stdout
+// makeSink builds the process's event sink — text to stderr, or JSON
+// lines to stdout — and picks where the final report goes (stderr when
+// stdout is the JSON stream).
+func makeSink(asJSON bool) (events.Sink, *os.File) {
+	if asJSON {
+		return events.Writer(os.Stdout, true), os.Stderr
 	}
+	return events.Writer(os.Stderr, false), os.Stdout
 }
 
 // spawnWorker re-execs this binary in -work mode and ingests its event

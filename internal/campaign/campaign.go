@@ -47,7 +47,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -223,14 +222,13 @@ type Config struct {
 	// findings to, beside which the novelty file lives (nil = keep
 	// findings in memory only).
 	Corpus *corpus.Corpus
-	// Log receives one line per persisted finding (nil = discard).
-	Log io.Writer
 	// Events receives the run's structured event stream: job-done and
 	// progress while the analysis stream runs, then one finding event per
 	// new finding as the post-stream finalize phase minimizes and
 	// persists it (finding events therefore trail the job-done event of
 	// the job that produced them — minimization is deferred so it cannot
-	// park the worker pool). nil discards. Events are emitted
+	// park the worker pool), and a warning for each corpus, index or
+	// novelty write that failed. nil discards. Events are emitted
 	// synchronously, so sinks must be fast and non-blocking — the
 	// Session layer's buffered fan-out is the intended consumer. Finding
 	// events, like the rest, come from the goroutine that called Run, in
@@ -343,7 +341,6 @@ type engine struct {
 	corp *corpus.Corpus
 	pool *seedPool
 	seen map[string]bool
-	log  io.Writer
 	sink events.Sink
 	// jobs is how many indices the window covers; tickEvery spaces the
 	// progress-tick events (deterministic in the job count).
@@ -427,7 +424,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		cfg:      cfg,
 		corp:     cfg.Corpus,
 		seen:     map[string]bool{},
-		log:      cfg.Log,
 		sink:     cfg.Events,
 		jobs:     int(win.Hi - win.Lo),
 		pending:  map[Class][]pendingFinding{},
@@ -457,9 +453,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	var err error
 	if e.lat, err = cfg.Gen.ResolveLattice(); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	if e.log == nil {
-		e.log = io.Discard
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -536,14 +529,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if e.corp != nil {
 		// Novelty deltas persist even on abort, like the findings above: an
 		// interrupted run's mutant outcomes are real coverage evidence. A
-		// save failure costs feedback quality, not findings — log and go on.
+		// save failure costs feedback quality, not findings — warn and go on.
 		if err := saveNoveltyDeltas(e.corp.Dir(), e.novelty); err != nil {
-			fmt.Fprintf(e.log, "campaign: %v (novelty feedback lost for this run)\n", err)
+			e.warn(err, "novelty feedback lost for this run")
 		}
 		// Likewise the corpus index: a failed save costs the next Open a
 		// rescan, never a finding.
 		if err := e.corp.SaveIndex(); err != nil {
-			fmt.Fprintf(e.log, "campaign: %v (index rebuilt on next open)\n", err)
+			e.warn(err, "index rebuilt on next open")
 		}
 		e.mCorpus.SetInt(int64(e.corp.Len()))
 	}
@@ -598,6 +591,14 @@ func (e *engine) jobSource(rng *rand.Rand, idx int64) string {
 	return gen.Random(rng, e.cfg.Gen)
 }
 
+// warn reports a best-effort failure the run worked around.
+func (e *engine) warn(err error, consequence string) {
+	e.sink.Emit(events.Event{
+		Kind: events.KindWarning, Op: "campaign", Path: e.corp.Dir(),
+		Detail: fmt.Sprintf("%v (%s)", err, consequence),
+	})
+}
+
 // emitMetrics ships one KindMetrics snapshot event; no-op without a
 // registry.
 func (e *engine) emitMetrics() {
@@ -635,7 +636,7 @@ func (e *engine) consume(r *pipeline.JobResult) {
 		st.Mutants++
 		e.novelty[prov.parentKey] = st
 	}
-	v, detail := difftest.Classify(r)
+	v, class, detail := verdictOf(r)
 	e.rep.Counts[v]++
 	e.mVerdicts[v].Inc()
 	rule := r.CitedRule()
@@ -667,12 +668,8 @@ func (e *engine) consume(r *pipeline.JobResult) {
 				e.rep.RulesCited[d.Rule]++
 			}
 		}
-		if detail == "" && len(r.IFC.Diags) > 0 {
-			// RejectedClean carries no witness; cite the rejection itself.
-			detail = r.IFC.Diags[0].Error()
-		}
 	}
-	if class, interesting := classOf(v); interesting {
+	if _, interesting := classOf(v); interesting {
 		e.collect(class, v, detail, rule, r, prov, mutant)
 	}
 	if r.Prog != nil {
@@ -752,7 +749,7 @@ func (e *engine) pendingByIndex() []pendingFinding {
 // finalize minimizes the collected findings, taken in index order, on up
 // to workers goroutines, and commits each one from the calling goroutine
 // as soon as it and every finding before it are minimized. Dedup, the
-// corpus, the report, the log and the event stream therefore come out
+// corpus, the report and the event stream therefore come out
 // exactly as one goroutine working through ps would leave them, and the
 // first finding commits right after its own shrink. The pool is joined
 // before finalize returns.
@@ -856,7 +853,7 @@ func (e *engine) commit(p pendingFinding, f Finding) {
 		if err != nil {
 			// Persistence failure must not lose the finding; keep it in
 			// the report and say so.
-			fmt.Fprintf(e.log, "campaign: %v (finding kept in memory)\n", err)
+			e.warn(err, "finding kept in memory")
 		} else {
 			f.Path = path
 		}
@@ -878,8 +875,6 @@ func (e *engine) commit(p pendingFinding, f Finding) {
 		Index: idx, Class: string(class), Rule: p.rule,
 		Detail: p.detail, Key: f.Key, Path: f.Path,
 	})
-	fmt.Fprintf(e.log, "finding: %s (index %d, %d bytes%s): %s\n",
-		class, idx, len(f.Source), minimizedTag(f), p.detail)
 }
 
 func minimizedTag(f Finding) string {

@@ -334,30 +334,29 @@ func TestCampaignFindsNoDefects(t *testing.T) {
 // findings, in whatever order the scheduler picks) over the same window,
 // with a per-class cap that binds, reach the same verdict counts and
 // process the same findings in the same order — the same Findings (key,
-// source, minimization, rule, detail), dedup tallies, corpus files, log
-// text, and finding-event sequence.
+// source, minimization, rule, detail), dedup tallies, corpus files, and
+// finding-event sequence, down to each event's rendered text.
 func TestCampaignDeterministicFindings(t *testing.T) {
 	type outcome struct {
 		rep      *Report
 		files    string
-		log      string
-		findings []int64 // KindFinding event indices, in emission order
+		texts    []string // KindFinding event Text, in emission order
+		findings []int64  // KindFinding event indices, in emission order
 	}
 	run := func(workers int) outcome {
 		dir := t.TempDir()
-		var log strings.Builder
 		var o outcome
 		rep, err := Run(context.Background(), Config{
 			Window:  Window{Lo: 0, Hi: 200},
 			Spec:    Spec{Seed: 17, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 64}, Minimize: true, MaxPerClass: 15},
 			Workers: workers,
 			Corpus:  openCorpus(t, dir),
-			Log:     &log,
 			// No lock: events come from the calling goroutine only, which
 			// -race checks.
 			Events: func(ev events.Event) {
 				if ev.Kind == events.KindFinding {
 					o.findings = append(o.findings, ev.Index)
+					o.texts = append(o.texts, ev.Text())
 				}
 			},
 		})
@@ -372,7 +371,7 @@ func TestCampaignDeterministicFindings(t *testing.T) {
 		for _, e := range ents {
 			names = append(names, e.Name())
 		}
-		o.rep, o.files, o.log = rep, strings.Join(names, ","), log.String()
+		o.rep, o.files = rep, strings.Join(names, ",")
 		return o
 	}
 	keysOf := func(r *Report) string {
@@ -414,8 +413,8 @@ func TestCampaignDeterministicFindings(t *testing.T) {
 	if oa.files != ob.files {
 		t.Errorf("corpus contents differ:\n%s\n%s", oa.files, ob.files)
 	}
-	if oa.log != ob.log {
-		t.Errorf("log text differs:\n%s\n%s", oa.log, ob.log)
+	if !reflect.DeepEqual(oa.texts, ob.texts) {
+		t.Errorf("finding event texts differ:\n%s\n%s", strings.Join(oa.texts, "\n"), strings.Join(ob.texts, "\n"))
 	}
 	if fmt.Sprint(oa.findings) != fmt.Sprint(ob.findings) {
 		t.Errorf("finding event sequences differ:\n%v\n%v", oa.findings, ob.findings)
@@ -502,4 +501,58 @@ func openCorpus(t testing.TB, dir string) *corpus.Corpus {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestCampaignPersistFailureWarns: when the corpus cannot store findings
+// (here its findings/ directory has become a regular file after the
+// corpus was opened), every finding stays in the report, unpersisted,
+// and each failed write reaches the event stream as a warning.
+func TestCampaignPersistFailureWarns(t *testing.T) {
+	dir := t.TempDir()
+	corp := openCorpus(t, dir)
+	findings := filepath.Join(dir, "findings")
+	if err := os.RemoveAll(findings); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(findings, []byte("not a directory\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var warnings []events.Event
+	rep, err := Run(context.Background(), Config{
+		Window:  Window{Lo: 0, Hi: 40},
+		Spec:    Spec{Seed: 17, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2}},
+		Workers: 2,
+		Corpus:  corp,
+		Events: func(ev events.Event) {
+			if ev.Kind == events.KindWarning {
+				warnings = append(warnings, ev)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.NewFindings == 0 {
+		t.Fatal("no findings; the test premise is broken")
+	}
+	if len(rep.Findings) != rep.NewFindings {
+		t.Errorf("%d findings in the report for %d new findings", len(rep.Findings), rep.NewFindings)
+	}
+	for _, f := range rep.Findings {
+		if f.Path != "" {
+			t.Errorf("finding %d reports path %s, but nothing could be persisted", f.Index, f.Path)
+		}
+	}
+	kept := 0
+	for _, w := range warnings {
+		if w.Op != "campaign" || w.Path != dir {
+			t.Errorf("warning %+v: want op campaign, path %s", w, dir)
+		}
+		if strings.HasSuffix(w.Detail, "(finding kept in memory)") {
+			kept++
+		}
+	}
+	if kept != rep.NewFindings {
+		t.Errorf("%d kept-in-memory warnings for %d findings: %+v", kept, rep.NewFindings, warnings)
+	}
 }

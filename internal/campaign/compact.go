@@ -26,7 +26,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"time"
@@ -42,11 +41,10 @@ type CompactConfig struct {
 	// Corpus is the open corpus to compact (required). Each entry is
 	// judged under its recorded NI budget, like Replay.
 	Corpus *corpus.Corpus
-	// Log receives one line per rewritten or collapsed entry (nil =
-	// discard).
-	Log io.Writer
-	// Events receives job-done events per entry and a final progress
-	// tick; nil discards.
+	// Events receives one job-done event per entry once its outcome is
+	// known (Detail says how a rewritten or collapsed entry changed), a
+	// warning if the index save fails, and a final progress tick; nil
+	// discards.
 	Events events.Sink
 	// Metrics, when non-nil, receives the pass's collapse statistics
 	// (compact_entries_total, compact_minimized_total,
@@ -86,10 +84,6 @@ func (r *CompactReport) OK() bool { return len(r.Errors) == 0 }
 // lost mid-compaction. The returned error is a context or corpus-I/O
 // failure; per-entry problems land in CompactReport.Errors.
 func Compact(ctx context.Context, cfg CompactConfig) (*CompactReport, error) {
-	log := cfg.Log
-	if log == nil {
-		log = io.Discard
-	}
 	if cfg.Corpus == nil {
 		return nil, fmt.Errorf("campaign: compact needs an open corpus")
 	}
@@ -146,61 +140,72 @@ func Compact(ctx context.Context, cfg CompactConfig) (*CompactReport, error) {
 		if err != nil {
 			return rep, err
 		}
+		detail := ""
+		if got == string(m.Class) {
+			detail = compactEntry(ctx, corp, e, j, src, rep)
+		} else {
+			rep.Skipped++
+		}
 		cfg.Events.Emit(events.Event{
 			Kind: events.KindJobDone, Op: "compact",
-			Index: int64(i), Class: got, Key: m.Key, Path: e.Path,
+			Index: int64(i), Class: got, Detail: detail, Key: m.Key, Path: e.Path,
 		})
-		if got != string(m.Class) {
-			rep.Skipped++
-			continue
-		}
-		// Minimize under the entry's own judge: a candidate is kept iff it
-		// replays to the recorded class, so the compacted entry replays
-		// clean by construction.
-		name := strings.TrimSuffix(e.Name, ".json") + ".p4"
-		res, err := shrink.Minimize(name, src, j.keep(ctx))
-		if err != nil || len(res.Source) >= len(src) {
-			continue // already minimal (or unshrinkable) — leave as is
-		}
-		newKey := corpus.DedupKey(m.Class, res.Source)
-		if corp.Has(newKey) {
-			// The minimized form is an existing finding: the two entries
-			// were one defect all along. The survivor shares the dedup
-			// key's class, so no verdict class is lost.
-			if err := corp.Remove(e); err != nil {
-				rep.Errors = append(rep.Errors, fmt.Sprintf("%s: remove: %v", e.Path, err))
-				continue
-			}
-			rep.Collapsed++
-			rep.BytesSaved += len(src)
-			fmt.Fprintf(log, "collapsed: %s onto %.12s (%d bytes freed)\n", e.Path, newKey, len(src))
-			continue
-		}
-		nm := m
-		nm.Key = newKey
-		nm.Bytes = len(res.Source)
-		nm.Minimized = true
-		path, err := corp.Put(nm, res.Source)
-		if err != nil {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: rewrite: %v", e.Path, err))
-			continue
-		}
-		if err := corp.Remove(e); err != nil {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: remove: %v", e.Path, err))
-			continue
-		}
-		rep.Minimized++
-		rep.BytesSaved += len(src) - len(res.Source)
-		fmt.Fprintf(log, "minimized: %s -> %s (%d -> %d bytes)\n", e.Path, path, len(src), len(res.Source))
 	}
 	if err := corp.SaveIndex(); err != nil {
-		fmt.Fprintf(log, "compact: %v (index rebuilt on next open)\n", err)
+		cfg.Events.Emit(events.Event{
+			Kind: events.KindWarning, Op: "compact", Path: corp.Dir(),
+			Detail: fmt.Sprintf("%v (index rebuilt on next open)", err),
+		})
 	}
 	cfg.Events.Emit(events.Event{
 		Kind: events.KindProgress, Op: "compact", Done: total, Total: total,
 	})
 	sort.Strings(rep.Errors)
 	return rep, nil
+}
+
+// compactEntry minimizes one entry that still reproduces its recorded
+// class and collapses or rewrites it, tallying the outcome in rep. It
+// returns what it did to the entry ("" when it left the entry as is).
+func compactEntry(ctx context.Context, corp *corpus.Corpus, e *corpus.Entry, j judge, src string, rep *CompactReport) string {
+	m := e.Meta
+	// Minimize under the entry's own judge: a candidate is kept iff it
+	// replays to the recorded class, so the compacted entry replays
+	// clean by construction.
+	name := strings.TrimSuffix(e.Name, ".json") + ".p4"
+	res, err := shrink.Minimize(name, src, j.keep(ctx))
+	if err != nil || len(res.Source) >= len(src) {
+		return "" // already minimal (or unshrinkable) — leave as is
+	}
+	newKey := corpus.DedupKey(m.Class, res.Source)
+	if corp.Has(newKey) {
+		// The minimized form is an existing finding: the two entries
+		// were one defect all along. The survivor shares the dedup
+		// key's class, so no verdict class is lost.
+		if err := corp.Remove(e); err != nil {
+			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: remove: %v", e.Path, err))
+			return ""
+		}
+		rep.Collapsed++
+		rep.BytesSaved += len(src)
+		return fmt.Sprintf("collapsed onto %.12s (%d bytes freed)", newKey, len(src))
+	}
+	nm := m
+	nm.Key = newKey
+	nm.Bytes = len(res.Source)
+	nm.Minimized = true
+	path, err := corp.Put(nm, res.Source)
+	if err != nil {
+		rep.Errors = append(rep.Errors, fmt.Sprintf("%s: rewrite: %v", e.Path, err))
+		return ""
+	}
+	if err := corp.Remove(e); err != nil {
+		rep.Errors = append(rep.Errors, fmt.Sprintf("%s: remove: %v", e.Path, err))
+		return ""
+	}
+	rep.Minimized++
+	rep.BytesSaved += len(src) - len(res.Source)
+	return fmt.Sprintf("minimized to %s (%d -> %d bytes)", path, len(src), len(res.Source))
 }
 
 // FormatCompactReport renders a compaction's outcome.

@@ -2,9 +2,12 @@ package campaign
 
 import (
 	"context"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/events"
 	"repro/internal/pipeline"
 )
 
@@ -48,6 +51,60 @@ func TestCompactAfterMinimizeIsNoOp(t *testing.T) {
 				t.Errorf("compact after a minimizing campaign of %d findings: %+v", rep.NewFindings, cr)
 			}
 		})
+	}
+}
+
+// TestCompactJobDoneCarriesOutcome: compacting a corpus a campaign wrote
+// without minimization emits one job-done event per entry once its
+// outcome is known, and the Detail of each rewritten or collapsed entry's
+// event says so — the only record of the per-entry outcome besides the
+// corpus itself.
+func TestCompactJobDoneCarriesOutcome(t *testing.T) {
+	dir := t.TempDir()
+	rep, err := Run(context.Background(), Config{
+		Window:  Window{Lo: 0, Hi: 60},
+		Spec:    Spec{Seed: 3, Gen: smallGen(), MaxPerClass: 6},
+		Workers: 2,
+		Corpus:  openCorpus(t, dir),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []events.Event
+	cr, err := Compact(context.Background(), CompactConfig{
+		Corpus: openCorpus(t, dir),
+		Events: func(ev events.Event) {
+			if ev.Kind == events.KindJobDone {
+				jobs = append(jobs, ev)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cr.OK() || cr.Minimized == 0 {
+		t.Fatalf("compact of %d unminimized findings rewrote nothing: %+v", rep.NewFindings, cr)
+	}
+	if len(jobs) != cr.Total {
+		t.Errorf("%d job-done events for %d entries", len(jobs), cr.Total)
+	}
+	minimized, collapsed := 0, 0
+	for _, ev := range jobs {
+		switch {
+		case strings.HasPrefix(ev.Detail, "minimized to "):
+			minimized++
+			path, _, _ := strings.Cut(strings.TrimPrefix(ev.Detail, "minimized to "), " ")
+			if _, err := os.Stat(path); err != nil {
+				t.Errorf("%s: rewritten entry %s: %v", ev.Path, path, err)
+			}
+		case strings.HasPrefix(ev.Detail, "collapsed onto "):
+			collapsed++
+		case ev.Detail != "":
+			t.Errorf("%s: unexpected detail %q", ev.Path, ev.Detail)
+		}
+	}
+	if minimized != cr.Minimized || collapsed != cr.Collapsed {
+		t.Errorf("details say %d minimized, %d collapsed; report says %d, %d", minimized, collapsed, cr.Minimized, cr.Collapsed)
 	}
 }
 

@@ -11,7 +11,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"time"
@@ -34,8 +33,6 @@ type ReplayConfig struct {
 	// budget its metadata records; one recorded without a budget replays
 	// under pipeline.Budget's defaults.
 	Corpus *corpus.Corpus
-	// Log receives one line per drifted finding (nil = discard).
-	Log io.Writer
 	// Events receives the replay's structured event stream (job-done per
 	// replayed finding, drift per mismatch); nil discards.
 	Events events.Sink
@@ -81,10 +78,6 @@ func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
 	if cfg.Corpus == nil {
 		return nil, fmt.Errorf("campaign: replay needs an open corpus")
 	}
-	log := cfg.Log
-	if log == nil {
-		log = io.Discard
-	}
 	rep := &ReplayReport{ByClass: map[Class]int{}, CorpusDir: cfg.Corpus.Dir()}
 	start := time.Now()
 	defer func() { rep.Elapsed = time.Since(start) }()
@@ -126,7 +119,6 @@ func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
 				Class: string(e.Meta.Class), Detail: fmt.Sprintf("now %s: %s", got, detail),
 				Key: e.Meta.Key, Path: e.Path,
 			})
-			fmt.Fprintf(log, "drift: %s recorded %s, now %s (%s)\n", e.Path, e.Meta.Class, got, detail)
 		} else {
 			rep.Reproduced++
 		}
@@ -205,15 +197,29 @@ func (j judge) classify(ctx context.Context, src string) (string, string, error)
 	if r.ParseErr != nil && j.class != ClassGeneratorBug {
 		return "unparseable", r.ParseErr.Error(), nil
 	}
-	v, detail := difftest.Classify(&r)
+	_, class, detail := verdictOf(&r)
+	return string(class), detail, nil
+}
+
+// verdictOf is the one mapping from an analysed job to its verdict, the
+// class that verdict files under and the detail that explains it. The
+// campaign records findings through it and the judge re-judges them
+// through it, so an entry retire re-records carries the detail a
+// campaign would have given it. A rejection with no witness cites its
+// first IFC diagnostic; the two verdicts no campaign persists file as
+// ClassSound and ClassRejectedWitnessed.
+func verdictOf(r *pipeline.JobResult) (difftest.Verdict, Class, string) {
+	v, detail := difftest.Classify(r)
+	if detail == "" && r.IFC != nil && !r.IFC.OK && len(r.IFC.Diags) > 0 {
+		detail = r.IFC.Diags[0].Error()
+	}
 	if class, ok := classOf(v); ok {
-		return string(class), detail, nil
+		return v, class, detail
 	}
-	// The two verdicts no campaign persists.
 	if v == difftest.Sound {
-		return string(ClassSound), "IFC-accepted and NI-clean", nil
+		return v, ClassSound, "IFC-accepted and NI-clean"
 	}
-	return string(ClassRejectedWitnessed), detail, nil
+	return v, ClassRejectedWitnessed, detail
 }
 
 // keep is the shrink predicate over j: a candidate stays iff it judges

@@ -7,15 +7,20 @@
 // event — and the public Session API fans the sink into a buffered
 // channel for CLIs and CI to render live.
 //
-// Events marshal to JSON with the kind spelled as its string name, one
-// object per line under `p4fuzz -events-json` — the machine-readable form
-// fleet coordinators, CI gates, and dashboards parse instead of scraping
-// stderr. Zero-valued kind-dependent fields are omitted.
+// The stream is the stack's one live progress channel: best-effort
+// failures the engines work around arrive as warnings on it, and Writer
+// renders it for the CLIs. Events marshal to JSON with the kind spelled
+// as its string name, one object per line under `p4fuzz -events-json` —
+// the machine-readable form fleet coordinators, CI gates, and dashboards
+// parse instead of scraping stderr. Zero-valued kind-dependent fields are
+// omitted.
 package events
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -28,7 +33,8 @@ type Kind int
 const (
 	// KindJobDone is one analyzed (or replayed) program: Index is its
 	// campaign index (or replay sequence), Class the verdict class the
-	// stack assigned.
+	// stack assigned. A compact pass's job-done carries, in Detail, how it
+	// rewrote or collapsed the entry.
 	KindJobDone Kind = iota
 	// KindFinding is one interesting program persisted (or collected) by
 	// a campaign; Class, Key, Path, and Detail describe it.
@@ -50,9 +56,11 @@ const (
 	KindProgress
 	// KindWarning is a recoverable anomaly the operation worked around —
 	// e.g. a corrupt corpus index that was rebuilt from a directory rescan,
-	// a corrupt fleet frontier recovered as index 0, or events dropped by a
-	// slow listener (Done carries the drop count). Detail says what
-	// happened, Path where.
+	// a corpus write that failed (the finding stays in memory, the index
+	// is rebuilt on the next open), a fleet merge to be retried, a corrupt
+	// fleet frontier recovered as index 0, or events dropped by a slow
+	// listener (Done carries the drop count). Detail says what happened,
+	// Path where.
 	KindWarning
 	// KindOpStart and KindOpEnd frame every Session operation's stream: a
 	// consumer that saw OpStart but no OpEnd knows the stream was cut short
@@ -190,12 +198,36 @@ func (s Sink) Emit(e Event) {
 	s(e)
 }
 
+// Writer returns a Sink that renders each event on w: its Text line
+// (events with none are skipped), or with asJSON the event marshalled
+// verbatim as one JSON object per line. Writes are serialized, so any
+// number of goroutines may emit through it without interleaving lines.
+// A failed write is dropped: the stream is where it would be reported.
+func Writer(w io.Writer, asJSON bool) Sink {
+	var mu sync.Mutex
+	enc := json.NewEncoder(w)
+	return func(e Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		if asJSON {
+			enc.Encode(e)
+		} else if line := e.Text(); line != "" {
+			io.WriteString(w, line+"\n")
+		}
+	}
+}
+
 // Text renders an event as the one-line human form the CLIs print ("" for
-// kinds with no text rendering). Every CLI that streams events — p4fuzz
-// -events, p4fuzzd — prints this form, so fleet logs read the same no
-// matter which process emitted a line.
+// kinds with no text rendering, and for job-done events without a Detail,
+// which are too chatty at campaign rates). Every CLI that streams events —
+// p4fuzz, p4fuzzd — prints this form through Writer, so fleet logs read
+// the same no matter which process emitted a line.
 func (e Event) Text() string {
 	switch e.Kind {
+	case KindJobDone:
+		if e.Detail != "" {
+			return fmt.Sprintf("[%s] %s: %s", e.Op, e.Path, e.Detail)
+		}
 	case KindOpStart:
 		return fmt.Sprintf("[%s] start", e.Op)
 	case KindOpEnd:

@@ -2,7 +2,9 @@ package events
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -80,5 +82,74 @@ func TestSinkNilSafe(t *testing.T) {
 	s.Emit(Event{Kind: KindProgress})
 	if got.Time.IsZero() {
 		t.Error("Emit did not stamp the time")
+	}
+}
+
+// TestWriterConcurrent: Writer renders every event whole, in each
+// emitter's order, whichever goroutines emit at once — as JSON lines that
+// decode back to the events, or as their Text lines with job-done events
+// that carry no Detail skipped. Run under -race, it also checks that the
+// sink serializes its writes to the shared io.Writer.
+func TestWriterConcurrent(t *testing.T) {
+	const emitters, each = 8, 200
+	for _, asJSON := range []bool{false, true} {
+		var buf strings.Builder
+		sink := Writer(&buf, asJSON)
+		var wg sync.WaitGroup
+		for g := range emitters {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range each {
+					op := fmt.Sprintf("op%d", g)
+					sink.Emit(Event{Kind: KindProgress, Op: op, Done: i, Total: each})
+					sink.Emit(Event{Kind: KindJobDone, Op: op, Index: int64(i)})
+				}
+			}()
+		}
+		wg.Wait()
+
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		next := map[string]int{} // per emitter (and kind): the next Done or Index due
+		for _, line := range lines {
+			var e Event
+			if !asJSON {
+				// Only the progress ticks render as text.
+				e = Event{Kind: KindProgress, Op: line[1:strings.IndexByte(line, ']')], Total: each}
+				e.Done = next[e.Op]
+				if want := e.Text(); line != want {
+					t.Fatalf("text: line %q, want %q", line, want)
+				}
+			} else if err := json.Unmarshal([]byte(line), &e); err != nil {
+				t.Fatalf("json: line %q: %v", line, err)
+			}
+			key, seq := e.Op, e.Done
+			if e.Kind == KindJobDone {
+				key, seq = e.Op+"/job-done", int(e.Index)
+			}
+			if seq != next[key] {
+				t.Fatalf("json=%v: line %q out of order, want %s #%d", asJSON, line, key, next[key])
+			}
+			next[key]++
+		}
+		want := emitters * each
+		if asJSON {
+			want *= 2
+		}
+		if len(lines) != want {
+			t.Errorf("json=%v: %d lines, want %d", asJSON, len(lines), want)
+		}
+	}
+}
+
+// TestJobDoneText: a job-done event renders only when it carries a
+// Detail, as compact's rewritten and collapsed entries do.
+func TestJobDoneText(t *testing.T) {
+	if got := (Event{Kind: KindJobDone, Op: "campaign", Index: 3}).Text(); got != "" {
+		t.Errorf("job-done without detail renders %q", got)
+	}
+	e := Event{Kind: KindJobDone, Op: "compact", Path: "c/findings/x.p4", Detail: "collapsed onto 0123456789ab (40 bytes freed)"}
+	if got, want := e.Text(), "[compact] c/findings/x.p4: collapsed onto 0123456789ab (40 bytes freed)"; got != want {
+		t.Errorf("Text() = %q, want %q", got, want)
 	}
 }

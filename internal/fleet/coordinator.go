@@ -10,7 +10,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -49,11 +48,10 @@ type Config struct {
 	LeaseTTL time.Duration
 	// Poll is the coordinator's scan interval (default LeaseTTL/4).
 	Poll time.Duration
-	// Log receives merge and reclaim lines (nil = discard).
-	Log io.Writer
 	// Events receives the coordinator's structured stream: reclaim events
 	// as dead leases are harvested, one merge event per finding copied
-	// into the main corpus, and warnings. nil discards.
+	// into the main corpus, and warnings (a staging corpus, done marker or
+	// merge to be retried next scan, a failed index save). nil discards.
 	Events events.Sink
 	// Metrics, when non-nil, receives the coordinator's fleet telemetry:
 	// active/stale lease and heartbeat-age gauges, reclaim and window
@@ -109,9 +107,6 @@ func RunCoordinator(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = cfg.LeaseTTL / 4
-	}
-	if cfg.Log == nil {
-		cfg.Log = io.Discard
 	}
 	if cfg.Gen == (gen.Config{}) {
 		cfg.Gen = gen.DefaultConfig()
@@ -195,7 +190,7 @@ func RunCoordinator(ctx context.Context, cfg Config) (*Report, error) {
 	// worker can observe the done markers vanishing below and conclude the
 	// span needs re-covering.
 	if err := main.SaveIndex(); err != nil {
-		fmt.Fprintf(cfg.Log, "fleet: %v (index rebuilt on next open)\n", err)
+		cfg.warn(cfg.CorpusDir, err, "index rebuilt on next open")
 	}
 	if err := writeJSONAtomic(frontierPath(cfg.CorpusDir), frontier{NextIndex: man.Hi, UpdatedAt: time.Now()}); err != nil {
 		return rep, err
@@ -207,6 +202,14 @@ func RunCoordinator(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
+}
+
+// warn reports a best-effort failure the coordinator worked around.
+func (cfg Config) warn(path string, err error, consequence string) {
+	cfg.Events.Emit(events.Event{
+		Kind: events.KindWarning, Op: "fleet", Path: path,
+		Detail: fmt.Sprintf("%v (%s)", err, consequence),
+	})
 }
 
 // openManifest adopts an open fleet run or starts a fresh one at the
@@ -278,7 +281,7 @@ func scanDone(ctx context.Context, cfg Config, main *corpus.Corpus, windows []Wi
 		}
 		c, err := corpus.Open(StagingDir(cfg.CorpusDir, worker))
 		if err != nil {
-			fmt.Fprintf(cfg.Log, "fleet: staging %s: %v (retrying)\n", worker, err)
+			cfg.warn(StagingDir(cfg.CorpusDir, worker), err, "retrying")
 			c = nil
 		}
 		staging[worker] = c
@@ -294,7 +297,7 @@ func scanDone(ctx context.Context, cfg Config, main *corpus.Corpus, windows []Wi
 			var m DoneMarker
 			if err := readJSON(donePath(cfg.CorpusDir, w.Lo, w.Hi), &m); err != nil {
 				if !os.IsNotExist(err) {
-					fmt.Fprintf(cfg.Log, "fleet: %v (retrying)\n", err)
+					cfg.warn(donePath(cfg.CorpusDir, w.Lo, w.Hi), err, "retrying")
 				}
 				continue
 			}
@@ -355,7 +358,7 @@ func mergeMarker(cfg Config, main, staging *corpus.Corpus, m *DoneMarker, merged
 		}
 		if _, err := main.Put(e.Meta, src); err != nil {
 			all = false
-			fmt.Fprintf(cfg.Log, "fleet: merge %.12s: %v (retrying)\n", key, err)
+			cfg.warn(e.Path, fmt.Errorf("merge %.12s: %w", key, err), "retrying")
 			continue
 		}
 		mergedKeys[key] = true
@@ -366,8 +369,6 @@ func mergeMarker(cfg Config, main, staging *corpus.Corpus, m *DoneMarker, merged
 			Kind: events.KindMerge, Op: "fleet", Worker: m.Worker,
 			Key: key, Class: string(e.Meta.Class), Lo: m.Lo, Hi: m.Hi,
 		})
-		fmt.Fprintf(cfg.Log, "fleet: merged %s %.12s from %s (window [%d, %d))\n",
-			e.Meta.Class, key, m.Worker, m.Lo, m.Hi)
 	}
 	return all, missed
 }
@@ -428,7 +429,6 @@ func reclaimExpired(cfg Config, man *Manifest, rep *Report) error {
 			Kind: events.KindReclaim, Op: "fleet", Worker: l.Worker, Lo: lo, Hi: hi,
 			Detail: fmt.Sprintf("lease heartbeat stale for > %v; window re-issued", man.LeaseTTL),
 		})
-		fmt.Fprintf(cfg.Log, "fleet: reclaimed window [%d, %d) from %s (stale heartbeat)\n", lo, hi, l.Worker)
 	}
 	return nil
 }

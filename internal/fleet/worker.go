@@ -9,7 +9,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -33,8 +32,6 @@ type WorkerOptions struct {
 	// Poll is how long to wait between passes when every remaining window
 	// is leased or the manifest has not appeared yet (default 1s).
 	Poll time.Duration
-	// Log receives the campaign engines' per-finding lines (nil = discard).
-	Log io.Writer
 	// Events receives the worker's structured stream: a lease event per
 	// claimed window, the leased campaigns' own events, and a window-done
 	// event per completed window, all carrying the worker id. nil
@@ -197,7 +194,6 @@ func runWindow(ctx context.Context, corpusDir, staging, id string, man *Manifest
 		Spec:    man.Spec,
 		Workers: opts.Workers,
 		Corpus:  staged,
-		Log:     opts.Log,
 		Events:  sink,
 		Metrics: opts.Metrics,
 	})

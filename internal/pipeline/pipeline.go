@@ -310,23 +310,6 @@ func (r *JobResult) CitedRule() string {
 	return ""
 }
 
-// CitedRules returns every distinct typing rule the IFC checker cited on
-// this job, in first-citation order.
-func (r *JobResult) CitedRules() []string {
-	if r.IFC == nil {
-		return nil
-	}
-	var out []string
-	seen := map[string]bool{}
-	for _, d := range r.IFC.Diags {
-		if d.Rule != "" && !seen[d.Rule] {
-			seen[d.Rule] = true
-			out = append(out, d.Rule)
-		}
-	}
-	return out
-}
-
 // Summary aggregates a batch run.
 type Summary struct {
 	// Results holds one entry per job, in job order.

@@ -25,7 +25,6 @@ package triage
 import (
 	"context"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -46,10 +45,9 @@ type RetireConfig struct {
 	// before removal ("" = retired-corpus beside the live corpus's
 	// directory). It is a corpus — replay it like any other.
 	PromoteDir string
-	// Log receives one line per retired entry (nil = discard).
-	Log io.Writer
 	// Events receives one retired event per promoted-and-removed entry
-	// (plus the underlying replay's stream); nil discards.
+	// (plus the underlying replay's stream) and a warning per failed
+	// index save; nil discards.
 	Events events.Sink
 }
 
@@ -109,10 +107,6 @@ func Retire(ctx context.Context, cfg RetireConfig) (*RetireReport, error) {
 	promoteDir := cfg.PromoteDir
 	if promoteDir == "" {
 		promoteDir = filepath.Join(filepath.Dir(filepath.Clean(corp.Dir())), "retired-corpus")
-	}
-	log := cfg.Log
-	if log == nil {
-		log = io.Discard
 	}
 	rep := &RetireReport{CorpusDir: corp.Dir(), PromoteDir: promoteDir}
 
@@ -221,11 +215,13 @@ func Retire(ctx context.Context, cfg RetireConfig) (*RetireReport, error) {
 			Detail: fmt.Sprintf("%s -> %s: %s", m.Class, d.Got, d.Detail),
 			Key:    m.Key, Path: e.Path,
 		})
-		fmt.Fprintf(log, "retired: %s (%s -> %s) promoted to %s\n", e.Path, m.Class, d.Got, promoted)
 	}
 	for _, c := range []*corpus.Corpus{corp, retired} {
 		if err := c.SaveIndex(); err != nil {
-			fmt.Fprintf(log, "retire: %v (index rebuilt on next open)\n", err)
+			cfg.Events.Emit(events.Event{
+				Kind: events.KindWarning, Op: "retire", Path: c.Dir(),
+				Detail: fmt.Sprintf("%v (index rebuilt on next open)", err),
+			})
 		}
 	}
 

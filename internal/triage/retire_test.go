@@ -2,6 +2,7 @@ package triage_test
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/corpus"
 	"repro/internal/gen"
+	"repro/internal/lattice"
 	"repro/internal/pipeline"
 	"repro/internal/triage"
 )
@@ -353,5 +355,77 @@ func TestRetireCollapsesDriftedDuplicates(t *testing.T) {
 	}
 	if len(metas) != 1 || metas[0].Class != campaign.ClassSound || metas[0].RetiredFrom != campaign.ClassRejectedClean {
 		t.Fatalf("retired corpus holds %+v, want one sound entry retired from rejected-clean", metas)
+	}
+}
+
+// TestRetireToRejectedCleanCitesDiagnostic: an entry whose recorded class
+// no longer holds and that now judges rejected-clean is re-recorded with
+// the detail a campaign gives that verdict — the first IFC diagnostic —
+// not an empty one. The entry is a regression-corpus copy relabelled to
+// under-tested.
+func TestRetireToRejectedCleanCitesDiagnostic(t *testing.T) {
+	const from, victim = "../../testdata/regression-corpus/findings", "rejected-clean-054f9f887991"
+	dir := t.TempDir()
+	findings := filepath.Join(dir, "findings")
+	if err := os.MkdirAll(findings, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	dirents, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range dirents {
+		if de.Name() == "index.json" {
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(from, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if de.Name() == victim+".json" {
+			raw = []byte(strings.Replace(string(raw), `"class": "rejected-clean"`, `"class": "under-tested"`, 1))
+		}
+		if err := os.WriteFile(filepath.Join(findings, de.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The IFC checker's first diagnostic on the entry's program, past the
+	// file name it is reported under.
+	src, err := os.ReadFile(filepath.Join(from, victim+".p4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := pipeline.Analyze(pipeline.Job{Name: "victim.p4", Source: string(src), Lat: lattice.TwoPoint()}, pipeline.Options{})
+	if r.IFC == nil || r.IFC.OK || len(r.IFC.Diags) == 0 {
+		t.Fatalf("%s is not IFC-rejected", victim)
+	}
+	_, diag, _ := strings.Cut(r.IFC.Diags[0].Error(), "victim.p4:")
+
+	rr, err := triage.Retire(context.Background(), triage.RetireConfig{
+		Corpus: openCorpus(t, dir), PromoteDir: filepath.Join(t.TempDir(), "retired"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rr.OK() || len(rr.Retired) != 1 {
+		t.Fatalf("ok=%v retired=%d, want one retired entry\n%s", rr.OK(), len(rr.Retired), triage.FormatRetireReport(rr))
+	}
+	rf := rr.Retired[0]
+	if rf.From != campaign.ClassUnderTested || rf.To != campaign.ClassRejectedClean || !strings.HasSuffix(rf.Detail, diag) {
+		t.Fatalf("retired %s -> %s: %q, want under-tested -> rejected-clean citing %q", rf.From, rf.To, rf.Detail, diag)
+	}
+	raw, err := os.ReadFile(strings.TrimSuffix(rf.PromotedPath, ".p4") + ".json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var promoted corpus.Meta
+	if err := json.Unmarshal(raw, &promoted); err != nil {
+		t.Fatal(err)
+	}
+	if promoted.Detail != rf.Detail {
+		t.Errorf("promoted Meta.Detail %q, want %q", promoted.Detail, rf.Detail)
+	}
+	if line := "under-tested -> rejected-clean: " + rf.Detail; !strings.Contains(triage.FormatRetireReport(rr), line) {
+		t.Errorf("report lacks %q:\n%s", line, triage.FormatRetireReport(rr))
 	}
 }

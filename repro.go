@@ -75,9 +75,12 @@
 // Every operation frames its events with op-start/op-end (op-end carries
 // a one-line outcome), so one consumer can interleave many operations'
 // events; if a slow consumer forces the stream to shed events, the
-// operation ends with a warning event carrying the drop count. The
-// p4fuzz CLI exposes the stream as text (-events) or as one JSON object
-// per line (-events-json), and cmd/p4fuzzd runs campaigns as a
+// operation ends with a warning event carrying the drop count. Failures
+// an operation works around — a finding the corpus could not store, an
+// index or metrics snapshot not saved — arrive as warning events too: the
+// stream is the operations' only progress channel. The p4fuzz CLI
+// renders it as text on stderr, or as one JSON object per line with
+// -events-json, and cmd/p4fuzzd runs campaigns as a
 // work-leasing fleet of processes coordinated through files under
 // <corpus>/fleet/ — see internal/fleet and EXPERIMENTS.md.
 //

@@ -8,7 +8,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -121,7 +120,6 @@ type Session struct {
 	corpusDir  string
 	promoteDir string
 	maxNovelty int
-	log        io.Writer
 
 	eventBuf int
 	mu       sync.Mutex
@@ -222,10 +220,6 @@ func WithMaxNovelty(n int) SessionOption { return func(s *Session) { s.maxNovelt
 // WithPromoteDir sets the retired-corpus directory Retire promotes
 // drifted findings into ("" = <corpus>/../retired-corpus).
 func WithPromoteDir(dir string) SessionOption { return func(s *Session) { s.promoteDir = dir } }
-
-// WithLog directs the operations' line-oriented progress log (per-finding
-// lines, drift lines) to w; nil discards.
-func WithLog(w io.Writer) SessionOption { return func(s *Session) { s.log = w } }
 
 // WithEventBuffer sets the Events channel's buffer (default 1024). A full
 // buffer drops events rather than stalling the engines; Dropped counts
@@ -355,17 +349,19 @@ func (s *Session) emitCritical(e Event) {
 }
 
 // startOp frames one operation's event stream: an op-start event now, and
-// the returned finish func emits — when the listener lost events since
-// op-start — a warning carrying the drop count, then the op-end event
-// with the outcome detail. Framing events are never dropped (see
-// emitCritical), so a consumer that saw op-end without a drop warning
-// holds the operation's complete stream.
+// the returned finish func persists the metrics snapshot, then emits —
+// when the listener lost events since op-start — a warning carrying the
+// drop count, then the op-end event with the outcome detail. Framing
+// events are never dropped (see emitCritical), so a consumer that saw
+// op-end without a drop warning holds the operation's complete stream,
+// a failed snapshot write's warning included.
 func (s *Session) startOp(op string) func(detail string) {
 	before := s.dropped.Load()
 	t0 := time.Now()
 	s.emitCritical(Event{Kind: events.KindOpStart, Op: op})
 	return func(detail string) {
 		s.metrics.Histogram("session_op_seconds", metrics.DurationBuckets, "op", op).ObserveDuration(time.Since(t0))
+		s.writeMetricsSnapshot(op)
 		if d := s.dropped.Load() - before; d > 0 {
 			s.emitCritical(Event{
 				Kind: events.KindWarning, Op: op, Done: int(d),
@@ -373,7 +369,6 @@ func (s *Session) startOp(op string) func(detail string) {
 			})
 		}
 		s.emitCritical(Event{Kind: events.KindOpEnd, Op: op, Detail: detail})
-		s.writeMetricsSnapshot()
 	}
 }
 
@@ -387,19 +382,24 @@ func (s *Session) Metrics() MetricsSnapshot { return s.metrics.Snapshot() }
 // (atomically, temp+rename) so every run leaves a machine-diffable
 // telemetry artifact next to its findings. Sessions without a corpus
 // directory have nowhere durable to write; a write failure costs the
-// artifact, never the operation.
-func (s *Session) writeMetricsSnapshot() {
+// artifact, never the operation, and is reported as a warning of op.
+func (s *Session) writeMetricsSnapshot(op string) {
 	if s.corpusDir == "" {
-		return
-	}
-	if err := os.MkdirAll(s.corpusDir, 0o755); err != nil {
 		return
 	}
 	// Merge-on-write (UpdateFile): this session overwrites only its own
 	// series, so telemetry another process left in the artifact — a fleet
 	// run's worker-labeled counters, say — survives a later triage pass.
-	if err := metrics.UpdateFile(filepath.Join(s.corpusDir, "metrics.json"), s.metrics.Snapshot()); err != nil && s.log != nil {
-		fmt.Fprintf(s.log, "session: %v (metrics snapshot lost)\n", err)
+	path := filepath.Join(s.corpusDir, "metrics.json")
+	err := os.MkdirAll(s.corpusDir, 0o755)
+	if err == nil {
+		err = metrics.UpdateFile(path, s.metrics.Snapshot())
+	}
+	if err != nil {
+		s.sink().Emit(Event{
+			Kind: events.KindWarning, Op: op, Path: path,
+			Detail: fmt.Sprintf("%v (metrics snapshot lost)", err),
+		})
 	}
 }
 
@@ -434,7 +434,6 @@ func (s *Session) Campaign(ctx context.Context, n int) (*CampaignReport, error) 
 		Spec:    s.spec,
 		Workers: s.workers,
 		Corpus:  corp,
-		Log:     s.log,
 		Events:  s.sink(),
 		Metrics: s.metrics,
 	})
@@ -467,7 +466,6 @@ func (s *Session) Replay(ctx context.Context) (*ReplayReport, error) {
 	finish := s.startOp("replay")
 	rep, err := campaign.Replay(ctx, campaign.ReplayConfig{
 		Corpus: corp,
-		Log:    s.log,
 		Events: s.sink(),
 	})
 	summary := ""
@@ -513,7 +511,6 @@ func (s *Session) Retire(ctx context.Context) (*RetireReport, error) {
 	rep, err := triage.Retire(ctx, triage.RetireConfig{
 		Corpus:     corp,
 		PromoteDir: s.promoteDir,
-		Log:        s.log,
 		Events:     s.sink(),
 	})
 	summary := ""
@@ -539,7 +536,6 @@ func (s *Session) Compact(ctx context.Context) (*CompactReport, error) {
 	finish := s.startOp("compact")
 	rep, err := campaign.Compact(ctx, campaign.CompactConfig{
 		Corpus:  corp,
-		Log:     s.log,
 		Events:  s.sink(),
 		Metrics: s.metrics,
 	})
