@@ -12,10 +12,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro"
-	"repro/internal/bench"
 	"repro/internal/gen"
 	"repro/internal/lattice"
 	"repro/internal/ni"
@@ -72,14 +73,88 @@ func BenchmarkTable1(b *testing.B) {
 }
 
 // BenchmarkTable1Report prints the assembled Table 1 once, in the paper's
-// format, so `go test -bench Table1Report` regenerates the artifact.
+// format, so `go test -bench Table1Report -v` regenerates the artifact.
 func BenchmarkTable1Report(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.Table1(25)
+		rows := table1(b, 25)
 		if i == 0 {
-			b.Log("\n" + bench.FormatTable1(rows))
+			b.Log("\n" + formatTable1(rows))
 		}
 	}
+}
+
+// table1Row is one measured row of Table 1.
+type table1Row struct {
+	program     string
+	baseMs      float64 // unannotated program through the base checker
+	p4bidMs     float64 // annotated program through the IFC checker
+	overheadPct float64
+}
+
+// table1 measures the five Table 1 programs in the paper's order,
+// averaging each measurement over reps runs after one warm-up run. The
+// final row is the average, as in the paper.
+func table1(tb testing.TB, reps int) []table1Row {
+	tb.Helper()
+	measure := func(f func() bool) float64 {
+		if !f() {
+			tb.Fatal("a Table 1 program failed its check")
+		}
+		start := time.Now()
+		for range reps {
+			f()
+		}
+		return float64(time.Since(start).Nanoseconds()) / float64(reps) / 1e6
+	}
+	var rows []table1Row
+	var sumBase, sumIFC float64
+	for _, name := range []string{"D2R", "App", "Lattice", "Topology", "Cache"} {
+		p, _ := repro.CaseStudyByName(name)
+		lat := p.Lattice()
+		unannotated, annotated := p.Source(repro.Unannotated), p.Source(repro.Fixed)
+		baseMs := measure(func() bool {
+			prog, err := repro.Parse("bench.p4", unannotated)
+			return err == nil && repro.CheckBase(prog).OK
+		})
+		ifcMs := measure(func() bool {
+			prog, err := repro.Parse("bench.p4", annotated)
+			return err == nil && repro.Check(prog, lat).OK
+		})
+		rows = append(rows, table1Row{name, baseMs, ifcMs, 100 * (ifcMs - baseMs) / baseMs})
+		sumBase += baseMs
+		sumIFC += ifcMs
+	}
+	n := float64(len(rows))
+	return append(rows, table1Row{"Average", sumBase / n, sumIFC / n, 100 * (sumIFC - sumBase) / sumBase})
+}
+
+// TestTable1Shape: the Table 1 harness measures the five programs and
+// the average in the paper's order, and renders the paper's layout.
+func TestTable1Shape(t *testing.T) {
+	rows := table1(t, 3)
+	order := []string{"D2R", "App", "Lattice", "Topology", "Cache", "Average"}
+	if len(rows) != len(order) {
+		t.Fatalf("%d rows, want %d", len(rows), len(order))
+	}
+	for i, want := range order {
+		if rows[i].program != want || rows[i].baseMs <= 0 || rows[i].p4bidMs <= 0 {
+			t.Errorf("row %d = %+v, want %s with positive timings", i, rows[i], want)
+		}
+	}
+	if out := formatTable1(rows); !strings.HasPrefix(out, "Table 1: Typechecking time in milliseconds.") {
+		t.Errorf("formatted table:\n%s", out)
+	}
+}
+
+// formatTable1 renders rows in the paper's layout.
+func formatTable1(rows []table1Row) string {
+	var b strings.Builder
+	b.WriteString("Table 1: Typechecking time in milliseconds.\n")
+	fmt.Fprintf(&b, "%-10s %18s %18s %10s\n", "Program", "Unannotated, base", "Annotated, P4BID", "Overhead")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-10s %18.3f %18.3f %+9.1f%%\n", r.program, r.baseMs, r.p4bidMs, r.overheadPct)
+	}
+	return b.String()
 }
 
 // BenchmarkScalingBySize extends Table 1 with synthetic programs of
@@ -212,17 +287,18 @@ func BenchmarkRandomProgramGeneration(b *testing.B) {
 }
 
 // BenchmarkPipeline measures batch-analysis throughput over a 200-program
-// generated corpus: the sequential path (workers=1) against the full
-// worker pool. On >= 4 cores the pool should win by >= 3x; compare the
-// two sub-benchmarks' ns/op (see also `p4bench -pipeline`).
+// generated corpus, every stage including NI on each base-accepted
+// program: the sequential path (workers=1) against the full worker pool.
+// On >= 4 cores the pool should win by >= 3x; compare the two
+// sub-benchmarks' ns/op.
 func BenchmarkPipeline(b *testing.B) {
-	jobs := bench.PipelineCorpus(200, 1)
+	jobs := pipelineCorpus(200, 1)
 	run := func(b *testing.B, workers int) {
 		b.ReportMetric(float64(len(jobs)), "programs/batch")
 		for i := 0; i < b.N; i++ {
 			sum, err := pipeline.Run(context.Background(), jobs, pipeline.Options{
 				Workers: workers,
-				NI:      pipeline.NIAccepted,
+				NI:      true,
 				NISeed:  1,
 			})
 			if err != nil {
@@ -237,6 +313,18 @@ func BenchmarkPipeline(b *testing.B) {
 	b.Run(fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
 		run(b, runtime.GOMAXPROCS(0))
 	})
+}
+
+// pipelineCorpus generates a deterministic corpus of n random two-point
+// programs: same seed, same corpus, so runs are comparable.
+func pipelineCorpus(n int, seed int64) []pipeline.Job {
+	cfg := gen.DefaultConfig()
+	jobs := make([]pipeline.Job, n)
+	for i := range jobs {
+		rng := rand.New(rand.NewSource(seed + int64(i)))
+		jobs[i] = pipeline.Job{Name: fmt.Sprintf("corpus-%d.p4", i), Source: gen.Random(rng, cfg), Lat: lattice.TwoPoint()}
+	}
+	return jobs
 }
 
 // BenchmarkCampaign measures a corpus-less differential fuzzing campaign

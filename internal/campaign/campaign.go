@@ -512,7 +512,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	results := pipeline.RunStream(ctx, jobs, pipeline.Options{
 		Workers: workers,
-		NI:      pipeline.NIAll,
+		NI:      true,
 		Budget:  cfg.Budget,
 		NISeed:  cfg.Seed,
 		Metrics: cfg.Metrics,
@@ -779,7 +779,8 @@ func (e *engine) finalize(ps []pendingFinding, workers int) {
 // Spec.Minimize is set. It reads only the run's fixed configuration, so
 // any number of calls may run at once. Cancellation must not sit in a
 // delta-debug loop: once the context is done no shrink starts and those
-// in flight stop (see judge.keep), so the finding keeps the source it has.
+// in flight stop (see judge.keep), and a finding whose shrunk program
+// was not re-judged keeps its original source.
 func (e *engine) minimize(p pendingFinding) Finding {
 	f := Finding{
 		Class:         p.class,
@@ -799,9 +800,14 @@ func (e *engine) minimize(p pendingFinding) Finding {
 		// oracle and NI randomness as the original job, and shrink
 		// replays are real pipeline work, so they count in the registry.
 		j := judge{lat: e.lat, budget: e.cfg.Budget, niSeed: e.cfg.Seed + p.idx, met: e.met, class: p.class}
-		if res, err := shrink.Minimize(p.name, f.Source, j.keep(e.ctx)); err == nil {
-			f.Minimized = len(res.Source) < len(f.Source)
-			f.Source = res.Source
+		res, err := shrink.Minimize(p.name, f.Source, j.keep(e.ctx))
+		if err == nil && len(res.Source) < len(f.Source) {
+			// The finding cites the program it stores: the shrunk one's
+			// own detail and rule, as the judge gives them, so a re-judge
+			// (retire's re-record) reproduces them.
+			if _, detail, rule, err := j.classify(e.ctx, res.Source); err == nil {
+				f.Minimized, f.Source, f.Detail, f.Rule = true, res.Source, detail, rule
+			}
 		}
 	}
 	return f
@@ -830,8 +836,8 @@ func (e *engine) commit(p pendingFinding, f Finding) {
 	if e.corp != nil {
 		path, err := e.corp.Put(corpus.Meta{
 			Class:         class,
-			Rule:          p.rule,
-			Detail:        p.detail,
+			Rule:          f.Rule,
+			Detail:        f.Detail,
 			Index:         idx,
 			GenSeed:       f.GenSeed,
 			NISeed:        f.NISeed,
@@ -872,8 +878,8 @@ func (e *engine) commit(p pendingFinding, f Finding) {
 	e.rep.Findings = append(e.rep.Findings, f)
 	e.sink.Emit(events.Event{
 		Kind: events.KindFinding, Op: "campaign",
-		Index: idx, Class: string(class), Rule: p.rule,
-		Detail: p.detail, Key: f.Key, Path: f.Path,
+		Index: idx, Class: string(class), Rule: f.Rule,
+		Detail: f.Detail, Key: f.Key, Path: f.Path,
 	})
 }
 

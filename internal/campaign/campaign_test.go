@@ -12,11 +12,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/difftest"
 	"repro/internal/events"
 	"repro/internal/gen"
 	"repro/internal/lattice"
+	"repro/internal/parser"
 	"repro/internal/pipeline"
 )
 
@@ -55,7 +57,7 @@ func readKeys(t *testing.T, dir string) map[string]corpus.Meta {
 func classifySource(t *testing.T, src string, niSeed int64, trials, max int) difftest.Verdict {
 	t.Helper()
 	r := pipeline.Analyze(pipeline.Job{Name: "replay.p4", Source: src, Lat: lattice.TwoPoint()},
-		pipeline.Options{NI: pipeline.NIAll, Budget: pipeline.Budget{Trials: trials, TrialsMax: max}, NISeed: niSeed})
+		pipeline.Options{NI: true, Budget: pipeline.Budget{Trials: trials, TrialsMax: max}, NISeed: niSeed})
 	v, _ := difftest.Classify(&r)
 	return v
 }
@@ -555,4 +557,83 @@ func TestCampaignPersistFailureWarns(t *testing.T) {
 	if kept != rep.NewFindings {
 		t.Errorf("%d kept-in-memory warnings for %d findings: %+v", kept, rep.NewFindings, warnings)
 	}
+}
+
+// TestMinimizedFindingCitesStoredProgram: a shrunk finding's detail and
+// rule describe the program it stores, not the job it was cut from. The
+// report, the corpus metadata and the finding event must all carry the
+// detail the judge gives the stored source, so a re-judge (retire's
+// re-record) reproduces it, and the rule of the stored program's first
+// rule-bearing IFC diagnostic.
+func TestMinimizedFindingCitesStoredProgram(t *testing.T) {
+	dir := t.TempDir()
+	found := map[int64]events.Event{}
+	cfg := Config{
+		Window:  Window{Lo: 0, Hi: 120},
+		Spec:    Spec{Seed: 17, Gen: smallGen(), Budget: pipeline.Budget{Trials: 2, TrialsMax: 64}, Minimize: true, MaxPerClass: 15},
+		Corpus:  openCorpus(t, dir),
+		Workers: 2,
+		Events: func(ev events.Event) {
+			if ev.Kind == events.KindFinding {
+				found[ev.Index] = ev
+			}
+		},
+	}
+	rep, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas := readKeys(t, dir)
+	checked := 0
+	for _, f := range rep.Findings {
+		if !f.Minimized || f.Class == ClassParserDisagreement {
+			continue
+		}
+		m, ok := metas[f.Key]
+		if !ok {
+			t.Fatalf("finding %d (%s) not in the corpus", f.Index, f.Key)
+		}
+		j, err := judgeOf(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, detail, rule, err := j.classify(context.Background(), f.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := found[f.Index]
+		for _, got := range []struct{ where, detail, rule string }{
+			{"report", f.Detail, f.Rule},
+			{"metadata", m.Detail, m.Rule},
+			{"event", ev.Detail, ev.Rule},
+		} {
+			if got.detail != detail || got.rule != rule {
+				t.Errorf("finding %d (%s), %s: detail %q rule %q; the stored program judges to detail %q rule %q",
+					f.Index, f.Class, got.where, got.detail, got.rule, detail, rule)
+			}
+		}
+		if want := firstRule(t, f.Source, j.lat); f.Rule != want {
+			t.Errorf("finding %d (%s): rule %q, the stored program's first rule-bearing diagnostic cites %q", f.Index, f.Class, f.Rule, want)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no minimized verdict finding to check")
+	}
+}
+
+// firstRule is the rule src's first rule-bearing IFC diagnostic cites,
+// read straight off the checker.
+func firstRule(t *testing.T, src string, lat lattice.Lattice) string {
+	t.Helper()
+	prog, err := parser.Parse("finding.p4", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range core.Check(prog, lat).Diags {
+		if d.Rule != "" {
+			return d.Rule
+		}
+	}
+	return ""
 }

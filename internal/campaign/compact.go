@@ -136,7 +136,7 @@ func Compact(ctx context.Context, cfg CompactConfig) (*CompactReport, error) {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", e.Path, err))
 			continue
 		}
-		got, _, err := j.classify(ctx, src)
+		got, _, _, err := j.classify(ctx, src)
 		if err != nil {
 			return rep, err
 		}

@@ -128,13 +128,13 @@ func TestJudgeKeepsNothingOnceCancelled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, _, err := j.classify(context.Background(), src); err != nil || got != string(e.Meta.Class) {
+		if got, _, _, err := j.classify(context.Background(), src); err != nil || got != string(e.Meta.Class) {
 			t.Fatalf("%s: live judge gives %q, %v; want %s", e.Path, got, err, e.Meta.Class)
 		}
 		if j.keep(ctx)(src) {
 			t.Errorf("%s: kept after cancel", e.Path)
 		}
-		if _, _, err := j.classify(ctx, src); err != context.Canceled {
+		if _, _, _, err := j.classify(ctx, src); err != context.Canceled {
 			t.Errorf("%s: judge after cancel returns %v, want context.Canceled", e.Path, err)
 		}
 		n++

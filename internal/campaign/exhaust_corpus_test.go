@@ -36,7 +36,7 @@ func TestRegressionCorpusExhaustiveVerdicts(t *testing.T) {
 			t.Fatalf("%s: lattice: %v", e.Path, err)
 		}
 		r := pipeline.Analyze(pipeline.Job{Name: e.Name, Source: src, Lat: lat}, pipeline.Options{
-			NI:     pipeline.NIAll,
+			NI:     true,
 			Budget: pipeline.Budget{Trials: e.Meta.NITrials, TrialsMax: e.Meta.NITrialsMax, Oracle: pipeline.OracleExhaustive},
 			NISeed: e.Meta.NISeed,
 		})

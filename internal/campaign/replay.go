@@ -103,7 +103,7 @@ func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", e.Path, err))
 			continue
 		}
-		got, detail, err := j.classify(ctx, src)
+		got, detail, _, err := j.classify(ctx, src)
 		if err != nil {
 			return rep, err
 		}
@@ -166,39 +166,40 @@ func judgeOf(m corpus.Meta) (judge, error) {
 
 // classify returns the class the current stack gives src — a corpus class,
 // or "sound", "rejected-witnessed", "roundtrip-clean" or "unparseable" —
-// and the detail that explains it. Once ctx is done it analyses nothing
-// and returns ctx.Err().
+// the detail that explains it and the typing rule its first rule-bearing
+// IFC diagnostic cites ("" for the frontend classes). Once ctx is done it
+// analyses nothing and returns ctx.Err().
 //
 // A source the frontend no longer parses judges "unparseable", whatever
 // the recorded class, so a drifted verdict entry is never relabelled a
 // generator bug (which retire's fingerprint pass would then report
 // twice). Generator-bug findings are exempt: an unparseable program can
 // be exactly the recorded defect, and Classify reproduces it as such.
-func (j judge) classify(ctx context.Context, src string) (string, string, error) {
+func (j judge) classify(ctx context.Context, src string) (class, detail, rule string, err error) {
 	if err := ctx.Err(); err != nil {
-		return "", "", err
+		return "", "", "", err
 	}
 	if j.class == ClassParserDisagreement || j.class == ClassRoundtripClean {
 		prog, err := parser.Parse("replay.p4", src)
 		if err != nil {
-			return "unparseable", err.Error(), nil
+			return "unparseable", err.Error(), "", nil
 		}
 		if detail, bad := roundtripDisagreement("replay.p4", src, prog); bad {
-			return string(ClassParserDisagreement), detail, nil
+			return string(ClassParserDisagreement), detail, "", nil
 		}
-		return string(ClassRoundtripClean), "parse → print → reparse is now a fixed point", nil
+		return string(ClassRoundtripClean), "parse → print → reparse is now a fixed point", "", nil
 	}
 	r := pipeline.Analyze(pipeline.Job{Name: "replay.p4", Source: src, Lat: j.lat}, pipeline.Options{
-		NI:      pipeline.NIAll,
+		NI:      true,
 		Budget:  j.budget,
 		NISeed:  j.niSeed,
 		Metrics: j.met,
 	})
 	if r.ParseErr != nil && j.class != ClassGeneratorBug {
-		return "unparseable", r.ParseErr.Error(), nil
+		return "unparseable", r.ParseErr.Error(), "", nil
 	}
-	_, class, detail := verdictOf(&r)
-	return string(class), detail, nil
+	_, c, detail := verdictOf(&r)
+	return string(c), detail, r.CitedRule(), nil
 }
 
 // verdictOf is the one mapping from an analysed job to its verdict, the
@@ -237,7 +238,7 @@ func (j judge) keep(ctx context.Context) shrink.Keep {
 	return func(cand string) bool {
 		kept := make(chan bool, 1)
 		go func() {
-			got, _, err := j.classify(ctx, cand)
+			got, _, _, err := j.classify(ctx, cand)
 			kept <- err == nil && got == string(j.class)
 		}()
 		return <-kept

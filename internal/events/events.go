@@ -218,8 +218,9 @@ func Writer(w io.Writer, asJSON bool) Sink {
 }
 
 // Text renders an event as the one-line human form the CLIs print ("" for
-// kinds with no text rendering, and for job-done events without a Detail,
-// which are too chatty at campaign rates). Every CLI that streams events —
+// kinds with no text rendering: job-done events without a Detail, which
+// are too chatty at campaign rates, and metrics snapshots, whose payload
+// only the JSON form carries). Every CLI that streams events —
 // p4fuzz, p4fuzzd — prints this form through Writer, so fleet logs read
 // the same no matter which process emitted a line.
 func (e Event) Text() string {
@@ -258,12 +259,6 @@ func (e Event) Text() string {
 		return fmt.Sprintf("[%s] %s finished [%d, %d): %d analyzed, %d findings", e.Op, e.Worker, e.Lo, e.Hi, e.Total, e.Done)
 	case KindMerge:
 		return fmt.Sprintf("[%s] merged %s finding %.12s (%s) from [%d, %d)", e.Op, e.Worker, e.Key, e.Class, e.Lo, e.Hi)
-	case KindMetrics:
-		if e.Snapshot == nil {
-			return fmt.Sprintf("[%s] metrics snapshot", e.Op)
-		}
-		return fmt.Sprintf("[%s] metrics snapshot: %d counters, %d gauges, %d histograms",
-			e.Op, len(e.Snapshot.Counters), len(e.Snapshot.Gauges), len(e.Snapshot.Histograms))
 	}
 	return ""
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // TestKindStringRoundTrip: every kind's string name resolves back to the
@@ -143,8 +145,13 @@ func TestWriterConcurrent(t *testing.T) {
 }
 
 // TestJobDoneText: a job-done event renders only when it carries a
-// Detail, as compact's rewritten and collapsed entries do.
+// Detail, as compact's rewritten and collapsed entries do. A metrics
+// snapshot never renders: its payload is for JSON consumers.
 func TestJobDoneText(t *testing.T) {
+	snap := &metrics.Snapshot{Counters: []metrics.Sample{{Name: "jobs_total", Value: 1}}}
+	if got := (Event{Kind: KindMetrics, Op: "campaign", Snapshot: snap}).Text(); got != "" {
+		t.Errorf("metrics event renders %q", got)
+	}
 	if got := (Event{Kind: KindJobDone, Op: "campaign", Index: 3}).Text(); got != "" {
 		t.Errorf("job-done without detail renders %q", got)
 	}

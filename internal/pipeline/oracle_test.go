@@ -76,7 +76,7 @@ func runOne(t *testing.T, opts pipeline.Options) *pipeline.JobResult {
 // historical adaptive-on-rejection behavior, "randomized" flattens it,
 // and "exhaustive" upgrades the job to a proof with provenance fields.
 func TestOracleSelection(t *testing.T) {
-	base := pipeline.Options{Workers: 1, NI: pipeline.NIAll, Budget: pipeline.Budget{Trials: 4, TrialsMax: 32}, NISeed: 11}
+	base := pipeline.Options{Workers: 1, NI: true, Budget: pipeline.Budget{Trials: 4, TrialsMax: 32}, NISeed: 11}
 
 	r := runOne(t, base)
 	if r.NIOracle != "adaptive" {
@@ -122,7 +122,7 @@ func TestExhaustiveMetricsIdentity(t *testing.T) {
 	reg := metrics.NewRegistry()
 	opts := pipeline.Options{
 		Workers: 1,
-		NI:      pipeline.NIAll,
+		NI:      true,
 		Budget:  pipeline.Budget{Trials: 2, TrialsMax: 4, Oracle: pipeline.OracleExhaustive},
 		NISeed:  3,
 		Metrics: reg,

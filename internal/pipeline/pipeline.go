@@ -71,23 +71,6 @@ func (s Stage) String() string {
 	}
 }
 
-// NIMode selects which jobs the NI-experiment stage runs on.
-type NIMode int
-
-// NI modes.
-const (
-	// NIOff skips the NI stage entirely.
-	NIOff NIMode = iota
-	// NIAccepted runs NI experiments only on IFC-accepted programs — the
-	// soundness check (Theorem 4.3: accepted ⇒ non-interfering).
-	NIAccepted
-	// NIAll runs NI experiments on every base-well-typed program,
-	// including IFC-rejected ones — the differential harness uses the
-	// extra runs to tell true positives (interference witnessed) from
-	// conservative rejections (no witness found).
-	NIAll
-)
-
 // Job is one program to analyze.
 type Job struct {
 	// Name names the program in diagnostics (used as the parse file name).
@@ -109,8 +92,12 @@ type Job struct {
 type Options struct {
 	// Workers bounds the worker pool; <= 0 means GOMAXPROCS(0).
 	Workers int
-	// NI selects the non-interference stage's mode (default NIOff).
-	NI NIMode
+	// NI runs the non-interference stage on every base-well-typed
+	// program, IFC-rejected ones included: on an accepted program a
+	// witness is a soundness violation (Theorem 4.3: accepted ⇒
+	// non-interfering), on a rejected one it tells a true positive from a
+	// conservative rejection.
+	NI bool
 	// Budget is the NI stage's trial budget and backend; Run and
 	// RunStream apply Budget.Resolved's defaults.
 	Budget
@@ -490,8 +477,7 @@ func runJob(job Job, opts Options, ins instruments) JobResult {
 	r.IFC = core.Check(prog, lat)
 	r.StageDur[StageIFC] = time.Since(t0)
 
-	runNI := opts.NI == NIAll || (opts.NI == NIAccepted && r.IFC.OK)
-	if !runNI {
+	if !opts.NI {
 		return r
 	}
 	t0 = time.Now()
@@ -605,21 +591,6 @@ func observersFor(lat lattice.Lattice) []lattice.Label {
 	}
 	if len(out) == 0 {
 		out = []lattice.Label{lat.Bottom()}
-	}
-	return out
-}
-
-// FormatSummary renders the batch summary with the per-stage breakdown.
-func FormatSummary(s *Summary) string {
-	out := fmt.Sprintf("batch: %d programs, %d workers, %v wall-clock\n",
-		len(s.Results), s.Workers, s.Elapsed.Round(time.Microsecond))
-	out += fmt.Sprintf("  parsed %d, base-accepted %d, IFC-accepted %d, NI-violating %d\n",
-		s.Parsed, s.BaseAccepted, s.IFCAccepted, s.NIViolating)
-	for st := Stage(0); st < NumStages; st++ {
-		if s.StageDur[st] == 0 {
-			continue
-		}
-		out += fmt.Sprintf("  %-10s %12v summed across jobs\n", st, s.StageDur[st].Round(time.Microsecond))
 	}
 	return out
 }

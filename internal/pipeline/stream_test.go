@@ -47,7 +47,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 		rng := rand.New(rand.NewSource(7 + int64(i)))
 		jobs[i] = Job{Name: fmt.Sprintf("stream-%d.p4", i), Source: gen.Random(rng, cfg)}
 	}
-	opts := Options{Workers: 4, NI: NIAll, Budget: Budget{Trials: 4}, NISeed: 7}
+	opts := Options{Workers: 4, NI: true, Budget: Budget{Trials: 4}, NISeed: 7}
 
 	sum, err := Run(context.Background(), jobs, opts)
 	if err != nil {
@@ -81,7 +81,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 // while every slot of the result buffer holds a parked result.
 func TestRunStreamCancellationLeaksNoGoroutines(t *testing.T) {
 	const workers = 4
-	opts := Options{Workers: workers, NI: NIAll, Budget: Budget{Trials: 2}, NISeed: 1}
+	opts := Options{Workers: workers, NI: true, Budget: Budget{Trials: 2}, NISeed: 1}
 
 	// settled waits for the goroutine count to fall back to before; the
 	// producer observes ctx.Done on its next send, so the runtime may
@@ -153,7 +153,7 @@ func TestRunStreamCancellationLeaksNoGoroutines(t *testing.T) {
 // on Job.Seq, not arrival order).
 func TestRunStreamShardUnion(t *testing.T) {
 	const n, shards = 48, 3
-	opts := Options{Workers: 2, NI: NIAll, Budget: Budget{Trials: 3}, NISeed: 11}
+	opts := Options{Workers: 2, NI: true, Budget: Budget{Trials: 3}, NISeed: 11}
 	cfg := gen.DefaultConfig()
 
 	shardFeed := func(ctx context.Context, shard int) <-chan Job {
@@ -214,7 +214,7 @@ func TestRunStreamShardUnion(t *testing.T) {
 // TestRunStreamAdaptiveBudget: with an adaptive budget, rejected programs
 // may escalate past the base budget while accepted ones never do.
 func TestRunStreamAdaptiveBudget(t *testing.T) {
-	opts := Options{Workers: 2, NI: NIAll, Budget: Budget{Trials: 2, TrialsMax: 16}, NISeed: 3}
+	opts := Options{Workers: 2, NI: true, Budget: Budget{Trials: 2, TrialsMax: 16}, NISeed: 3}
 	sawEscalation := false
 	for r := range RunStream(context.Background(), feedJobs(context.Background(), 80, 3), opts) {
 		if !r.NIRan {

@@ -100,8 +100,8 @@
 // each program once per job — the trials themselves run on the compiled
 // engine (falling back to the tree-walking interpreter only if
 // compilation fails), so the per-trial cost is the compiled rate
-// recorded in BENCH_ni.json, not the interpreter's. Session.Corpus exposes it for direct
-// queries:
+// EXPERIMENTS.md records, not the interpreter's. Session.Corpus exposes
+// it for direct queries:
 //
 //	c, err := s.Corpus()
 //	for e := range c.Select(repro.CorpusFilter{Class: "rejected-clean"}) {

@@ -552,7 +552,7 @@ func (s *Session) Compact(ctx context.Context) (*CompactReport, error) {
 func (s *Session) batchOptions() pipeline.Options {
 	return pipeline.Options{
 		Workers: s.workers,
-		NI:      pipeline.NIAll,
+		NI:      true,
 		Budget:  s.spec.Budget,
 		NISeed:  s.spec.Seed,
 		Metrics: s.metrics,

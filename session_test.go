@@ -514,7 +514,7 @@ func TestSessionCheckMethodsMatchWrappers(t *testing.T) {
 	}
 	pSum, err := pipeline.Run(context.Background(), jobs, pipeline.Options{
 		Workers: 2,
-		NI:      pipeline.NIAll,
+		NI:      true,
 		Budget:  pipeline.Budget{Trials: 2, TrialsMax: 4},
 		NISeed:  11,
 	})
