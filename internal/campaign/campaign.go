@@ -779,8 +779,8 @@ func (e *engine) finalize(ps []pendingFinding, workers int) {
 // Spec.Minimize is set. It reads only the run's fixed configuration, so
 // any number of calls may run at once. Cancellation must not sit in a
 // delta-debug loop: once the context is done no shrink starts and those
-// in flight stop (see judge.keep), and a finding whose shrunk program
-// was not re-judged keeps its original source.
+// in flight stop (see judge.keep), keeping the smallest program they
+// judged before the cancel.
 func (e *engine) minimize(p pendingFinding) Finding {
 	f := Finding{
 		Class:         p.class,
@@ -800,14 +800,12 @@ func (e *engine) minimize(p pendingFinding) Finding {
 		// oracle and NI randomness as the original job, and shrink
 		// replays are real pipeline work, so they count in the registry.
 		j := judge{lat: e.lat, budget: e.cfg.Budget, niSeed: e.cfg.Seed + p.idx, met: e.met, class: p.class}
-		res, err := shrink.Minimize(p.name, f.Source, j.keep(e.ctx))
-		if err == nil && len(res.Source) < len(f.Source) {
+		var best judged
+		if _, err := shrink.Minimize(p.name, f.Source, j.keep(e.ctx, &best)); err == nil && len(best.src) < len(f.Source) {
 			// The finding cites the program it stores: the shrunk one's
-			// own detail and rule, as the judge gives them, so a re-judge
+			// own detail and rule, as the judge gave them, so a re-judge
 			// (retire's re-record) reproduces them.
-			if _, detail, rule, err := j.classify(e.ctx, res.Source); err == nil {
-				f.Minimized, f.Source, f.Detail, f.Rule = true, res.Source, detail, rule
-			}
+			f.Minimized, f.Source, f.Detail, f.Rule = true, best.src, best.detail, best.rule
 		}
 	}
 	return f

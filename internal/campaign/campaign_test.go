@@ -486,11 +486,25 @@ func TestCampaignFinalizeCancellation(t *testing.T) {
 	if r.rep.Minimized >= full.Minimized {
 		t.Errorf("minimized %d after the cancel, uncancelled run %d: shrinking did not stop", r.rep.Minimized, full.Minimized)
 	}
+	// A pool goroutine can still be inside its deferred wg.Done when Run
+	// returns, so the scan polls: only frames that stay past the deadline
+	// are a leak.
 	buf := make([]byte, 1<<20)
-	stacks := string(buf[:runtime.Stack(buf, true)])
-	for _, frame := range []string{"campaign.(*engine).minimize", "campaign.(*engine).finalize", "repro/internal/shrink."} {
-		if strings.Contains(stacks, frame) {
-			t.Errorf("a goroutine in %s outlived Run:\n%s", frame, stacks)
+	frames := []string{"campaign.(*engine).minimize", "campaign.(*engine).finalize", "repro/internal/shrink."}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		leaked := ""
+		for _, frame := range frames {
+			if strings.Contains(stacks, frame) {
+				leaked = frame
+				break
+			}
+		}
+		if leaked == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a goroutine in %s outlived Run:\n%s", leaked, stacks)
 		}
 	}
 }

@@ -173,11 +173,11 @@ func compactEntry(ctx context.Context, corp *corpus.Corpus, e *corpus.Entry, j j
 	// replays to the recorded class, so the compacted entry replays
 	// clean by construction.
 	name := strings.TrimSuffix(e.Name, ".json") + ".p4"
-	res, err := shrink.Minimize(name, src, j.keep(ctx))
-	if err != nil || len(res.Source) >= len(src) {
+	var best judged
+	if _, err := shrink.Minimize(name, src, j.keep(ctx, &best)); err != nil || len(best.src) >= len(src) {
 		return "" // already minimal (or unshrinkable) — leave as is
 	}
-	newKey := corpus.DedupKey(m.Class, res.Source)
+	newKey := corpus.DedupKey(m.Class, best.src)
 	if corp.Has(newKey) {
 		// The minimized form is an existing finding: the two entries
 		// were one defect all along. The survivor shares the dedup
@@ -190,11 +190,14 @@ func compactEntry(ctx context.Context, corp *corpus.Corpus, e *corpus.Entry, j j
 		rep.BytesSaved += len(src)
 		return fmt.Sprintf("collapsed onto %.12s (%d bytes freed)", newKey, len(src))
 	}
+	// The rewritten entry cites the program it stores, as the campaign's
+	// minimized findings do.
 	nm := m
 	nm.Key = newKey
-	nm.Bytes = len(res.Source)
+	nm.Bytes = len(best.src)
 	nm.Minimized = true
-	path, err := corp.Put(nm, res.Source)
+	nm.Detail, nm.Rule = best.detail, best.rule
+	path, err := corp.Put(nm, best.src)
 	if err != nil {
 		rep.Errors = append(rep.Errors, fmt.Sprintf("%s: rewrite: %v", e.Path, err))
 		return ""
@@ -204,8 +207,8 @@ func compactEntry(ctx context.Context, corp *corpus.Corpus, e *corpus.Entry, j j
 		return ""
 	}
 	rep.Minimized++
-	rep.BytesSaved += len(src) - len(res.Source)
-	return fmt.Sprintf("minimized to %s (%d -> %d bytes)", path, len(src), len(res.Source))
+	rep.BytesSaved += len(src) - len(best.src)
+	return fmt.Sprintf("minimized to %s (%d -> %d bytes)", path, len(src), len(best.src))
 }
 
 // FormatCompactReport renders a compaction's outcome.

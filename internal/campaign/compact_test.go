@@ -131,7 +131,7 @@ func TestJudgeKeepsNothingOnceCancelled(t *testing.T) {
 		if got, _, _, err := j.classify(context.Background(), src); err != nil || got != string(e.Meta.Class) {
 			t.Fatalf("%s: live judge gives %q, %v; want %s", e.Path, got, err, e.Meta.Class)
 		}
-		if j.keep(ctx)(src) {
+		if j.keep(ctx, new(judged))(src) {
 			t.Errorf("%s: kept after cancel", e.Path)
 		}
 		if _, _, _, err := j.classify(ctx, src); err != context.Canceled {

@@ -223,9 +223,20 @@ func verdictOf(r *pipeline.JobResult) (difftest.Verdict, Class, string) {
 	return v, ClassRejectedWitnessed, detail
 }
 
+// judged is a candidate the judge kept, with the detail and rule it gave
+// the candidate.
+type judged struct {
+	src, detail, rule string
+}
+
 // keep is the shrink predicate over j: a candidate stays iff it judges
 // to the recorded class. Once ctx is done it keeps nothing, so a cancel
 // stops the shrinks in flight.
+//
+// keep records in best the shortest candidate it has kept so far, the
+// first on ties. shrink.Minimize picks its result by the same rule, so
+// after a shrink best is the result with its verdict, and the caller
+// need not judge it again.
 //
 // Each candidate is judged on a goroutine of its own, which keep waits
 // for. A shrink judges hundreds of candidates back to back, and a
@@ -234,12 +245,16 @@ func verdictOf(r *pipeline.JobResult) (difftest.Verdict, Class, string) {
 // worker, so marking is left to allocation assists and the heap
 // overshoots its goal (in GC traces of the perfbench campaign workloads,
 // with peak RSS about 9% higher).
-func (j judge) keep(ctx context.Context) shrink.Keep {
+func (j judge) keep(ctx context.Context, best *judged) shrink.Keep {
 	return func(cand string) bool {
 		kept := make(chan bool, 1)
 		go func() {
-			got, _, _, err := j.classify(ctx, cand)
-			kept <- err == nil && got == string(j.class)
+			got, detail, rule, err := j.classify(ctx, cand)
+			ok := err == nil && got == string(j.class)
+			if ok && (best.src == "" || len(cand) < len(best.src)) {
+				*best = judged{cand, detail, rule}
+			}
+			kept <- ok
 		}()
 		return <-kept
 	}

@@ -29,10 +29,10 @@ func refRoundtrip(name string, prog *ast.Program) (string, bool) {
 }
 
 // TestRoundtripShortcutAgrees: roundtripDisagreement returns what the
-// full check returns on generated sources (not print-canonical, so the
-// full path runs), on their mutants (print-canonical, so the reparse is
-// skipped), on the regression corpus, and on hand-written sources whose
-// print differs from their text.
+// full check returns on generated sources and their mutants (both
+// print-canonical, so the reparse is skipped), on the regression corpus,
+// and on hand-written sources whose print differs from their text (so
+// the full path runs).
 func TestRoundtripShortcutAgrees(t *testing.T) {
 	canonical := 0
 	check := func(name, src string) {

@@ -81,8 +81,10 @@ type Meta struct {
 	// Detail is the witness, error text, or disagreement description.
 	Detail string `json:"detail"`
 	// Index is the global campaign index of the generating job; with Gen
-	// and GenSeed it regenerates the original (unminimized) program —
-	// when Origin is "gen". Mutants are not regenerable from the seed
+	// and GenSeed it regenerates the original (unminimized) program when
+	// Origin is "gen": the same program, in ast.Print's layout, which an
+	// unminimized finding from an older generator may not share
+	// byte for byte. Mutants are not regenerable from the seed
 	// alone (they also depend on the seed pool at mutation time); their
 	// provenance is ParentKey.
 	Index int64 `json:"index"`

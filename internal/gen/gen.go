@@ -104,9 +104,8 @@ type Config struct {
 	// "nparty:N", or "powerset:N" (lattice.ByName syntax). The empty spec defaults
 	// explicitly to two-point; anything unresolvable is rejected by
 	// Validate (and makes Random panic, so validate configs at the API
-	// boundary). Non-two-point lattices switch Random to the generalized
-	// emitter: one field group per lattice element, label pairs drawn
-	// against the configured order.
+	// boundary). Random emits one field group per lattice element and
+	// draws label pairs against the configured order.
 	Lattice string
 }
 
@@ -155,168 +154,18 @@ func (c Config) Validate() error {
 // checks that programs the checker rejects are rejected for a flow-related
 // rule.
 //
+// The text is in ast.Print's layout: printing its parse gives it back
+// unchanged. An rng state and Config always yield the same program, so a
+// recorded regen seed regenerates its finding's program (text stored by
+// older versions may differ in layout, never in its parse).
+//
 // Random panics on an unresolvable cfg.Lattice; use Config.Validate at
-// configuration boundaries. For the two-point lattice the emitted program
-// is byte-identical to what earlier (pre-Lattice) versions generated from
-// the same rng, so recorded regen seeds stay valid.
+// configuration boundaries.
 func Random(rng *rand.Rand, cfg Config) string {
 	cfg = cfg.withDefaults()
 	lat, err := cfg.ResolveLattice()
 	if err != nil {
-		panic(fmt.Sprintf("gen: %v (validate the Config first)", err))
+		panic("gen: " + err.Error() + " (validate the Config first)")
 	}
-	if lat.Name() != "two-point" {
-		return randomLattice(rng, cfg, lat)
-	}
-	g := &generator{rng: rng, cfg: cfg}
-	var b strings.Builder
-	b.WriteString("header data_t {\n")
-	for i := 0; i < cfg.NumFields; i++ {
-		fmt.Fprintf(&b, "    <bit<8>, low> lo%d;\n", i)
-		fmt.Fprintf(&b, "    <bit<8>, high> hi%d;\n", i)
-	}
-	b.WriteString("    <bool, low> blo;\n    <bool, high> bhi;\n")
-	b.WriteString("}\nstruct headers { data_t d; }\n")
-	b.WriteString("control Rand_Ingress(inout headers hdr, inout standard_metadata_t standard_metadata) {\n")
-	if cfg.WithActions {
-		// Action bodies must not call actions (P4 actions cannot call
-		// actions, and forward references would be undeclared anyway).
-		bodyCfg := cfg
-		bodyCfg.WithActions = false
-		bodyGen := &generator{rng: rng, cfg: bodyCfg}
-		for i := 0; i < 2; i++ {
-			fmt.Fprintf(&b, "    action act%d() {\n", i)
-			bodyGen.block(&b, 2, 2, false)
-			b.WriteString("    }\n")
-		}
-	}
-	b.WriteString("    apply {\n")
-	g.block(&b, cfg.MaxDepth, cfg.MaxStmts, false)
-	b.WriteString("    }\n}\n")
-	return b.String()
-}
-
-type generator struct {
-	rng *rand.Rand
-	cfg Config
-}
-
-func (g *generator) field(kind string) string {
-	switch kind {
-	case "lo":
-		return fmt.Sprintf("hdr.d.lo%d", g.rng.Intn(g.cfg.NumFields))
-	case "hi":
-		return fmt.Sprintf("hdr.d.hi%d", g.rng.Intn(g.cfg.NumFields))
-	default:
-		if g.rng.Intn(2) == 0 {
-			return g.field("lo")
-		}
-		return g.field("hi")
-	}
-}
-
-// bitExpr returns a random bit<8> expression. kind "lo" restricts operands
-// to low fields (so the result is low by construction); "" allows any.
-func (g *generator) bitExpr(depth int, kind string) string {
-	if depth <= 0 || g.rng.Intn(3) == 0 {
-		switch g.rng.Intn(3) {
-		case 0:
-			// Width-prefixed so bitwise operators are defined even on
-			// literal-literal operands.
-			return fmt.Sprintf("8w%d", g.rng.Intn(256))
-		default:
-			return g.field(kind)
-		}
-	}
-	ops := []string{"+", "-", "&", "|", "^"}
-	return fmt.Sprintf("(%s %s %s)",
-		g.bitExpr(depth-1, kind), ops[g.rng.Intn(len(ops))], g.bitExpr(depth-1, kind))
-}
-
-// boolExpr returns a random bool expression at the given kind.
-func (g *generator) boolExpr(depth int, kind string) string {
-	switch g.rng.Intn(4) {
-	case 0:
-		if kind == "lo" || g.rng.Intn(2) == 0 {
-			return "hdr.d.blo"
-		}
-		return "hdr.d.bhi"
-	case 1:
-		return fmt.Sprintf("(%s == %s)", g.bitExpr(depth-1, kind), g.bitExpr(depth-1, kind))
-	case 2:
-		return fmt.Sprintf("(%s > %s)", g.bitExpr(depth-1, kind), g.bitExpr(depth-1, kind))
-	default:
-		if depth <= 0 {
-			if kind == "lo" {
-				return "hdr.d.blo"
-			}
-			return "hdr.d.bhi"
-		}
-		return fmt.Sprintf("(%s && %s)", g.boolExpr(depth-1, kind), g.boolExpr(depth-1, kind))
-	}
-}
-
-// chooseKinds picks an (lhs, rhs) label pair. Most draws respect the
-// lattice (rhs ⊑ lhs) so a useful fraction of whole programs typecheck;
-// a minority deliberately violate it so rejection paths are exercised too.
-func (g *generator) chooseKinds(ctxHigh bool) (lhs, rhs string) {
-	if ctxHigh {
-		// Under a high guard only high writes can be accepted; still
-		// emit an occasional low write to probe implicit-flow rejection.
-		if g.rng.Intn(10) == 0 {
-			return "lo", "lo"
-		}
-		return "hi", ""
-	}
-	switch g.rng.Intn(10) {
-	case 0: // explicit-flow violation candidate
-		return "lo", ""
-	case 1, 2, 3:
-		return "lo", "lo"
-	default:
-		return "hi", ""
-	}
-}
-
-func (g *generator) block(b *strings.Builder, depth, maxStmts int, ctxHigh bool) {
-	n := 1 + g.rng.Intn(maxStmts)
-	for i := 0; i < n; i++ {
-		g.stmt(b, depth, ctxHigh)
-	}
-}
-
-func (g *generator) stmt(b *strings.Builder, depth int, ctxHigh bool) {
-	choice := g.rng.Intn(10)
-	switch {
-	case choice < 5 || depth <= 0: // assignment
-		lhs, rhs := g.chooseKinds(ctxHigh)
-		fmt.Fprintf(b, "        %s = %s;\n", g.field(lhs), g.bitExpr(2, rhs))
-	case choice < 6: // boolean assignment
-		lhs, rhs := g.chooseKinds(ctxHigh)
-		if lhs == "lo" {
-			fmt.Fprintf(b, "        hdr.d.blo = %s;\n", g.boolExpr(1, rhs))
-		} else {
-			fmt.Fprintf(b, "        hdr.d.bhi = %s;\n", g.boolExpr(1, rhs))
-		}
-	case choice < 9: // conditional
-		guardKind := "lo"
-		if g.rng.Intn(4) == 0 {
-			guardKind = ""
-		}
-		high := ctxHigh || guardKind != "lo"
-		fmt.Fprintf(b, "        if (%s) {\n", g.boolExpr(2, guardKind))
-		g.block(b, depth-1, 2, high)
-		if g.rng.Intn(2) == 0 {
-			b.WriteString("        } else {\n")
-			g.block(b, depth-1, 2, high)
-		}
-		b.WriteString("        }\n")
-	default: // action call
-		if g.cfg.WithActions && !ctxHigh {
-			fmt.Fprintf(b, "        act%d();\n", g.rng.Intn(2))
-		} else {
-			lhs, rhs := g.chooseKinds(ctxHigh)
-			fmt.Fprintf(b, "        %s = %s;\n", g.field(lhs), g.bitExpr(1, rhs))
-		}
-	}
+	return newEmitter(rng, cfg, lat).program()
 }

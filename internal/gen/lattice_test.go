@@ -119,9 +119,10 @@ func TestRandomProductLabelEmission(t *testing.T) {
 	}
 }
 
-// TestRandomTwoPointUnchanged pins the two-point emitter byte-for-byte:
-// recorded corpus metadata promises that GenSeed regenerates the original
-// program, so the Lattice extension must not perturb the legacy stream.
+// TestRandomTwoPointUnchanged pins the two-point programs' shape and that
+// spelling the lattice does not change them: recorded corpus metadata
+// promises that GenSeed regenerates the original program, so the Lattice
+// extension must not perturb the legacy stream.
 func TestRandomTwoPointUnchanged(t *testing.T) {
 	cfg := gen.DefaultConfig()
 	src := gen.Random(rand.New(rand.NewSource(1)), cfg)
