@@ -57,8 +57,11 @@ func NewMachine(code *Compiled, cp *controlplane.ControlPlane) *Machine {
 	}
 	m := &Machine{code: code, cp: cp}
 	m.declareTables()
-	m.globals = make([]Value, len(code.globals))
-	m.regs = make([]Value, len(code.regZero))
+	// One backing array: the globals, the registers, and the largest
+	// control frame.
+	g, r := len(code.globals), len(code.regZero)
+	buf := make([]Value, g+r+code.maxFrame)
+	m.globals, m.regs, m.ctrlBuf = buf[:g:g], buf[g:g+r:g+r], buf[g+r:]
 	m.Reset()
 	return m
 }
@@ -171,9 +174,19 @@ func (m *Machine) controlFrame(c *cControl) []Value {
 func (m *Machine) run(c *cControl, frame []Value) (Signal, error) {
 	m.fuel = DefaultFuel
 	m.ctrl, m.cur = frame, frame
-	for _, p := range c.prologue {
-		if err := p(m); err != nil {
-			return Signal{}, err
+	for i := range c.locals {
+		l := &c.locals[i]
+		switch {
+		case l.init != nil:
+			iv, err := l.init.eval(m)
+			if err != nil {
+				return Signal{}, err
+			}
+			frame[l.slot] = own(coerceValue(iv, l.t))
+		case l.val != nil:
+			frame[l.slot] = l.val
+		default:
+			frame[l.slot] = Copy(l.zero)
 		}
 	}
 	sig, err := runBody(m, c.body)
@@ -187,7 +200,7 @@ func (m *Machine) run(c *cControl, frame []Value) (Signal, error) {
 // handling.
 func runBody(m *Machine, body []cStmt) (Signal, error) {
 	for _, s := range body {
-		sig, err := s(m)
+		sig, err := s.exec(m)
 		if err != nil {
 			return Signal{}, err
 		}
@@ -253,7 +266,7 @@ func (m *Machine) invoke(pos token.Pos, fv Value, args []*cArg, extra []Value) (
 		a := args[i]
 		switch p.Dir {
 		case types.In:
-			v, err := a.expr(m)
+			v, err := a.expr.eval(m)
 			if err != nil {
 				return fail(err)
 			}
@@ -367,7 +380,7 @@ func (m *Machine) applyTable(pos token.Pos, tv *cTable) (Signal, error) {
 	var kbuf [8]uint64
 	keys := kbuf[:0]
 	for i, k := range tv.keys {
-		kv, err := k(m)
+		kv, err := k.eval(m)
 		if err != nil {
 			return Signal{}, err
 		}
@@ -444,7 +457,7 @@ func (lv *cLValue) evalIdx(m *Machine) (int, error) {
 		if acc.idx == nil {
 			continue
 		}
-		iv, err := acc.idx(m)
+		iv, err := acc.idx.eval(m)
 		if err != nil {
 			m.idxs = m.idxs[:base]
 			return base, err
@@ -452,7 +465,7 @@ func (lv *cLValue) evalIdx(m *Machine) (int, error) {
 		n, err := toIndex(iv)
 		if err != nil {
 			m.idxs = m.idxs[:base]
-			return base, errors.New(at(acc.idxPos) + err.Error())
+			return base, errors.New(at(acc.ix.P) + err.Error())
 		}
 		m.idxs = append(m.idxs, n)
 	}
@@ -461,8 +474,8 @@ func (lv *cLValue) evalIdx(m *Machine) (int, error) {
 
 // read mirrors readLValue: project along the path and return a deep copy.
 func (lv *cLValue) read(m *Machine, idxBase int) (Value, error) {
-	if lv.baseErr != "" {
-		return nil, errors.New(lv.baseErr)
+	if lv.undeclared {
+		return nil, lv.baseErr()
 	}
 	v := m.get(lv.ref)
 	k := idxBase
@@ -471,7 +484,7 @@ func (lv *cLValue) read(m *Machine, idxBase int) (Value, error) {
 		if acc.idx == nil {
 			f := fieldAt(fieldsOf(v), acc.pos, acc.field)
 			if f == nil {
-				return nil, errors.New(at(lv.pos) + noField(v, acc.field))
+				return nil, errors.New(at(lv.base.P) + noField(v, acc.field))
 			}
 			v = f.Val
 			continue
@@ -480,7 +493,7 @@ func (lv *cLValue) read(m *Machine, idxBase int) (Value, error) {
 		v, err = project(v, accessor{index: m.idxs[k]})
 		k++
 		if err != nil {
-			return nil, errors.New(at(lv.pos) + err.Error())
+			return nil, errors.New(at(lv.base.P) + err.Error())
 		}
 	}
 	return Copy(v), nil
@@ -521,14 +534,14 @@ func noField(v Value, field string) string {
 // deep-copies composites (storeValue), every init and copy-in copies, and
 // RunIndexed callers lend the argument trees for the run.
 func (lv *cLValue) write(m *Machine, idxBase int, nv Value) error {
-	if lv.baseErr != "" {
-		return errors.New(lv.baseErr)
+	if lv.undeclared {
+		return lv.baseErr()
 	}
 	if len(lv.path) == 0 || lv.ref.region == rGlobal {
 		old := m.get(lv.ref)
 		updated, err := lv.update(m, old, 0, idxBase, nv)
 		if err != nil {
-			return errors.New(at(lv.pos) + err.Error())
+			return errors.New(at(lv.base.P) + err.Error())
 		}
 		m.set(lv.ref, updated)
 		return nil
@@ -541,7 +554,7 @@ func (lv *cLValue) write(m *Machine, idxBase int, nv Value) error {
 		if acc.idx == nil {
 			slot := fieldAt(fieldsOf(v), acc.pos, acc.field)
 			if slot == nil {
-				return errors.New(at(lv.pos) + noField(v, acc.field))
+				return errors.New(at(lv.base.P) + noField(v, acc.field))
 			}
 			if last {
 				slot.Val = storeValue(slot.Val, nv)
@@ -552,7 +565,7 @@ func (lv *cLValue) write(m *Machine, idxBase int, nv Value) error {
 		}
 		st, ok := v.(*StackVal)
 		if !ok {
-			return errors.New(at(lv.pos) + fmt.Sprintf("value %s is not indexable", v))
+			return errors.New(at(lv.base.P) + fmt.Sprintf("value %s is not indexable", v))
 		}
 		idx := m.idxs[k]
 		k++
@@ -661,11 +674,12 @@ func (lv *cLValue) update(m *Machine, v Value, pi, k int, nv Value) (Value, erro
 }
 
 // ---------------------------------------------------------------------------
-// Arithmetic, mirroring evalIntOp/evalBitOp; the position and operator
+// Arithmetic, mirroring evalIntOp/evalBitOp; the position (read through
+// a pointer into the AST, so the hot path never touches it) and operator
 // are formatted only on the (cold) error paths, and results are boxed
 // through the BitVal cache.
 
-func intOp(op token.Kind, pos token.Pos, a, b int64) (Value, error) {
+func intOp(op token.Kind, pos *token.Pos, a, b int64) (Value, error) {
 	switch op {
 	case token.PLUS:
 		return IntVal(a + b), nil
@@ -675,12 +689,12 @@ func intOp(op token.Kind, pos token.Pos, a, b int64) (Value, error) {
 		return IntVal(a * b), nil
 	case token.SLASH:
 		if b == 0 {
-			return nil, errors.New(at(pos) + "division by zero")
+			return nil, errors.New(at(*pos) + "division by zero")
 		}
 		return IntVal(a / b), nil
 	case token.PERCENT:
 		if b == 0 {
-			return nil, errors.New(at(pos) + "modulo by zero")
+			return nil, errors.New(at(*pos) + "modulo by zero")
 		}
 		return IntVal(a % b), nil
 	case token.LT:
@@ -696,11 +710,11 @@ func intOp(op token.Kind, pos token.Pos, a, b int64) (Value, error) {
 	case token.SHR:
 		return IntVal(a >> uint(b&63)), nil
 	default:
-		return nil, errors.New(at(pos) + "operator " + op.String() + " undefined on int")
+		return nil, errors.New(at(*pos) + "operator " + op.String() + " undefined on int")
 	}
 }
 
-func bitOp(op token.Kind, pos token.Pos, a, b BitVal) (Value, error) {
+func bitOp(op token.Kind, pos *token.Pos, a, b BitVal) (Value, error) {
 	w := a.W
 	switch op {
 	case token.PLUS:
@@ -711,12 +725,12 @@ func bitOp(op token.Kind, pos token.Pos, a, b BitVal) (Value, error) {
 		return BoxBit(w, a.V*b.V), nil
 	case token.SLASH:
 		if b.V == 0 {
-			return nil, errors.New(at(pos) + "division by zero")
+			return nil, errors.New(at(*pos) + "division by zero")
 		}
 		return BoxBit(w, a.V/b.V), nil
 	case token.PERCENT:
 		if b.V == 0 {
-			return nil, errors.New(at(pos) + "modulo by zero")
+			return nil, errors.New(at(*pos) + "modulo by zero")
 		}
 		return BoxBit(w, a.V%b.V), nil
 	case token.LT:
@@ -744,6 +758,6 @@ func bitOp(op token.Kind, pos token.Pos, a, b BitVal) (Value, error) {
 		}
 		return BoxBit(w, a.V>>b.V), nil
 	default:
-		return nil, fmt.Errorf("%soperator %s undefined on bit<%d>", at(pos), op, w)
+		return nil, fmt.Errorf("%soperator %s undefined on bit<%d>", at(*pos), op, w)
 	}
 }

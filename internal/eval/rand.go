@@ -38,10 +38,25 @@ var (
 // Only seeding differs: state word i is built from the terms x_{21+3i},
 // x_{22+3i}, x_{23+3i} of the LCG x_{n+1} = 48271·x_n mod (2³¹−1), which
 // math/rand reaches by 1,841 sequential steps and Seed computes directly.
+//
+// Seed builds no word. Draw k (from 1) reads words 334−k and 607−k, so the
+// first 334 draws walk down two runs of untouched seeded words: [0, 334)
+// and [334, 607). Draws build the next warmChunk words of both runs when
+// they step below cold, and every word is built before it is first read.
+// A short stream, such as an NI round of a few trials, builds a fraction of
+// the state.
 type Source struct {
 	tap, feed int
-	vec       [srcLen]int64
+	// cold is the lowest built word of the first run: words [0, cold) of
+	// the first run and [334, cold+srcTap) of the second are unbuilt.
+	cold int
+	x0   uint64 // the reduced seed the unbuilt words are built from
+	vec  [srcLen]int64
 }
+
+// warmChunk is how many words of each run a draw builds when it reaches
+// unbuilt state.
+const warmChunk = 32
 
 func init() {
 	p := uint64(1)
@@ -56,10 +71,12 @@ func init() {
 	// state, and XOR with seed 1's words (cooked is still zero) leaves it.
 	var words Source
 	words.Seed(1)
+	words.build(0, srcLen)
+	words.cold = 0
 	s := words
 	ref := rand.NewSource(1).(rand.Source64)
 	for range srcLen {
-		s.Uint64() // advances tap and feed; the slot is overwritten
+		s.next() // advances tap and feed; the slot is overwritten
 		s.vec[s.feed] = int64(ref.Uint64())
 	}
 	for range srcLen {
@@ -97,8 +114,14 @@ func (s *Source) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311 // math/rand's stand-in for a zero seed
 	}
-	x0 := uint64(seed)
-	for i := range s.vec {
+	s.x0 = uint64(seed)
+	s.cold = srcLen - srcTap
+}
+
+// build seeds state words [lo, hi).
+func (s *Source) build(lo, hi int) {
+	x0 := s.x0
+	for i := lo; i < hi; i++ {
 		p := seedPow[3*i : 3*i+3 : 3*i+3]
 		u := mod31(uint64(p[0])*x0)<<40 ^ mod31(uint64(p[1])*x0)<<20 ^ mod31(uint64(p[2])*x0)
 		s.vec[i] = int64(u) ^ cooked[i]
@@ -107,6 +130,42 @@ func (s *Source) Seed(seed int64) {
 
 // Uint64 returns the next 64-bit word of the stream.
 func (s *Source) Uint64() uint64 {
+	s.ready()
+	return s.next()
+}
+
+// Int63 returns the next word with its top bit cleared.
+func (s *Source) Int63() int64 {
+	s.ready()
+	return s.int63()
+}
+
+// ready builds the words the next draw reads if they are unbuilt. It
+// inlines, so a draw over built state pays one comparison; every draw
+// method calls it before each next.
+func (s *Source) ready() {
+	if s.feed <= s.cold {
+		s.warm()
+	}
+}
+
+// warm runs when the next draw's feed word, feed−1, is below cold. Once
+// cold is 0 every word is built (by draw 334) and feed is about to wrap.
+// Otherwise it builds the next chunk of the first run and the second
+// run's words at the same draws, tap = feed + srcTap, which are the ones
+// above 333.
+func (s *Source) warm() {
+	if s.cold == 0 {
+		return
+	}
+	lo := max(s.cold-warmChunk, 0)
+	s.build(lo, s.cold)
+	s.build(max(lo+srcTap, srcLen-srcTap), s.cold+srcTap)
+	s.cold = lo
+}
+
+// next steps the generator over built state (see ready).
+func (s *Source) next() uint64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += srcLen
@@ -120,8 +179,9 @@ func (s *Source) Uint64() uint64 {
 	return uint64(x)
 }
 
-// Int63 returns the next word with its top bit cleared.
-func (s *Source) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
+func (s *Source) int63() int64 { return int64(s.next() &^ (1 << 63)) }
+
+func (s *Source) int31() int32 { return int32(s.int63() >> 32) }
 
 // BatchRand is a drop-in replacement for rand.New(rand.NewSource(seed))
 // that calls its embedded Source directly instead of through rand.Rand's
@@ -133,8 +193,19 @@ type BatchRand struct {
 	Source
 }
 
+// Uint64 is Source.Uint64, declared again so that a call through the Rng
+// interface runs it directly rather than through the promoted method's
+// wrapper.
+func (r *BatchRand) Uint64() uint64 {
+	r.ready()
+	return r.next()
+}
+
 // Int31 mirrors rand.Rand.Int31.
-func (r *BatchRand) Int31() int32 { return int32(r.Int63() >> 32) }
+func (r *BatchRand) Int31() int32 {
+	r.ready()
+	return r.int31()
+}
 
 // Int63n mirrors rand.Rand.Int63n, including its power-of-two fast path
 // and rejection sampling, so the consumed word count matches exactly.
@@ -142,13 +213,15 @@ func (r *BatchRand) Int63n(n int64) int64 {
 	if n <= 0 {
 		panic("invalid argument to Int63n")
 	}
+	r.ready()
 	if n&(n-1) == 0 {
-		return r.Int63() & (n - 1)
+		return r.int63() & (n - 1)
 	}
 	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
-	v := r.Int63()
+	v := r.int63()
 	for v > max {
-		v = r.Int63()
+		r.ready()
+		v = r.int63()
 	}
 	return v % n
 }
@@ -158,13 +231,15 @@ func (r *BatchRand) Int31n(n int32) int32 {
 	if n <= 0 {
 		panic("invalid argument to Int31n")
 	}
+	r.ready()
 	if n&(n-1) == 0 {
-		return r.Int31() & (n - 1)
+		return r.int31() & (n - 1)
 	}
 	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
-	v := r.Int31()
+	v := r.int31()
 	for v > max {
-		v = r.Int31()
+		r.ready()
+		v = r.int31()
 	}
 	return v % n
 }

@@ -87,6 +87,54 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestLazySeedMatchesMathRand: Seed builds state words on first touch, so
+// the stream must match rand.NewSource's word for word whatever the
+// reseeded Source drew before: nothing, one word, the draws on either
+// side of the second run's end (272, 273) and of the first run's end and
+// wrap (334, 335), a whole lag (607) and more than two (1,300). A state
+// copied mid-stream, with part of it still unbuilt, must go on like the
+// original. The seeds are math/rand's reduction edges: zero, −1, 2³¹−1
+// (congruent to zero), 2³¹ and the int64 minimum.
+func TestLazySeedMatchesMathRand(t *testing.T) {
+	const draws = 1300
+	seeds := []int64{0, -1, math.MaxInt32, math.MaxInt32 + 1, math.MinInt64}
+	for _, seed := range seeds {
+		for _, before := range []int{0, 1, 272, 273, 334, 335, 607, 1300} {
+			var s Source
+			s.Seed(seed ^ 0x5DEECE66D)
+			for range before {
+				s.Uint64()
+			}
+			s.Seed(seed)
+			ref := rand.NewSource(seed).(rand.Source64)
+			for i := 0; i < draws; i++ {
+				if got, want := s.Uint64(), ref.Uint64(); got != want {
+					t.Fatalf("seed %d, reseeded after %d draws: draw %d is %#x, want %#x", seed, before, i, got, want)
+				}
+			}
+		}
+		for _, at := range []int{0, 1, 40, 273, 334, 700} {
+			var s Source
+			s.Seed(seed)
+			ref := rand.NewSource(seed).(rand.Source64)
+			for range at {
+				s.Uint64()
+				ref.Uint64()
+			}
+			cp := s
+			for i := 0; i < draws; i++ {
+				want := ref.Uint64()
+				if got := cp.Uint64(); got != want {
+					t.Fatalf("seed %d, copied after %d draws: copy's draw %d is %#x, want %#x", seed, at, i, got, want)
+				}
+				if got := s.Uint64(); got != want {
+					t.Fatalf("seed %d, copied after %d draws: original's draw %d is %#x, want %#x", seed, at, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestSourceUnderRandRand: wrapped in rand.New, Source must give every
 // rand.Rand method generation, mutation and the seed pool call the stock
 // source's values, since rand.Rand reads only Int63 and Uint64.
@@ -142,21 +190,33 @@ func TestBatchRandReseedAllocs(t *testing.T) {
 	_ = sink
 }
 
-var seedSink rand.Source
+var seedSink uint64
+
+// roundDraws is about what a 4-trial NI round of a generated program
+// draws: 18 words per trial.
+const roundDraws = 72
 
 // BenchmarkSeed compares seeding math/rand's source, a fresh Source and a
-// Source reseeded in place.
+// Source reseeded in place, each followed by a round's draws. Seed builds
+// state words as the draws reach them, so a short stream pays for a
+// fraction of the 607.
 func BenchmarkSeed(b *testing.B) {
 	b.Run("rand.NewSource", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			seedSink = rand.NewSource(int64(i))
+			s := rand.NewSource(int64(i)).(rand.Source64)
+			for range roundDraws {
+				seedSink += s.Uint64()
+			}
 		}
 	})
 	b.Run("NewSource", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			seedSink = NewSource(int64(i))
+			s := NewSource(int64(i))
+			for range roundDraws {
+				seedSink += s.Uint64()
+			}
 		}
 	})
 	b.Run("Reseed", func(b *testing.B) {
@@ -164,6 +224,9 @@ func BenchmarkSeed(b *testing.B) {
 		var s Source
 		for i := 0; i < b.N; i++ {
 			s.Seed(int64(i))
+			for range roundDraws {
+				seedSink += s.Uint64()
+			}
 		}
 	})
 }

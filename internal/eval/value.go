@@ -345,7 +345,7 @@ func Zero(t types.Type) Value {
 	case types.Int:
 		return IntVal(0)
 	case types.Bit:
-		return BitVal{W: t.W}
+		return BoxBit(t.W, 0)
 	case types.Unit:
 		return UnitVal{}
 	case *types.Record:

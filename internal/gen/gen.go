@@ -163,9 +163,10 @@ func (c Config) Validate() error {
 // configuration boundaries.
 func Random(rng *rand.Rand, cfg Config) string {
 	cfg = cfg.withDefaults()
-	lat, err := cfg.ResolveLattice()
+	ord, err := orderFor(cfg.Lattice)
 	if err != nil {
 		panic("gen: " + err.Error() + " (validate the Config first)")
 	}
-	return newEmitter(rng, cfg, lat).program()
+	e := &emitter{rng: rng, cfg: cfg, order: ord}
+	return e.program()
 }

@@ -25,6 +25,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/lattice"
 )
@@ -40,44 +41,69 @@ var (
 // bitOps are the binary operators of generated bit<8> expressions.
 var bitOps = [...]string{"+", "-", "&", "|", "^"}
 
-// emitter writes one random program into b. Labels are element indices;
-// the element order is precomputed as down- and up-sets and a join
-// table, so label draws are index arithmetic.
+// emitter writes one random program into b, drawing labels against its
+// lattice order.
 type emitter struct {
-	rng      *rand.Rand
-	cfg      Config
+	rng *rand.Rand
+	cfg Config
+	*order
+	b    strings.Builder
+	nest int // the ifs around the statement being written
+}
+
+// order is what the emitter reads of a lattice. Labels are element
+// indices; the element order is precomputed as down- and up-sets and a
+// join table, so label draws are index arithmetic. An order is read-only
+// once built, and one serves every program of its lattice spec (orderFor).
+type order struct {
 	twoPoint bool
 	elem     []lattice.Label
 	down     [][]int // down[i]: the element indices ⊑ elem[i], in order
 	up       [][]int // up[i]: the element indices ⊒ elem[i], in order
 	join     [][]int // join[i][j]: the index of elem[i] ⊔ elem[j]
 	bot      int
-	b        strings.Builder
-	nest     int // the ifs around the statement being written
 }
 
-func newEmitter(rng *rand.Rand, cfg Config, lat lattice.Lattice) *emitter {
+func newOrder(lat lattice.Lattice) *order {
 	elem := lat.Elements()
 	n := len(elem)
-	e := &emitter{rng: rng, cfg: cfg, twoPoint: lat.Name() == "two-point", elem: elem,
+	o := &order{twoPoint: lat.Name() == "two-point", elem: elem,
 		down: make([][]int, n), up: make([][]int, n), join: make([][]int, n)}
 	for i := range elem {
-		e.down[i], e.up[i], e.join[i] = make([]int, 0, n), make([]int, 0, n), make([]int, n)
+		o.down[i], o.up[i], o.join[i] = make([]int, 0, n), make([]int, 0, n), make([]int, n)
 		for j := range elem {
 			if lat.Leq(elem[j], elem[i]) {
-				e.down[i] = append(e.down[i], j)
+				o.down[i] = append(o.down[i], j)
 			}
 			if lat.Leq(elem[i], elem[j]) {
-				e.up[i] = append(e.up[i], j)
+				o.up[i] = append(o.up[i], j)
 			}
 			name := lat.Join(elem[i], elem[j]).Name()
-			e.join[i][j] = slices.IndexFunc(elem, func(l lattice.Label) bool { return l.Name() == name })
+			o.join[i][j] = slices.IndexFunc(elem, func(l lattice.Label) bool { return l.Name() == name })
 		}
 		if elem[i] == lat.Bottom() {
-			e.bot = i
+			o.bot = i
 		}
 	}
-	return e
+	return o
+}
+
+// orders caches each lattice spec's order: Random resolves the spec of
+// every program it writes, and building a lattice and its tables is most
+// of what a program costs to allocate.
+var orders sync.Map // spec string → *order
+
+// orderFor returns spec's order, resolving the spec on first use.
+func orderFor(spec string) (*order, error) {
+	if o, ok := orders.Load(spec); ok {
+		return o.(*order), nil
+	}
+	lat, err := lattice.ByName(spec)
+	if err != nil {
+		return nil, err
+	}
+	o, _ := orders.LoadOrStore(spec, newOrder(lat))
+	return o.(*order), nil
 }
 
 func (e *emitter) str(s string) { e.b.WriteString(s) }

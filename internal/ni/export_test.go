@@ -17,7 +17,8 @@ func DrawAllocs(e *Experiment) (float64, error) {
 	var rng eval.BatchRand
 	rng.Seed(1)
 	return testing.AllocsPerRun(5, func() {
-		for _, s := range p.inputs() {
+		for i := range p.pts {
+			s := &p.plans[i]
 			s.vary(nil, s.draw(nil, &rng), &rng)
 		}
 	}), nil

@@ -20,6 +20,7 @@ package ni
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/controlplane"
@@ -34,13 +35,13 @@ import (
 // Experiment configures a non-interference experiment.
 //
 // An Experiment builds its trial plan — the control, the parameters'
-// security types, one input sampler and one output comparator per
-// parameter — on the first RunN, ControlParams or Comparators call, and
-// every later round, observer check and exhaustive sweep reuses it. The
-// plan captures Prog, Lat, Control and Observer; it is rebuilt whenever
-// one of them differs from what it was built from (pointer or value
-// compare), so a caller may edit those fields between runs. The other
-// fields are read afresh by every run.
+// security types, and per parameter one type plan that both draws its
+// inputs and compares its outputs — on the first RunN, ControlParams or
+// Comparators call, and every later round, observer check and exhaustive
+// sweep reuses it. The plan captures Prog, Lat, Control and Observer; it
+// is rebuilt whenever one of them differs from what it was built from
+// (pointer or value compare), so a caller may edit those fields between
+// runs. The other fields are read afresh by every run.
 type Experiment struct {
 	// Prog is the (parsed) program under test. Captured by the plan.
 	Prog *ast.Program
@@ -178,18 +179,25 @@ func (e *Experiment) RunN(trials int, seed int64) ([]Violation, int, error) {
 	return out, ran, err
 }
 
+// rngPool holds the generators trial rounds draw from. A round takes one
+// and gives it back when it returns, so experiments (one or more per
+// campaign job) share a few generators instead of allocating one each.
+var rngPool = sync.Pool{New: func() any { return new(eval.BatchRand) }}
+
 func (e *Experiment) runN(trials int, seed int64) ([]Violation, int, error) {
-	// The experiment's BatchRand, reseeded for this round, produces the
+	// A pooled BatchRand, reseeded for this round, produces the
 	// bit-identical stream to rand.New(rand.NewSource(seed)), so both
 	// engines (and any recorded corpus seed) draw exactly the same trials,
 	// and the round allocates no generator.
-	rng := e.Rand(seed)
+	rng := rngPool.Get().(*eval.BatchRand)
+	defer rngPool.Put(rng)
+	rng.Seed(seed)
 	p, err := e.trialPlan()
 	if err != nil {
 		return nil, 0, err
 	}
 	ctrl := p.ctrl
-	samplers := p.inputs()
+	params := p.plans[:len(p.pts)]
 	packets := max(e.Packets, 1)
 	a, b := p.runs(packets)
 	// Each run goes to a reusable compiled machine or, without a compiled
@@ -217,16 +225,16 @@ func (e *Experiment) runN(trials int, seed int64) ([]Violation, int, error) {
 		// were compared before this draw.
 		for k := 0; k < packets; k++ {
 			inA, inB := a.seq[k], b.seq[k]
-			for i, s := range samplers {
-				inA[i] = s.draw(inA[i], rng)
+			for i := range params {
+				inA[i] = params[i].draw(inA[i], rng)
 			}
 			if e.FixInputs != nil {
 				if err := e.fixInputs(ctrl, p.pts, inA); err != nil {
 					return out, t + 1, fmt.Errorf("ni: trial %d run A: packet %d: %v", t, k, err)
 				}
 			}
-			for i, s := range samplers {
-				inB[i] = s.vary(inB[i], inA[i], rng)
+			for i := range params {
+				inB[i] = params[i].vary(inB[i], inA[i], rng)
 			}
 		}
 		if err := run(machA, a); err != nil {
@@ -394,8 +402,8 @@ func (e *Experiment) findControl() *ast.ControlDecl {
 }
 
 // trialPlan is an experiment's setup for one (Prog, Lat, Control,
-// Observer): the control, its parameters' security types by name and by
-// position, one comparator and (once a trial needs them) one sampler per
+// Observer): the control, its parameters' security types by position (and
+// by name, once ControlParams asks), and one type plan and comparator per
 // parameter. It also keeps the trial loop's two runs' buffers, whose input
 // trees every trial refills in place.
 type trialPlan struct {
@@ -404,12 +412,12 @@ type trialPlan struct {
 	control  string
 	observer lattice.Label
 
-	ctrl     *ast.ControlDecl
-	obs      lattice.Label // Observer, or the lattice bottom for zero
-	byName   map[string]types.SecType
-	pts      []types.SecType
-	samplers []sampler // see inputs
-	diffs    []Comparator
+	ctrl   *ast.ControlDecl
+	obs    lattice.Label // Observer, or the lattice bottom for zero
+	pts    []types.SecType
+	byName map[string]types.SecType // see ControlParams
+	plans  []typePlan               // [0, len(pts)): the parameters' roots
+	diffs  []Comparator
 
 	a, b trialRun
 }
@@ -434,7 +442,7 @@ func (e *Experiment) trialPlan() (*trialPlan, error) {
 	if ctrl == nil {
 		return nil, fmt.Errorf("ni: control %q not found", e.Control)
 	}
-	byName, err := e.paramTypes(ctrl)
+	pts, err := e.paramTypes(ctrl)
 	if err != nil {
 		return nil, err
 	}
@@ -442,60 +450,56 @@ func (e *Experiment) trialPlan() (*trialPlan, error) {
 	if obs.IsZero() {
 		obs = e.Lat.Bottom()
 	}
-	n := len(ctrl.Params)
 	p := &trialPlan{prog: e.Prog, lat: e.Lat, control: e.Control, observer: e.Observer,
-		ctrl: ctrl, obs: obs, byName: byName,
-		pts: make([]types.SecType, n), diffs: make([]Comparator, n)}
-	for i, prm := range ctrl.Params {
-		p.pts[i] = byName[prm.Name]
-		p.diffs[i] = ObservableDiff(p.pts[i], obs, e.Lat)
+		ctrl: ctrl, obs: obs, pts: pts,
+		plans: planTypes(pts, obs, e.Lat), diffs: make([]Comparator, len(pts))}
+	for i, pt := range pts {
+		p.diffs[i] = Comparator{root: &p.plans[i], t: pt, obs: obs, lat: e.Lat}
 	}
 	e.plan = p
 	return p, nil
-}
-
-// inputs returns the plan's samplers, compiling them on first use: an
-// exhaustive sweep builds its inputs itself and never needs them.
-func (p *trialPlan) inputs() []sampler {
-	if p.samplers == nil {
-		p.samplers = make([]sampler, len(p.pts))
-		for i, pt := range p.pts {
-			p.samplers[i] = compileSampler(pt, p.obs, p.lat)
-		}
-	}
-	return p.samplers
 }
 
 // runs returns the two runs' buffers sized for packets packets, keeping
 // the previous round's input trees when the packet count is unchanged.
 func (p *trialPlan) runs(packets int) (*trialRun, *trialRun) {
 	if len(p.a.seq) != packets {
-		for _, r := range []*trialRun{&p.a, &p.b} {
-			r.seq = make([][]eval.Value, packets)
+		n := len(p.pts)
+		rows := make([][]eval.Value, 4*packets) // seq, outs of run A, then of run B
+		vals := make([]eval.Value, 2*packets*n) // the input trees' roots
+		sigs := make([]eval.Signal, 2*packets)
+		for i, r := range [2]*trialRun{&p.a, &p.b} {
+			r.seq = rows[:packets:packets]
+			r.outs = rows[packets : 2*packets : 2*packets]
+			rows = rows[2*packets:]
 			for k := range r.seq {
-				r.seq[k] = make([]eval.Value, len(p.pts))
+				r.seq[k] = vals[:n:n]
+				vals = vals[n:]
 			}
-			r.outs = make([][]eval.Value, packets)
-			r.sigs = make([]eval.Signal, packets)
+			r.sigs = sigs[i*packets : (i+1)*packets : (i+1)*packets]
 		}
 	}
 	return &p.a, &p.b
 }
 
-// paramTypes resolves the control's parameter types against the real
-// lattice so labels are faithful. Trials address parameters by name and
-// by position alike, so a repeated name is an error (the base checker
-// rejects such a control too).
-func (e *Experiment) paramTypes(ctrl *ast.ControlDecl) (map[string]types.SecType, error) {
+// paramTypes resolves the control's parameter types, in declaration
+// order, against the real lattice so labels are faithful. Trials address
+// parameters by name and by position alike, so a repeated name is an
+// error (the base checker rejects such a control too).
+func (e *Experiment) paramTypes(ctrl *ast.ControlDecl) ([]types.SecType, error) {
+	for i, p := range ctrl.Params {
+		for _, q := range ctrl.Params[:i] {
+			if q.Name == p.Name {
+				return nil, fmt.Errorf("ni: control %s: duplicate parameter %q", ctrl.Name, p.Name)
+			}
+		}
+	}
 	var diags diag.List
 	res := resolve.New(e.Lat, &diags)
 	res.CollectTypeDecls(e.Prog)
-	out := map[string]types.SecType{}
-	for _, p := range ctrl.Params {
-		if _, dup := out[p.Name]; dup {
-			return nil, fmt.Errorf("ni: control %s: duplicate parameter %q", ctrl.Name, p.Name)
-		}
-		out[p.Name] = res.SecType(p.Type)
+	out := make([]types.SecType, len(ctrl.Params))
+	for i, p := range ctrl.Params {
+		out[i] = res.SecType(p.Type)
 	}
 	if err := diags.Err(); err != nil {
 		return nil, err
@@ -503,102 +507,194 @@ func (e *Experiment) paramTypes(ctrl *ast.ControlDecl) (map[string]types.SecType
 	return out, nil
 }
 
-// sampler is a per-parameter input plan with the type walk, field
-// lookups, and lattice queries resolved at experiment setup: draw builds a
-// random input (same rng consumption as eval.RandomFrom), and vary derives
-// run B's input from run A's, keeping every observable (χ ⊑ obs) scalar
-// leaf and redrawing every other one. Outputs are compared by a
-// Comparator, which the exhaustive oracle shares. draw builds each value
-// from the type itself, with every record's and header's declared fields
-// in declared order, which is what the compiled machine's positional field
-// accesses require. A value FixInputs edited keeps that order (the trial
-// loop checks), but it may hold a value of another kind where the type
-// has a record, header or stack; vary copies such a value unchanged, with
-// no draws.
+// typePlan is one node of a parameter type walked once against the
+// observer, with the field lookups and lattice queries done: it draws
+// the trial inputs and compares the outputs. draw builds a random input
+// (same rng consumption as eval.RandomFrom), and vary derives run B's
+// input from run A's, keeping every observable (χ ⊑ obs) scalar leaf and
+// redrawing every other one. equal compares outputs on the observable
+// leaves (see Comparator). draw builds each value from the type itself,
+// with every record's and header's declared fields in declared order,
+// which is what the compiled machine's positional field accesses
+// require. A value FixInputs edited keeps that order (the trial loop
+// checks), but it may hold a value of another kind where the type has a
+// record, header or stack; vary copies such a value unchanged, with no
+// draws.
 //
-// Both write into dst, the value the same parameter held in the previous
-// trial: wherever dst has the shape the type calls for (a record or header
-// with the declared field count, a stack of the right length) they refill
-// its field and element slots and header validity in place, and they
-// allocate only where it does not. The draws are the same either way. So
-// a caller hands in a dst only once nothing else holds it: no run keeps
-// a container past its return (Machine.RunIndexed), and the trial loop
-// compares a trial's outputs before the next trial's draws. dst must not
-// share a container with vary's src.
-type sampler struct {
-	draw func(dst eval.Value, rng eval.Rng) eval.Value
-	vary func(dst, src eval.Value, rng eval.Rng) eval.Value
+// Both draw and vary write into dst, the value the same parameter held in
+// the previous trial: wherever dst has the shape the type calls for (a
+// record or header with the declared field count, a stack of the right
+// length) they refill its field and element slots and header validity in
+// place, and they allocate only where it does not. The draws are the same
+// either way. So a caller hands in a dst only once nothing else holds it:
+// no run keeps a container past its return (Machine.RunIndexed), and the
+// trial loop compares a trial's outputs before the next trial's draws.
+// dst must not share a container with vary's src.
+type typePlan struct {
+	kind   planKind
+	t      types.Type    // the type at this node
+	fields []types.Field // record or header: the declared fields
+	size   int           // stack: the declared size; bit: the width
+	keep   bool          // scalar: observable, so vary keeps run A's value
+	obs    bool          // an observable scalar is at or below this node
+	kids   []typePlan    // record or header: one per field; stack: the element
 }
 
-func compileSampler(t types.SecType, obs lattice.Label, lat lattice.Lattice) sampler {
-	if types.IsScalar(t.T) {
-		tt := t.T
-		s := sampler{draw: func(_ eval.Value, rng eval.Rng) eval.Value { return eval.RandomFrom(tt, rng) }}
-		if lat.Leq(t.L, obs) {
-			s.vary = func(_, src eval.Value, _ eval.Rng) eval.Value { return src }
-		} else {
-			s.vary = func(_, _ eval.Value, rng eval.Rng) eval.Value { return eval.RandomFrom(tt, rng) }
+type planKind uint8
+
+const (
+	planScalar planKind = iota // drawn by eval.RandomFrom
+	planBit                    // drawn as eval.RandomFrom draws a bit<size>
+	planRecord
+	planHeader
+	planStack
+	planOther // drawn by eval.RandomFrom, kept by vary, never observed
+)
+
+// planTypes plans every type of ts at observer obs. The result is one
+// slab holding every node, with ts[i]'s root at index i.
+func planTypes(ts []types.SecType, obs lattice.Label, lat lattice.Lattice) []typePlan {
+	n := 0
+	for _, t := range ts {
+		n += planSize(t.T)
+	}
+	b := planner{slab: make([]typePlan, len(ts), n), obs: obs, lat: lat}
+	for i, t := range ts {
+		b.plan(&b.slab[i], t)
+	}
+	return b.slab
+}
+
+// newTypePlan plans the single type t at observer obs.
+func newTypePlan(t types.SecType, obs lattice.Label, lat lattice.Lattice) *typePlan {
+	return &planTypes([]types.SecType{t}, obs, lat)[0]
+}
+
+// planSize is the node count of t's plan.
+func planSize(t types.Type) int {
+	n := 1
+	if types.IsScalar(t) {
+		return n
+	}
+	switch tt := t.(type) {
+	case *types.Record, *types.Header:
+		for _, f := range types.Fields(tt) {
+			n += planSize(f.Type.T)
 		}
-		return s
+	case *types.Stack:
+		n += planSize(tt.Elem.T)
+	}
+	return n
+}
+
+// planner fills a slab sized by planSize, so appending a node's kids
+// never moves the nodes already planned.
+type planner struct {
+	slab []typePlan
+	obs  lattice.Label
+	lat  lattice.Lattice
+}
+
+func (b *planner) kids(n int) []typePlan {
+	i := len(b.slab)
+	b.slab = b.slab[:i+n]
+	return b.slab[i : i+n : i+n]
+}
+
+func (b *planner) plan(n *typePlan, t types.SecType) {
+	n.t = t.T
+	if types.IsScalar(t.T) {
+		n.kind = planScalar
+		if bt, ok := t.T.(types.Bit); ok {
+			n.kind, n.size = planBit, bt.W
+		}
+		n.keep = b.lat.Leq(t.L, b.obs)
+		n.obs = n.keep
+		return
 	}
 	switch tt := t.T.(type) {
 	case *types.Record, *types.Header:
-		_, header := tt.(*types.Header)
-		names, subs := fieldSamplers(types.Fields(tt), obs, lat)
-		return sampler{
-			draw: func(dst eval.Value, rng eval.Rng) eval.Value {
-				dst, fs := fieldsInto(dst, header, len(subs))
-				for i := range subs {
-					fs[i] = eval.NamedValue{Name: names[i], Val: subs[i].draw(fs[i].Val, rng)}
-				}
-				if header {
-					dst.(*eval.HeaderVal).Valid = true
-				}
-				return dst
-			},
-			vary: func(dst, src eval.Value, rng eval.Rng) eval.Value {
-				sf, ok := fieldsOf(src, header, len(subs))
-				if !ok {
-					return eval.Copy(src)
-				}
-				dst, fs := fieldsInto(dst, header, len(subs))
-				for i := range subs {
-					fs[i] = eval.NamedValue{Name: names[i], Val: subs[i].vary(fs[i].Val, sf[i].Val, rng)}
-				}
-				if header {
-					dst.(*eval.HeaderVal).Valid = src.(*eval.HeaderVal).Valid
-				}
-				return dst
-			},
+		n.kind = planRecord
+		if _, ok := tt.(*types.Header); ok {
+			n.kind = planHeader
+		}
+		n.fields = types.Fields(tt)
+		n.kids = b.kids(len(n.fields))
+		for i, f := range n.fields {
+			b.plan(&n.kids[i], f.Type)
+			n.obs = n.obs || n.kids[i].obs
 		}
 	case *types.Stack:
-		el := compileSampler(tt.Elem, obs, lat)
-		size := tt.Size
-		return sampler{
-			draw: func(dst eval.Value, rng eval.Rng) eval.Value {
-				dv := stackInto(dst, size)
-				for i := range dv.Elems {
-					dv.Elems[i] = el.draw(dv.Elems[i], rng)
-				}
-				return dv
-			},
-			vary: func(dst, src eval.Value, rng eval.Rng) eval.Value {
-				sv, ok := src.(*eval.StackVal)
-				if !ok {
-					return eval.Copy(src)
-				}
-				dv := stackInto(dst, len(sv.Elems))
-				for i := range dv.Elems {
-					dv.Elems[i] = el.vary(dv.Elems[i], sv.Elems[i], rng)
-				}
-				return dv
-			},
-		}
+		n.kind = planStack
+		n.size = tt.Size
+		n.kids = b.kids(1)
+		b.plan(&n.kids[0], tt.Elem)
+		n.obs = n.kids[0].obs
 	default:
-		return sampler{
-			draw: func(_ eval.Value, rng eval.Rng) eval.Value { return eval.RandomFrom(t.T, rng) },
-			vary: func(_, src eval.Value, _ eval.Rng) eval.Value { return src },
+		n.kind = planOther
+	}
+}
+
+// draw builds a random value of the plan's type into dst.
+func (n *typePlan) draw(dst eval.Value, rng *eval.BatchRand) eval.Value {
+	switch n.kind {
+	case planRecord, planHeader:
+		header := n.kind == planHeader
+		dst, fs := fieldsInto(dst, header, len(n.kids))
+		for i := range n.kids {
+			fs[i] = eval.NamedValue{Name: n.fields[i].Name, Val: n.kids[i].draw(fs[i].Val, rng)}
 		}
+		if header {
+			dst.(*eval.HeaderVal).Valid = true
+		}
+		return dst
+	case planStack:
+		dv := stackInto(dst, n.size)
+		for i := range dv.Elems {
+			dv.Elems[i] = n.kids[0].draw(dv.Elems[i], rng)
+		}
+		return dv
+	case planBit:
+		return eval.BoxBit(n.size, rng.Uint64())
+	default:
+		return eval.RandomFrom(n.t, rng)
+	}
+}
+
+// vary derives run B's value from run A's src into dst.
+func (n *typePlan) vary(dst, src eval.Value, rng *eval.BatchRand) eval.Value {
+	switch n.kind {
+	case planScalar, planBit:
+		if n.keep {
+			return src
+		}
+		return n.draw(nil, rng)
+	case planRecord, planHeader:
+		header := n.kind == planHeader
+		sf, ok := fieldsOf(src, header, len(n.kids))
+		if !ok {
+			return eval.Copy(src)
+		}
+		dst, fs := fieldsInto(dst, header, len(n.kids))
+		for i := range n.kids {
+			fs[i] = eval.NamedValue{Name: n.fields[i].Name, Val: n.kids[i].vary(fs[i].Val, sf[i].Val, rng)}
+		}
+		if header {
+			dst.(*eval.HeaderVal).Valid = src.(*eval.HeaderVal).Valid
+		}
+		return dst
+	case planStack:
+		sv, ok := src.(*eval.StackVal)
+		if !ok {
+			return eval.Copy(src)
+		}
+		dv := stackInto(dst, len(sv.Elems))
+		for i := range dv.Elems {
+			dv.Elems[i] = n.kids[0].vary(dv.Elems[i], sv.Elems[i], rng)
+		}
+		return dv
+	default:
+		return src
 	}
 }
 
@@ -644,116 +740,53 @@ func stackInto(dst eval.Value, n int) *eval.StackVal {
 	return &eval.StackVal{Elems: make([]eval.Value, n)}
 }
 
-// fieldSamplers compiles one sampler per declared field, in declared
-// order, so draw and vary address a record's or header's fields by
-// position.
-func fieldSamplers(fields []types.Field, obs lattice.Label, lat lattice.Lattice) ([]string, []sampler) {
-	names := make([]string, len(fields))
-	subs := make([]sampler, len(fields))
-	for i, f := range fields {
-		names[i] = f.Name
-		subs[i] = compileSampler(f.Type, obs, lat)
-	}
-	return names, subs
-}
-
 // Comparator is the observable-output comparison for values of one
 // parameter type at one observer; ObservableDiff builds it.
 type Comparator struct {
-	root       obsNode
-	observable bool // whether any leaf of the type is observable
-	t          types.SecType
-	obs        lattice.Label
-	lat        lattice.Lattice
+	root *typePlan
+	t    types.SecType
+	obs  lattice.Label
+	lat  lattice.Lattice
 }
-
-// obsNode is one node of a type's observable tree: the type pruned to the
-// paths that reach an observable (χ ⊑ obs) scalar leaf. A record or header
-// node's kids are its fields that contain one, each carrying its position
-// in pos; a stack node's only kid is its element's node; a leaf has no
-// kids.
-type obsNode struct {
-	kind   obsKind
-	pos    int // position among the parent record's or header's fields
-	nfield int // record/header: the declared field count
-	kids   []obsNode
-}
-
-type obsKind uint8
-
-const (
-	obsLeaf obsKind = iota
-	obsRecord
-	obsHeader
-	obsStack
-)
 
 // ObservableDiff compiles the observable-output comparison for values of
 // type t at observer obs. The type walk and lattice queries happen here,
 // once, so oracles that compare outputs per trial or per assignment pay
 // none of them per comparison.
 func ObservableDiff(t types.SecType, obs lattice.Label, lat lattice.Lattice) Comparator {
-	root, observable := compileObs(t, obs, lat)
-	return Comparator{root: root, observable: observable, t: t, obs: obs, lat: lat}
-}
-
-// compileObs builds t's observable tree; false means t has no observable
-// leaf, so diffObs accepts any two values of it.
-func compileObs(t types.SecType, obs lattice.Label, lat lattice.Lattice) (obsNode, bool) {
-	if types.IsScalar(t.T) {
-		return obsNode{kind: obsLeaf}, lat.Leq(t.L, obs)
-	}
-	if st, ok := t.T.(*types.Stack); ok {
-		el, ok := compileObs(st.Elem, obs, lat)
-		return obsNode{kind: obsStack, kids: []obsNode{el}}, ok
-	}
-	fields := types.Fields(t.T)
-	n := obsNode{kind: obsRecord, nfield: len(fields)}
-	if _, ok := t.T.(*types.Header); ok {
-		n.kind = obsHeader
-	}
-	for i, f := range fields {
-		if k, ok := compileObs(f.Type, obs, lat); ok {
-			if n.kids == nil {
-				n.kids = make([]obsNode, 0, len(fields)-i)
-			}
-			k.pos = i
-			n.kids = append(n.kids, k)
-		}
-	}
-	return n, n.kids != nil
+	return Comparator{root: newTypePlan(t, obs, lat), t: t, obs: obs, lat: lat}
 }
 
 // Diff compares the observable leaves of two values shaped like the
 // comparator's type; on a mismatch it returns the witness and false. The
 // witness's Where is the path below the value (".f[2].g", empty at a
 // scalar), for the caller to prefix with the parameter name. The match
-// path walks the observable tree positionally and allocates nothing; a
-// mismatch, or a shape that walk cannot read, goes to diffObs, which
-// builds the witness.
+// path walks the plan positionally, visiting only nodes with an
+// observable leaf, and allocates nothing; a mismatch, or a shape that
+// walk cannot read, goes to diffObs, which builds the witness.
 func (c *Comparator) Diff(a, b eval.Value) (Violation, bool) {
-	if !c.observable || c.root.equal(a, b) {
+	if !c.root.obs || c.root.equal(a, b) {
 		return Violation{}, true
 	}
 	return diffObs(a, b, c.t, c.obs, c.lat)
 }
 
-// equal reports whether a and b agree on every leaf under n. It returns
-// false for a record or header with other than its declared field count,
-// which only diffObs's by-name walk reads; every other shape diffObs
-// accepts unread (a value of the wrong kind, stacks of unequal length),
-// equal accepts too.
-func (n *obsNode) equal(a, b eval.Value) bool {
+// equal reports whether a and b agree on every observable leaf under n,
+// which has one. It returns false for a record or header with other than
+// its declared field count, which only diffObs's by-name walk reads;
+// every other shape diffObs accepts unread (a value of the wrong kind,
+// stacks of unequal length), equal accepts too.
+func (n *typePlan) equal(a, b eval.Value) bool {
 	var fa, fb []eval.NamedValue
 	switch n.kind {
-	case obsLeaf:
+	case planScalar, planBit:
 		if x, ok := a.(eval.BitVal); ok {
 			if y, ok := b.(eval.BitVal); ok {
 				return x == y
 			}
 		}
 		return eval.ValueEqual(a, b)
-	case obsStack:
+	case planStack:
 		sa, ok1 := a.(*eval.StackVal)
 		sb, ok2 := b.(*eval.StackVal)
 		if !ok1 || !ok2 || len(sa.Elems) != len(sb.Elems) {
@@ -765,7 +798,7 @@ func (n *obsNode) equal(a, b eval.Value) bool {
 			}
 		}
 		return true
-	case obsHeader:
+	case planHeader:
 		ha, ok1 := a.(*eval.HeaderVal)
 		hb, ok2 := b.(*eval.HeaderVal)
 		if !ok1 || !ok2 {
@@ -780,12 +813,11 @@ func (n *obsNode) equal(a, b eval.Value) bool {
 		}
 		fa, fb = ra.Fields, rb.Fields
 	}
-	if len(fa) != n.nfield || len(fb) != n.nfield {
+	if len(fa) != len(n.kids) || len(fb) != len(n.kids) {
 		return false
 	}
 	for i := range n.kids {
-		k := &n.kids[i]
-		if !k.equal(fa[k.pos].Val, fb[k.pos].Val) {
+		if k := &n.kids[i]; k.obs && !k.equal(fa[i].Val, fb[i].Val) {
 			return false
 		}
 	}

@@ -129,6 +129,12 @@ func (e *Experiment) ControlParams() (*ast.ControlDecl, map[string]types.SecType
 	if err != nil {
 		return nil, nil, err
 	}
+	if p.byName == nil {
+		p.byName = make(map[string]types.SecType, len(p.pts))
+		for i, prm := range p.ctrl.Params {
+			p.byName[prm.Name] = p.pts[i]
+		}
+	}
 	return p.ctrl, p.byName, nil
 }
 
@@ -157,9 +163,10 @@ func (e *Experiment) Machines(code *eval.Compiled) (*eval.Machine, *eval.Machine
 	return e.machines(code)
 }
 
-// Rand returns the experiment's one generator reseeded to seed, drawing
-// exactly what rand.New(rand.NewSource(seed)) draws, so no round or probe
-// sweep allocates a generator.
+// Rand returns the experiment's own generator reseeded to seed, drawing
+// exactly what rand.New(rand.NewSource(seed)) draws, so no later probe
+// sweep allocates a generator. Trial rounds draw from pooled generators
+// and never allocate this one.
 func (e *Experiment) Rand(seed int64) *eval.BatchRand {
 	if e.rng == nil {
 		e.rng = new(eval.BatchRand)

@@ -44,14 +44,14 @@ func ReferenceRunN(e *Experiment, trials int, seed int64) ([]Violation, int, err
 		for k := 0; k < packets; k++ {
 			inA := map[string]eval.Value{}
 			inB := map[string]eval.Value{}
-			for _, p := range ctrl.Params {
-				inA[p.Name] = eval.RandomFrom(paramTypes[p.Name].T, rng)
+			for i, p := range ctrl.Params {
+				inA[p.Name] = eval.RandomFrom(paramTypes[i].T, rng)
 			}
 			if e.FixInputs != nil {
 				e.FixInputs(inA)
 			}
-			for _, p := range ctrl.Params {
-				pt := paramTypes[p.Name]
+			for i, p := range ctrl.Params {
+				pt := paramTypes[i]
 				inB[p.Name] = randomizeAbove(eval.Copy(inA[p.Name]), pt, obs, e.Lat, rng)
 			}
 			seqA[k] = inA
@@ -78,8 +78,8 @@ func ReferenceRunN(e *Experiment, trials int, seed int64) ([]Violation, int, err
 				violated = true
 				break
 			}
-			for _, p := range ctrl.Params {
-				pt := paramTypes[p.Name]
+			for i, p := range ctrl.Params {
+				pt := paramTypes[i]
 				where := p.Name
 				if packets > 1 {
 					where = fmt.Sprintf("packet %d: %s", k, p.Name)

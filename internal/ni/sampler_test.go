@@ -40,7 +40,7 @@ func TestSamplersKeepFieldOrder(t *testing.T) {
 			for _, obs := range []lattice.Label{lat.Bottom(), lat.Top()} {
 				for _, param := range ctrl.Params {
 					st := pts[param.Name]
-					s := compileSampler(st, obs, lat)
+					s := newTypePlan(st, obs, lat)
 					var a, b eval.Value
 					for k := 0; k < 3; k++ {
 						a = s.draw(a, draws)
@@ -76,7 +76,7 @@ func TestVaryMatchesReference(t *testing.T) {
 	n := int64(0)
 	for _, p := range diffParams(t) {
 		for _, obs := range p.lat.Elements() {
-			s := compileSampler(p.st, obs, p.lat)
+			s := newTypePlan(p.st, obs, p.lat)
 			a := s.draw(nil, draws)
 			stale := s.draw(nil, draws)
 			check := func(what string, in eval.Value) {

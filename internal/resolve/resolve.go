@@ -25,12 +25,21 @@ type Resolver struct {
 	MatchKinds []string
 }
 
+// builtinMatchKinds is every resolver's initial MatchKinds. Its length is
+// its capacity, so a program's own match_kind members are appended to a
+// copy.
+var builtinMatchKinds = [...]string{"exact", "lpm", "ternary"}
+
 // New returns a resolver with an empty Δ pre-populated with the builtin
 // standard_metadata_t struct and the builtin match kinds exact, lpm, and
 // ternary (programs may extend them with their own match_kind declaration).
 func New(lat lattice.Lattice, diags *diag.List) *Resolver {
-	r := &Resolver{Lat: lat, Defs: types.NewTypeDefs(), Diags: diags}
-	r.MatchKinds = []string{"exact", "lpm", "ternary"}
+	a := new(struct {
+		r    Resolver
+		defs types.TypeDefs
+	})
+	r := &a.r
+	*r = Resolver{Lat: lat, Defs: &a.defs, Diags: diags, MatchKinds: builtinMatchKinds[:]}
 	low := lat.Bottom()
 	std := &types.Record{Fields: []types.Field{
 		{Name: "ingress_port", Type: types.SecType{T: types.Bit{W: 9}, L: low}},
@@ -209,15 +218,14 @@ func (r *Resolver) CollectTypeDecls(prog *ast.Program) {
 // fields resolves header/struct fields, checking that each is a base type.
 func (r *Resolver) fields(fds []ast.FieldDecl) ([]types.Field, bool) {
 	out := make([]types.Field, 0, len(fds))
-	seen := map[string]bool{}
 	ok := true
-	for _, fd := range fds {
-		if seen[fd.Name] {
+	for i := range fds {
+		fd := &fds[i]
+		if declared(fds[:i], fd.Name) {
 			r.Diags.Errorf(fd.P, "duplicate field %q", fd.Name)
 			ok = false
 			continue
 		}
-		seen[fd.Name] = true
 		st := r.SecType(fd.Type)
 		if st.IsZero() {
 			ok = false
@@ -231,6 +239,17 @@ func (r *Resolver) fields(fds []ast.FieldDecl) ([]types.Field, bool) {
 		out = append(out, types.Field{Name: fd.Name, Type: st})
 	}
 	return out, ok
+}
+
+// declared reports whether one of fds is named name. A header or struct
+// declares a handful of fields, which a scan checks faster than a set.
+func declared(fds []ast.FieldDecl, name string) bool {
+	for i := range fds {
+		if fds[i].Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // IsMatchKind reports whether name is a declared match-kind member.

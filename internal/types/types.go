@@ -452,34 +452,49 @@ func (e *Env) InCurrentScope(name string) bool {
 
 // TypeDefs is the type-definition context Δ mapping type names to their
 // definitions. Definitions are stored fully resolved, so unfolding
-// (Δ ⊢ τ ⇝ τ′) is a single lookup.
+// (Δ ⊢ τ ⇝ τ′) is a single lookup. A program defines a handful of types,
+// so Δ is a list searched in order; the zero value is an empty Δ, and the
+// first few definitions need no allocation.
 type TypeDefs struct {
-	defs map[string]SecType
+	defs []typeDef
+	buf  [4]typeDef
+}
+
+type typeDef struct {
+	name string
+	t    SecType
 }
 
 // NewTypeDefs returns an empty Δ.
-func NewTypeDefs() *TypeDefs { return &TypeDefs{defs: map[string]SecType{}} }
+func NewTypeDefs() *TypeDefs { return new(TypeDefs) }
 
 // Define records a type name. It returns an error on redefinition.
 func (d *TypeDefs) Define(name string, t SecType) error {
-	if _, dup := d.defs[name]; dup {
+	if _, dup := d.Lookup(name); dup {
 		return fmt.Errorf("type %s redefined", name)
 	}
-	d.defs[name] = t
+	if d.defs == nil {
+		d.defs = d.buf[:0]
+	}
+	d.defs = append(d.defs, typeDef{name, t})
 	return nil
 }
 
 // Lookup resolves a type name.
 func (d *TypeDefs) Lookup(name string) (SecType, bool) {
-	t, ok := d.defs[name]
-	return t, ok
+	for i := range d.defs {
+		if d.defs[i].name == name {
+			return d.defs[i].t, true
+		}
+	}
+	return SecType{}, false
 }
 
-// Names returns the defined type names (unordered).
+// Names returns the defined type names, in definition order.
 func (d *TypeDefs) Names() []string {
-	out := make([]string, 0, len(d.defs))
-	for n := range d.defs {
-		out = append(out, n)
+	out := make([]string, len(d.defs))
+	for i, def := range d.defs {
+		out[i] = def.name
 	}
 	return out
 }
