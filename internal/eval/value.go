@@ -166,9 +166,11 @@ func Mask(w int, v uint64) uint64 {
 func NewBit(w int, v uint64) BitVal { return BitVal{W: w, V: Mask(w, v)} }
 
 // bitBox holds pre-boxed BitVal interface values for narrow widths and
-// small values. A BitVal is a two-word struct, so every conversion to the
-// Value interface heap-allocates; the compiled evaluator produces one per
-// arithmetic result, which dominates allocation on the NI hot path.
+// small values: every value up to bit<9> (the width of standard_metadata's
+// ports, which NI trials draw on every run), values below 256 for wider
+// widths up to 16. A BitVal is a two-word struct, so every conversion to
+// the Value interface heap-allocates; the compiled evaluator produces one
+// per arithmetic result, which dominates allocation on the NI hot path.
 // BitVal compares by value (ValueEqual and ==), so sharing boxes is
 // unobservable.
 var bitBox [17][]Value
@@ -176,7 +178,7 @@ var bitBox [17][]Value
 func init() {
 	for w := 1; w <= 16; w++ {
 		n := 256
-		if w < 8 {
+		if w <= 9 {
 			n = 1 << uint(w)
 		}
 		s := make([]Value, n)

@@ -13,7 +13,17 @@
 // interference (ProvedInsecure); covering the entire public × secret
 // space with no mismatch is a proof of security (ProvedSecure).
 //
-// Enumeration is bounded by a run budget:
+// A secret leaf whose entry value the control never reads (live.go's
+// syntactic entry-liveness pass) cannot change any run, so the odometer
+// keeps it at digit 0 and runs only the assignments that differ in the
+// leaves the program can read. Counts stay in the full space: the
+// Result's Trials and Assignments and a witness's Trial are positions in
+// the full odometer order, identical to those of a sweep that runs every
+// assignment, and the exhaust_runs_total counter records the machine runs
+// actually made.
+//
+// Enumeration is bounded by a budget of assignments, sized on the full
+// secret space whatever is pinned:
 //
 //   - total mode: |public| × |secret| ≤ Budget — the full input space is
 //     enumerated; a clean sweep proves security over the whole space
@@ -41,7 +51,7 @@ import (
 	"repro/internal/ni"
 )
 
-// DefaultBudget bounds machine runs per observer check when
+// DefaultBudget bounds the assignments per observer check when
 // Oracle.Budget is zero. 2^16 keeps a campaign job under ~a tenth of a
 // second; raise it (ISSUE 10 suggests up to 2^24) for proof-grade
 // sweeps of a regression corpus.
@@ -83,9 +93,10 @@ const (
 // Oracle is the exhaustive backend. The zero value enumerates with
 // DefaultBudget and no fallback.
 type Oracle struct {
-	// Budget is the maximum machine runs one Check may spend
-	// (0 = DefaultBudget). Eligibility and total-vs-probe mode are
-	// decided against it before any run happens.
+	// Budget is the maximum assignments one Check may cover
+	// (0 = DefaultBudget), and so the most machine runs it may make.
+	// Eligibility and total-vs-probe mode are decided against it before
+	// any run happens.
 	Budget uint64
 	// Probes fixes the number of public probes in probe mode
 	// (0 = derived from the budget left after the secret space, capped
@@ -108,10 +119,11 @@ func (o Oracle) Check(e *ni.Experiment, seed int64) (ni.Result, error) {
 		budget = DefaultBudget
 	}
 	start := time.Now()
-	res, ran, err := o.enumerate(e, seed, budget)
+	res, runs, err := o.enumerate(e, seed, budget, true)
 	reg := e.Metrics
 	reg.Histogram("exhaust_enumeration_seconds", metrics.DurationBuckets).Observe(time.Since(start).Seconds())
 	reg.Counter("exhaust_assignments_total").Add(int64(res.Assignments))
+	reg.Counter("exhaust_runs_total").Add(int64(runs))
 	switch res.Outcome {
 	case ni.ProvedSecure:
 		reg.Counter("exhaust_proofs_total", "verdict", "secure").Inc()
@@ -123,7 +135,7 @@ func (o Oracle) Check(e *ni.Experiment, seed int64) (ni.Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if !ran && o.Fallback != nil {
+	if runs == 0 && o.Fallback != nil {
 		// Nothing was enumerated; sample instead, but the verdict's
 		// strength stays Inconclusive with the enumerator's reason.
 		fres, ferr := o.Fallback.Check(e, seed)
@@ -134,12 +146,13 @@ func (o Oracle) Check(e *ni.Experiment, seed int64) (ni.Result, error) {
 	return res, nil
 }
 
-// enumerate plans and runs the sweep; ran reports whether any
-// enumeration happened (false for ineligible experiments, which makes
-// the fallback worthwhile).
-func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Result, bool, error) {
-	inconclusive := func(reason string) (ni.Result, bool, error) {
-		return ni.Result{Outcome: ni.Inconclusive, Reason: reason}, false, nil
+// enumerate plans and runs the sweep and returns the machine runs it
+// made: 0 for ineligible experiments, which makes the fallback
+// worthwhile. With pin, secret leaves the control never reads stay at
+// digit 0 (plan.spin); the Result is the same either way.
+func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64, pin bool) (ni.Result, uint64, error) {
+	inconclusive := func(reason string) (ni.Result, uint64, error) {
+		return ni.Result{Outcome: ni.Inconclusive, Reason: reason}, 0, nil
 	}
 	if e.Packets > 1 {
 		return inconclusive(ReasonMultiPacket)
@@ -151,13 +164,13 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 	if code == nil {
 		return inconclusive(ReasonNoCompile)
 	}
-	_, pts, err := e.ControlParams()
+	ctrl, pts, err := e.ControlParams()
 	if err != nil {
-		return ni.Result{}, false, err
+		return ni.Result{}, 0, err
 	}
 	diffs, err := e.Comparators()
 	if err != nil {
-		return ni.Result{}, false, err
+		return ni.Result{}, 0, err
 	}
 	idx := code.ControlIndex(e.Control)
 	if idx < 0 {
@@ -171,6 +184,7 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 
 	p := &plan{lat: e.Lat, obs: obs, args: make([]eval.Value, len(names))}
 	for i, n := range names {
+		p.path = append(p.path[:0], n)
 		if reason := p.walk(pts[n], &p.args[i]); reason != "" {
 			return inconclusive(reason)
 		}
@@ -194,26 +208,29 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 	}
 
 	m, _ := e.Machines(code)
+	spin, stride := p.spin(ctrl, pin)
 	sweep := &sweeper{plan: p, m: m, idx: idx, names: names, diffs: diffs,
+		space: secretCount, stride: stride,
 		base: make([]eval.Value, len(names)), emptyApplies: m.EmptyTableApplies()}
 
 	if satMul(secretCount, pubCount) <= budget {
 		// Total mode: enumerate the whole public × secret space.
 		pub := newOdometer(p, p.publicIdx)
-		sec := newOdometer(p, p.secretIdx)
+		sec := newOdometer(p, spin)
 		for {
 			vio, err := sweep.secrets(sec)
 			if err != nil || vio != nil {
-				return sweep.result(vio, true, err), true, err
+				return sweep.result(vio, true, err), sweep.runs, err
 			}
 			if !pub.advance(p) {
 				break
 			}
 		}
-		return sweep.result(nil, true, nil), true, nil
+		return sweep.result(nil, true, nil), sweep.runs, nil
 	}
 
-	// Probe mode: all secrets per randomly drawn public probe.
+	// Probe mode: all secrets per randomly drawn public probe. The probe
+	// count is sized on the full secret space, pinned leaves included.
 	probes := o.Probes
 	if probes <= 0 {
 		probes = maxDerivedProbes
@@ -227,7 +244,7 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 		probes = 1
 	}
 	rng := e.Rand(seed)
-	sec := newOdometer(p, p.secretIdx)
+	sec := newOdometer(p, spin)
 	for pr := 0; pr < probes; pr++ {
 		for _, li := range p.publicIdx {
 			p.vals[li] = eval.RandomFrom(p.leaves[li].t, rng)
@@ -238,10 +255,10 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 		sec.reset(p)
 		vio, err := sweep.secrets(sec)
 		if err != nil || vio != nil {
-			return sweep.result(vio, false, err), true, err
+			return sweep.result(vio, false, err), sweep.runs, err
 		}
 	}
-	return sweep.result(nil, false, nil), true, nil
+	return sweep.result(nil, false, nil), sweep.runs, nil
 }
 
 // sweeper runs one enumerated assignment at a time and compares outputs
@@ -249,6 +266,13 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 // assignment — the argument trees and their slot list, the compiled
 // per-parameter comparators, the baseline snapshot — is built once per
 // sweep.
+//
+// It counts in two units. runs is the machine runs made. covered is the
+// assignments of the full public × secret order the sweep has accounted
+// for: every secret assignment of each finished public state, pinned
+// ones included, and at an interruption the full-order position of the
+// interrupting assignment. Results and witnesses report covered, so they
+// do not depend on how many leaves were pinned.
 type sweeper struct {
 	plan  *plan
 	m     *eval.Machine
@@ -256,7 +280,11 @@ type sweeper struct {
 	names []string
 	diffs []ni.Comparator
 
+	space  uint64   // the full secret space
+	stride []uint64 // each spun leaf's place value in the full secret order
+
 	runs    uint64
+	covered uint64
 	base    []eval.Value
 	baseSig eval.Signal
 	// emptyApplies is the machine's EmptyTableApplies count before the
@@ -280,6 +308,7 @@ func (s *sweeper) secrets(sec *odometer) (*ni.Violation, error) {
 		outs, sig, err := s.m.RunIndexed(s.idx, p.args)
 		s.runs++
 		if err != nil {
+			s.interrupted(sec)
 			return nil, err
 		}
 		if first {
@@ -290,23 +319,35 @@ func (s *sweeper) secrets(sec *odometer) (*ni.Violation, error) {
 			s.baseSig = sig
 		} else {
 			if sig.Kind != s.baseSig.Kind {
-				return &ni.Violation{Trial: int(s.runs), Where: "signal",
+				s.interrupted(sec)
+				return &ni.Violation{Trial: int(s.covered), Where: "signal",
 					A: s.baseSig.String(), B: sig.String()}, nil
 			}
 			for i, v := range outs {
 				if d, ok := s.diffs[i].Diff(s.base[i], v); !ok {
+					s.interrupted(sec)
 					vio := d // escapes only here, not on every comparison
 					vio.Where = s.names[i] + vio.Where
-					vio.Trial = int(s.runs)
+					vio.Trial = int(s.covered)
 					return &vio, nil
 				}
 			}
 		}
 		if !sec.advance(p) {
+			s.covered += s.space
 			s.emptyTable = s.m.EmptyTableApplies() > s.emptyApplies
 			return nil, nil
 		}
 	}
+}
+
+// interrupted accounts for the secret sweep stopping at sec's current
+// assignment: covered moves to its 1-based full-order position.
+func (s *sweeper) interrupted(sec *odometer) {
+	for i, d := range sec.digits {
+		s.covered += d * s.stride[i]
+	}
+	s.covered++
 }
 
 // snapshot deep-copies src like eval.Copy, but into dst's containers
@@ -357,8 +398,8 @@ func snapshotFields(dst, src []eval.NamedValue) bool {
 // together: secrets stops at whichever comes first.)
 func (s *sweeper) result(vio *ni.Violation, total bool, err error) ni.Result {
 	r := ni.Result{
-		Trials:      int(s.runs),
-		Assignments: s.runs,
+		Trials:      int(s.covered),
+		Assignments: s.covered,
 		Total:       total,
 		Outcome:     ni.ProvedSecure,
 	}

@@ -1,6 +1,10 @@
 package exhaust
 
 import (
+	"slices"
+	"strconv"
+
+	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/lattice"
 	"repro/internal/types"
@@ -23,11 +27,14 @@ func satMul(a, b uint64) uint64 {
 
 // leafInfo is one scalar leaf of the control's input surface. radix is
 // the size of its value domain (satInf for bit widths ≥ 63, 0 for
-// int-typed leaves, which have none).
+// int-typed leaves, which have none). A secret leaf also keeps its path,
+// for the entry-liveness pass: the parameter name, then field names and
+// decimal stack indices.
 type leafInfo struct {
 	t      types.Type
 	radix  uint64
 	secret bool
+	path   []string
 }
 
 // slot is one place in the argument trees that the sweep restores before
@@ -53,6 +60,7 @@ type plan struct {
 	args    []eval.Value      // one argument per parameter, the roots of the trees
 	slots   []slot            // every slot of the trees, args included
 	headers []*eval.HeaderVal // every header in the trees
+	path    []string          // the path walk is at, from the parameter name
 
 	secretIdx []int // enumerable secret leaves
 	publicIdx []int // enumerable public leaves
@@ -63,8 +71,9 @@ type plan struct {
 // *dst, classifying each scalar leaf secret iff its label does not flow
 // to the observer, and records every slot it creates. Containers are
 // allocated here, once per sweep, with their declared fields in declared
-// order. A non-empty reason marks the whole experiment
-// enumeration-ineligible.
+// order. Secret leaves get their path below p.path, which the caller
+// sets to the parameter's name. A non-empty reason marks the whole
+// experiment enumeration-ineligible.
 func (p *plan) walk(st types.SecType, dst *eval.Value) string {
 	if types.IsScalar(st.T) {
 		radix, ok := leafRadix(st.T)
@@ -76,7 +85,11 @@ func (p *plan) walk(st types.SecType, dst *eval.Value) string {
 			return ReasonIntTyped
 		}
 		idx := len(p.leaves)
-		p.leaves = append(p.leaves, leafInfo{t: st.T, radix: radix, secret: secret})
+		lf := leafInfo{t: st.T, radix: radix, secret: secret}
+		if secret {
+			lf.path = slices.Clone(p.path)
+		}
+		p.leaves = append(p.leaves, lf)
 		p.vals = append(p.vals, zeroValue(st.T))
 		p.slots = append(p.slots, slot{dst: dst, leaf: idx})
 		return ""
@@ -95,7 +108,10 @@ func (p *plan) walk(st types.SecType, dst *eval.Value) string {
 		stk := &eval.StackVal{Elems: make([]eval.Value, tt.Size)}
 		p.slots = append(p.slots, slot{dst: dst, leaf: -1, val: stk})
 		for i := range stk.Elems {
-			if reason := p.walk(tt.Elem, &stk.Elems[i]); reason != "" {
+			p.path = append(p.path, strconv.Itoa(i))
+			reason := p.walk(tt.Elem, &stk.Elems[i])
+			p.path = p.path[:len(p.path)-1]
+			if reason != "" {
 				return reason
 			}
 		}
@@ -109,7 +125,10 @@ func (p *plan) walk(st types.SecType, dst *eval.Value) string {
 func (p *plan) walkFields(fields []types.Field, fs []eval.NamedValue) string {
 	for i, f := range fields {
 		fs[i].Name = f.Name
-		if reason := p.walk(f.Type, &fs[i].Val); reason != "" {
+		p.path = append(p.path, f.Name)
+		reason := p.walk(f.Type, &fs[i].Val)
+		p.path = p.path[:len(p.path)-1]
+		if reason != "" {
 			return reason
 		}
 	}
@@ -186,6 +205,36 @@ func leafValue(t types.Type, d uint64) eval.Value {
 
 // zeroValue is digit 0 of a leaf's domain.
 func zeroValue(t types.Type) eval.Value { return leafValue(t, 0) }
+
+// spin returns the secret leaves a sweep turns, least-significant first,
+// with each one's stride: its place value in the full secret odometer,
+// which turns every secret leaf. With pin, a secret leaf whose entry value
+// the control never reads (entryReads) stays at digit 0. Such a leaf
+// cannot change a run, so any assignment behaves as the one with its
+// pinned digits at 0, which comes no later in the full order: the first
+// witness or run error of the full sweep is an assignment the pinned
+// sweep runs, and stride maps it back to its full-order position.
+func (p *plan) spin(ctrl *ast.ControlDecl, pin bool) (idx []int, stride []uint64) {
+	read := unreachable
+	if pin && len(p.secretIdx) <= 64 {
+		paths := make([][]string, len(p.secretIdx))
+		for i, li := range p.secretIdx {
+			paths[i] = p.leaves[li].path
+		}
+		read = entryReads(ctrl, paths)
+	}
+	idx = make([]int, 0, len(p.secretIdx))
+	stride = make([]uint64, 0, len(p.secretIdx))
+	place := uint64(1)
+	for i, li := range p.secretIdx {
+		if i >= 64 || read&(1<<i) != 0 {
+			idx = append(idx, li)
+			stride = append(stride, place)
+		}
+		place = satMul(place, p.leaves[li].radix)
+	}
+	return idx, stride
+}
 
 // odometer spins a subset of the plan's leaf slots through their full
 // cartesian domain, least-significant first. After a full cycle

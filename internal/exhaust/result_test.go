@@ -13,9 +13,11 @@ import (
 // Inconclusive with the run-error reason (machine-run errors are not
 // reproducible from well-typed sources, which is why this is tested at
 // the assembly seam rather than end-to-end), and that a clean sweep that
-// met an empty table is inconclusive.
+// met an empty table is inconclusive. Results count covered assignments
+// (positions in the full order, pinned leaves included), never the
+// machine runs the sweep made.
 func TestSweepResultOutcomes(t *testing.T) {
-	s := &sweeper{runs: 37}
+	s := &sweeper{covered: 37, runs: 5}
 	vio := &ni.Violation{Trial: 3, Where: "hdr", A: "0", B: "1"}
 
 	if r := s.result(nil, true, nil); r.Outcome != ni.ProvedSecure || !r.Total || r.Assignments != 37 {
@@ -38,7 +40,7 @@ func TestSweepResultOutcomes(t *testing.T) {
 		t.Errorf("error-interrupted sweep: reason %q total=%v, want %q and non-total", r.Reason, r.Total, ReasonRunError)
 	}
 	if r.Assignments != 37 || r.Trials != 37 {
-		t.Errorf("error-interrupted sweep dropped the run counts: %+v", r)
+		t.Errorf("error-interrupted sweep dropped the covered counts: %+v", r)
 	}
 
 	// A sweep whose runs applied a table with no entries covered only the

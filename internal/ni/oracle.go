@@ -67,10 +67,15 @@ type Result struct {
 	// Violations holds the interference witnesses found (nil for a
 	// clean check).
 	Violations []Violation
-	// Trials is the number of program-pair runs (randomized) or
-	// enumerated assignment runs (exhaustive) actually executed.
+	// Trials is the number of program-pair runs executed (randomized),
+	// or of input assignments covered (exhaustive; as Assignments).
 	Trials int
-	// Assignments counts input assignments enumerated — zero for the
+	// Assignments counts the input assignments the exhaustive sweep
+	// covered, in its full enumeration order: up to its end, or up to and
+	// including the witness or failing run that stopped it. It counts
+	// assignments the sweep proved equivalent to one it ran without
+	// running them (secret inputs the control never reads); the machine
+	// runs it made are the exhaust_runs_total counter. Zero for the
 	// randomized backends.
 	Assignments uint64
 	// Total reports that the enumeration covered the full public ×

@@ -205,6 +205,7 @@ func newInstruments(opts Options) instruments {
 		// The per-enumeration series internal/exhaust records, registered
 		// up front for deterministic presence in snapshots.
 		r.Counter("exhaust_assignments_total")
+		r.Counter("exhaust_runs_total")
 		r.Counter("exhaust_proofs_total", "verdict", "secure")
 		r.Counter("exhaust_proofs_total", "verdict", "insecure")
 		r.Histogram("exhaust_enumeration_seconds", metrics.DurationBuckets)
